@@ -25,7 +25,7 @@ Usage::
     async with AsyncMatcherService(4, Alphabet("ABCD")) as svc:
         jid = await svc.submit("AXC", "ABCAACACCAB", tenant="alice")
         result = await svc.result(jid)
-        async for r in svc.stream_results():   # completion order
+        async for r in svc.stream_results():   # done first, then as they finish
             ...
 """
 
@@ -39,6 +39,7 @@ from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..alphabet import Alphabet
 from ..errors import BackpressureError, ServiceError
 from ..service.cache import ResultCache, canonical_params, result_cache_key
+from ..service.completion import CompletionLog
 from ..service.reliability import (
     FaultInjector,
     FaultKind,
@@ -230,7 +231,7 @@ class AsyncMatcherService:
             self.config.rate_limits, self.config.default_rate_limit
         )
         self._jobs: Dict[int, _Job] = {}
-        self._completed: Dict[int, RuntimeResult] = {}
+        self._completed = CompletionLog()
         self._batches: Dict[int, _Batch] = {}
         self._followers: Dict[int, List[_Job]] = {}
         self._next_id = 0
@@ -716,7 +717,7 @@ class AsyncMatcherService:
             mode=mode,
         )
         del self._jobs[job.job_id]
-        self._completed[job.job_id] = result
+        self._completed.add(result)
         self._m_completed.inc()
         self._h_latency.observe(result.latency_s)
         if job.span is not None:
@@ -745,29 +746,28 @@ class AsyncMatcherService:
 
     async def result(self, job_id: int) -> RuntimeResult:
         """Await one job's completion."""
-        done = self._completed.get(job_id)
-        if done is not None:
-            return done
         job = self._jobs.get(job_id)
-        if job is None:
+        if job is not None:
+            return await asyncio.shield(job.future)
+        done = self._completed.get(job_id)
+        if done is None:
             raise ServiceError(f"unknown job id {job_id}")
-        return await asyncio.shield(job.future)
+        return done
 
     async def stream_results(
         self, job_ids: Optional[Sequence[int]] = None
     ) -> AsyncIterator[RuntimeResult]:
-        """Yield results as they complete (already-done first, in
-        completion order), for *job_ids* or everything admitted."""
-        if job_ids is None:
-            wanted = set(self._completed) | set(self._jobs)
-        else:
-            wanted = set(job_ids)
-        for jid, result in list(self._completed.items()):
-            if jid in wanted:
-                yield result
+        """Yield results for *job_ids* or everything admitted: those
+        already done first, in job-id order, then the rest in completion
+        order."""
+        wanted = None if job_ids is None else set(job_ids)
         pending = {
-            job.future for jid, job in self._jobs.items() if jid in wanted
+            job.future for jid, job in self._jobs.items()
+            if wanted is None or jid in wanted
         }
+        for result in self._completed.snapshot():
+            if wanted is None or result.job_id in wanted:
+                yield result
         while pending:
             done, pending = await asyncio.wait(
                 pending, return_when=asyncio.FIRST_COMPLETED
@@ -776,15 +776,20 @@ class AsyncMatcherService:
                 yield fut.result()
 
     async def drain(self) -> List[RuntimeResult]:
-        """Wait until every admitted job has completed; returns all
-        results so far in job-id order (the sync service's contract)."""
+        """Wait until every admitted job has completed; returns a fresh
+        list of all results so far in job-id order (the sync service's
+        contract).  Besides the waiting, the cost is work proportional
+        to the completions since the last call plus one C-level list
+        copy."""
         while self._jobs:
             await asyncio.wait([job.future for job in self._jobs.values()])
-        return [self._completed[i] for i in sorted(self._completed)]
+        return self._completed.snapshot()
 
     def results(self) -> List[RuntimeResult]:
-        """Completed results so far (no waiting), job-id order."""
-        return [self._completed[i] for i in sorted(self._completed)]
+        """Completed results so far (no waiting), as a fresh list in
+        job-id order; costs work proportional to the completions since
+        the last call plus one C-level list copy."""
+        return self._completed.snapshot()
 
     # -- counters (registry-backed, like ServiceTelemetry) -----------------
 

@@ -33,6 +33,7 @@ from ..alphabet import PatternChar, parse_pattern
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
 from .cache import ResultCache, canonical_params, result_cache_key
+from .completion import CompletionLog
 from .pool import DevicePool, PoolWorker, WorkerState
 from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
@@ -229,7 +230,8 @@ class MatcherService:
         self._retry_ready: Deque[Tuple[_JobState, TextShard]] = deque()
         self._retry_batches: Deque[_BatchState] = deque()
         self._followers: Dict[int, List[MatchJob]] = {}
-        self._completed: Dict[int, JobResult] = {}
+        self._completed = CompletionLog()
+        self._last_finish = 0.0  # running max of finished_beat
         for w in pool:
             stats = self.telemetry.worker_stats(w.name, w.capacity)
             stats.died = not w.is_live
@@ -508,7 +510,10 @@ class MatcherService:
 
     def drain(self) -> List[JobResult]:
         """Run the farm until every admitted job has completed; returns
-        all results so far, in job-id order."""
+        a fresh list of all results so far, in job-id order.
+
+        Besides running the jobs, the cost is work proportional to the
+        completions since the last call plus one C-level list copy."""
         while (
             self.queues.depth() or self._retry_ready
             or self._retry_batches or self._inflight
@@ -535,11 +540,13 @@ class MatcherService:
             else:
                 self._complete_execution(execution)
         self._sync_telemetry()
-        return [self._completed[i] for i in sorted(self._completed)]
+        return self._completed.snapshot()
 
     def results(self) -> List[JobResult]:
-        """Completed results so far (without draining)."""
-        return [self._completed[i] for i in sorted(self._completed)]
+        """Completed results so far (without draining), as a fresh list
+        in job-id order; costs work proportional to the completions since
+        the last call plus one C-level list copy."""
+        return self._completed.snapshot()
 
     # -- assignment --------------------------------------------------------
 
@@ -1071,7 +1078,8 @@ class MatcherService:
     # -- accounting --------------------------------------------------------
 
     def _record(self, result: JobResult, job: MatchJob) -> None:
-        self._completed[result.job_id] = result
+        self._completed.add(result)
+        self._last_finish = max(self._last_finish, result.finished_beat)
         self.telemetry.completed += 1
         self.telemetry.text_chars_served += len(result.results)
         self.telemetry.record_job(
@@ -1125,8 +1133,7 @@ class MatcherService:
         t.queue_high_water = dict(self.queues.high_water)
         t.bus_busy_beats = self.bus.busy_beats
         t.bus_chars_moved = self.bus.chars_moved
-        finishes = [r.finished_beat for r in self._completed.values()]
-        t.makespan_beats = max([self.clock.now] + finishes)
+        t.makespan_beats = max(self.clock.now, self._last_finish)
 
     def report(self) -> str:
         """The telemetry tables (render after a drain)."""

@@ -13,17 +13,17 @@ Two independent axes, both straight from Section 3.4:
   like the substring bookkeeping of the multipass derivation.
 
 The merge reassembles per-shard result streams into the single oracle
-stream through :class:`repro.streams.ResultStream`.
+stream with one slice copy per shard, checking coverage on the shards'
+owned intervals rather than position by position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ServiceError
-from ..streams import ResultStream
 
 
 class ShardMode(Enum):
@@ -147,7 +147,6 @@ def merge_shard_values(
         raise ServiceError(
             f"{len(shards)} shards but {len(shard_results)} result streams"
         )
-    filled = [False] * text_len
     out = [incomplete] * text_len
     for shard, results in zip(shards, shard_results):
         if len(results) != shard.n_fed:
@@ -155,13 +154,29 @@ def merge_shard_values(
                 f"shard {shard.index} fed {shard.n_fed} chars but returned "
                 f"{len(results)} results"
             )
-        for g in range(shard.out_lo, shard.out_hi + 1):
-            out[g] = results[g - shard.feed_start]
-            filled[g] = True
-    if not all(filled):
-        missing = filled.index(False)
+        lo, hi, start = shard.out_lo, shard.out_hi, shard.feed_start
+        if lo < 0 or hi >= text_len or start > lo:
+            raise ServiceError(
+                f"shard {shard.index} (fed from {start}, owning {lo}..{hi}) "
+                f"does not fit a {text_len}-position text"
+            )
+        out[lo : hi + 1] = results[lo - start :]
+    missing = _first_unowned(shards, text_len)
+    if missing is not None:
         raise ServiceError(f"no shard owns text position {missing}")
     return out
+
+
+def _first_unowned(
+    shards: Sequence[TextShard], text_len: int
+) -> Optional[int]:
+    """The lowest position in ``[0, text_len)`` no shard owns, or None."""
+    covered = 0  # every position below this one is owned
+    for shard in sorted(shards, key=lambda s: s.out_lo):
+        if shard.out_lo > covered:
+            break
+        covered = max(covered, shard.out_hi + 1)
+    return covered if covered < text_len else None
 
 
 def merge_shard_results(
@@ -169,11 +184,8 @@ def merge_shard_results(
     shard_results: Sequence[Sequence[bool]],
     text_len: int,
 ) -> List[bool]:
-    """Boolean-matching specialization of :func:`merge_shard_values`,
-    funnelled through :class:`repro.streams.ResultStream` like the
-    hardware result pin."""
-    merged = merge_shard_values(shards, shard_results, text_len, False)
-    stream = ResultStream()
-    for bit in merged:
-        stream.record_result(bool(bit))
-    return stream.results
+    """Boolean-matching specialization of :func:`merge_shard_values`:
+    the merged stream as Python ``bool`` values, like the hardware
+    result pin's, whatever truthy type the shards returned."""
+    return list(map(bool, merge_shard_values(shards, shard_results,
+                                             text_len, False)))
