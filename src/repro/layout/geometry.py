@@ -161,27 +161,44 @@ class RectIndex:
     spacing checks quadratic: querying returns only candidates whose grid
     cells overlap the probe window, so chip-scale rectangle sets (the
     flattened prototype CIF) stay near-linear.
+
+    Each bucket lists the indices of its rectangles in ascending order,
+    each once, so a probe that falls in one grid cell is answered by a
+    copy of that bucket; only probes spanning several cells merge and
+    sort.  Either way :meth:`near` returns ascending, unique indices, an
+    order callers rely on (union-find net numbering follows it).
     """
 
     def __init__(self, rects: List[Rect], cell: int = 32):
         self.rects = rects
-        self.cell = max(1, cell)
-        self._buckets: dict = {}
+        self.cell = c = max(1, cell)
+        self._buckets: Dict[Tuple[int, int], List[int]] = {}
+        buckets = self._buckets
         for i, r in enumerate(rects):
-            for key in self._keys(r, 0):
-                self._buckets.setdefault(key, []).append(i)
-
-    def _keys(self, r: Rect, pad: int):
-        c = self.cell
-        for bx in range((r.x0 - pad) // c, (r.x1 + pad) // c + 1):
-            for by in range((r.y0 - pad) // c, (r.y1 + pad) // c + 1):
-                yield (bx, by)
+            rows = range(r.y0 // c, r.y1 // c + 1)
+            for bx in range(r.x0 // c, r.x1 // c + 1):
+                for by in rows:
+                    bucket = buckets.get((bx, by))
+                    if bucket is None:
+                        buckets[(bx, by)] = [i]
+                    else:
+                        bucket.append(i)
 
     def near(self, r: Rect, pad: int = 0) -> List[int]:
-        """Indices of rectangles whose grid cells overlap *r* grown by *pad*."""
+        """Ascending, unique indices of the rectangles whose grid cells
+        overlap *r* grown by *pad*."""
+        c = self.cell
+        bx0, bx1 = (r.x0 - pad) // c, (r.x1 + pad) // c
+        by0, by1 = (r.y0 - pad) // c, (r.y1 + pad) // c
+        buckets = self._buckets
+        if bx0 == bx1 and by0 == by1:
+            return list(buckets.get((bx0, by0), ()))
         seen: set = set()
-        for key in self._keys(r, pad):
-            seen.update(self._buckets.get(key, ()))
+        for bx in range(bx0, bx1 + 1):
+            for by in range(by0, by1 + 1):
+                bucket = buckets.get((bx, by))
+                if bucket is not None:
+                    seen.update(bucket)
         return sorted(seen)
 
 

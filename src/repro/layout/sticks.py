@@ -17,8 +17,9 @@ character per lambda, with the paper's colour letters
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..errors import LayoutError
 from .geometry import Point
@@ -45,13 +46,17 @@ class Stick:
     def is_horizontal(self) -> bool:
         return self.a.y == self.b.y
 
-    def points(self) -> List[Point]:
-        """Every lambda grid point the stick covers."""
+    def grid(self) -> Iterator[Tuple[int, int]]:
+        """Every lambda grid point the stick covers, as ``(x, y)`` tuples."""
         if self.is_horizontal:
             x0, x1 = sorted((self.a.x, self.b.x))
-            return [Point(x, self.a.y) for x in range(x0, x1 + 1)]
+            return zip(range(x0, x1 + 1), repeat(self.a.y))
         y0, y1 = sorted((self.a.y, self.b.y))
-        return [Point(self.a.x, y) for y in range(y0, y1 + 1)]
+        return zip(repeat(self.a.x), range(y0, y1 + 1))
+
+    def points(self) -> List[Point]:
+        """Every lambda grid point the stick covers."""
+        return [Point(x, y) for x, y in self.grid()]
 
 
 @dataclass(frozen=True)
@@ -138,23 +143,24 @@ class StickDiagram:
         "Field-effect transistors are created in NMOS by crossing a
         diffusion path with a polysilicon area" -- unless a contact joins
         the layers at that very point (a butting contact, not a device).
+        Sites come in (y, x) order.  The crossings are found on plain
+        ``(x, y)`` grid tuples; a :class:`Point` is built only for each
+        site returned.
         """
-        poly_pts: Set[Point] = set()
-        diff_pts: Set[Point] = set()
+        poly_pts: Set[Tuple[int, int]] = set()
+        diff_pts: Set[Tuple[int, int]] = set()
         for s in self.sticks:
-            target = poly_pts if s.layer is Layer.POLY else (
-                diff_pts if s.layer is Layer.DIFFUSION else None
-            )
-            if target is not None:
-                target.update(s.points())
-        contact_pts = {c.at for c in self.contacts}
-        implant_pts = {i.at for i in self.implants}
-        sites = []
-        for p in sorted(poly_pts & diff_pts, key=lambda q: (q.y, q.x)):
-            if p in contact_pts:
-                continue
-            sites.append((p, p in implant_pts))
-        return sites
+            if s.layer is Layer.POLY:
+                poly_pts.update(s.grid())
+            elif s.layer is Layer.DIFFUSION:
+                diff_pts.update(s.grid())
+        contact_pts = {(c.at.x, c.at.y) for c in self.contacts}
+        implant_pts = {(i.at.x, i.at.y) for i in self.implants}
+        return [
+            (Point(x, y), (x, y) in implant_pts)
+            for y, x in sorted((y, x) for x, y in poly_pts & diff_pts)
+            if (x, y) not in contact_pts
+        ]
 
     def connectivity(self) -> List[Set[str]]:
         """Groups of port names that the geometry electrically connects.

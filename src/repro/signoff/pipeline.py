@@ -11,6 +11,7 @@ isolation, and ERC + timing over the whole-array netlist.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..circuit.chipnet import MatcherArrayNetlist
@@ -318,23 +319,21 @@ class Signoff:
                 "error",
                 "flattened CIF geometry is off the half-lambda grid",
             )
+        # Each distinct cell is censused once, then weighted by how many
+        # times the floorplan places it.
+        placed = Counter(cname for cname, _x, _y in fp.cell_instances)
         expected = 0
-        for cname, _x, _y in fp.cell_instances:
+        for cname, count in placed.items():
             cell = asm._cells[cname]
-            expected += len(
+            expected += count * len(
                 gate_channels(
                     cell.rects.get(Layer.POLY, []),
                     cell.rects.get(Layer.DIFFUSION, []),
                     cell.rects.get(Layer.CONTACT, []),
                 )
             )
-        found = len(
-            gate_channels(
-                flat.get(Layer.POLY, []),
-                flat.get(Layer.DIFFUSION, []),
-                flat.get(Layer.CONTACT, []),
-            )
-        )
+        nets = ConductorNets(flat)
+        found = len(nets.channels)
         if found != expected:
             stage.add(
                 "cif-census",
@@ -350,7 +349,6 @@ class Signoff:
         # Supply isolation: the VDD and GND rails of every placed cell
         # must never share a net (rows may legally share rails among
         # themselves through abutment).
-        nets = ConductorNets(flat)
         margin_x = (fp.die_width - fp.core_width) // 2
         margin_y = (fp.die_height - fp.core_height) // 2
         vdd_nets, gnd_nets = set(), set()

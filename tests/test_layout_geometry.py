@@ -1,9 +1,13 @@
 """Lambda-unit geometry primitives."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LayoutError
-from repro.layout.geometry import Point, Rect, bounding_box, merge_connected
+from repro.layout.geometry import (
+    Point, Rect, RectIndex, bounding_box, merge_connected,
+)
 
 
 class TestRect:
@@ -56,3 +60,50 @@ class TestHelpers:
     def test_point_translation(self):
         assert Point(1, 2).translated(2, 3) == Point(3, 5)
         assert tuple(Point(4, 5)) == (4, 5)
+
+
+@st.composite
+def rects(draw, max_side=160):
+    """Rects anywhere around the origin, from 1 lambda to many cells wide."""
+    x0 = draw(st.integers(-120, 120))
+    y0 = draw(st.integers(-120, 120))
+    return Rect(x0, y0, x0 + draw(st.integers(1, max_side)),
+                y0 + draw(st.integers(1, max_side)))
+
+
+class TestRectIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(rects(), max_size=30),
+        rects(max_side=12) | rects(),
+        st.integers(0, 6),
+        st.sampled_from([1, 7, 32]),
+    )
+    def test_near_is_the_grid_cell_brute_force(self, rs, probe, pad, cell):
+        """near() returns, ascending and once each, every rect sharing a
+        grid cell with the padded probe -- which includes every rect the
+        padded probe touches."""
+        got = RectIndex(rs, cell=cell).near(probe, pad)
+        grown = Rect(probe.x0 - pad, probe.y0 - pad,
+                     probe.x1 + pad, probe.y1 + pad)
+
+        def cells(r):
+            return (r.x0 // cell, r.x1 // cell, r.y0 // cell, r.y1 // cell)
+
+        gx0, gx1, gy0, gy1 = cells(grown)
+        want = [
+            i for i, r in enumerate(rs)
+            if cells(r)[0] <= gx1 and gx0 <= cells(r)[1]
+            and cells(r)[2] <= gy1 and gy0 <= cells(r)[3]
+        ]
+        assert got == want
+        assert {i for i, r in enumerate(rs)
+                if r.touches_or_intersects(grown)} <= set(got)
+
+    def test_single_cell_probe_returns_a_copy(self):
+        rs = [Rect(1, 1, 3, 3), Rect(-40, -40, 40, 40), Rect(2, 2, 5, 5)]
+        index = RectIndex(rs)
+        got = index.near(Rect(0, 0, 4, 4))
+        assert got == [0, 1, 2]
+        got.append(99)
+        assert index.near(Rect(0, 0, 4, 4)) == [0, 1, 2]

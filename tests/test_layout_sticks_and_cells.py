@@ -1,6 +1,8 @@
 """Stick diagrams: electrical interpretation, generated cells, DRC."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.cells.accumulator import build_accumulator
@@ -14,9 +16,70 @@ from repro.layout.cells import (
     generate_cell_sticks,
 )
 from repro.layout.design_rules import DesignRuleChecker
-from repro.layout.geometry import Rect
+from repro.layout.geometry import Point, Rect
 from repro.layout.layers import Layer
 from repro.layout.sticks import StickDiagram
+
+
+_SIDE = 10
+
+
+@st.composite
+def diagrams(draw):
+    """Small random diagrams: sticks on a 10x10 grid overlap collinearly
+    and cross often, and contacts and implants often land on crossings."""
+    sd = StickDiagram("random", _SIDE, _SIDE)
+    grid = st.integers(0, _SIDE)
+    for _ in range(draw(st.integers(0, 12))):
+        layer = draw(st.sampled_from([Layer.POLY, Layer.DIFFUSION, Layer.METAL]))
+        a, b = draw(st.lists(grid, min_size=2, max_size=2, unique=True))
+        at = draw(grid)
+        if draw(st.booleans()):
+            sd.stick(layer, a, at, b, at)
+        else:
+            sd.stick(layer, at, a, at, b)
+    spots = st.builds(Point, grid, grid)
+    crossings = [p for p, _ in _reference_sites(sd)]
+    if crossings:
+        spots = st.sampled_from(crossings) | spots
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(spots)
+        sd.contact(p.x, p.y, Layer.POLY, Layer.DIFFUSION)
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(spots)
+        sd.implant(p.x, p.y)
+    return sd
+
+
+def _reference_sites(sd):
+    """transistor_sites() by one Point per lambda of every stick."""
+
+    def covered(s):
+        if s.a.y == s.b.y:
+            lo, hi = sorted((s.a.x, s.b.x))
+            return {Point(x, s.a.y) for x in range(lo, hi + 1)}
+        lo, hi = sorted((s.a.y, s.b.y))
+        return {Point(s.a.x, y) for y in range(lo, hi + 1)}
+
+    def on(layer):
+        return set().union(*(covered(s) for s in sd.sticks if s.layer is layer))
+
+    poly, diff = on(Layer.POLY), on(Layer.DIFFUSION)
+    contacts = {c.at for c in sd.contacts}
+    implants = {i.at for i in sd.implants}
+    return [
+        (p, p in implants)
+        for p in sorted(poly & diff, key=lambda q: (q.y, q.x))
+        if p not in contacts
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams())
+def test_transistor_sites_match_the_per_lambda_reference(sd):
+    sites = sd.transistor_sites()
+    assert sites == _reference_sites(sd)
+    assert all(type(p) is Point and type(dep) is bool for p, dep in sites)
 
 
 class TestStickDiagramPrimitives:

@@ -174,9 +174,10 @@ class TestWorkerPool:
         (reply,) = wait()
         assert not reply.ok and reply.died and reply.results is None
 
-    def test_edf_dispatch_order(self, pool):
-        """With one free worker, pending jobs drain earliest deadline
-        first regardless of submission order."""
+    def test_edf_dispatch_order(self):
+        """Pending jobs drain earliest deadline first regardless of
+        submission order.  One worker makes reply order the dispatch
+        order: with two, replies of jobs dispatched together race."""
         order = []
         done = threading.Event()
         lock = threading.Lock()
@@ -187,18 +188,21 @@ class TestWorkerPool:
                 if len(order) >= 4 and done.is_set() is False:
                     done.set()
 
-        base = time.monotonic()
-        # Saturate both workers so the next three queue up.
-        hold, hold_wait = _collect(2)
-        pool.submit(_match_request(10, stall_s=0.3), hold)
-        pool.submit(_match_request(11, stall_s=0.3), hold)
-        time.sleep(0.05)  # let both dispatch
-        pool.submit(_match_request(20), cb, deadline=base + 30.0)
-        pool.submit(_match_request(21), cb, deadline=base + 10.0)
-        pool.submit(_match_request(22), cb, deadline=base + 20.0)
-        pool.submit(_match_request(23), cb)  # no deadline: last
-        assert done.wait(30.0)
-        hold_wait()
+        solo = WorkerPool(1, AB).start()
+        try:
+            base = time.monotonic()
+            # Saturate the worker so the next four queue up.
+            hold, hold_wait = _collect(1)
+            solo.submit(_match_request(10, stall_s=0.3), hold)
+            time.sleep(0.05)  # let it dispatch
+            solo.submit(_match_request(20), cb, deadline=base + 30.0)
+            solo.submit(_match_request(21), cb, deadline=base + 10.0)
+            solo.submit(_match_request(22), cb, deadline=base + 20.0)
+            solo.submit(_match_request(23), cb)  # no deadline: last
+            assert done.wait(30.0)
+            hold_wait()
+        finally:
+            solo.shutdown()
         assert order == [21, 22, 20, 23]
 
     def test_cancel_drops_stale_reply(self, pool):

@@ -1,10 +1,17 @@
 """The signoff driver, the CLI gate, seeded-defect mutants, designflow."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from repro.compiler import compile_workload
 from repro.errors import MethodologyError, SignoffError
+from repro.layout.assembly import ArrayAssembler
+from repro.layout.design_rules import gate_channels
+from repro.layout.geometry import Rect
+from repro.layout.layers import Layer
 from repro.methodology.designflow import DesignFlow
 from repro.signoff.__main__ import main
 from repro.signoff.mutations import mutant_names, run_mutant
@@ -59,6 +66,85 @@ class TestCleanRuns:
         assert rep.ok, rep.summary()
         assert [s.stage for s in rep.stages] == STAGE_ORDER + ["assembly"]
         assert "PASS" in rep.summary()
+
+
+class _EmitsEdited(ArrayAssembler):
+    """*asm*'s library and floorplan, but CIF with its first placed
+    instance swapped for a copy whose rects *edit* changed in place."""
+
+    def __init__(self, asm, edit):
+        super().__init__(asm._cells, asm._rows, asm.pin_names(), asm.name)
+        cell = asm._cells[asm._rows[0][0]]
+        rects = {layer: list(rs) for layer, rs in cell.rects.items()}
+        edit(cell, rects)
+        cells = dict(asm._cells)
+        cells["edited"] = dataclasses.replace(cell, name="edited", rects=rects)
+        rows = [list(row) for row in asm._rows]
+        rows[0][0] = "edited"
+        self._emitted = ArrayAssembler(cells, rows, asm.pin_names(), asm.name)
+
+    def to_cif(self) -> str:
+        return self._emitted.to_cif()
+
+
+@pytest.fixture(scope="module")
+def match_chip():
+    return compile_workload("match", 4, char_bits=2)
+
+
+class TestAssemblyAudit:
+    """The audits over a compiled chip whose four cell twins are placed
+    12 times, so the census counts each distinct cell once."""
+
+    def test_chip_repeats_its_cells(self, match_chip):
+        placed = Counter(
+            c for c, _x, _y in match_chip.assembler.floorplan().cell_instances
+        )
+        assert len(placed) == 4 and sum(placed.values()) == 12
+
+    def test_clean_chip_reports_info_findings(self, signoff, match_chip):
+        stage = signoff.assembly_stage_for(match_chip.assembler)
+        assert [(f.rule, f.severity, f.detail) for f in stage.findings] == [
+            ("floorplan", "info", "12 cells, 18 pads, no overlaps"),
+            ("cif-census", "info", "240 transistor channels on the die"),
+            ("rail-isolation", "info",
+             "10 VDD rail net(s), 10 GND rail net(s), disjoint"),
+        ]
+
+    def test_cif_losing_one_gate_fails_the_census(self, signoff, match_chip):
+        def butt_one_gate(cell, rects):
+            # A stray cut over a gate butts poly to diffusion: the flat
+            # CIF then carries one transistor fewer than the floorplan.
+            gate = gate_channels(
+                rects[Layer.POLY], rects[Layer.DIFFUSION], rects[Layer.CONTACT]
+            )[0]
+            rects[Layer.CONTACT].append(gate)
+
+        stage = signoff.assembly_stage_for(
+            _EmitsEdited(match_chip.assembler, butt_one_gate)
+        )
+        census = [f for f in stage.findings if f.rule == "cif-census"]
+        assert [(f.severity, f.detail) for f in census] == [(
+            "error",
+            "flat CIF has 239 transistor channels; the floorplan promises 240",
+        )]
+
+    def test_metal_bridging_the_rails_is_a_short(self, signoff, match_chip):
+        def bridge_rails(cell, rects):
+            (vx, vy), _ = cell.ports["VDD"]
+            (gx, gy), _ = cell.ports["GND"]
+            rects[Layer.METAL].append(Rect(
+                min(vx, gx) - 1, min(vy, gy) - 1,
+                max(vx, gx) + 1, max(vy, gy) + 1,
+            ))
+
+        stage = signoff.assembly_stage_for(
+            _EmitsEdited(match_chip.assembler, bridge_rails)
+        )
+        assert not stage.ok
+        assert [f.severity for f in stage.findings
+                if f.rule == "rail-short"] == ["error"]
+        assert "rail-isolation" not in {f.rule for f in stage.findings}
 
 
 class TestMutants:
