@@ -289,77 +289,10 @@ class AsyncMatcherService:
         worker answers, the job is completed degraded and any late
         worker reply is dropped.
         """
-        if not self._started:
-            raise ServiceError(
-                "service not started (use 'async with' or await start())"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be positive")
-        while True:
-            delay = self.limiter.delay(tenant, self._loop.time())
-            if delay <= 0.0:
-                break
-            await asyncio.sleep(delay)
-        spec = get_workload(workload)
-        taps = spec.parse_params(params, self.alphabet)
-        validated = spec.validate_stream(stream, self.alphabet)
-        ktaps, feed = spec.prepare(taps, validated)
-        job_id = self._next_id
-        self._next_id += 1
-        self._m_submitted.inc()
-        job = _Job(
-            job_id, tenant, priority, workload, spec, ktaps, feed,
-            len(validated), self._now(), self._loop.create_future(),
-        )
-        if self.obs is not None:
-            job.span = self.obs.tracer.open_span(
-                "runtime.job", t0=job.submitted_s, unit="s",
-                job_id=job_id, tenant=tenant, priority=priority.name,
-                workload=workload,
-            )
-        if not validated:
-            job.started_s = job.submitted_s
-            self._jobs[job_id] = job
-            self._complete(job, [], mode="empty", worker=None,
-                           via_fallback=False)
-            return job_id
-        job.cache_key = result_cache_key(
-            workload, taps, validated, spec.numeric
-        )
-        if self.cache is not None:
-            hit = self.cache.get(
-                job.cache_key, tenant=tenant, now=self._now()
-            )
-            if hit is not None:
-                job.started_s = self._now()
-                self._jobs[job_id] = job
-                self._complete(job, hit, mode="cached", worker=None,
-                               via_fallback=False)
-                return job_id
-        if len(self._jobs) >= self.config.max_pending:
-            self._m_backpressure.inc()
-            if not self.config.degrade_when_saturated:
-                if job.span is not None:
-                    self.obs.tracer.close(
-                        job.span, t1=self._now(), rejected=True
-                    )
-                raise BackpressureError(
-                    f"runtime pending set full ({self.config.max_pending})"
-                )
-            self._jobs[job_id] = job
-            job.started_s = self._now()
-            self._serve_fallback(job, reason="saturated")
-            return job_id
-        self._jobs[job_id] = job
-        timeout_s = timeout if timeout is not None \
-            else self.config.default_timeout_s
-        if timeout_s is not None:
-            job.deadline = self._loop.time() + timeout_s
-            job.timer = self._loop.call_later(
-                timeout_s, self._on_deadline, job
-            )
-        self._dispatch(job)
-        return job_id
+        return (await self.submit_many(
+            params, [stream], tenant=tenant, priority=priority,
+            workload=workload, timeout=timeout,
+        ))[0]
 
     async def submit_many(
         self,
@@ -674,10 +607,7 @@ class AsyncMatcherService:
     def _serve_fallback(self, job: _Job, reason: str) -> None:
         """Host-side degraded service: the oracle answer, never wrong."""
         t0 = self._now()
-        if job.workload == "match":
-            merged = self.fallback.match(job.taps, job.stream)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.stream)
+        merged = self.fallback.kernel(job.spec, job.taps, job.stream)
         results = job.spec.finalize(job.taps, job.orig_len, merged)
         self._m_fallbacks.inc()
         if self.obs is not None:

@@ -10,23 +10,23 @@ window-space values plus the worker's own metrics snapshot and spans.
 The function must be importable by ``multiprocessing`` spawn: it lives
 at module top level, takes only picklable arguments, and rebuilds its
 :class:`~repro.alphabet.Alphabet` locally from symbols+bits rather than
-receiving a live object graph.  Engines are cached per pattern (a farm
-typically streams many texts against few patterns), mirroring
-:class:`~repro.service.pool.PoolWorker`'s compiled-pattern cache.
+receiving a live object graph.  Compiled character-pattern engines are
+memoized inside the registry's ``fast`` kernels, so a process that
+streams many texts against few patterns builds each engine once.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..alphabet import Alphabet
 from .channels import Channel, JobReply, JobRequest, SHUTDOWN
 
 
 def _execute(
-    req: JobRequest, name: str, alphabet: Optional[Alphabet], cache: dict
+    req: JobRequest, name: str, alphabet: Optional[Alphabet]
 ) -> JobReply:
     """Run one request to completion (or to its injected fault)."""
     t0 = time.perf_counter()
@@ -53,20 +53,7 @@ def _execute(
         spec = get_workload(req.workload)
         if req.streams is not None:
             return _execute_batch(req, spec, name, alphabet, t0)
-        key = (req.workload, tuple(req.taps) if not spec.numeric else None)
-        engine = cache.get(key)
-        if engine is None:
-            # For character workloads the fast engine compiles the
-            # pattern (FastMatcher/FastCounter); cache one per pattern.
-            # Numeric kernels are stateless strided calls; no cache.
-            if not spec.numeric:
-                engine = _compiled(spec, req.taps, alphabet)
-                cache.clear()  # one pattern at a time: bounded memory
-                cache[key] = engine
-        if engine is not None:
-            results = engine(req.stream)
-        else:
-            results = spec.fast(req.taps, req.stream, alphabet)
+        results = spec.fast(req.taps, req.stream, alphabet)
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:
@@ -197,22 +184,6 @@ def _execute_batch(req, spec, name, alphabet, t0):
     )
 
 
-def _compiled(spec, taps, alphabet):
-    """A reusable callable for a character workload's compiled pattern."""
-    from ..core.fastpath import FastCounter, FastMatcher
-
-    if spec.name == "match":
-        return FastMatcher(list(taps), alphabet).match
-    if spec.name == "count":
-        return FastCounter(list(taps), alphabet).counts
-    fast = spec.fast
-
-    def run(stream, _taps=list(taps), _al=alphabet):
-        return fast(_taps, stream, _al)
-
-    return run
-
-
 def worker_main(
     name: str,
     symbols: Optional[str],
@@ -222,9 +193,8 @@ def worker_main(
 ) -> None:
     """Process main loop: recv -> execute -> reply, until SHUTDOWN."""
     alphabet = Alphabet(symbols, bits) if symbols else None
-    cache: dict = {}
     while True:
         req = requests.recv()
         if req is SHUTDOWN:
             break
-        replies.send(_execute(req, name, alphabet, cache))
+        replies.send(_execute(req, name, alphabet))

@@ -22,12 +22,12 @@ from typing import List, Optional, Sequence
 from ..alphabet import Alphabet, PatternChar
 from ..chip.cascade import ChipCascade
 from ..chip.chip import ChipSpec, PatternMatchingChip
-from ..core.fastpath import FastMatcher, fast_match_many
 from ..core.multipass import runs_required
 from ..errors import ChipError, ServiceError
 from ..timing.model import TimingModel
 from ..wafer.reconfigure import harvest_linear_array
 from ..wafer.wafer import Wafer
+from ..workloads.registry import MATCH
 
 
 class WorkerState(Enum):
@@ -74,11 +74,7 @@ class PoolWorker:
         self.alphabet = alphabet
         self.timing = TimingModel(beat_ns)
         self.state = WorkerState.DEAD if capacity == 0 else WorkerState.IDLE
-        # Compiled-pattern cache: farms typically run many texts against
-        # one pattern, so keep the last FastMatcher built for this worker.
-        self._fast: Optional[FastMatcher] = None
-        self._fast_key: Optional[tuple] = None
-        # Gate-level twin for deep tracing (built lazily, same cache idea).
+        # Gate-level twin for deep tracing (built lazily, kept per pattern).
         self._gate: Optional[object] = None
         self._gate_key: Optional[tuple] = None
         # A latent circuit defect (repro.service.reliability.CellDefect)
@@ -170,6 +166,12 @@ class PoolWorker:
 
     # -- execution --------------------------------------------------------
 
+    def _require_live(self) -> None:
+        if not self.is_live or self.backend is None:
+            raise ServiceError(
+                f"worker {self.name!r} is not live ({self.state.value})"
+            )
+
     def run_match(
         self,
         pattern: Sequence[PatternChar],
@@ -179,45 +181,10 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[bool]:
-        """Execute one match on this worker's engine.
-
-        The result stream is always computed on the packed-word fast
-        path (:class:`~repro.core.fastpath.FastMatcher`, proven
-        bit-identical to the stepwise chip/cascade/multipass models);
-        whether the job *fits* or needs the Section 3.4 multipass scheme
-        only affects the beat and bus accounting in
-        :meth:`service_beats` / :meth:`transfer_chars`.
-
-        With an :class:`~repro.obs.Observability` bundle this records a
-        ``worker.match`` span (``t0``/``t1`` are the execution's service
-        beats, ``parent`` its job span) and, when ``obs.deep`` is set,
-        re-drives the execution through the beat-accurate array -- and,
-        when ``obs.trace_circuit`` allows, the transistor-level netlist --
-        purely for observation: the returned results are ALWAYS the fast
-        path's.
-        """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
-        key = tuple(pattern)
-        fast = self._fast
-        if fast is None or key != self._fast_key:
-            fast = FastMatcher(list(key), self.alphabet)
-            self._fast = fast
-            self._fast_key = key
-        results = fast.match(text)
-        if obs is not None:
-            span = obs.tracer.record(
-                "worker.match", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, chars=len(text), pattern_len=len(key),
-                engine="fastpath",
-            )
-            obs.registry.counter("worker.matches", worker=self.name).inc()
-            obs.registry.counter("worker.chars", worker=self.name).inc(len(text))
-            if obs.deep:
-                self._deep_trace(obs, span, key, text, results)
-        return results
+        """Execute one match: :meth:`run_kernel` for the match workload."""
+        return self.run_kernel(
+            MATCH, pattern, text, obs=obs, parent=parent, t0=t0, t1=t1
+        )
 
     def run_kernel(
         self,
@@ -229,37 +196,58 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List:
-        """Execute one Section 3.4 kernel window pass on this worker.
+        """Execute one workload window pass on this worker.
 
         *spec* is a :class:`~repro.workloads.WorkloadSpec`; *taps* are its
         prepared taps and *stream* the (shard of the) prepared stream.
-        Like :meth:`run_match`, the values come from the packed/strided
-        fast kernel while multipass-vs-direct only affects the beat and
-        bus accounting.  With an :class:`~repro.obs.Observability` bundle
-        this records a ``worker.kernel`` span, and ``obs.deep`` re-checks
-        the window values against the workload's direct oracle (recorded
-        as ``oracle_agrees``; results are always the fast kernel's).
+        The values always come from the workload's ``fast`` kernel (for
+        match the packed-word :class:`~repro.core.fastpath.FastMatcher`,
+        proven bit-identical to the stepwise chip/cascade/multipass
+        models); whether the window *fits* or needs the Section 3.4
+        multipass scheme only affects the beat and bus accounting in
+        :meth:`service_beats` / :meth:`transfer_chars`.
+
+        With an :class:`~repro.obs.Observability` bundle this records a
+        span (``t0``/``t1`` are the execution's service beats, ``parent``
+        its job span).  The chip backend runs only match, so a match
+        records ``worker.match`` and, when ``obs.deep`` is set, re-drives
+        the execution through the beat-accurate array -- and, when
+        ``obs.trace_circuit`` allows, the transistor-level netlist.  Any
+        other workload records ``worker.kernel`` and ``obs.deep``
+        re-checks it against the workload's direct oracle
+        (``oracle_agrees``).  Observation never changes the results.
         """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
+        self._require_live()
         results = spec.fast(taps, stream, self.alphabet)
-        if obs is not None:
+        if obs is None:
+            return results
+        if spec is MATCH:
             span = obs.tracer.record(
-                "worker.kernel", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, workload=spec.name, samples=len(stream),
-                window=len(taps), engine="fastpath",
+                "worker.match", t0=t0, t1=t1, unit="beats", parent=parent,
+                worker=self.name, chars=len(stream), pattern_len=len(taps),
+                engine="fastpath",
             )
-            obs.registry.counter(
-                "worker.kernels", worker=self.name, workload=spec.name
-            ).inc()
-            obs.registry.counter("worker.samples", worker=self.name).inc(
+            obs.registry.counter("worker.matches", worker=self.name).inc()
+            obs.registry.counter("worker.chars", worker=self.name).inc(
                 len(stream)
             )
             if obs.deep:
-                oracle = spec.oracle(taps, stream, self.alphabet)
-                span.attrs["oracle_agrees"] = oracle == results
+                self._deep_trace(obs, span, tuple(taps), stream, results)
+            return results
+        span = obs.tracer.record(
+            "worker.kernel", t0=t0, t1=t1, unit="beats", parent=parent,
+            worker=self.name, workload=spec.name, samples=len(stream),
+            window=len(taps), engine="fastpath",
+        )
+        obs.registry.counter(
+            "worker.kernels", worker=self.name, workload=spec.name
+        ).inc()
+        obs.registry.counter("worker.samples", worker=self.name).inc(
+            len(stream)
+        )
+        if obs.deep:
+            oracle = spec.oracle(taps, stream, self.alphabet)
+            span.attrs["oracle_agrees"] = oracle == results
         return results
 
     def run_match_batch(
@@ -271,36 +259,11 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[List[bool]]:
-        """Execute one pattern over a whole batch of texts in one call.
-
-        The batch tier's device model: the farm streams many short texts
-        through the loaded pattern back to back, and the result streams
-        come out per text.  Values come from the vectorized
-        :func:`~repro.core.fastpath.fast_match_many` kernel; ``obs.deep``
-        re-checks the whole batch against the per-job fast path (results
-        are always the batched kernel's).
-        """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
-        pattern = list(pattern)
-        results = fast_match_many(pattern, texts, self.alphabet)
-        if obs is not None:
-            chars = sum(len(t) for t in texts)
-            span = obs.tracer.record(
-                "worker.batch", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, jobs=len(texts), chars=chars,
-                pattern_len=len(pattern), workload="match", engine="batched",
-            )
-            obs.registry.counter("worker.batches", worker=self.name).inc()
-            obs.registry.counter("worker.chars", worker=self.name).inc(chars)
-            if obs.deep:
-                fast = FastMatcher(pattern, self.alphabet)
-                span.attrs["fast_agrees"] = all(
-                    fast.match(t) == r for t, r in zip(texts, results)
-                )
-        return results
+        """Execute one pattern over a batch of texts:
+        :meth:`run_kernel_batch` for the match workload."""
+        return self.run_kernel_batch(
+            MATCH, pattern, texts, obs=obs, parent=parent, t0=t0, t1=t1
+        )
 
     def run_kernel_batch(
         self,
@@ -312,16 +275,16 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[List]:
-        """Execute one Section 3.4 kernel over a batch of streams.
+        """Execute one workload over a whole batch of streams in one call.
 
-        Uses the workload's vectorized ``batched`` kernel when it has
-        one, else loops the per-job fast kernel; ``obs.deep`` re-checks
-        every member against the workload's direct oracle.
+        The batch tier's device model: the farm streams many short inputs
+        through the loaded taps back to back, and the result streams come
+        out per input.  Values come from the workload's vectorized
+        ``batched`` kernel when it has one, else a loop of its per-job
+        ``fast`` kernel; ``obs.deep`` re-checks every member against the
+        workload's direct oracle (results are always the kernel's).
         """
-        if not self.is_live or self.backend is None:
-            raise ServiceError(
-                f"worker {self.name!r} is not live ({self.state.value})"
-            )
+        self._require_live()
         if spec.batched is not None:
             results = spec.batched(taps, list(streams), self.alphabet)
         else:

@@ -29,6 +29,7 @@ from ..alphabet import PatternChar
 from ..baselines.shift_or import shift_or_match
 from ..errors import ServiceError
 from ..host.bus import HostSpec
+from ..workloads.registry import MATCH
 
 
 class FaultKind(Enum):
@@ -240,13 +241,13 @@ class RetryPolicy:
 
 
 class SoftwareFallback:
-    """The host CPU running a Section 3.3 software baseline.
+    """The host CPU serving any workload when the devices cannot.
 
-    Uses shift-or (the strongest streaming software baseline in
-    :mod:`repro.baselines`) for the answer and the host model's
-    per-character instruction cost for the time -- the same comparison
-    the paper's introduction draws, now serving as the farm's pressure
-    relief valve.
+    Match runs shift-or (the strongest streaming Section 3.3 software
+    baseline in :mod:`repro.baselines`); every other workload evaluates
+    its direct oracle definition.  Time comes from the host model's
+    per-character instruction cost -- the same comparison the paper's
+    introduction draws, now serving as the farm's pressure relief valve.
     """
 
     def __init__(self, host: Optional[HostSpec] = None):
@@ -260,14 +261,14 @@ class SoftwareFallback:
         return shift_or_match(list(pattern), list(text))
 
     def kernel(self, spec, taps: Sequence, stream: Sequence) -> List:
-        """Serve one Section 3.4 kernel shard from the host CPU.
-
-        Evaluates the workload's *direct oracle* definition -- the
-        behavioral ground truth -- so degraded kernel jobs keep the same
-        never-wrong guarantee as degraded match jobs.
-        """
+        """Serve one workload window pass (or shard of one) from the host
+        CPU: :meth:`match` for match, else the workload's *direct
+        oracle* -- the behavioral ground truth -- so degraded jobs keep
+        the same never-wrong guarantee whatever the workload."""
         if len(stream) == 0:
             return []
+        if spec is MATCH:
+            return self.match(taps, stream)
         return spec.oracle(taps, list(stream), None)
 
     def beats(self, pattern_len: int, text_len: int, beat_ns: float) -> int:

@@ -11,15 +11,16 @@ multipass, or the software fallback -- so service output is bit-identical
 to :func:`repro.core.reference.match_oracle` no matter how the job was
 routed, retried, or sharded.
 
-Beyond matching, ``submit(workload=...)`` serves any kernel registered in
+Matching is one workload among the kernels registered in
 :mod:`repro.workloads` -- match counting, correlation, convolution, FIR,
-sliding inner products (Section 3.4) -- through the *same* scheduler:
-windowed kernels shard across workers with halo overlap exactly like
-match jobs (one value per stream position, ``window - 1`` warm-up), and
-retry exhaustion degrades to the workload's behavioral oracle instead of
-the software matcher.  Whatever the routing, kernel results equal the
-direct oracle definition, property-tested under fault injection in
-``tests/test_workloads_service.py``.
+sliding inner products (Section 3.4) -- and ``submit(workload=...)``
+serves every one of them down the *same* path: the spec parses and
+prepares the taps, a worker runs the spec's kernel, halo-overlap shards
+merge (one value per stream position, ``window - 1`` warm-up), and the
+spec finalizes.  Retry exhaustion degrades to
+:class:`~repro.service.reliability.SoftwareFallback`.  Whatever the
+routing, results equal the direct oracle definition, property-tested
+under fault injection in ``tests/test_workloads_service.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..alphabet import PatternChar, parse_pattern
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
 from .cache import ResultCache, canonical_params, result_cache_key
@@ -41,7 +41,7 @@ from .sharding import (
     ShardMode,
     ShardPlan,
     TextShard,
-    merge_shard_results,
+    merge_shard_results,  # noqa: F401 -- perfbench's tracer wraps it by name
     merge_shard_values,
     plan_shards,
 )
@@ -51,26 +51,23 @@ from ..workloads.registry import WorkloadSpec, get_workload
 
 @dataclass
 class MatchJob:
-    """One admitted query: a match by default, or any registered
-    Section 3.4 workload.
+    """One admitted query for any registered workload (match included).
 
-    For kernel workloads ``taps`` holds the *prepared* tap vector,
-    ``text`` the prepared stream (padded for convolution/FIR), and
-    ``orig_len`` the validated input-stream length that ``spec.finalize``
-    maps windowed results back onto; ``pattern`` stays empty."""
+    ``taps`` holds the workload's *prepared* tap vector, ``text`` the
+    prepared stream (padded for convolution/FIR), and ``orig_len`` the
+    validated input-stream length that ``spec.finalize`` maps windowed
+    results back onto."""
 
     job_id: int
     tenant: str
     priority: Priority
-    pattern: List[PatternChar]
+    spec: WorkloadSpec
+    taps: list
     text: List
+    orig_len: int
     submitted_beat: float
     attempts: int = 0  # failed executions so far (drives the retry policy)
     span: Optional[object] = None  # open service.job span (obs attached)
-    workload: str = "match"
-    taps: Optional[list] = None
-    orig_len: int = 0
-    spec: Optional[WorkloadSpec] = None
     deadline: Optional[float] = None  # absolute beat; None = no SLO
     #: Cross-tenant result-cache identity (also the submit_many dedup
     #: key): canonical workload + params + content digest of the
@@ -78,9 +75,13 @@ class MatchJob:
     cache_key: Optional[tuple] = None
 
     @property
+    def workload(self) -> str:
+        return self.spec.name
+
+    @property
     def window_len(self) -> int:
-        """Cells the job needs: the sliding-window width (pattern or taps)."""
-        return len(self.taps) if self.taps is not None else len(self.pattern)
+        """Cells the job needs: the sliding-window width."""
+        return len(self.taps)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ class _Execution:
 class _BatchJob:
     """A coalesced batch plan: many compatible jobs, one queue entry.
 
-    All members share one parsed pattern/tap vector, tenant, and
+    All members share one workload, prepared tap vector, tenant, and
     priority (the ``submit_many`` contract), and every member's text is
     *unique* -- duplicates were already peeled off as followers of their
     representative.  The batch occupies one worker for the sum of its
@@ -156,11 +157,15 @@ class _BatchJob:
     jobs: List[MatchJob]
     tenant: str
     priority: Priority
-    workload: str
 
     @property
     def window_len(self) -> int:
         return self.jobs[0].window_len
+
+
+def _members(unit) -> List[MatchJob]:
+    """The jobs one queue entry carries: a singleton job or a batch."""
+    return unit.jobs if isinstance(unit, _BatchJob) else [unit]
 
 
 @dataclass
@@ -187,6 +192,14 @@ class _BatchExecution:
 
 class MatcherService:
     """The multi-tenant matcher farm (the public API of the subsystem).
+
+    Every job, whatever its workload, takes one path: the
+    :class:`~repro.workloads.WorkloadSpec` parses and prepares its taps,
+    a :class:`~repro.service.pool.PoolWorker` runs the spec's kernel
+    (``run_kernel`` or ``run_kernel_batch``) or
+    :class:`~repro.service.reliability.SoftwareFallback` serves it, text
+    shards merge with the spec's ``incomplete`` value, and the spec
+    finalizes.  ``submit`` and ``submit_many`` share one admission step.
 
     >>> pool = uniform_pool(4, ChipSpec(8, 2), Alphabet("ABCD"))  # doctest: +SKIP
     >>> svc = MatcherService(pool)                                # doctest: +SKIP
@@ -257,9 +270,8 @@ class MatcherService:
 
         Raises :class:`BackpressureError` when the priority class's
         bounded queue is full and ``degrade_when_saturated`` is off;
-        otherwise a saturated submission runs on the host CPU's software
-        matcher (or the workload's behavioral oracle) immediately
-        (slower, never wrong).
+        otherwise a saturated submission runs on the host CPU's
+        :class:`SoftwareFallback` immediately (slower, never wrong).
 
         *timeout* (beats) is the job's SLO: any shard launch whose
         projected finish would land past ``submitted + timeout`` is not
@@ -270,77 +282,87 @@ class MatcherService:
         """
         if timeout is not None and timeout <= 0:
             raise ServiceError("timeout must be a positive number of beats")
-        if workload == "match":
-            parsed = self._parse(pattern)
-            chars = self.pool.alphabet.validate_text(text)
-            job = MatchJob(
-                job_id=self._next_id,
-                tenant=tenant,
-                priority=priority,
-                pattern=parsed,
-                text=chars,
-                submitted_beat=self.clock.now,
-            )
-            empty = not chars
-            key_taps, key_stream, key_numeric = parsed, chars, False
-        else:
-            spec = get_workload(workload)
-            taps = spec.parse_params(pattern, self.pool.alphabet)
-            validated = spec.validate_stream(text, self.pool.alphabet)
-            ktaps, feed = spec.prepare(taps, validated)
-            job = MatchJob(
-                job_id=self._next_id,
-                tenant=tenant,
-                priority=priority,
-                pattern=[],
-                text=feed,
-                submitted_beat=self.clock.now,
-                workload=workload,
-                taps=ktaps,
-                orig_len=len(validated),
-                spec=spec,
-            )
-            empty = not validated
-            key_taps, key_stream, key_numeric = taps, validated, spec.numeric
+        spec = get_workload(workload)
+        taps = spec.parse_params(pattern, self.pool.alphabet)
+        job, done = self._admit(
+            spec, taps, None, text, tenant, priority, timeout,
+            keyed=self.cache is not None,
+        )
+        if not done:
+            self._enqueue([job], priority, tenant)
+        return job.job_id
+
+    def _admit(
+        self, spec: WorkloadSpec, taps: list, params, text: Sequence,
+        tenant: str, priority: Priority, timeout: Optional[float],
+        keyed: bool,
+    ) -> Tuple[MatchJob, bool]:
+        """Admit one job up to its route: build it, open its span,
+        complete empty input, and (when *keyed*) compute its cache key
+        and serve a cache hit.  Returns the job and whether it is done.
+
+        *taps* are the parsed (pre-``prepare``) parameters and *params*
+        their :func:`canonical_params` form, or None to derive it."""
+        validated = spec.validate_stream(text, self.pool.alphabet)
+        ktaps, feed = spec.prepare(taps, validated)
+        now = self.clock.now
+        job = MatchJob(
+            job_id=self._next_id,
+            tenant=tenant,
+            priority=priority,
+            spec=spec,
+            taps=ktaps,
+            text=feed,
+            orig_len=len(validated),
+            submitted_beat=now,
+        )
         if timeout is not None:
-            job.deadline = job.submitted_beat + timeout
+            job.deadline = now + timeout
         self._next_id += 1
         self.telemetry.submitted += 1
         if self.obs is not None:
             # Jobs overlap in simulated time, so their spans cannot nest on
             # the tracer stack: open/close explicitly, keyed off the job.
             job.span = self.obs.tracer.open_span(
-                "service.job", t0=self.clock.now, unit="beats",
+                "service.job", t0=now, unit="beats",
                 job_id=job.job_id, tenant=tenant, priority=priority.name,
-                workload=workload,
+                workload=spec.name,
             )
-        if empty:
+        if not validated:
             self._complete_empty(job)
-            return job.job_id
-        if self.cache is not None:
+            return job, True
+        if keyed:
             job.cache_key = result_cache_key(
-                workload, key_taps, key_stream, key_numeric
+                spec.name, taps, validated, spec.numeric, params=params
             )
-            hit = self.cache.get(
-                job.cache_key, tenant=tenant, now=self.clock.now
-            )
+        if self.cache is not None:
+            hit = self.cache.get(job.cache_key, tenant=tenant, now=now)
             if hit is not None:
                 self._complete_cached(job, hit)
-                return job.job_id
-        try:
-            self.queues.put(priority, tenant, job)
-            self._note_queue_depth(priority)
-        except BackpressureError:
-            self.telemetry.backpressure_hits += 1
-            if not self.config.degrade_when_saturated:
-                self.telemetry.submitted -= 1
-                if job.span is not None:
-                    self.obs.tracer.close(
-                        job.span, t1=self.clock.now, rejected=True
-                    )
+                return job, True
+        return job, False
+
+    def _enqueue(
+        self, units: Sequence[object], priority: Priority, tenant: str
+    ) -> None:
+        """Queue singleton jobs and batch plans in order.  On backpressure
+        the overflowing unit is served by the software baseline when
+        ``degrade_when_saturated``; otherwise it and every unit after it
+        are rolled back and :class:`BackpressureError` propagates."""
+        for i, unit in enumerate(units):
+            try:
+                self.queues.put(priority, tenant, unit)
+                self._note_queue_depth(priority)
+            except BackpressureError:
+                self.telemetry.backpressure_hits += 1
+                if self.config.degrade_when_saturated:
+                    for job in _members(unit):
+                        self._complete_member_software(job)
+                    continue
+                for late in units[i:]:
+                    for job in _members(late):
+                        self._reject(job)
                 raise
-            self._complete_software(job)
-        return job.job_id
 
     def _note_queue_depth(self, priority: Priority) -> None:
         if self.obs is not None:
@@ -388,68 +410,21 @@ class MatcherService:
         """
         if timeout is not None and timeout <= 0:
             raise ServiceError("timeout must be a positive number of beats")
-        if workload == "match":
-            parsed = self._parse(pattern)
-            spec = None
-            numeric = False
-        else:
-            spec = get_workload(workload)
-            parsed = spec.parse_params(pattern, self.pool.alphabet)
-            numeric = spec.numeric
-        now = self.clock.now
+        spec = get_workload(workload)
+        taps = spec.parse_params(pattern, self.pool.alphabet)
+        params = canonical_params(taps)
         job_ids: List[int] = []
         reps: Dict[tuple, MatchJob] = {}
         batchable: List[MatchJob] = []
         units: List[object] = []  # wide-text singleton jobs + batch plans
-        params = canonical_params(parsed)
         for text in texts:
-            if workload == "match":
-                validated = self.pool.alphabet.validate_text(text)
-                job = MatchJob(
-                    job_id=self._next_id,
-                    tenant=tenant,
-                    priority=priority,
-                    pattern=parsed,
-                    text=validated,
-                    submitted_beat=now,
-                )
-            else:
-                validated = spec.validate_stream(text, self.pool.alphabet)
-                ktaps, feed = spec.prepare(parsed, validated)
-                job = MatchJob(
-                    job_id=self._next_id,
-                    tenant=tenant,
-                    priority=priority,
-                    pattern=[],
-                    text=feed,
-                    submitted_beat=now,
-                    workload=workload,
-                    taps=ktaps,
-                    orig_len=len(validated),
-                    spec=spec,
-                )
-            if timeout is not None:
-                job.deadline = now + timeout
-            self._next_id += 1
-            self.telemetry.submitted += 1
-            job_ids.append(job.job_id)
-            if self.obs is not None:
-                job.span = self.obs.tracer.open_span(
-                    "service.job", t0=now, unit="beats",
-                    job_id=job.job_id, tenant=tenant,
-                    priority=priority.name, workload=workload,
-                )
-            if not validated:
-                self._complete_empty(job)
-                continue
-            job.cache_key = result_cache_key(
-                workload, parsed, validated, numeric, params=params
+            job, done = self._admit(
+                spec, taps, params, text, tenant, priority, timeout,
+                keyed=True,
             )
-            if self.cache is not None:
-                hit = self.cache.get(job.cache_key, tenant=tenant, now=now)
-                if hit is not None:
-                    self._complete_cached(job, hit)
-                    continue
+            job_ids.append(job.job_id)
+            if done:
+                continue
             rep = reps.get(job.cache_key)
             if rep is not None:
                 # One plan per unique text: this job shares the
@@ -468,26 +443,8 @@ class MatcherService:
                 jobs=batchable[i : i + step],
                 tenant=tenant,
                 priority=priority,
-                workload=workload,
             ))
-        for i, unit in enumerate(units):
-            members = [unit] if isinstance(unit, MatchJob) else unit.jobs
-            try:
-                self.queues.put(priority, tenant, unit)
-                self._note_queue_depth(priority)
-            except BackpressureError:
-                self.telemetry.backpressure_hits += 1
-                if self.config.degrade_when_saturated:
-                    for job in members:
-                        self._complete_member_software(job)
-                    continue
-                for late in units[i:]:
-                    late_members = (
-                        [late] if isinstance(late, MatchJob) else late.jobs
-                    )
-                    for job in late_members:
-                        self._reject(job)
-                raise
+        self._enqueue(units, priority, tenant)
         return job_ids
 
     def _reject(self, job: MatchJob) -> None:
@@ -498,13 +455,6 @@ class MatcherService:
             job.span = None
         for follower in self._followers.pop(job.job_id, []):
             self._reject(follower)
-
-    def _parse(self, pattern) -> List[PatternChar]:
-        if pattern and not isinstance(pattern, str) and all(
-            isinstance(pc, PatternChar) for pc in pattern
-        ):
-            return list(pattern)
-        return parse_pattern(pattern, self.pool.alphabet)
 
     # -- draining ----------------------------------------------------------
 
@@ -695,17 +645,11 @@ class MatcherService:
         if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
-        feed = shard.feed(job.text)
-        if job.workload == "match":
-            results = worker.run_match(
-                job.pattern, feed, obs=self.obs, parent=exec_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
-        else:
-            results = worker.run_kernel(
-                job.spec, job.taps, feed, obs=self.obs, parent=exec_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
+        results = worker.run_kernel(
+            job.spec, job.taps, shard.feed(job.text), obs=self.obs,
+            parent=exec_span, t0=execution.start_beat,
+            t1=execution.finish_beat,
+        )
         state.shard_results[shard.index] = results
         state.shard_finish[shard.index] = execution.finish_beat
         state.service_beats += execution.finish_beat - execution.start_beat
@@ -719,10 +663,7 @@ class MatcherService:
         this shard with the software baseline."""
         job = state.job
         feed = shard.feed(job.text)
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, feed)
-        else:
-            results = self.fallback.kernel(job.spec, job.taps, feed)
+        results = self.fallback.kernel(job.spec, job.taps, feed)
         beats = self.fallback.beats(job.window_len, len(feed), self.beat_ns)
         finish = self.clock.now + beats
         if self.obs is not None:
@@ -744,18 +685,12 @@ class MatcherService:
         job, plan = state.job, state.plan
         if plan.mode is ShardMode.TEXT_SHARDED:
             ordered = [state.shard_results[s.index] for s in plan.shards]
-            if job.workload == "match":
-                results = merge_shard_results(
-                    plan.shards, ordered, len(job.text)
-                )
-            else:
-                results = merge_shard_values(
-                    plan.shards, ordered, len(job.text), job.spec.incomplete
-                )
+            results = merge_shard_values(
+                plan.shards, ordered, len(job.text), job.spec.incomplete
+            )
         else:
             results = state.shard_results[0]
-        if job.workload != "match":
-            results = job.spec.finalize(job.taps, job.orig_len, results)
+        results = job.spec.finalize(job.taps, job.orig_len, results)
         finished = max(state.shard_finish.values())
         started = state.started_beat if state.started_beat is not None else finished
         mode = "software" if state.via_fallback and not state.workers_used \
@@ -803,43 +738,6 @@ class MatcherService:
             job,
         )
 
-    def _complete_software(self, job: MatchJob) -> None:
-        """Saturation path: serve immediately from the host CPU."""
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, job.text)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.text)
-            results = job.spec.finalize(job.taps, job.orig_len, merged)
-        beats = self.fallback.beats(
-            job.window_len, len(job.text), self.beat_ns
-        )
-        now = self.clock.now
-        self.telemetry.fallbacks += 1
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "service.software_fallback", t0=now, t1=now + beats,
-                unit="beats", parent=job.span, chars=len(job.text),
-            )
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=now,
-                started_beat=now,
-                finished_beat=now + beats,
-                wait_beats=0.0,
-                service_beats=beats,
-                mode="software",
-                workers=(),
-                attempts=job.attempts,
-                via_fallback=True,
-                workload=job.workload,
-            ),
-            job,
-        )
-
     def _complete_cached(self, job: MatchJob, results: List) -> None:
         """Cache hit: the canonical answer is already known -- no queue,
         no worker, no bus, zero service beats."""
@@ -867,14 +765,11 @@ class MatcherService:
     def _complete_member_software(
         self, job: MatchJob, timed_out: bool = False
     ) -> None:
-        """Serve one batch member from the host CPU (deadline shed,
-        batch retry exhaustion, or saturation degrade), preserving its
-        original submission beat for latency accounting."""
-        if job.workload == "match":
-            results = self.fallback.match(job.pattern, job.text)
-        else:
-            merged = self.fallback.kernel(job.spec, job.taps, job.text)
-            results = job.spec.finalize(job.taps, job.orig_len, merged)
+        """Serve one whole job from the host CPU (saturation degrade,
+        deadline shed, batch retry exhaustion, or an all-dead pool),
+        preserving its original submission beat for latency accounting."""
+        merged = self.fallback.kernel(job.spec, job.taps, job.text)
+        results = job.spec.finalize(job.taps, job.orig_len, merged)
         beats = self.fallback.beats(job.window_len, len(job.text), self.beat_ns)
         now = self.clock.now
         self.telemetry.fallbacks += 1
@@ -987,7 +882,7 @@ class MatcherService:
                 "service.batch",
                 t0=execution.start_beat, t1=execution.finish_beat,
                 unit="beats", worker=worker.name, jobs=len(state.jobs),
-                workload=batch.workload, attempt=state.attempts,
+                workload=batch.jobs[0].workload, attempt=state.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
@@ -1009,18 +904,11 @@ class MatcherService:
             stats.stuck_events += 1
             self.telemetry.stuck_events += 1
         jobs = state.jobs
-        if batch.workload == "match":
-            results_many = worker.run_match_batch(
-                jobs[0].pattern, [j.text for j in jobs],
-                obs=self.obs, parent=batch_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
-        else:
-            results_many = worker.run_kernel_batch(
-                jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
-                obs=self.obs, parent=batch_span,
-                t0=execution.start_beat, t1=execution.finish_beat,
-            )
+        results_many = worker.run_kernel_batch(
+            jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
+            obs=self.obs, parent=batch_span,
+            t0=execution.start_beat, t1=execution.finish_beat,
+        )
         self.telemetry.batches += 1
         started = (
             state.started_beat if state.started_beat is not None
@@ -1028,10 +916,7 @@ class MatcherService:
         )
         plen = batch.window_len
         for job, merged in zip(jobs, results_many):
-            if batch.workload == "match":
-                results = merged
-            else:
-                results = job.spec.finalize(job.taps, job.orig_len, merged)
+            results = job.spec.finalize(job.taps, job.orig_len, merged)
             self.telemetry.batched_jobs += 1
             self._record(
                 JobResult(
@@ -1050,7 +935,7 @@ class MatcherService:
                     workers=(worker.name,),
                     attempts=job.attempts,
                     via_fallback=False,
-                    workload=batch.workload,
+                    workload=job.workload,
                 ),
                 job,
             )
@@ -1069,11 +954,8 @@ class MatcherService:
             unit = self.queues.pop()
             if unit is None:
                 break
-            if isinstance(unit, _BatchJob):
-                for job in unit.jobs:
-                    self._complete_member_software(job)
-            else:
-                self._complete_software(unit)
+            for job in _members(unit):
+                self._complete_member_software(job)
 
     # -- accounting --------------------------------------------------------
 

@@ -36,7 +36,8 @@ single-call entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..alphabet import Alphabet, PatternChar, parse_pattern
@@ -91,6 +92,14 @@ def _parse_taps(params, _alphabet, name):
     if not taps:
         raise WorkloadError(f"workload {name!r} needs at least one tap")
     return taps
+
+
+@lru_cache(maxsize=16)
+def _compiled(engine, taps: tuple, alphabet: Alphabet):
+    """The *engine* (:class:`FastMatcher` or :class:`FastCounter`) built
+    for one pattern, memoized: a farm streams many texts against few
+    patterns, and building the engine is the per-pattern cost."""
+    return engine(list(taps), alphabet)
 
 
 def _identity_prepare(taps, feed):
@@ -268,7 +277,9 @@ MATCH = _register(WorkloadSpec(
     numeric=False,
     incomplete=False,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "match"),
-    fast=lambda taps, feed, al: FastMatcher(taps, al).match(feed),
+    fast=lambda taps, feed, al: (
+        _compiled(FastMatcher, tuple(taps), al).match(feed)
+    ),
     oracle=lambda taps, feed, al: match_oracle(taps, feed),
     stepwise=lambda params, stream, al: _stepwise_match(params, stream, al),
     batched=lambda taps, feeds, al: fast_match_many(taps, feeds, al),
@@ -281,7 +292,9 @@ COUNT = _register(WorkloadSpec(
     numeric=False,
     incomplete=0,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "count"),
-    fast=lambda taps, feed, al: FastCounter(taps, al).counts(feed),
+    fast=lambda taps, feed, al: (
+        _compiled(FastCounter, tuple(taps), al).counts(feed)
+    ),
     oracle=lambda taps, feed, al: count_oracle(taps, feed),
     stepwise=lambda params, stream, al: systolic_match_counts(
         params, stream, _require_alphabet(al, "count")

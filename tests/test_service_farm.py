@@ -1,5 +1,7 @@
 """The matcher-farm service layer: pool, scheduler, sharding, reliability."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Alphabet, match_oracle, parse_pattern
@@ -381,6 +383,29 @@ class TestMatcherService:
         jid = svc.submit("AXB", "ABABAB")
         r = svc.drain()[jid]
         assert r.via_fallback and r.results == oracle("AXB", "ABABAB")
+
+    def test_degraded_queued_jobs_keep_their_queue_wait(self):
+        """When the last worker dies, jobs still queued are served by the
+        host; each keeps its submission beat, so the wait it spent in the
+        queue is reported, whichever front door admitted it."""
+        svc = MatcherService(
+            uniform_pool(1, ChipSpec(8, 2), AB),
+            config=SchedulerConfig(max_retries=0),
+            faults=FaultInjector(seed=1, p_death=1.0, p_stuck=0.0),
+        )
+        text = "ABCAC" * 10
+        first = svc.submit("AXC", text)
+        queued = svc.submit("AXC", text)
+        [batched] = svc.submit_many("AXC", [text])
+        results = svc.drain()
+        assert results[first].wait_beats == 0.0
+        for jid in (queued, batched):
+            r = results[jid]
+            assert r.mode == "software" and r.via_fallback
+            assert r.results == oracle("AXC", text)
+            assert r.submitted_beat == 0.0
+            assert r.wait_beats == r.started_beat > 0.0
+        assert replace(results[batched], job_id=queued) == results[queued]
 
     def test_degraded_worker_still_correct(self):
         wafer = Wafer(2, 4)

@@ -23,6 +23,7 @@ from repro.service import (
     FaultInjector,
     MatcherService,
     Priority,
+    ResultCache,
     SchedulerConfig,
     uniform_pool,
 )
@@ -218,3 +219,61 @@ def test_submit_many_routes_workloads():
     for jid, stream in zip(ids, streams):
         assert results[jid].results == spec.run([1.0, 1.0], stream,
                                                 engine="oracle")
+
+
+ROUTES = ["direct", "multipass", "text-sharded", "batched", "software",
+          "cached", "deduped"]
+
+
+def _route_inputs(spec, n_taps, n, seed):
+    rng = random.Random(seed)
+    if spec.numeric:
+        return ([float(rng.randint(-4, 4)) for _ in range(n_taps)],
+                [float(rng.randint(-4, 4)) for _ in range(n)])
+    return ("".join(rng.choice("ABCDX") for _ in range(n_taps)),
+            "".join(rng.choice("ABCD") for _ in range(n)))
+
+
+def _serve_by_route(name, route):
+    """Serve one job of *name* down *route* on a 3-worker, 4-cell farm;
+    returns (params, stream, JobResult) for the job that took it."""
+    spec = get_workload(name)
+    n_taps = 6 if route == "multipass" else 3  # 6 > 4 cells
+    n = 120 if route == "text-sharded" else 40  # wide from 48 on
+    params, stream = _route_inputs(spec, n_taps, n, seed=len(name))
+    faults = None
+    if route == "software":
+        faults = FaultInjector(seed=1, p_death=1.0, p_stuck=0.0)
+    svc = MatcherService(
+        uniform_pool(3, ChipSpec(4, 2), AB),
+        config=SchedulerConfig(
+            wide_text_threshold=48, min_shard_chars=12, max_retries=0
+        ),
+        faults=faults,
+        cache=ResultCache(),
+    )
+    if route == "batched":
+        _, other = _route_inputs(spec, n_taps, n, seed=99)
+        jid = svc.submit_many(params, [stream, other], workload=name)[0]
+    elif route == "deduped":
+        jid = svc.submit_many(params, [stream, stream], workload=name)[1]
+    else:
+        if route == "cached":
+            svc.submit(params, stream, workload=name)
+            svc.drain()
+        jid = svc.submit(params, stream, workload=name)
+    return params, stream, svc.drain()[jid]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", list_workloads())
+def test_every_route_returns_the_oracle_element_type(name, route):
+    """Every sync route hands back the oracle's values *and* element
+    types: bool for match, int for count, float for the numeric kernels
+    (no route coerces, so a kernel or merge that changed type would
+    show here)."""
+    params, stream, got = _serve_by_route(name, route)
+    want = get_workload(name).run(params, stream, AB, engine="oracle")
+    assert got.mode == route
+    assert got.results == want
+    assert [type(v) for v in got.results] == [type(v) for v in want]
