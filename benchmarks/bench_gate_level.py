@@ -10,7 +10,7 @@ the algorithm level and compiles downward).
 import time
 
 from repro import Alphabet, PatternMatcher, match_oracle
-from repro.circuit.chipnet import GateLevelMatcher
+from repro.compiler import GateLevelMatcher
 
 
 def test_gate_level_matches_oracle(ab4, benchmark):

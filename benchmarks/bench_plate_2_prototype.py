@@ -8,7 +8,7 @@ rate; checks the prototype against the oracle at full capacity.
 from repro import match_oracle, parse_pattern
 from repro.analysis import Table
 from repro.chip import PrototypeChip
-from repro.layout.assembly import ChipAssembler
+from repro.compiler import compile_workload
 from repro.layout.cif import parse_cif
 
 from conftest import random_text
@@ -26,7 +26,7 @@ def test_plate_2_behaviour(benchmark):
 
 
 def test_plate_2_layout_and_cif(benchmark):
-    asm = ChipAssembler(8, 2, "prototype")
+    asm = compile_workload("match", 8, char_bits=2, name="prototype").assembler
     cif = benchmark(asm.to_cif)
     parsed = parse_cif(cif)
     assert parsed.flatten()

@@ -66,7 +66,7 @@ from repro import (
 )
 from repro.chip.chip import ChipSpec
 from repro.circuit import simulator
-from repro.circuit.chipnet import GateLevelMatcher
+from repro.compiler import GateLevelMatcher
 from repro.service import MatcherService, uniform_pool
 
 AB4 = Alphabet("ABCD")

@@ -8,7 +8,7 @@ definition.
 """
 
 from repro import Alphabet, BitLevelMatcher, PatternMatcher, match_oracle
-from repro.circuit.chipnet import GateLevelMatcher
+from repro.compiler import GateLevelMatcher
 
 ALPHABET = Alphabet("ABCD")      # the prototype's two-bit characters
 PATTERN = "AXC"

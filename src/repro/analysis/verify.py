@@ -56,7 +56,7 @@ def verify_matcher_stack(
         pcs, list(text), n_cells=max(1, min(2, len(pcs)))
     )
     if include_gate_level:
-        from ..circuit.chipnet import GateLevelMatcher
+        from ..compiler import GateLevelMatcher
 
         levels["switch-level netlist"] = GateLevelMatcher(
             pattern, alphabet, n_cells=n_cells

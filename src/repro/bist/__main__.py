@@ -11,6 +11,9 @@ Three subcommands:
   latent defects, background BIST, quarantine, and wafer healing; exits
   non-zero unless every result matched the oracle and at least one full
   quarantine + heal cycle ran.
+
+A library error from the arguments (for example ``--m 0``) is a usage
+error: exit 2, with the usage and one error line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
+from ..errors import ReproError
 from .controller import BISTController
 from .defects import fault_universe, mutation_defect
 
@@ -167,7 +171,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     soak.set_defaults(func=cmd_soak)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..circuit.chipnet import MatcherArrayNetlist
 from ..circuit.signals import HIGH, LOW
+from ..compiler.netlist import CompiledNetlist
+from ..compiler.place import Placement
 from ..errors import CircuitError
 from ..signoff.timing import PathDelay, TimingParams, worst_paths
 from ..timing.model import TimingModel
@@ -35,6 +36,25 @@ from .lfsr import LFSRPatternGenerator
 
 #: Cell-prefixed node names: c{col}_{row}.x or a{col}.x
 _CELL_NODE = re.compile(r"^(c\d+_\d+|a\d+)\.")
+
+
+def stimulus_pins(w: int) -> Tuple[str, ...]:
+    """The tester-driven pins of a ``w``-row match chip, in LFSR bit
+    order: pattern rows, string rows, then ``lam`` and ``x`` (the
+    netlist ties ``R_IN0`` itself)."""
+    return (
+        tuple(f"P_IN{j}" for j in range(w))
+        + tuple(f"S_IN{j}" for j in range(w))
+        + ("LAM_IN", "X_IN")
+    )
+
+
+def drive_pins(net: CompiledNetlist, pins: Tuple[str, ...],
+               bits: Tuple[int, ...]) -> None:
+    """Apply one stimulus vector to *pins* at the raw electrical level
+    (no twin-polarity correction: the stimulus is random anyway)."""
+    for pin, bit in zip(pins, bits):
+        net.circuit.set_input(net.pins[pin], HIGH if bit else LOW)
 
 
 @dataclass(frozen=True)
@@ -123,13 +143,8 @@ class Characterizer:
         self.seed = seed
         self.max_depth = max_depth
 
-    def _ports(self, net: MatcherArrayNetlist) -> List[str]:
-        return list(net.p_edge) + list(net.s_edge) + [
-            net.lam_edge, net.x_edge, net.r_edge,
-        ]
-
     def measure_settle(
-        self, net: MatcherArrayNetlist
+        self, net: CompiledNetlist, placement: Placement
     ) -> Tuple[Tuple[int, ...], bool]:
         """Clock the array under LFSR stimulus; passes per settle call.
 
@@ -137,16 +152,12 @@ class Characterizer:
         warm-up stimulus (``settled=False``) stops being clocked and
         fails characterization outright.
         """
-        lfsr = LFSRPatternGenerator(2 * net.w + 2, seed=self.seed)
+        pins = stimulus_pins(placement.w_rows)
+        lfsr = LFSRPatternGenerator(len(pins), seed=self.seed)
         c = net.circuit
         passes: List[int] = []
         for beat in range(self.beats):
-            bits = lfsr.bits()
-            for j in range(net.w):
-                c.set_input(net.p_edge[j], HIGH if bits[j] else LOW)
-                c.set_input(net.s_edge[j], HIGH if bits[net.w + j] else LOW)
-            c.set_input(net.lam_edge, HIGH if bits[2 * net.w] else LOW)
-            c.set_input(net.x_edge, HIGH if bits[2 * net.w + 1] else LOW)
+            drive_pins(net, pins, lfsr.bits())
             lfsr.step()
             phase = net.phi[beat % 2]
             for level, dt in ((HIGH, 100.0), (LOW, 25.0)):
@@ -158,12 +169,14 @@ class Characterizer:
                 c.advance_time(dt)
         return tuple(passes), True
 
-    def characterize(self, net: MatcherArrayNetlist,
+    def characterize(self, net: CompiledNetlist, placement: Placement,
                      chip_name: str = "chip") -> CharacterizationReport:
-        """Run both measurements on (a possibly defective) *net*."""
-        settle_passes, settled = self.measure_settle(net)
+        """Run both measurements on (a possibly defective) *net*, laid
+        out as *placement*."""
+        settle_passes, settled = self.measure_settle(net, placement)
+        inputs = stimulus_pins(placement.w_rows) + ("R_IN0",)
         paths = worst_paths(
-            net.circuit, net.phi, ports=self._ports(net),
+            net.circuit, net.phi, ports=[net.pins[p] for p in inputs],
             model=self.model, params=self.params, max_depth=self.max_depth,
         )
         worst = max(paths, key=lambda p: p.delay_ns)
@@ -174,7 +187,7 @@ class Characterizer:
         else:
             recommended = 2 * (worst.delay_ns + self.params.nonoverlap_ns)
         return CharacterizationReport(
-            chip=chip_name, m=net.m, w=net.w,
+            chip=chip_name, m=placement.columns, w=placement.w_rows,
             n_transistors=net.n_transistors,
             beats=self.beats, settle_passes=settle_passes,
             phase_budget_ns=budget, worst_delay_ns=worst.delay_ns,

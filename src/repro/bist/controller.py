@@ -1,7 +1,8 @@
 """The BIST controller: an FSM that self-tests a matcher array.
 
-The controller drives the classic self-test loop over a switch-level
-:class:`~repro.circuit.chipnet.MatcherArrayNetlist`:
+The controller drives the classic self-test loop over the switch-level
+netlist of the compiled ``match`` chip
+(:class:`~repro.compiler.netlist.CompiledNetlist`):
 
 .. code-block:: text
 
@@ -36,13 +37,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from ..circuit.chipnet import MatcherArrayNetlist
-from ..circuit.signals import HIGH, LOW
+from ..compiler.flow import compile_workload
+from ..compiler.netlist import CompiledNetlist, elaborate_circuit
 from ..errors import CircuitError
 from ..service.reliability import CellDefect
 from ..signoff.timing import TimingParams
 from ..timing.model import TimingModel
-from .characterize import CharacterizationReport, Characterizer
+from .characterize import (
+    CharacterizationReport,
+    Characterizer,
+    drive_pins,
+    stimulus_pins,
+)
 from .defects import inject_defect
 from .lfsr import LFSRPatternGenerator
 from .signature import SignatureAnalyzer
@@ -150,9 +156,11 @@ class BISTController:
         if vectors <= 0:
             raise CircuitError("BIST needs at least one stimulus vector")
         self.m, self.w = m, w
+        self.chip = compile_workload("match", m, char_bits=w)
         self.vectors = vectors
         self.seed = seed
-        self.stimulus_width = 2 * w + 2
+        self.pins = stimulus_pins(w)
+        self.stimulus_width = len(self.pins)
         self.analyzer = SignatureAnalyzer(misr_width=misr_width)
         self.characterize = characterize
         self.characterizer = Characterizer(model=model, params=params, seed=seed)
@@ -183,27 +191,34 @@ class BISTController:
             bits = (level,) * (2 * self.w) + bits[2 * self.w:]
         return bits
 
-    def _drive(self, net: MatcherArrayNetlist, bits: Tuple[int, ...]) -> None:
-        """Apply one stimulus vector to the chip-edge pins."""
-        c = net.circuit
-        for j in range(net.w):
-            c.set_input(net.p_edge[j], HIGH if bits[j] else LOW)
-            c.set_input(net.s_edge[j], HIGH if bits[net.w + j] else LOW)
-        c.set_input(net.lam_edge, HIGH if bits[2 * net.w] else LOW)
-        c.set_input(net.x_edge, HIGH if bits[2 * net.w + 1] else LOW)
+    def _netlist(self, defect: Optional[CellDefect] = None) -> CompiledNetlist:
+        """A fresh netlist of the array, optionally carrying *defect*."""
+        chip = self.chip
+        net = elaborate_circuit(chip.design, chip.placement, chip.library)
+        if defect is not None:
+            inject_defect(net, defect)
+        return net
 
-    def _signature_of(self, net: MatcherArrayNetlist) -> Tuple[int, bool]:
-        """(signature, settled) of a full stimulus run on *net*.
+    def _signature_of(self, net: CompiledNetlist,
+                      states: Optional[List[str]] = None) -> Tuple[int, bool]:
+        """(signature, settled) of a full stimulus run on *net*; the
+        SHIFT/CAPTURE steps are logged to *states* when given.
 
-        A DUT that cannot settle (oscillation) stops clocking after the
-        failing beat; the partial signature is still deterministic and
-        still distinguishes the fault for dictionary purposes.
+        A DUT that cannot settle (oscillation) is as broken as one with
+        a wrong signature: the half-relaxed sample is folded in and the
+        part stops being clocked.  The partial signature is still
+        deterministic and still distinguishes the fault for dictionary
+        purposes.
         """
+        if states is None:
+            states = []
         misr = self.analyzer.new_misr()
-        nodes = self.analyzer.response_nodes(net)
+        nodes = self.analyzer.response_nodes(net, self.chip.placement)
         lfsr = LFSRPatternGenerator(self.stimulus_width, seed=self.seed)
         for beat in range(self.vectors):
-            self._drive(net, self._stimulus_bits(beat, lfsr))
+            states.append(BISTState.SHIFT.value)
+            drive_pins(net, self.pins, self._stimulus_bits(beat, lfsr))
+            states.append(BISTState.CAPTURE.value)
             try:
                 net.pulse(beat)
             except CircuitError:
@@ -220,7 +235,7 @@ class BISTController:
         )
         sig = _GOLDEN_CACHE.get(key)
         if sig is None:
-            sig, settled = self._signature_of(MatcherArrayNetlist(self.m, self.w))
+            sig, settled = self._signature_of(self._netlist())
             if not settled:  # pragma: no cover - healthy arrays settle
                 raise CircuitError("healthy netlist did not settle")
             _GOLDEN_CACHE[key] = sig
@@ -236,9 +251,7 @@ class BISTController:
         if self._dict is None:
             table: Dict[int, List[CellDefect]] = {}
             for d in self.fault_universe:
-                net = MatcherArrayNetlist(self.m, self.w)
-                inject_defect(net, d)
-                sig, _ = self._signature_of(net)
+                sig, _ = self._signature_of(self._netlist(d))
                 table.setdefault(sig, []).append(d)
             self._dict = {sig: tuple(ds) for sig, ds in table.items()}
         return self._dict
@@ -249,23 +262,20 @@ class BISTController:
     #: neighbour drives; divergence there is the *upstream* cell's
     #: fault, so these ports never count toward a cell's own blame.
     _INPUT_PORTS = frozenset(
-        ("p_in", "s_in", "d_in", "lam_in", "x_in", "r_in")
+        ("p_in", "s_in", "d_in", "lam_in", "x_in", "r_in0")
     )
 
-    def _probe_list(self, net: MatcherArrayNetlist):
-        """(cell, col, row, node, own) per cell port, row-major order."""
+    def _probe_list(self, net: CompiledNetlist):
+        """(cell, col, row, node, own) per cell port, row-major order
+        (accumulators last, as row -1)."""
         probes = []
-        for j in range(net.w):
-            for i in range(net.m):
-                ports = net.comparators[j][i]
+        for j in range(self.w + 1):
+            row = -1 if j == self.w else j
+            for i, cell in enumerate(self.chip.placement.row(j)):
+                ports = net.instance_ports[cell]
                 for port, node in sorted(ports.items(), key=lambda kv: kv[1]):
                     own = port not in self._INPUT_PORTS
-                    probes.append((f"c{i}_{j}", i, j, node, own))
-        for i in range(net.m):
-            ports = net.accumulators[i]
-            for port, node in sorted(ports.items(), key=lambda kv: kv[1]):
-                own = port not in self._INPUT_PORTS
-                probes.append((f"a{i}", i, -1, node, own))
+                    probes.append((cell, i, row, node, own))
         return probes
 
     def _diagnose(self, defect: Optional[CellDefect],
@@ -283,10 +293,8 @@ class BISTController:
         the totals single out the source even when the first visible
         beat happens in a neighbour.
         """
-        golden = MatcherArrayNetlist(self.m, self.w)
-        dut = MatcherArrayNetlist(self.m, self.w)
-        if defect is not None:
-            inject_defect(dut, defect)
+        golden = self._netlist()
+        dut = self._netlist(defect)
         probes = self._probe_list(golden)
         lfsr = LFSRPatternGenerator(self.stimulus_width, seed=self.seed)
         counts: Dict[str, int] = {}
@@ -296,8 +304,8 @@ class BISTController:
         settle_failed = False
         for beat in range(self.vectors):
             bits = self._stimulus_bits(beat, lfsr)
-            self._drive(golden, bits)
-            self._drive(dut, bits)
+            drive_pins(golden, self.pins, bits)
+            drive_pins(dut, self.pins, bits)
             golden.pulse(beat)
             try:
                 dut.pulse(beat)
@@ -352,38 +360,19 @@ class BISTController:
     ) -> BISTReport:
         """Self-test one chip (optionally carrying *defect*)."""
         states: List[str] = [BISTState.RESET.value]
-        dut = MatcherArrayNetlist(self.m, self.w)
-        if defect is not None:
-            inject_defect(dut, defect)
+        dut = self._netlist(defect)
         states.append(BISTState.LOAD_GOLDEN.value)
         golden = self.golden_signature()
-        misr = self.analyzer.new_misr()
-        nodes = self.analyzer.response_nodes(dut)
-        lfsr = LFSRPatternGenerator(self.stimulus_width, seed=self.seed)
-        settle_failed = False
-        for beat in range(self.vectors):
-            states.append(BISTState.SHIFT.value)
-            self._drive(dut, self._stimulus_bits(beat, lfsr))
-            states.append(BISTState.CAPTURE.value)
-            try:
-                dut.pulse(beat)
-            except CircuitError:
-                # A DUT that cannot settle is as broken as one with a
-                # wrong signature; fold the half-relaxed sample in and
-                # stop clocking it.
-                settle_failed = True
-            self.analyzer.observe(misr, dut, nodes)
-            if settle_failed:
-                break
+        signature, settled = self._signature_of(dut, states)
         states.append(BISTState.COMPARE.value)
-        functional_ok = not settle_failed and misr.signature == golden
+        functional_ok = settled and signature == golden
 
         characterization = None
         timing_ok: Optional[bool] = None
-        if self.characterize and not settle_failed:
+        if self.characterize and settled:
             states.append(BISTState.CHARACTERIZE.value)
             characterization = self.characterizer.characterize(
-                dut, chip_name=chip_name
+                dut, self.chip.placement, chip_name=chip_name
             )
             timing_ok = characterization.ok
 
@@ -394,7 +383,7 @@ class BISTController:
             if not functional_ok:
                 prefer = ""
                 if self.fault_universe:
-                    cands = self.dictionary().get(misr.signature, ())
+                    cands = self.dictionary().get(signature, ())
                     cells = {d.cell for d in cands}
                     if len(cells) == 1:
                         prefer = next(iter(cells))
@@ -403,11 +392,9 @@ class BISTController:
                 # Timing-only escape: blame the cell the worst path
                 # threads through (the defect chain is cell-prefixed).
                 cell = characterization.worst_cell()
-                col, row = -1, -1
-                if cell.startswith("a"):
-                    col, row = int(cell[1:]), -1
-                elif cell.startswith("c"):
-                    col, row = (int(x) for x in cell[1:].split("_"))
+                col, row = self.chip.placement.loc.get(cell, (-1, -1))
+                if row == self.w:
+                    row = -1  # the accumulator row
                 diagnosis = BISTDiagnosis(
                     beat=-1, cell=cell or "?", col=col, row=row,
                     node=characterization.worst_path[-1]
@@ -419,7 +406,7 @@ class BISTController:
 
         report = BISTReport(
             chip=chip_name, m=self.m, w=self.w, vectors=self.vectors,
-            signature=misr.signature, golden=golden,
+            signature=signature, golden=golden,
             functional_ok=functional_ok, timing_ok=timing_ok,
             diagnosis=diagnosis, characterization=characterization,
             states=tuple(states),

@@ -1,6 +1,8 @@
 """Planting circuit-level defects in a matcher array under test.
 
-:func:`inject_defect` takes a healthy :class:`MatcherArrayNetlist` and
+:func:`inject_defect` takes a healthy switch-level netlist of the match
+chip (a :class:`~repro.compiler.netlist.CompiledNetlist`, whose
+``instance_ports`` name every cell ``c{col}_{row}`` / ``a{col}``) and
 one :class:`~repro.service.reliability.CellDefect` and edits the netlist
 the way silicon fails:
 
@@ -28,8 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..circuit.chipnet import MatcherArrayNetlist
 from ..circuit.netlist import GND, VDD
+from ..compiler.netlist import CompiledNetlist
 from ..errors import CircuitError
 from ..service.reliability import CellDefect, CellDefectKind, FaultInjector
 
@@ -41,14 +43,14 @@ BRIDGE_PAIRS = FaultInjector._BRIDGE_PAIRS
 OPEN_DEVICES = FaultInjector._OPEN_DEVICES
 
 
-def _cell_ports(net: MatcherArrayNetlist, defect: CellDefect) -> Dict[str, str]:
-    if not 0 <= defect.col < net.m:
-        raise CircuitError(f"defect column {defect.col} outside array 0..{net.m - 1}")
-    if defect.row < 0:
-        return net.accumulators[defect.col]
-    if defect.row >= net.w:
-        raise CircuitError(f"defect row {defect.row} outside array 0..{net.w - 1}")
-    return net.comparators[defect.row][defect.col]
+def _cell_ports(net: CompiledNetlist, defect: CellDefect) -> Dict[str, str]:
+    try:
+        return net.instance_ports[defect.cell]
+    except KeyError:
+        raise CircuitError(
+            f"defect cell {defect.cell} (column {defect.col}, row "
+            f"{defect.row}) is not in the array"
+        ) from None
 
 
 def _port_node(ports: Dict[str, str], name: str, defect: CellDefect) -> str:
@@ -61,7 +63,7 @@ def _port_node(ports: Dict[str, str], name: str, defect: CellDefect) -> str:
         ) from None
 
 
-def inject_defect(net: MatcherArrayNetlist, defect: CellDefect) -> str:
+def inject_defect(net: CompiledNetlist, defect: CellDefect) -> str:
     """Edit *net* in place to carry *defect*; returns its description."""
     ports = _cell_ports(net, defect)
     prefix = defect.cell + "."
@@ -92,7 +94,11 @@ def inject_defect(net: MatcherArrayNetlist, defect: CellDefect) -> str:
             raise CircuitError("misphase defects live in the accumulator row")
         label = prefix + (defect.device or "t_xfer")
         t = c.remove_enhancement(label)
-        own_phase = net.phase_of(defect.col, net.w)
+        if t.gate not in net.phi:
+            raise CircuitError(f"{label} is not a clocked device")
+        # The transfer fires on the opposite phase; regate it onto the
+        # cell's own.
+        own_phase = net.phi[1 - net.phi.index(t.gate)]
         c.add_enhancement(own_phase, t.a, t.b, label=label)
     else:  # pragma: no cover - enum is closed
         raise CircuitError(f"unknown defect kind {kind!r}")

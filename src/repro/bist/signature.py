@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..circuit.chipnet import MatcherArrayNetlist
 from ..circuit.signals import HIGH, UNKNOWN
+from ..compiler.netlist import CompiledNetlist
+from ..compiler.place import Placement
 from .lfsr import MISR
 
 
@@ -27,7 +28,8 @@ class SignatureAnalyzer:
         self.misr_width = misr_width
         self.poly = poly
 
-    def response_nodes(self, net: MatcherArrayNetlist) -> Tuple[str, ...]:
+    def response_nodes(self, net: CompiledNetlist,
+                       placement: Placement) -> Tuple[str, ...]:
         """The observed output nodes, in a fixed observation order.
 
         Edge pins (pattern exiting right, string exiting left, the
@@ -40,25 +42,29 @@ class SignatureAnalyzer:
         observability a self-testing chip would route to its BIST
         comparator for exactly that reason.
         """
-        m, w = net.m, net.w
+        w = placement.w_rows
+        rows = [
+            [net.instance_ports[inst] for inst in placement.row(j)]
+            for j in range(w)
+        ]
+        accs = [net.instance_ports[inst] for inst in placement.row(w)]
         nodes: List[str] = []
-        for j in range(w):
-            nodes.append(net.comparators[j][m - 1]["p_out"])  # exits right
-            nodes.append(net.comparators[j][0]["s_out"])      # exits left
-        nodes.append(net.accumulators[0]["r_out"])            # chip R_OUT
-        nodes.append(net.accumulators[m - 1]["lam_out"])
-        nodes.append(net.accumulators[m - 1]["x_out"])
-        for i in range(m):                                    # test points
-            for j in range(w):
-                nodes.append(net.comparators[j][i]["d_out"])
+        for row in rows:
+            nodes.append(row[-1]["p_out"])                    # exits right
+            nodes.append(row[0]["s_out"])                     # exits left
+        nodes.append(accs[0]["r_out0"])                       # chip R_OUT
+        nodes.append(accs[-1]["lam_out"])
+        nodes.append(accs[-1]["x_out"])
+        for i, acc in enumerate(accs):                        # test points
+            for row in rows:
+                nodes.append(row[i]["d_out"])
             # Every accumulator's own outputs, not just the chip edges:
             # a misphased transfer in an interior (or last) column races
             # only under rare stimulus if it must propagate to the far
             # edge, but shows at the cell's own latch outputs within a
             # few beats.
-            acc = net.accumulators[i]
             nodes.append(acc["d_in"])
-            nodes.append(acc["r_out"])
+            nodes.append(acc["r_out0"])
             nodes.append(acc["lam_out"])
             nodes.append(acc["x_out"])
         return tuple(nodes)
@@ -66,7 +72,7 @@ class SignatureAnalyzer:
     def new_misr(self) -> MISR:
         return MISR(width=self.misr_width, poly=self.poly)
 
-    def sample(self, net: MatcherArrayNetlist,
+    def sample(self, net: CompiledNetlist,
                nodes: Tuple[str, ...]) -> List[int]:
         """One response word as a bit list: (value, known) per node."""
         bits: List[int] = []
@@ -79,6 +85,6 @@ class SignatureAnalyzer:
                 bits.extend((1 if v is HIGH else 0, 1))
         return bits
 
-    def observe(self, misr: MISR, net: MatcherArrayNetlist,
+    def observe(self, misr: MISR, net: CompiledNetlist,
                 nodes: Tuple[str, ...]) -> int:
         return misr.observe_bits(self.sample(net, nodes))

@@ -6,7 +6,8 @@ cascading possible ("an input for the result stream and outputs for the
 pattern and text streams must be available", Section 3.4), and a beat
 clock.  The data path is the verified behavioural array of
 :mod:`repro.core.array`; gate-level fidelity is established separately by
-the cross-level tests of :mod:`repro.circuit.chipnet`.
+the cross-level tests of :class:`repro.compiler.GateLevelMatcher`, the
+compiled ``match`` chip at switch level.
 """
 
 from __future__ import annotations

@@ -18,10 +18,13 @@ subpackage reproduces that technology level:
   shift registers for the Section 3.3.3 comparison;
 * :mod:`repro.circuit.cells` -- the positive and negative comparator and
   accumulator cells;
-* :mod:`repro.circuit.chipnet` -- whole-array netlists and the gate-level
-  matcher checked against the behavioural model;
 * :mod:`repro.circuit.vectorsettle` -- the batch tier's vectorized settle:
   many identical instances stepped as one array program.
+
+Whole chips are not wired here: the chip compiler
+(:mod:`repro.compiler.netlist`) builds them from these cells, and
+:class:`repro.compiler.GateLevelMatcher` runs the compiled ``match`` chip
+against the behavioural model.
 """
 
 from .clocks import TwoPhaseClock

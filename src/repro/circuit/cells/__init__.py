@@ -6,8 +6,8 @@ positive inputs to produce inverted outputs, while the other computes
 positive outputs from inverted inputs." (Section 3.2.2)
 
 Each builder adds one cell instance to a :class:`~repro.circuit.netlist.Circuit`
-and returns the port-name mapping used for wiring by
-:mod:`repro.circuit.chipnet`.
+and returns the port-name mapping the chip compiler wires whole chips
+with (:mod:`repro.compiler.netlist`).
 """
 
 from .accumulator import build_accumulator

@@ -9,19 +9,23 @@ that flow for the repository's systolic family.  A
 or data width -- is elaborated into a validated logical IR, placed onto
 the checkerboard grid, and lowered to both a switch-level transistor
 netlist and mask geometry (sticks -> layout -> CIF), then pushed through
-the same signoff gauntlet as the hand-built prototype.
+the signoff gauntlet.  The fabricated prototype of Plate 2 is simply
+``ChipSpec("match", cells=8, char_bits=2)``.
 
 Entry points:
 
 * :func:`compile_workload` -- the programmatic front door,
 * ``python -m repro.compiler`` -- the command-line flow driver,
 * :meth:`repro.workloads.registry.WorkloadSpec.compile_chip` -- from the
-  workload registry.
+  workload registry,
+* :class:`GateLevelMatcher` -- the compiled ``match`` chip as a
+  transistor-level pattern matcher.
 
 The stage-by-stage handbook lives in ``docs/COMPILER.md``.
 """
 
 from .flow import CompiledChip, compile_workload
+from .gatelevel import GateLevelMatcher
 from .ir import build_logical_db, build_net_to_cells, elaborate, validate_ir
 from .library import Library, library_for
 from .place import Placement, place
@@ -32,6 +36,7 @@ __all__ = [
     "ChipSpec",
     "CompileError",
     "CompiledChip",
+    "GateLevelMatcher",
     "KERNELS",
     "Library",
     "Placement",

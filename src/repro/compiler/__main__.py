@@ -7,7 +7,9 @@ instead.  ``--signoff`` pushes each compiled design through the full
 signoff pipeline and exits non-zero if any design fails; ``--verify``
 runs the differential check (structural and switch-level engines against
 the workload registry's fast and oracle engines) on a seeded sample job;
-``--json`` archives the signoff reports for CI.
+``--json`` archives the signoff reports for CI.  An invalid spec (for
+example ``--cells 0``) is a usage error: exit 2, with the usage and one
+error line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import sys
 
 from ..alphabet import Alphabet
+from ..errors import ReproError
 from ..signoff.pipeline import Signoff
 from .flow import compile_workload
 from .spec import KERNELS
@@ -109,9 +112,12 @@ def main(argv=None) -> int:
     reports = {}
     failures = 0
     for kernel, cells, char_bits, data_bits in points:
-        chip = compile_workload(
-            kernel, cells, char_bits=char_bits, data_bits=data_bits
-        )
+        try:
+            chip = compile_workload(
+                kernel, cells, char_bits=char_bits, data_bits=data_bits
+            )
+        except ReproError as exc:
+            parser.error(str(exc))
         line = (
             f"{chip.spec.name:12s} {len(chip.design.cells):3d} cells "
             f"{chip.netlist.n_transistors:5d} transistors"

@@ -1,13 +1,13 @@
 """Netlist generation: the placed IR as one switch-level circuit.
 
-This is the compiler's counterpart of the hand-built
-:class:`~repro.circuit.chipnet.MatcherArrayNetlist`, generalized to any
-placed design: every instance is built by its library cell's ``build``
-hook on the clock phase its grid parity dictates, every IR net becomes a
-chain of always-on wire transistors joining its endpoint nodes, chip
-ports get ``pin.<NAME>`` nodes, and the polarity bookkeeping the twins
-impose (which pins must be driven complemented, whether the result
-emerges complemented) is recorded for the simulation harness.
+This lowers any placed design to one switch-level circuit (the Plate 2
+prototype is the ``match`` chip at 8 x 2): every instance is built by
+its library cell's ``build`` hook on the clock phase its grid parity
+dictates, every IR net becomes a chain of always-on wire transistors
+joining its endpoint nodes, chip ports get ``pin.<NAME>`` nodes, and the
+polarity bookkeeping the twins impose (which pins must be driven
+complemented, whether the result emerges complemented) is recorded for
+the simulation harness.
 """
 
 from __future__ import annotations
@@ -68,6 +68,23 @@ class CompiledNetlist:
     @property
     def n_transistors(self) -> int:
         return self.circuit.n_transistors
+
+    def vcd_probe(self, signals=None, writer=None):
+        """A :class:`~repro.obs.vcd.CircuitProbe` over the interesting
+        nets, sampled at every clock phase of :meth:`pulse`.
+
+        The default signal set is both clock phases and every chip pin
+        under its node name (``pin.P_IN0``, ``pin.LAM_IN``,
+        ``pin.R_OUT0``...).  Pass an explicit display-name -> node-name
+        mapping for anything else (internal comparator stores, per-cell
+        ``eq``...).
+        """
+        from ..obs.vcd import CircuitProbe  # local: obs is optional here
+
+        if signals is None:
+            signals = {"phi1": "phi1", "phi2": "phi2"}
+            signals.update((node, node) for node in self.pins.values())
+        return CircuitProbe(self.circuit, signals, writer=writer)
 
 
 def elaborate_circuit(

@@ -58,8 +58,7 @@ class FeedPlan:
 
     ``drive[b]`` maps every data input pin to its logical bit for beat
     *b*; ``exit_beat`` maps a beat number to the stream position whose
-    result is sampled *after the previous beat's pulse* (the convention
-    of :class:`~repro.circuit.chipnet.GateLevelMatcher`); ``k`` is the
+    result is sampled *after the previous beat's pulse*; ``k`` is the
     first stream position with a complete window.
     """
 

@@ -67,8 +67,8 @@ class ChipSpec:
             raise CompileError(
                 f"unknown kernel {self.kernel!r} (known: {', '.join(KERNELS)})"
             )
-        if self.cells < 2:
-            raise CompileError("a chip needs at least two cells")
+        if self.cells < 1:
+            raise CompileError("a chip needs at least one cell")
         if self.kernel in ("match", "count") and self.char_bits < 1:
             raise CompileError("char_bits must be at least 1")
         if self.kernel == "inner-product" and self.data_bits < 1:

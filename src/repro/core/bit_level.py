@@ -49,8 +49,9 @@ class BitFeedBeat:
     the accumulator row (a :class:`~repro.streams.PatternStreamItem` or
     BUBBLE).  ``s_tag_in``: the text position whose character's bits have
     fully entered (or BUBBLE).  Shared by the behavioural
-    :class:`BitLevelMatcher` and the switch-level array of
-    :mod:`repro.circuit.chipnet`, which must agree beat for beat.
+    :class:`BitLevelMatcher` and the compiler's feed plan for the
+    switch-level ``match`` chip (:mod:`repro.compiler.simulate`), which
+    must agree beat for beat.
     """
 
     p_row_in: List[object]

@@ -2,12 +2,14 @@
 
 "When the layouts for all cells are complete, they are assembled into a
 working array with the inputs and outputs hooked to contact pads."  The
-assembler places the comparator rows over the accumulator row in the
-Figure 3-3/3-4 arrangement with polarity alternating by column parity,
-rings the array with bonding pads, and emits the whole chip as CIF --
-one symbol per cell type, instantiated by translation, which is exactly
-the replication economy the paper's design philosophy predicts ("most of
-the cells on a chip are copies of a few basic ones").
+assembler places rows of cells -- for the prototype, the comparator rows
+over the accumulator row in the Figure 3-3/3-4 arrangement with polarity
+alternating by column parity, as laid out by
+:mod:`repro.compiler.physical` -- rings the array with bonding pads, and
+emits the whole chip as CIF -- one symbol per cell type, instantiated by
+translation, which is exactly the replication economy the paper's design
+philosophy predicts ("most of the cells on a chip are copies of a few
+basic ones").
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import LayoutError
-from .cells import CellLayout, accumulator_layout, comparator_layout
+from .cells import CellLayout
 from .cif import CIFWriter
 from .geometry import Rect
 from .layers import Layer
@@ -68,8 +70,8 @@ class ChipFloorplan:
 class ArrayAssembler:
     """Floorplan + CIF for any rectangular array of library cells.
 
-    The generic engine behind :class:`ChipAssembler` and the chip
-    compiler's generated designs (:mod:`repro.compiler.physical`):
+    The engine behind every compiled chip's floorplan, the Plate 2
+    prototype included (:mod:`repro.compiler.physical`):
 
     ``cells``
         Library of placeable layouts, keyed by cell name.
@@ -193,39 +195,3 @@ class ArrayAssembler:
             "die_area_mm2": fp.die_area * lam_mm ** 2,
             "pads": fp.n_pads,
         }
-
-
-class ChipAssembler(ArrayAssembler):
-    """The prototype matcher chip: m columns, w comparator rows over one
-    accumulator row, polarity alternating by (column + row) parity."""
-
-    def __init__(self, columns: int, bit_rows: int, name: str = "pattern_matcher"):
-        if columns <= 0 or bit_rows <= 0:
-            raise LayoutError("chip needs at least one column and one bit row")
-        cells: Dict[str, CellLayout] = {}
-        for positive in (True, False):
-            suffix = "pos" if positive else "neg"
-            cells[f"comparator_{suffix}"] = comparator_layout(positive)[1]
-            cells[f"accumulator_{suffix}"] = accumulator_layout(positive)[1]
-
-        def twin(kind: str, i: int, j: int) -> str:
-            return f"{kind}_{'pos' if (i + j) % 2 == 0 else 'neg'}"
-
-        # Accumulator row at the bottom (row index w in the polarity
-        # scheme), comparator rows above, row 0 on top (Figure 3-3 draws
-        # comparators on top).
-        rows = [[twin("accumulator", i, bit_rows) for i in range(columns)]]
-        for j in range(bit_rows - 1, -1, -1):
-            rows.append([twin("comparator", i, j) for i in range(columns)])
-
-        # Pin inventory (Figure 3-7 extensibility): pattern/string bit
-        # inputs AND outputs, the result stream in and out, the control
-        # bits, clocks and power.
-        pins = ["VDD", "GND", "PHI1", "PHI2", "LAM_IN", "X_IN",
-                "LAM_OUT", "X_OUT", "R_IN", "R_OUT"]
-        for j in range(bit_rows):
-            pins += [f"P_IN{j}", f"P_OUT{j}", f"S_IN{j}", f"S_OUT{j}"]
-        super().__init__(cells, rows, pins, name)
-
-    def cell(self, kind: str, positive: bool) -> CellLayout:
-        return self._cells[f"{kind}_{'pos' if positive else 'neg'}"]

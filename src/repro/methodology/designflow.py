@@ -13,7 +13,7 @@ cell_timing_signals       the master/slave discipline for ``t`` (checked)
 communication_sticks      channel/track plan for the array wiring
 cell_sticks               generated stick diagrams for all four cells
 cell_layouts              DRC-clean lambda-rule layouts
-cell_boundary_layouts     assembled chip floorplan + CIF text
+cell_boundary_layouts     compiled ``match`` chip floorplan + CIF text
 ========================  =====================================================
 
 Running the flow end to end *is* the paper's methodology demonstration:
@@ -36,6 +36,7 @@ class DesignFlow:
     def __init__(self, columns: int = 8, char_bits: int = 2, signoff: bool = False):
         self.columns = columns
         self.char_bits = char_bits
+        self._compiled = None
         self.graph: TaskGraph = figure_4_1_graph()
         self.artifacts: Dict[str, object] = {}
         self._runners: Dict[str, Callable[[], object]] = {
@@ -201,10 +202,19 @@ class DesignFlow:
                 )
         return layouts
 
-    def _run_cell_boundary_layouts(self) -> object:
-        from ..layout.assembly import ChipAssembler
+    def _chip(self):
+        """The ``match`` chip this flow draws, compiled once on first use
+        and shared by the boundary layouts and the signoff gates."""
+        if self._compiled is None:
+            from ..compiler.flow import compile_workload
 
-        asm = ChipAssembler(self.columns, self.char_bits)
+            self._compiled = compile_workload(
+                "match", self.columns, char_bits=self.char_bits
+            )
+        return self._compiled
+
+    def _run_cell_boundary_layouts(self) -> object:
+        asm = self._chip().assembler
         return {
             "floorplan": asm.floorplan(),
             "cif": asm.to_cif(),
@@ -215,15 +225,14 @@ class DesignFlow:
 
     def _signoff_state(self):
         """Lazily built, shared across the signoff runners: the pipeline
-        driver, the four cell bundles, and their extractions."""
+        driver, the compiled chip's four cell bundles, and their
+        extractions."""
         if not hasattr(self, "_signoff_driver"):
-            from ..layout.cells import cell_bundle
-            from ..signoff.pipeline import CELL_KINDS, Signoff
+            from ..signoff.pipeline import Signoff
 
             self._signoff_driver = Signoff()
-            self._signoff_bundles = [cell_bundle(k, p) for k, p in CELL_KINDS]
             self._signoff_ex = {}
-        return self._signoff_driver, self._signoff_bundles
+        return self._signoff_driver, list(self._chip().bundles.values())
 
     @staticmethod
     def _stage_artifact(stages) -> Dict[str, object]:

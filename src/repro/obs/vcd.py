@@ -6,7 +6,7 @@ chip: Figure 3-6's comparator is trusted because its stored bits and
 samples named :class:`~repro.circuit.netlist.Circuit` nodes after every
 ``settle()`` (i.e. at every clock-phase edge of
 :class:`~repro.circuit.clocks.TwoPhaseClock` /
-:meth:`~repro.circuit.chipnet.MatcherArrayNetlist.pulse`), and
+:meth:`~repro.compiler.netlist.CompiledNetlist.pulse`), and
 :class:`VCDWriter` emits the standard four-state dump any waveform
 viewer (GTKWave, Surfer) opens directly.
 

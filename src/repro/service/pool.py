@@ -332,7 +332,7 @@ class PoolWorker:
             and 0 < len(text) <= obs.circuit_char_limit
             and 0 < len(key)
         ):
-            from ..circuit.chipnet import GateLevelMatcher
+            from ..compiler import GateLevelMatcher
 
             if self._gate is None or self._gate_key != key:
                 self._gate = GateLevelMatcher(

@@ -1,15 +1,19 @@
 """Command-line signoff: ``python -m repro.signoff``.
 
-Runs the full pipeline on the prototype chip (or one cell with
+Compiles the prototype -- the ``match`` chip, ``--columns`` x
+``--char-bits`` -- and runs the full pipeline on it (or on one cell with
 ``--cell``), prints the stage summary, optionally writes the JSON report,
 and exits non-zero when any error-severity finding exists -- the CI
-gate."""
+gate.  Bad sizes are usage errors: exit 2, with the usage and one
+error line on stderr."""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
+from ..compiler.flow import compile_workload
+from ..errors import ReproError
 from .mutations import mutant_names, run_mutant
 from .pipeline import Signoff
 
@@ -57,7 +61,13 @@ def main(argv=None) -> int:
     elif args.cell:
         report = signoff.run_cell(args.cell, positive=not args.negative)
     else:
-        report = signoff.run_chip(args.columns, args.char_bits)
+        try:
+            chip = compile_workload(
+                "match", args.columns, char_bits=args.char_bits
+            )
+        except ReproError as exc:
+            parser.error(str(exc))
+        report = signoff.run_design(chip)
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -3,10 +3,11 @@
 ``Signoff.run_cell`` verifies one cell bundle end to end: the layout is
 design-rule checked, extracted back to a netlist, proven equivalent to
 the drawn circuit (LVS), then the *extracted* circuit -- geometry and
-all -- is linted (ERC) and timed.  ``Signoff.run_chip`` does the same
-for every cell twin and adds the assembly-level audits: floorplan
+all -- is linted (ERC) and timed.  ``Signoff.run_design`` does the same
+for every cell twin of a compiled chip (the Plate 2 prototype is the
+``match`` chip at 8 x 2) and adds the assembly-level audits: floorplan
 consistency, a flat device census of the emitted CIF, supply-rail
-isolation, and ERC + timing over the whole-array netlist.
+isolation, and ERC + timing over the whole-chip netlist.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..circuit.chipnet import MatcherArrayNetlist
 from ..circuit.netlist import Circuit
-from ..layout.assembly import ChipAssembler
 from ..layout.cells import CellBundle, cell_bundle
 from ..layout.cif import parse_cif
 from ..layout.design_rules import DesignRuleChecker, gate_channels
@@ -28,14 +27,6 @@ from .extract import ConductorNets, Extraction, extract_cell
 from .lvs import compare
 from .report import SignoffReport, StageReport
 from .timing import TimingParams, timing_findings
-
-#: The four cell twins of the chip.
-CELL_KINDS: Tuple[Tuple[str, bool], ...] = (
-    ("comparator", True),
-    ("comparator", False),
-    ("accumulator", True),
-    ("accumulator", False),
-)
 
 
 class Signoff:
@@ -179,51 +170,13 @@ class Signoff:
         report.stages.append(self.timing_stage(circuit, clocks, ports))
         return report
 
-    def run_chip(self, columns: int = 8, char_bits: int = 2) -> SignoffReport:
-        """Signoff of the assembled prototype chip.
-
-        Cell-level DRC/extraction/LVS for all four twins, the assembly
-        audits, and whole-array ERC + timing on the drawn chip netlist
-        (the assembly routes power and abutment only, so electrical
-        chip-level checks run on the reference netlist the cells were
-        proven equivalent to)."""
-        report = SignoffReport(f"chip_{columns}x{char_bits}")
-        drc = StageReport("drc")
-        extraction = StageReport("extraction")
-        lvs = StageReport("lvs")
-        for kind, positive in CELL_KINDS:
-            b = cell_bundle(kind, positive)
-            drc.extend(self.drc_stage(b).findings)
-            ex_stage, ex = self.extraction_stage(b)
-            extraction.extend(ex_stage.findings)
-            lvs.extend(self.lvs_stage(b, ex).findings)
-        report.stages.append(drc)
-        report.stages.append(extraction)
-        report.stages.append(lvs)
-
-        net = MatcherArrayNetlist(columns, char_bits)
-        ports = (
-            list(net.p_edge) + list(net.s_edge)
-            + [net.lam_edge, net.x_edge, net.r_edge]
-        )
-        report.stages.append(
-            self.erc_stage(net.circuit, net.phi, ports)
-        )
-        report.stages.append(
-            self.timing_stage(net.circuit, net.phi, ports)
-        )
-        report.stages.append(self.assembly_stage(columns, char_bits))
-        return report
-
     def run_design(self, compiled) -> SignoffReport:
         """Full signoff of a compiler-generated design.
 
-        The same gauntlet as :meth:`run_chip`, but over whatever cells,
-        netlist, and floorplan the compiler emitted: DRC / extraction /
-        LVS for every generated cell twin, ERC + timing on the generated
-        whole-chip transistor netlist, and the assembly audits on the
-        generated floorplan and CIF.  ``compiled`` is a
-        :class:`~repro.compiler.flow.CompiledChip`.
+        DRC / extraction / LVS for every generated cell twin, ERC +
+        timing on the generated whole-chip transistor netlist, and the
+        assembly audits on the generated floorplan and CIF.
+        ``compiled`` is a :class:`~repro.compiler.flow.CompiledChip`.
         """
         report = SignoffReport(compiled.spec.name)
         drc = StageReport("drc")
@@ -247,10 +200,6 @@ class Signoff:
         return report
 
     # -- assembly audits ---------------------------------------------------
-
-    def assembly_stage(self, columns: int, char_bits: int) -> StageReport:
-        """Assembly audits of the hand-built prototype chip."""
-        return self.assembly_stage_for(ChipAssembler(columns, char_bits))
 
     def assembly_stage_for(self, asm) -> StageReport:
         """Assembly audits of any :class:`~repro.layout.assembly.ArrayAssembler`."""

@@ -16,7 +16,8 @@ from repro.bist import (
     fault_universe,
     mutation_defect,
 )
-from repro.circuit.chipnet import MatcherArrayNetlist
+from repro.bist.__main__ import main as bist_main
+from repro.compiler import compile_workload
 from repro.errors import CircuitError
 from repro.service.reliability import CellDefect, CellDefectKind
 
@@ -112,22 +113,25 @@ class TestMISR:
 
 class TestSignatureAnalyzer:
     def test_two_bits_per_observed_node(self):
-        net = MatcherArrayNetlist(M, W)
+        chip = compile_workload("match", M, char_bits=W)
         analyzer = SignatureAnalyzer()
-        nodes = analyzer.response_nodes(net)
-        assert len(analyzer.sample(net, nodes)) == 2 * len(nodes)
+        nodes = analyzer.response_nodes(chip.netlist, chip.placement)
+        assert len(analyzer.sample(chip.netlist, nodes)) == 2 * len(nodes)
 
     def test_every_cell_output_is_a_test_point(self):
         """The d-chain is random-pattern resistant and interior
         accumulator misphases race to the chip edge: every comparator
         d_out and every accumulator output must be tapped directly."""
-        net = MatcherArrayNetlist(M, W)
-        nodes = set(SignatureAnalyzer().response_nodes(net))
+        chip = compile_workload("match", M, char_bits=W)
+        cells = chip.netlist.instance_ports
+        nodes = set(
+            SignatureAnalyzer().response_nodes(chip.netlist, chip.placement)
+        )
         for i in range(M):
             for j in range(W):
-                assert net.comparators[j][i]["d_out"] in nodes
-            acc = net.accumulators[i]
-            for port in ("d_in", "r_out", "lam_out", "x_out"):
+                assert cells[f"c{i}_{j}"]["d_out"] in nodes
+            acc = cells[f"a{i}"]
+            for port in ("d_in", "r_out0", "lam_out", "x_out"):
                 assert acc[port] in nodes, f"a{i}.{port}"
 
 
@@ -169,6 +173,17 @@ class TestControllerFSM:
             BISTController(m=0, w=2)
         with pytest.raises(CircuitError):
             BISTController(m=2, w=2, vectors=0)
+
+    def test_cli_bad_geometry_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bist_main(["demo", "--m", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "python -m repro.bist: error: BIST array needs at least one "
+            "column and row"
+        )
 
 
 class TestCharacterizer:

@@ -1,8 +1,9 @@
 """The whole matcher at switch level vs the behavioural model/oracle.
 
 This is the library's deepest cross-level check: the same feeding
-schedule drives a transistor netlist of the full Figure 3-3/3-4 array and
-must reproduce the algorithm bit for bit.
+schedule drives the compiled ``match`` chip's transistor netlist -- the
+full Figure 3-3/3-4 array -- and must reproduce the algorithm bit for
+bit.
 """
 
 import random
@@ -10,32 +11,49 @@ import random
 import pytest
 
 from repro import Alphabet, match_oracle
-from repro.circuit.chipnet import GateLevelMatcher, MatcherArrayNetlist
-from repro.errors import CircuitError, PatternError
+from repro.compiler import CompileError, GateLevelMatcher, compile_workload
+from repro.errors import PatternError
+
+
+def _gate_of(net, label):
+    """The clock (or rail) gating the transistor labelled *label*."""
+    return next(t.gate for t in net.circuit.transistors if t.label == label)
 
 
 class TestNetlistStructure:
     def test_polarity_checkerboard(self):
-        net = MatcherArrayNetlist(4, 2)
-        assert net.is_positive(0, 0)
-        assert not net.is_positive(1, 0)
-        assert not net.is_positive(0, 1)
-        assert net.is_positive(1, 1)
+        p = compile_workload("match", 4, char_bits=2).placement
+        assert p.is_positive(p.grid[(0, 0)])
+        assert not p.is_positive(p.grid[(1, 0)])
+        assert not p.is_positive(p.grid[(0, 1)])
+        assert p.is_positive(p.grid[(1, 1)])
 
     def test_phase_matches_polarity_parity(self):
-        net = MatcherArrayNetlist(3, 2)
+        """Comparators latch on their grid parity's phase; accumulators
+        transfer ``t`` on the opposite one (the result row is row 2)."""
+        chip = compile_workload("match", 3, char_bits=2)
+        net, p = chip.netlist, chip.placement
         for i in range(3):
             for j in range(3):
-                assert net.phase_of(i, j) == net.phi[(i + j) % 2]
+                inst = p.grid[(i, j)]
+                assert net.phi[p.phase_index(inst)] == net.phi[(i + j) % 2]
+                if j < 2:
+                    gate = _gate_of(net, f"{inst}.pass_p")
+                    assert gate == net.phi[(i + j) % 2]
+                else:
+                    gate = _gate_of(net, f"{inst}.t_xfer")
+                    assert gate == net.phi[(i + j + 1) % 2]
 
     def test_transistor_count_scales_linearly(self):
-        small = MatcherArrayNetlist(2, 2).n_transistors
-        large = MatcherArrayNetlist(4, 2).n_transistors
+        small = compile_workload("match", 2, char_bits=2).netlist.n_transistors
+        large = compile_workload("match", 4, char_bits=2).netlist.n_transistors
         assert large == pytest.approx(2 * small, rel=0.1)
 
     def test_invalid_dimensions_rejected(self):
-        with pytest.raises(CircuitError):
-            MatcherArrayNetlist(0, 1)
+        with pytest.raises(CompileError):
+            compile_workload("match", 0, char_bits=1)
+        with pytest.raises(CompileError):
+            compile_workload("match", 2, char_bits=0)
 
 
 class TestGateLevelCorrectness:

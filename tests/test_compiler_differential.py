@@ -109,6 +109,27 @@ class TestSwitchLevelSweep:
         assert d.ok, d.detail
 
 
+class TestOneCellChips:
+    """The smallest array, one column: what the service's deep-trace
+    observation compiles for a one-character pattern."""
+
+    @pytest.mark.parametrize("kernel,params,stream,char_bits", [
+        ("match", "B", "ABBAB", 1),
+        ("count", "C", "CACBDC", 2),
+        ("inner-product", [3], [1, 2, 3, 0, 2], 2),
+    ])
+    def test_one_cell_chip_signs_off_and_equals_the_oracle(
+        self, kernel, params, stream, char_bits
+    ):
+        chip = compile_workload(kernel, 1, char_bits=char_bits)
+        assert len(chip.design.cells) == 1 + chip.spec.w_rows
+        assert chip.signoff().ok
+        al = None if kernel == "inner-product" else _alphabet(char_bits)
+        d = differential(chip, params, stream, al, engines=("ir", "switch"))
+        assert d.ok, d.detail
+        assert d.results["chip-switch"] == d.results["oracle"]
+
+
 class TestWorkloadEntryPoint:
     def test_registry_compiles_chips(self):
         chip = WORKLOADS["count"].compile_chip(6, char_bits=2)

@@ -21,7 +21,7 @@ class TestChipSpec:
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(CompileError):
-            ChipSpec("match", cells=1)
+            ChipSpec("match", cells=0)
         with pytest.raises(CompileError):
             ChipSpec("match", cells=8, char_bits=0)
         with pytest.raises(CompileError):

@@ -93,6 +93,16 @@ class TestCompilerCli:
         assert rc == 0
         assert out.read_text().strip()
 
+    def test_bad_size_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel", "match", "--cells", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "python -m repro.compiler: error: a chip needs at least one cell"
+        )
+
     def test_matrix_compiles(self, capsys):
         rc = main([])
         assert rc == 0

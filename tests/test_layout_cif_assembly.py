@@ -1,9 +1,11 @@
-"""CIF writing/parsing round trips and the Plate 2 chip assembly."""
+"""CIF writing/parsing round trips and the Plate 2 chip assembly (the
+compiled ``match`` chip at 8 x 2)."""
 
 import pytest
 
+from repro.compiler import CompileError, compile_workload
 from repro.errors import CIFError, LayoutError
-from repro.layout.assembly import ChipAssembler
+from repro.layout.assembly import ArrayAssembler
 from repro.layout.cif import CIFWriter, parse_cif
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer
@@ -71,29 +73,35 @@ class TestCIFRoundTrip:
         assert Layer.METAL in parsed.flatten()
 
 
+def _assembler(columns, char_bits):
+    return compile_workload("match", columns, char_bits=char_bits).assembler
+
+
 class TestChipAssembly:
+    """The compiled ``match`` chip's floorplan: Plate 2 at 8 x 2."""
+
     def test_prototype_floorplan_counts(self):
         """Plate 2: 8 columns x (2 comparator rows + accumulators)."""
-        asm = ChipAssembler(8, 2)
+        asm = _assembler(8, 2)
         fp = asm.floorplan()
         assert fp.n_cells == 8 * 3
         assert fp.core_area > 0
         assert fp.die_area > fp.core_area
 
     def test_pad_ring_covers_every_pin(self):
-        asm = ChipAssembler(8, 2)
+        asm = _assembler(8, 2)
         fp = asm.floorplan()
         assert fp.n_pads == len(asm.pin_names())
         names = [p for p, _ in fp.pads]
-        assert "PHI1" in names and "R_OUT" in names and "S_IN1" in names
+        assert "PHI1" in names and "R_OUT0" in names and "S_IN1" in names
 
     def test_area_scales_linearly_with_columns(self):
-        a4 = ChipAssembler(4, 2).floorplan().core_area
-        a8 = ChipAssembler(8, 2).floorplan().core_area
+        a4 = _assembler(4, 2).floorplan().core_area
+        a8 = _assembler(8, 2).floorplan().core_area
         assert a8 == pytest.approx(2 * a4, rel=0.01)
 
     def test_polarity_alternates_along_rows(self):
-        asm = ChipAssembler(4, 1)
+        asm = _assembler(4, 1)
         fp = asm.floorplan()
         accum_row = [c for c in fp.cell_instances if c[0].startswith("accumulator")]
         kinds = [name for name, _, _ in sorted(accum_row, key=lambda c: c[1])]
@@ -103,7 +111,7 @@ class TestChipAssembly:
         ]
 
     def test_cif_flattens_to_expected_cell_count(self):
-        asm = ChipAssembler(3, 1)
+        asm = _assembler(3, 1)
         parsed = parse_cif(asm.to_cif())
         flat = parsed.flatten()
         # every layer of every instance present; implants only from cells
@@ -111,11 +119,13 @@ class TestChipAssembly:
         assert len(flat[Layer.OVERGLASS]) == len(asm.pin_names())
 
     def test_area_report_fields(self):
-        rep = ChipAssembler(8, 2).area_report()
+        rep = _assembler(8, 2).area_report()
         assert rep["cells"] == 24
         assert rep["die_area_mm2"] > rep["core_area_mm2"] * 0  # present
-        assert rep["pads"] == len(ChipAssembler(8, 2).pin_names())
+        assert rep["pads"] == len(_assembler(8, 2).pin_names())
 
     def test_invalid_dimensions_rejected(self):
+        with pytest.raises(CompileError):
+            _assembler(0, 2)
         with pytest.raises(LayoutError):
-            ChipAssembler(0, 2)
+            ArrayAssembler({}, [], [])

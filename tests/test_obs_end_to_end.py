@@ -84,7 +84,9 @@ class TestSpanChain:
         assert r.value("worker.matches", worker="chip-0") == 1
         # Array beats from the deep re-drive, labelled by chip name.
         assert r.value("array.beats", array=svc.pool.workers[0].backend.spec.name) > 0
-        assert r.value("circuit.settle.calls", circuit="chip") > 0
+        # Settle calls from the gate-level re-drive, labelled by the
+        # compiled chip's name (match kernel, 3 columns for AXC, 2 bits).
+        assert r.value("circuit.settle.calls", circuit="match_3x2") > 0
 
 
 class TestExportReplay:

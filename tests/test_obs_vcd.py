@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.circuit.cells.comparator import build_comparator
-from repro.circuit.chipnet import GateLevelMatcher, MatcherArrayNetlist
 from repro.circuit.netlist import Circuit
 from repro.circuit.signals import HIGH, LOW
+from repro.compiler import GateLevelMatcher, compile_workload
 from repro.errors import ObservabilityError
 from repro.obs.vcd import (
     CircuitProbe,
@@ -153,24 +153,24 @@ class TestCircuitProbe:
             CircuitProbe(c, {"sig": "no.such.node"})
 
     def test_netlist_default_probe_round_trips(self):
-        net = MatcherArrayNetlist(2, 1)
+        net = compile_workload("match", 2, char_bits=1).netlist
         probe = net.vcd_probe()
         for b in range(6):
             net.pulse(b)
         trace = parse_vcd(probe.writer.dump())
-        assert "phi1" in trace.signals and "pin.p0" in trace.signals
+        assert "phi1" in trace.signals and "pin.P_IN0" in trace.signals
         phi1 = [v for _, v in trace.history("phi1")]
         assert "1" in phi1 and "0" in phi1
 
     def test_gate_level_match_with_probe_agrees(self):
-        m = GateLevelMatcher("AB", AB2, retention_ns=1e9)
+        m = GateLevelMatcher("AB", AB2)
         probe = m.net.vcd_probe()
         text = list("ABAB")
         got = m.match(text)
         assert got == [False, True, False, True]
         trace = parse_vcd(probe.writer.dump())
-        # r_out toggles at least once across a matching run.
-        assert len(trace.history("r_out")) >= 2
+        # The result pin toggles at least once across a matching run.
+        assert len(trace.history("pin.R_OUT0")) >= 2
 
     def test_detach_stops_sampling(self):
         c = Circuit()

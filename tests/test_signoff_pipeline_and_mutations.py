@@ -15,7 +15,7 @@ from repro.layout.layers import Layer
 from repro.methodology.designflow import DesignFlow
 from repro.signoff.__main__ import main
 from repro.signoff.mutations import mutant_names, run_mutant
-from repro.signoff.pipeline import CELL_KINDS, Signoff
+from repro.signoff.pipeline import Signoff
 from repro.signoff.report import Finding, SignoffReport, StageReport
 
 STAGE_ORDER = ["drc", "extraction", "lvs", "erc", "timing"]
@@ -55,14 +55,17 @@ class TestReport:
 
 
 class TestCleanRuns:
-    @pytest.mark.parametrize("kind,positive", CELL_KINDS)
+    @pytest.mark.parametrize("kind,positive", [
+        ("comparator", True), ("comparator", False),
+        ("accumulator", True), ("accumulator", False),
+    ])
     def test_every_cell_twin_signs_off(self, signoff, kind, positive):
         rep = signoff.run_cell(kind, positive)
         assert rep.ok, rep.summary()
         assert [s.stage for s in rep.stages] == STAGE_ORDER
 
-    def test_chip_signs_off(self, signoff):
-        rep = signoff.run_chip(4, 2)
+    def test_chip_signs_off(self, signoff, match_chip):
+        rep = signoff.run_design(match_chip)
         assert rep.ok, rep.summary()
         assert [s.stage for s in rep.stages] == STAGE_ORDER + ["assembly"]
         assert "PASS" in rep.summary()
@@ -184,6 +187,16 @@ class TestCLI:
         main(["--cell", "accumulator", "--negative"])
         out = capsys.readouterr().out
         assert "PASS" in out and "lvs" in out
+
+    def test_bad_size_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--columns", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            "python -m repro.signoff: error: a chip needs at least one cell"
+        )
 
 
 class TestDesignFlowGates:

@@ -156,7 +156,7 @@ class TestGateLevelCrossCheck:
         window count exactly where the switch-level accumulator netlist
         reports a match -- tying the numeric workload engine back to the
         paper's actual circuit."""
-        from repro.circuit.chipnet import GateLevelMatcher
+        from repro.compiler import GateLevelMatcher
 
         pattern, text = "AXC", "ABCAACACCAB"
         L = len(pattern)
