@@ -95,21 +95,6 @@ class CharacterizationReport:
             return ""
         return max(sorted(counts), key=lambda cell: counts[cell])
 
-    def to_wire(self) -> Dict[str, object]:
-        return {
-            "chip": self.chip, "m": self.m, "w": self.w,
-            "n_transistors": self.n_transistors, "beats": self.beats,
-            "settle_passes": list(self.settle_passes),
-            "phase_budget_ns": self.phase_budget_ns,
-            "worst_delay_ns": self.worst_delay_ns,
-            "worst_phase": self.worst_phase,
-            "worst_path": list(self.worst_path),
-            "meets_budget": self.meets_budget,
-            "recommended_beat_ns": self.recommended_beat_ns,
-            "settled": self.settled,
-            "worst_cell": self.worst_cell(),
-        }
-
 
 class Characterizer:
     """Measures a matcher array's real beat budget and settle latency.

@@ -86,13 +86,6 @@ class BISTDiagnosis:
     want: str
     divergent: Tuple[str, ...] = ()
 
-    def to_wire(self) -> Dict[str, object]:
-        return {
-            "beat": self.beat, "cell": self.cell, "col": self.col,
-            "row": self.row, "node": self.node, "got": self.got,
-            "want": self.want, "divergent": list(self.divergent),
-        }
-
 
 @dataclass(frozen=True)
 class BISTReport:
@@ -115,19 +108,20 @@ class BISTReport:
         """PASS iff the signature matches *and* the part makes the beat."""
         return self.functional_ok and self.timing_ok is not False
 
-    def to_wire(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok, "chip": self.chip, "m": self.m, "w": self.w,
-            "vectors": self.vectors, "signature": self.signature,
-            "golden": self.golden, "functional_ok": self.functional_ok,
-            "timing_ok": self.timing_ok,
-            "diagnosis": self.diagnosis.to_wire() if self.diagnosis else None,
-            "characterization": (
-                self.characterization.to_wire()
-                if self.characterization else None
-            ),
-            "states": list(self.states),
-        }
+    def record(self, obs, defect: Optional[CellDefect] = None) -> None:
+        """Record this verdict as a ``bist.run`` span plus a ``bist.runs``
+        counter -- wherever the self-test ran, in process or in a worker
+        process whose report came home."""
+        obs.tracer.record(
+            "bist.run", t0=0.0, t1=float(self.vectors), unit="beats",
+            chip=self.chip, ok=self.ok, functional_ok=self.functional_ok,
+            timing_ok="n/a" if self.timing_ok is None else self.timing_ok,
+            cell=self.diagnosis.cell if self.diagnosis else "",
+            defect=defect.describe() if defect else "",
+        )
+        obs.registry.counter(
+            "bist.runs", verdict="pass" if self.ok else "fail"
+        ).inc()
 
 
 #: (m, w, vectors, lfsr seed, misr width, misr poly) -> golden signature.
@@ -412,15 +406,5 @@ class BISTController:
             states=tuple(states),
         )
         if obs is not None:
-            obs.tracer.record(
-                "bist.run", t0=0.0, t1=float(self.vectors), unit="beats",
-                chip=chip_name, ok=report.ok,
-                functional_ok=functional_ok,
-                timing_ok="n/a" if timing_ok is None else timing_ok,
-                cell=diagnosis.cell if diagnosis else "",
-                defect=defect.describe() if defect else "",
-            )
-            obs.registry.counter(
-                "bist.runs", verdict="pass" if report.ok else "fail"
-            ).inc()
+            report.record(obs, defect)
         return report

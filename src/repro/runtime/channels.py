@@ -105,12 +105,12 @@ class JobRequest:
     are directives, not randomness, so runs stay deterministic per seed.
 
     ``bist`` turns the request into a *self-test probe* instead of a
-    kernel execution: the dict carries the BIST geometry (``m``, ``w``,
-    ``vectors``, ``seed``, ``characterize``) plus an optional wire-form
-    :class:`~repro.service.reliability.CellDefect` under ``"defect"``
-    (the worker's latent fault, crossing the spawn boundary as a plain
-    dict).  The worker runs :class:`~repro.bist.BISTController`
-    in-process and answers with the report on ``JobReply.bist``.
+    kernel execution: it carries the
+    :class:`~repro.service.health.HealthConfig` and the worker's latent
+    :class:`~repro.service.reliability.CellDefect` (or ``None``), both
+    plain frozen dataclasses that pickle as they are.  The worker runs
+    ``HealthConfig.controller()`` in-process and answers with the
+    :class:`~repro.bist.controller.BISTReport` on ``JobReply.bist``.
 
     When ``streams`` is set the request is a *batch plan*: one taps
     vector, many prepared streams, answered by the workload's batched
@@ -128,7 +128,7 @@ class JobRequest:
     fault: Optional[str] = None
     stall_s: float = 0.0
     streams: Optional[list] = None  # batch plan: many streams, one taps
-    bist: Optional[dict] = None  # self-test probe: geometry + wire defect
+    bist: Optional[tuple] = None  # self-test probe: (config, defect)
 
 
 @dataclass
@@ -152,4 +152,4 @@ class JobReply:
     metrics: Optional[Dict[str, List[dict]]] = None
     spans: Optional[List[dict]] = field(default=None)
     results_many: Optional[list] = None  # batch plan answer, stream order
-    bist: Optional[dict] = None  # self-test probe answer (report to_wire)
+    bist: Optional[object] = None  # self-test probe answer: a BISTReport

@@ -353,14 +353,19 @@ class AsyncMatcherService:
             batchable.clear()
 
         params = canonical_params(taps)
+        # Every stream is validated before any is admitted: a bad stream
+        # later in the list must not strand the ones before it.
+        inputs = []
         for stream in streams:
+            validated = spec.validate_stream(stream, self.alphabet)
+            ktaps, feed = spec.prepare(taps, validated)
+            inputs.append((validated, ktaps, feed))
+        for validated, ktaps, feed in inputs:
             while True:
                 delay = self.limiter.delay(tenant, self._loop.time())
                 if delay <= 0.0:
                     break
                 await asyncio.sleep(delay)
-            validated = spec.validate_stream(stream, self.alphabet)
-            ktaps, feed = spec.prepare(taps, validated)
             job_id = self._next_id
             self._next_id += 1
             self._m_submitted.inc()

@@ -6,6 +6,9 @@ evaluate the workload's fast kernel (the same
 :class:`~repro.workloads.WorkloadSpec` engines the synchronous farm
 uses, so results are byte-identical by construction), reply with the
 window-space values plus the worker's own metrics snapshot and spans.
+A ``bist`` request is a self-test probe instead: the worker builds the
+controller from the shipped health config and replies with the report,
+so only probed processes ever load the switch-level simulator.
 
 The function must be importable by ``multiprocessing`` spawn: it lives
 at module top level, takes only picklable arguments, and rebuilds its
@@ -47,36 +50,28 @@ def _execute(
         )
     try:
         if req.bist is not None:
-            return _execute_bist(req, name, t0)
+            config, defect = req.bist
+            report = config.controller().run(defect=defect, chip_name=name)
+            return JobReply(
+                job_id=req.job_id, attempt=req.attempt, ok=True,
+                worker=name, pid=os.getpid(),
+                wall_s=time.perf_counter() - t0, bist=report,
+            )
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
-        if req.streams is not None:
-            return _execute_batch(req, spec, name, alphabet, t0)
-        results = spec.fast(req.taps, req.stream, alphabet)
+        if req.streams is not None:  # a batch plan
+            feeds = list(req.streams)
+            results_many = spec.batched(req.taps, feeds, alphabet)
+            results = None
+        else:
+            feeds = [req.stream]
+            results = spec.fast(req.taps, req.stream, alphabet)
+            results_many = None
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:
-            from ..obs import Observability
-
-            obs = Observability()
-            obs.tracer.record(
-                "worker.kernel", t0=0.0, t1=wall, unit="s",
-                worker=name, pid=os.getpid(), workload=spec.name,
-                samples=len(req.stream), window=len(req.taps),
-                attempt=req.attempt, engine="fastpath",
-            )
-            obs.registry.counter(
-                "runtime.worker.jobs", worker=name, workload=spec.name
-            ).inc()
-            obs.registry.counter(
-                "runtime.worker.samples", worker=name
-            ).inc(len(req.stream))
-            obs.registry.histogram(
-                "runtime.worker.wall_s", worker=name
-            ).observe(wall)
-            metrics = obs.registry.snapshot()
-            spans = obs.tracer.to_dict()["spans"]
+            metrics, spans = _observe(req, spec, name, feeds, wall)
         return JobReply(
             job_id=req.job_id,
             attempt=req.attempt,
@@ -87,6 +82,7 @@ def _execute(
             results=results,
             metrics=metrics,
             spans=spans,
+            results_many=results_many,
         )
     except Exception as exc:  # ship the failure home instead of dying
         return JobReply(
@@ -100,88 +96,30 @@ def _execute(
         )
 
 
-def _execute_bist(req, name, t0):
-    """Answer a self-test probe: run gate-level BIST in this process.
+def _observe(req, spec, name, feeds, wall):
+    """The worker-local metrics snapshot and spans of one execution."""
+    from ..obs import Observability
 
-    The imports stay inside the function so ordinary kernel workers
-    never pay for the switch-level simulator; only probed processes
-    build it.  The golden signature is cached per process after the
-    first probe (module-level cache in the controller), so steady-state
-    probes cost milliseconds.
-    """
-    from ..bist.controller import BISTController
-    from ..service.reliability import CellDefect
-
-    spec = req.bist
-    defect = None
-    if spec.get("defect"):
-        defect = CellDefect.from_wire(spec["defect"])
-    controller = BISTController(
-        m=int(spec.get("m", 2)),
-        w=int(spec.get("w", 2)),
-        vectors=int(spec.get("vectors", 12)),
-        seed=int(spec.get("seed", 0b1011)),
-        characterize=bool(spec.get("characterize", True)),
-    )
-    report = controller.run(defect=defect, chip_name=name)
-    return JobReply(
-        job_id=req.job_id,
-        attempt=req.attempt,
-        ok=True,
-        worker=name,
-        pid=os.getpid(),
-        wall_s=time.perf_counter() - t0,
-        bist=report.to_wire(),
-    )
-
-
-def _execute_batch(req, spec, name, alphabet, t0):
-    """Answer a batch plan: every stream through the workload's batched
-    kernel in one call (falling back to a per-stream fast loop when the
-    spec has no batched evaluator)."""
-    feeds = list(req.streams)
-    if spec.batched is not None:
-        results_many = spec.batched(req.taps, feeds, alphabet)
-    else:
-        results_many = [spec.fast(req.taps, f, alphabet) for f in feeds]
-    wall = time.perf_counter() - t0
-    metrics = spans = None
-    if req.collect_obs:
-        from ..obs import Observability
-
-        obs = Observability()
-        samples = sum(len(f) for f in feeds)
-        obs.tracer.record(
-            "worker.kernel", t0=0.0, t1=wall, unit="s",
-            worker=name, pid=os.getpid(), workload=spec.name,
-            samples=samples, window=len(req.taps), jobs=len(feeds),
-            attempt=req.attempt, engine="batched",
-        )
+    obs = Observability()
+    samples = sum(len(f) for f in feeds)
+    attrs = dict(engine="fastpath")
+    if req.streams is not None:
+        attrs = dict(jobs=len(feeds), engine="batched")
         obs.registry.counter(
             "runtime.worker.batches", worker=name, workload=spec.name
         ).inc()
-        obs.registry.counter(
-            "runtime.worker.jobs", worker=name, workload=spec.name
-        ).inc(len(feeds))
-        obs.registry.counter(
-            "runtime.worker.samples", worker=name
-        ).inc(samples)
-        obs.registry.histogram(
-            "runtime.worker.wall_s", worker=name
-        ).observe(wall)
-        metrics = obs.registry.snapshot()
-        spans = obs.tracer.to_dict()["spans"]
-    return JobReply(
-        job_id=req.job_id,
-        attempt=req.attempt,
-        ok=True,
-        worker=name,
-        pid=os.getpid(),
-        wall_s=wall,
-        results_many=results_many,
-        metrics=metrics,
-        spans=spans,
+    obs.tracer.record(
+        "worker.kernel", t0=0.0, t1=wall, unit="s",
+        worker=name, pid=os.getpid(), workload=spec.name,
+        samples=samples, window=len(req.taps), attempt=req.attempt,
+        **attrs,
     )
+    obs.registry.counter(
+        "runtime.worker.jobs", worker=name, workload=spec.name
+    ).inc(len(feeds))
+    obs.registry.counter("runtime.worker.samples", worker=name).inc(samples)
+    obs.registry.histogram("runtime.worker.wall_s", worker=name).observe(wall)
+    return obs.registry.snapshot(), obs.tracer.to_dict()["spans"]
 
 
 def worker_main(

@@ -1,61 +1,51 @@
 """Fleet health: background BIST, quarantine, yield-to-capacity healing.
 
-The paper's Section 5 deployment story has three implicit maintenance
-obligations: *find* the chip that has gone bad (built-in self-test at
-the gate level, :mod:`repro.bist`), *stop scheduling onto it*
-(quarantine), and *replace it from the fab line* (re-provisioning from
-the :mod:`repro.wafer` harvest model).  :class:`FleetHealth` is that
-loop for the synchronous farm's :class:`~repro.service.pool.DevicePool`:
+The paper's Section 5 deployment story implies three maintenance
+duties: *find* the chip that has gone bad (gate-level built-in
+self-test, :mod:`repro.bist`), *stop scheduling onto it* (quarantine),
+and *replace it from the fab line* (the :mod:`repro.wafer` harvest).
+:class:`HealthPolicy` holds those rules once, free of any transport.
+A sweep probes every idle worker (LFSR stimulus, MISR signature, Elmore
+timing closure, against the worker's latent defect if the fault
+injector grew one), quarantines the failures with their BIST diagnosis
+in a ``health.quarantine`` span, then heals to target: each replacement
+wafer must harvest ``min_capacity`` cells and pass an incoming
+self-test, within ``max_provision_attempts`` draws from the
+:class:`~repro.wafer.provision.WaferSupply`.  No supply, an exhausted
+one or a spent budget raises :class:`~repro.errors.ProvisionError` --
+clean and catchable, never a hang.
 
-1. **detect** -- every idle worker is probed with a full gate-level
-   self-test (LFSR stimulus, MISR signature, Elmore timing closure) on
-   a representative matcher array carrying the worker's latent defect,
-   if the fault injector has grown one;
-2. **quarantine** -- a failing worker is moved to
-   :attr:`~repro.service.pool.WorkerState.QUARANTINED`, leaves dispatch
-   immediately (``is_live`` is false), and the failure is recorded with
-   the BIST diagnosis (which cell, which kind) in an
-   ``health.quarantine`` span;
-3. **heal** -- replacements are harvested from a
-   :class:`~repro.wafer.provision.WaferSupply` until the live-worker
-   count is back to the sweep's baseline; each candidate passes an
-   incoming self-test before it is admitted.  An exhausted supply
-   raises :class:`~repro.errors.ProvisionError` -- a clean, catchable
-   signal, never a hang.
-
-Determinism: the latent-defect stream comes from the fault injector's
-dedicated defect RNG and the wafer lot from the supply's seed, so a
-soak with the same seeds sees the same deaths, the same diagnoses, and
-the same replacement fleet on every run.
+:class:`FleetHealth` is the in-process transport over the synchronous
+farm's :class:`~repro.service.pool.DevicePool`;
+:class:`repro.runtime.health.RuntimeHealth` is the async one over
+worker processes.  Defects come from the injector's dedicated defect
+RNG and wafers from the supply's seed, so a seeded soak replays the
+same deaths, diagnoses and replacement fleet on every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
-from ..errors import ProvisionError
+from ..errors import ChipError, ProvisionError
 from ..wafer.provision import WaferSupply
+from ..wafer.reconfigure import harvest_linear_array
+from ..wafer.wafer import Wafer
 from .pool import DevicePool, PoolWorker
-from .reliability import FaultInjector
+from .reliability import CellDefect, FaultInjector
 from .telemetry import ServiceTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..bist.controller import BISTReport
+    from ..bist.controller import BISTController, BISTReport
 
 
 @dataclass(frozen=True)
 class HealthConfig:
     """Knobs of the background self-test loop.
 
-    The probe array is deliberately small (``bist_m`` x ``bist_w``): the
-    point of a health probe is the verdict, and a 2x2 array already
-    exercises every cell circuit type (both polarity twins, both clock
-    phases, the accumulator column).  ``vectors`` trades escape rate for
-    probe latency; the defaults hold the measured per-probe cost to
-    milliseconds once the golden signature is cached.
+    A 2x2 probe array (``bist_m`` x ``bist_w``) already exercises every
+    cell circuit type; ``vectors`` trades escape rate for probe latency.
     """
 
     bist_m: int = 2
@@ -66,7 +56,18 @@ class HealthConfig:
     beat_ns: float = 250.0
     min_capacity: int = 1
     max_provision_attempts: int = 8
-    verify_replacements: bool = True
+
+    def controller(self) -> BISTController:
+        """The probe's self-test controller, wherever the probe runs."""
+        # Imported here, not at module top: repro.bist models defects
+        # with this package's CellDefect, so a module-level import in
+        # both directions would be circular.
+        from ..bist.controller import BISTController
+
+        return BISTController(
+            m=self.bist_m, w=self.bist_w, vectors=self.vectors,
+            seed=self.seed, characterize=self.characterize,
+        )
 
 
 @dataclass(frozen=True)
@@ -79,64 +80,49 @@ class HealthEvent:
     detail: str = ""
 
 
-class FleetHealth:
-    """The detect / quarantine / heal loop over one device pool."""
+class HealthPolicy:
+    """The probe -> quarantine -> heal rules; transports subclass it."""
 
     def __init__(
         self,
-        pool: DevicePool,
-        supply: Optional[WaferSupply] = None,
-        injector: Optional[FaultInjector] = None,
-        config: Optional[HealthConfig] = None,
-        telemetry: Optional[ServiceTelemetry] = None,
-        obs=None,
+        supply: Optional[WaferSupply],
+        injector: Optional[FaultInjector],
+        config: Optional[HealthConfig],
+        telemetry: Optional[ServiceTelemetry],
+        obs,
     ):
-        self.pool = pool
         self.supply = supply
         self.injector = injector
         self.config = config or HealthConfig()
         self.telemetry = telemetry
         self.obs = obs
-        cfg = self.config
-        # Imported here, not at module top: repro.bist models defects
-        # with this package's CellDefect, so a module-level import in
-        # both directions would be circular.
-        from ..bist.controller import BISTController
-
-        self.controller = BISTController(
-            m=cfg.bist_m,
-            w=cfg.bist_w,
-            vectors=cfg.vectors,
-            seed=cfg.seed,
-            characterize=cfg.characterize,
-        )
         self.events: List[HealthEvent] = []
-        self._heal_seq = 0
-        #: The fleet size healing restores: the live count at the time
-        #: the loop was attached.  Quarantines *and* execution deaths
-        #: both erode ``pool.n_live``; healing replaces either.
-        self.target_live = pool.n_live
 
-    # -- detect ------------------------------------------------------------
+    def _latent(self, defect: Optional[CellDefect]) -> Optional[CellDefect]:
+        """The defect a worker carries into its probe: *defect*, else
+        whatever the injector's defect RNG grows now."""
+        if defect is None and self.injector is not None:
+            cfg = self.config
+            return self.injector.sample_defect(cfg.bist_m, cfg.bist_w)
+        return defect
 
-    def probe(self, worker: PoolWorker) -> BISTReport:
-        """Self-test one worker (against its latent defect, if any)."""
-        report = self.controller.run(
-            defect=worker.latent_defect, chip_name=worker.name, obs=self.obs
-        )
+    def _probed(
+        self, report: BISTReport, defect: Optional[CellDefect]
+    ) -> BISTReport:
+        """Account one self-test verdict, wherever it ran."""
         if self.telemetry is not None:
             self.telemetry.bist_runs += 1
             if not report.ok:
                 self.telemetry.bist_failures += 1
+        if self.obs is not None:
+            report.record(self.obs, defect)
         return report
 
-    # -- quarantine --------------------------------------------------------
-
-    def quarantine(
-        self, worker: PoolWorker, report: Optional[BISTReport] = None
+    def _quarantined(
+        self, name: str, report: Optional[BISTReport],
+        defect: Optional[CellDefect],
     ) -> HealthEvent:
-        """Drain *worker* out of dispatch and log why."""
-        worker.quarantine()
+        """Log worker *name*'s quarantine, with its BIST diagnosis."""
         cell = detail = ""
         if report is not None and report.diagnosis is not None:
             d = report.diagnosis
@@ -147,21 +133,81 @@ class FleetHealth:
         if self.obs is not None:
             self.obs.tracer.record(
                 "health.quarantine", t0=0.0, t1=0.0, unit="beats",
-                worker=worker.name, cell=cell,
-                defect=(
-                    worker.latent_defect.describe()
-                    if worker.latent_defect is not None else ""
-                ),
+                worker=name, cell=cell,
+                defect=defect.describe() if defect is not None else "",
             )
-            self.obs.registry.counter(
-                "health.quarantines", worker=worker.name
-            ).inc()
-        event = HealthEvent(worker.name, "quarantine", cell=cell,
-                            detail=detail)
-        self.events.append(event)
-        return event
+            self.obs.registry.counter("health.quarantines", worker=name).inc()
+        self.events.append(
+            HealthEvent(name, "quarantine", cell=cell, detail=detail)
+        )
+        return self.events[-1]
 
-    # -- heal --------------------------------------------------------------
+    def _candidates(self) -> Iterator[Tuple[Wafer, int]]:
+        """Harvestable replacement wafers as ``(wafer, cells)``; the
+        caller probes each, and asking for the next rejects the last.
+        Raises :class:`~repro.errors.ProvisionError` when none passes."""
+        if self.supply is None:
+            raise ProvisionError("no wafer supply to heal from")
+        cfg = self.config
+        for _ in range(cfg.max_provision_attempts):
+            wafer = self.supply.draw()  # ProvisionError when exhausted
+            try:
+                cells = harvest_linear_array(wafer).n_cells
+            except ChipError:
+                continue  # a defect run past the bypass budget
+            if cells >= cfg.min_capacity:
+                yield wafer, cells
+        raise ProvisionError(
+            f"no provisionable wafer in {cfg.max_provision_attempts} "
+            f"candidates (min capacity {cfg.min_capacity}, "
+            f"{self.supply.remaining} wafers left)"
+        )
+
+    def _healed(self, name: str, cells: int, sites: int) -> HealthEvent:
+        """Log a replacement that passed its incoming self-test."""
+        if self.telemetry is not None:
+            self.telemetry.heals += 1
+        if self.obs is not None:
+            self.obs.registry.counter("health.heals", worker=name).inc()
+        self.events.append(
+            HealthEvent(name, "heal", detail=f"{cells}/{sites} cells")
+        )
+        return self.events[-1]
+
+
+class FleetHealth(HealthPolicy):
+    """The health rules over one in-process device pool."""
+
+    def __init__(
+        self,
+        pool: DevicePool,
+        supply: Optional[WaferSupply] = None,
+        injector: Optional[FaultInjector] = None,
+        config: Optional[HealthConfig] = None,
+        telemetry: Optional[ServiceTelemetry] = None,
+        obs=None,
+    ):
+        super().__init__(supply, injector, config, telemetry, obs)
+        self.pool = pool
+        self.controller = self.config.controller()
+        self._heal_seq = 0
+        #: The fleet size healing restores: the live count at the time
+        #: the loop was attached.  Quarantines *and* execution deaths
+        #: both erode ``pool.n_live``; healing replaces either.
+        self.target_live = pool.n_live
+
+    def probe(self, worker: PoolWorker) -> BISTReport:
+        """Self-test one worker (against its latent defect, if any)."""
+        defect = worker.latent_defect
+        report = self.controller.run(defect=defect, chip_name=worker.name)
+        return self._probed(report, defect)
+
+    def quarantine(
+        self, worker: PoolWorker, report: Optional[BISTReport] = None
+    ) -> HealthEvent:
+        """Drain *worker* out of dispatch and log why."""
+        worker.quarantine()
+        return self._quarantined(worker.name, report, worker.latent_defect)
 
     def _next_heal_name(self) -> str:
         names = {w.name for w in self.pool.workers}
@@ -172,47 +218,18 @@ class FleetHealth:
                 return name
 
     def heal_one(self) -> PoolWorker:
-        """Provision one replacement worker from the wafer supply.
-
-        Draws wafers until one harvests at least ``min_capacity`` cells
-        *and* passes its incoming self-test; raises
-        :class:`~repro.errors.ProvisionError` when the supply runs dry
-        or ``max_provision_attempts`` candidates all fail.
-        """
-        if self.supply is None:
-            raise ProvisionError("no wafer supply to heal from")
-        cfg = self.config
-        rejected = 0
-        for _ in range(cfg.max_provision_attempts):
-            wafer = self.supply.draw()  # ProvisionError when exhausted
-            name = self._next_heal_name()
+        """Provision one replacement worker from the wafer supply
+        (:class:`~repro.errors.ProvisionError` when none qualifies)."""
+        # The loop ends by returning or by _candidates raising.
+        for wafer, cells in self._candidates():
             worker = PoolWorker.from_wafer(
-                name, wafer, self.pool.alphabet, beat_ns=cfg.beat_ns
+                self._next_heal_name(), wafer, self.pool.alphabet,
+                beat_ns=self.config.beat_ns,
             )
-            if worker.capacity < cfg.min_capacity:
-                rejected += 1
-                continue
-            if cfg.verify_replacements and not self.probe(worker).ok:
-                rejected += 1
-                continue
-            self.pool.add_worker(worker)
-            if self.telemetry is not None:
-                self.telemetry.heals += 1
-            if self.obs is not None:
-                self.obs.registry.counter(
-                    "health.heals", worker=worker.name
-                ).inc()
-            event = HealthEvent(
-                worker.name, "heal",
-                detail=f"{worker.capacity}/{worker.nominal_capacity} cells",
-            )
-            self.events.append(event)
-            return worker
-        raise ProvisionError(
-            f"no provisionable wafer in {rejected} candidates "
-            f"(min capacity {cfg.min_capacity}, "
-            f"{self.supply.remaining} wafers left)"
-        )
+            if self.probe(worker).ok:
+                self.pool.add_worker(worker)
+                self._healed(worker.name, cells, wafer.n_sites)
+                return worker
 
     def heal_to_capacity(self, target_live: int) -> List[PoolWorker]:
         """Add replacements until ``pool.n_live`` reaches *target_live*."""
@@ -221,27 +238,16 @@ class FleetHealth:
             added.append(self.heal_one())
         return added
 
-    # -- the loop ----------------------------------------------------------
-
     def sweep(
         self, heal: bool = True, target_live: Optional[int] = None
     ) -> List[HealthEvent]:
-        """One background pass: probe every idle worker, quarantine the
-        failures, and (optionally) heal back up to *target_live* (the
-        fleet's original size by default -- execution deaths are healed
-        too, not just quarantines).  Returns this sweep's actions."""
+        """One background pass; heals up to *target_live* (the fleet's
+        original size by default -- execution deaths are healed too,
+        not just quarantines).  Returns this sweep's actions."""
         target = self.target_live if target_live is None else target_live
         before = len(self.events)
         for worker in self.pool.idle_workers():
-            if (
-                self.injector is not None
-                and worker.latent_defect is None
-            ):
-                defect = self.injector.sample_defect(
-                    self.config.bist_m, self.config.bist_w
-                )
-                if defect is not None:
-                    worker.seed_defect(defect)
+            worker.seed_defect(self._latent(worker.latent_defect))
             report = self.probe(worker)
             if not report.ok:
                 self.quarantine(worker, report)

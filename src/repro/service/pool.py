@@ -280,15 +280,11 @@ class PoolWorker:
         The batch tier's device model: the farm streams many short inputs
         through the loaded taps back to back, and the result streams come
         out per input.  Values come from the workload's vectorized
-        ``batched`` kernel when it has one, else a loop of its per-job
-        ``fast`` kernel; ``obs.deep`` re-checks every member against the
-        workload's direct oracle (results are always the kernel's).
+        ``batched`` kernel; ``obs.deep`` re-checks every member against
+        the workload's direct oracle (results are always the kernel's).
         """
         self._require_live()
-        if spec.batched is not None:
-            results = spec.batched(taps, list(streams), self.alphabet)
-        else:
-            results = [spec.fast(taps, s, self.alphabet) for s in streams]
+        results = spec.batched(taps, list(streams), self.alphabet)
         if obs is not None:
             samples = sum(len(s) for s in streams)
             span = obs.tracer.record(

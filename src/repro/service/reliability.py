@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..alphabet import PatternChar
 from ..baselines.shift_or import shift_or_match
@@ -86,23 +86,6 @@ class CellDefect:
         if self.kind is CellDefectKind.SLOW_PATH:
             what = f"{what}+{self.stages}"
         return f"{self.kind.value}@{self.cell}.{what}"
-
-    def to_wire(self) -> Dict[str, object]:
-        """A picklable dict safe to ship across a process boundary."""
-        return {
-            "kind": self.kind.value, "col": self.col, "row": self.row,
-            "port": self.port, "other_port": self.other_port,
-            "device": self.device, "stages": self.stages,
-        }
-
-    @staticmethod
-    def from_wire(d: Dict[str, object]) -> "CellDefect":
-        return CellDefect(
-            kind=CellDefectKind(d["kind"]), col=int(d["col"]),
-            row=int(d["row"]), port=str(d.get("port", "")),
-            other_port=str(d.get("other_port", "")),
-            device=str(d.get("device", "")), stages=int(d.get("stages", 0)),
-        )
 
 
 @dataclass(frozen=True)

@@ -285,26 +285,35 @@ class MatcherService:
         spec = get_workload(workload)
         taps = spec.parse_params(pattern, self.pool.alphabet)
         job, done = self._admit(
-            spec, taps, None, text, tenant, priority, timeout,
-            keyed=self.cache is not None,
+            spec, taps, None, self._prepare(spec, taps, text), tenant,
+            priority, timeout, keyed=self.cache is not None,
         )
         if not done:
             self._enqueue([job], priority, tenant)
         return job.job_id
 
+    def _prepare(
+        self, spec: WorkloadSpec, taps: list, text: Sequence
+    ) -> Tuple[list, list, list]:
+        """Validate and prepare one input: ``(validated, ktaps, feed)``.
+        Raises on bad input before anything is admitted."""
+        validated = spec.validate_stream(text, self.pool.alphabet)
+        ktaps, feed = spec.prepare(taps, validated)
+        return validated, ktaps, feed
+
     def _admit(
-        self, spec: WorkloadSpec, taps: list, params, text: Sequence,
-        tenant: str, priority: Priority, timeout: Optional[float],
-        keyed: bool,
+        self, spec: WorkloadSpec, taps: list, params,
+        prepared: Tuple[list, list, list], tenant: str, priority: Priority,
+        timeout: Optional[float], keyed: bool,
     ) -> Tuple[MatchJob, bool]:
         """Admit one job up to its route: build it, open its span,
         complete empty input, and (when *keyed*) compute its cache key
         and serve a cache hit.  Returns the job and whether it is done.
 
-        *taps* are the parsed (pre-``prepare``) parameters and *params*
-        their :func:`canonical_params` form, or None to derive it."""
-        validated = spec.validate_stream(text, self.pool.alphabet)
-        ktaps, feed = spec.prepare(taps, validated)
+        *taps* are the parsed (pre-``prepare``) parameters, *params*
+        their :func:`canonical_params` form (or None to derive it), and
+        *prepared* the input as :meth:`_prepare` returns it."""
+        validated, ktaps, feed = prepared
         now = self.clock.now
         job = MatchJob(
             job_id=self._next_id,
@@ -417,9 +426,12 @@ class MatcherService:
         reps: Dict[tuple, MatchJob] = {}
         batchable: List[MatchJob] = []
         units: List[object] = []  # wide-text singleton jobs + batch plans
-        for text in texts:
+        # Every text is validated before any is admitted: a bad text
+        # later in the list must not strand the ones before it.
+        inputs = [self._prepare(spec, taps, text) for text in texts]
+        for prepared in inputs:
             job, done = self._admit(
-                spec, taps, params, text, tenant, priority, timeout,
+                spec, taps, params, prepared, tenant, priority, timeout,
                 keyed=True,
             )
             job_ids.append(job.job_id)

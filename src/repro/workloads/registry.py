@@ -151,13 +151,11 @@ class WorkloadSpec:
     fast: Callable[[list, list, Optional[Alphabet]], list]
     oracle: Callable[[list, list, Optional[Alphabet]], list]
     stepwise: Callable[[object, Sequence, Optional[Alphabet]], list]
+    #: Window-space batch evaluator: (prepared taps, list of prepared
+    #: feeds, alphabet) -> one merged result list per feed.
+    batched: Callable[[list, List[list], Optional[Alphabet]], List[list]]
     prepare: Callable[[list, list], Tuple[list, list]] = _identity_prepare
     finalize: Callable[[list, int, list], list] = _identity_finalize
-    #: Window-space batch evaluator: (prepared taps, list of prepared
-    #: feeds, alphabet) -> one merged result list per feed.  None means
-    #: "no batched kernel" and run_many falls back to a per-feed ``fast``
-    #: loop, so every spec accepts ``engine="batched"``.
-    batched: Optional[Callable[[list, List[list], Optional[Alphabet]], List[list]]] = None
 
     def window_length(self, taps: Sequence) -> int:
         """Sliding-window width: the halo the shard planner must overlap."""
@@ -208,8 +206,7 @@ class WorkloadSpec:
 
         Parameters are parsed and prepared **once** for the whole batch.
         ``engine="batched"`` (default) evaluates every prepared stream in
-        a single call to the spec's vectorized batch kernel (or a
-        per-stream ``fast`` loop when the spec has none); ``"fast"``,
+        a single call to the spec's vectorized batch kernel; ``"fast"``,
         ``"oracle"`` and ``"stepwise"`` loop the per-job engines, which
         is what the differential tests compare against.  An empty batch
         returns ``[]``.
@@ -225,11 +222,11 @@ class WorkloadSpec:
         prepared = [self.prepare(taps, v) for v in validated]
         ktaps = prepared[0][0]
         feeds = [feed for _ktaps, feed in prepared]
-        if engine == "batched" and self.batched is not None:
+        if engine == "batched":
             merged_all = self.batched(ktaps, feeds, alphabet)
         elif engine == "oracle":
             merged_all = [self.oracle(ktaps, f, alphabet) for f in feeds]
-        else:  # "fast", or "batched" on a spec without a batch kernel
+        else:  # "fast"
             merged_all = [self.fast(ktaps, f, alphabet) for f in feeds]
         return [
             self.finalize(ktaps, len(v), m)

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.alphabet import Alphabet
-from repro.errors import BackpressureError, ServiceError
+from repro.errors import BackpressureError, ReproError, ServiceError
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.service.cache import ResultCache
 from repro.service.reliability import FaultInjector
@@ -216,6 +216,23 @@ class TestCacheIntegration:
 
 
 class TestAdversity:
+    def test_invalid_later_stream_admits_nothing(self, shared_pool):
+        """A bad stream anywhere in the list rejects the whole call
+        before any job is admitted, so drain and close cannot wait on
+        orphaned jobs."""
+
+        async def go():
+            svc = AsyncMatcherService(pool=shared_pool)
+            await svc.start()
+            with pytest.raises(ReproError):
+                await svc.submit_many("AB", ["ABAB", "BBAA", "ABZZ", "AAAA"])
+            drained = await asyncio.wait_for(svc.drain(), timeout=10.0)
+            return svc.submitted, drained
+
+        submitted, drained = run(go())
+        assert submitted == 0
+        assert drained == []
+
     def test_differential_under_seeded_faults(self):
         rng = random.Random(404)
 

@@ -62,8 +62,9 @@ class TestProbe:
 
         report = run(health.probe(pool.idle_names()[0]))
         assert report is not None
-        assert report["ok"] and report["functional_ok"]
-        assert report["signature"] == report["golden"]
+        assert report.ok and report.functional_ok
+        assert report.signature == report.golden
+        assert report.chip == pool.idle_names()[0]
         # The probe never consumed the worker: it is idle again.
         assert len(pool.idle_names()) == 2
 
@@ -95,7 +96,8 @@ class TestQuarantineHeal:
         events = run(health.sweep())
         assert [e.action for e in events] == ["quarantine", "heal"]
         assert events[0].worker == events[1].worker == victim
-        assert events[0].cell  # the wire-form diagnosis names a cell
+        assert events[0].cell  # the BIST diagnosis names a cell
+        assert events[1].detail == "12/12 cells"  # a defect-free 3x4 lot
         # Healed: back in dispatch, latent directive cleared.
         assert victim in pool.idle_names()
         assert pool.quarantined_names() == []
@@ -112,11 +114,9 @@ class TestQuarantineHeal:
         assert victim in pool.quarantined_names()
         assert victim not in pool.idle_names()
 
+        probe_config = HealthConfig(vectors=4, characterize=False)
         request = JobRequest(job_id=-99, attempt=0, workload="bist",
-                             taps=[], stream=[],
-                             bist={"m": 2, "w": 2, "vectors": 4,
-                                   "seed": 0b1011, "characterize": False,
-                                   "defect": None})
+                             taps=[], stream=[], bist=(probe_config, None))
         assert pool.submit_to(victim, request, lambda reply: None) is False
         # A probe of a quarantined worker reports "not idle", not a hang.
         assert run(health.probe(victim)) is None
@@ -127,6 +127,21 @@ class TestQuarantineHeal:
     def test_heal_requires_quarantine(self, pool):
         with pytest.raises(ServiceError):
             pool.heal(pool.idle_names()[0])
+
+    def test_heal_without_supply_raises(self, pool):
+        """No wafer supply, no free respawn: the slot stays quarantined
+        (the synchronous farm's rule)."""
+        health = RuntimeHealth(pool)
+        victim = pool.idle_names()[0]
+        health.seed_defect(victim, STUCK)
+        assert [e.action for e in run(health.sweep())] == ["quarantine"]
+        with pytest.raises(ProvisionError, match="no wafer supply"):
+            run(health.heal(victim))
+        assert victim in pool.quarantined_names()
+
+        health.supply = good_supply()
+        run(health.heal(victim))
+        assert victim in pool.idle_names()
 
     def test_heal_gated_on_wafer_supply(self, pool):
         """An exhausted lot fails the heal cleanly; the worker stays
@@ -153,9 +168,10 @@ class TestInjectorDrivenSweep:
         health = RuntimeHealth(pool, supply=good_supply(),
                                injector=health_injector)
         events = run(health.sweep())
-        actions = [e.action for e in events]
-        assert actions.count("quarantine") == 2
-        assert actions.count("heal") == 2
+        # Probe and quarantine the whole fleet first, then heal it.
+        assert [e.action for e in events] == [
+            "quarantine", "quarantine", "heal", "heal",
+        ]
         assert not health.directives  # fresh silicon everywhere
         assert len(pool.idle_names()) == 2
 

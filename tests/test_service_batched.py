@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro import Alphabet, match_oracle, parse_pattern
 from repro.chip.chip import ChipSpec
-from repro.errors import BackpressureError
+from repro.errors import BackpressureError, ReproError
+from repro.obs import Observability
 from repro.service import (
     Fault,
     FaultInjector,
@@ -154,6 +155,17 @@ class TestAdversity:
         # The admitted head still ran to a correct completion.
         for r in results.values() if hasattr(results, "values") else results:
             assert r.results == oracle("AX", "ABCA")
+
+    def test_invalid_later_text_admits_nothing(self):
+        """A bad text anywhere in the list rejects the whole call before
+        any job is admitted: no orphaned jobs, no open spans."""
+        obs = Observability()
+        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB), obs=obs)
+        with pytest.raises(ReproError):
+            svc.submit_many("AB", ["ABAB", "BBAA", "ABZZ", "AAAA"])
+        assert svc.telemetry.submitted == 0
+        assert svc.drain() == []
+        assert obs.tracer.find("service.job") == []
 
     def test_saturation_degrades_overflow_members(self):
         config = SchedulerConfig(
