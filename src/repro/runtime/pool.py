@@ -164,20 +164,6 @@ class WorkerPool:
             ch.close()
         self._replies.close()
 
-    @property
-    def alive(self) -> bool:
-        return self._started and not self._closing
-
-    @property
-    def n_idle(self) -> int:
-        with self._cond:
-            return len(self._idle)
-
-    @property
-    def n_pending(self) -> int:
-        with self._cond:
-            return len(self._pending)
-
     # -- submission --------------------------------------------------------
 
     def submit(

@@ -38,7 +38,11 @@ from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..alphabet import Alphabet
 from ..errors import BackpressureError, ServiceError
-from ..service.cache import ResultCache, canonical_params, result_cache_key
+from ..service.cache import ResultCache, result_cache_key
+from ..service.plan import (
+    BATCH, DEDUPED, INLINE, SOLO, Followers, Prepared, Request,
+    parse_request, plan,
+)
 from ..service.completion import CompletionLog
 from ..service.reliability import (
     FaultInjector,
@@ -47,7 +51,8 @@ from ..service.reliability import (
     SoftwareFallback,
 )
 from ..service.scheduler import Priority
-from ..workloads.registry import WorkloadSpec, get_workload
+from ..service.telemetry import _Scalar
+from ..workloads.registry import WorkloadSpec
 from .admission import RateLimiter
 from .channels import JobReply, JobRequest
 from .pool import WorkerPool
@@ -124,56 +129,45 @@ class RuntimeResult:
         return self.finished_s - self.submitted_s
 
 
+@dataclass(eq=False)
 class _Job:
     """In-flight bookkeeping for one admitted job."""
 
-    __slots__ = (
-        "job_id", "tenant", "priority", "workload", "spec", "taps",
-        "stream", "orig_len", "deadline", "submitted_s", "started_s",
-        "attempts", "future", "span", "done", "timed_out", "timer",
-        "cache_key", "batch",
-    )
+    job_id: int
+    tenant: str
+    priority: Priority
+    spec: WorkloadSpec
+    taps: list
+    stream: list
+    orig_len: int
+    submitted_s: float
+    future: asyncio.Future
+    cache_key: Optional[tuple] = None
+    deadline: Optional[float] = None
+    started_s: Optional[float] = None
+    attempts: int = 0
+    span: object = None
+    done: bool = False
+    timed_out: bool = False
+    timer: Optional[asyncio.TimerHandle] = None
+    unit: Optional["_Unit"] = None
 
-    def __init__(
-        self, job_id, tenant, priority, workload, spec, taps, stream,
-        orig_len, submitted_s, future,
-    ):
-        self.job_id = job_id
-        self.tenant = tenant
-        self.priority = priority
-        self.workload = workload
-        self.spec: WorkloadSpec = spec
-        self.taps = taps
-        self.stream = stream
-        self.orig_len = orig_len
-        self.deadline: Optional[float] = None
-        self.submitted_s = submitted_s
-        self.started_s: Optional[float] = None
-        self.attempts = 0
-        self.future: asyncio.Future = future
-        self.span = None
-        self.done = False
-        self.timed_out = False
-        self.timer: Optional[asyncio.TimerHandle] = None
-        self.cache_key: Optional[tuple] = None
-        self.batch: Optional["_Batch"] = None
+    @property
+    def workload(self) -> str:
+        return self.spec.name
 
 
-class _Batch:
-    """One coalesced dispatch unit from :meth:`submit_many`: several
-    compatible jobs (same workload + taps), one wire request, one fault
-    sample, whole-batch retry."""
+@dataclass(eq=False)
+class _Unit:
+    """One dispatch unit: a solo job (its id is the job's) or a batch
+    plan of compatible jobs (its own id).  One wire request per attempt,
+    one fault sample, whole-unit retry."""
 
-    __slots__ = ("batch_id", "workload", "taps", "members", "dispatched",
-                 "attempts")
-
-    def __init__(self, batch_id: int, workload: str, taps, members):
-        self.batch_id = batch_id
-        self.workload = workload
-        self.taps = taps
-        self.members: List[_Job] = members
-        self.dispatched: List[_Job] = members  # stream order, per attempt
-        self.attempts = 0
+    unit_id: int
+    members: List[_Job]
+    batched: bool
+    attempts: int = 0
+    dispatched: List[_Job] = field(default_factory=list)  # last attempt's
 
 
 class AsyncMatcherService:
@@ -185,6 +179,18 @@ class AsyncMatcherService:
     an explicit ``await start()`` -- and closed when finished so the
     processes join.
     """
+
+    # Counters, registry-backed like ServiceTelemetry.
+    submitted = _Scalar("_m_submitted", int)
+    completed = _Scalar("_m_completed", int)
+    retries = _Scalar("_m_retries", int)
+    deaths = _Scalar("_m_deaths", int)
+    fallbacks = _Scalar("_m_fallbacks", int)
+    timeouts = _Scalar("_m_timeouts", int)
+    backpressure_hits = _Scalar("_m_backpressure", int)
+    batches = _Scalar("_m_batches", int)
+    batched_jobs = _Scalar("_m_batched_jobs", int)
+    deduped = _Scalar("_m_deduped", int)
 
     def __init__(
         self,
@@ -232,8 +238,8 @@ class AsyncMatcherService:
         )
         self._jobs: Dict[int, _Job] = {}
         self._completed = CompletionLog()
-        self._batches: Dict[int, _Batch] = {}
-        self._followers: Dict[int, List[_Job]] = {}
+        self._units: Dict[int, _Unit] = {}
+        self._followers = Followers(cache)
         self._next_id = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = time.perf_counter()
@@ -280,8 +286,9 @@ class AsyncMatcherService:
         """Admit one job; returns its id (await :meth:`result` for the
         value).
 
-        The submitter is *suspended* while its tenant is over its rate
-        limit (CSP backpressure).  When the pending set is at
+        ``submit(x)`` is ``submit_many([x])``: the same checks, the same
+        route and the same errors.  The submitter is *suspended* while
+        its tenant is over its rate limit (CSP backpressure).  When the pending set is at
         ``max_pending`` the job is shed: served immediately from the
         host-side oracle if ``degrade_when_saturated`` (never wrong,
         just slower), else :class:`~repro.errors.BackpressureError`.
@@ -305,177 +312,145 @@ class AsyncMatcherService:
     ) -> List[int]:
         """Admit one job per stream, coalescing compatible work.
 
-        The params are parsed **once**; each stream then takes the
-        cheapest route that still yields an oracle-identical result:
-        empty streams complete immediately; streams whose canonical
-        answer sits in the :class:`~repro.service.cache.ResultCache`
-        complete from it (``mode="cached"``); duplicate streams share
-        one execution (the first occurrence is the representative,
-        later ones complete as followers, ``mode="deduped"``); the rest
-        are coalesced into batch plans of at most
+        The params are parsed **once** and every stream is validated
+        before any job is admitted: bad input anywhere raises a
+        :class:`~repro.errors.ReproError` and admits nothing.  The
+        planner both front doors share (:func:`repro.service.plan.plan`)
+        then routes each stream: empty streams complete immediately
+        (``mode="empty"``); streams whose canonical answer sits in the
+        :class:`~repro.service.cache.ResultCache` complete from it
+        (``mode="cached"``); duplicate streams follow the first
+        occurrence, share its execution and get a copy of its answer
+        (``mode="deduped"``), even when that representative is shed to
+        the oracle; a chunk of exactly one job is dispatched on its own
+        (``mode="pool"``); the rest go in batch plans of 2 to
         ``config.max_batch_jobs`` jobs, each plan one wire crossing
         answered by the worker's batched kernel (``mode="batched"``).
-        Rate limits still apply per job, and each member keeps its own
-        SLO deadline: a member that times out is served degraded and
-        its slice of any late batch reply is dropped.
+        Rate limits apply per job and ``max_pending`` per job that
+        needs a worker (a follower rides with its representative).
+        Each member keeps its own SLO deadline: a member that times out
+        is served degraded and its slice of any late batch reply is
+        dropped.  Only admitted jobs count as submitted.
         """
         if not self._started:
             raise ServiceError(
                 "service not started (use 'async with' or await start())"
             )
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be positive")
-        spec = get_workload(workload)
-        taps = spec.parse_params(params, self.alphabet)
-        timeout_s = timeout if timeout is not None \
+        req = parse_request(
+            workload, params, streams, self.alphabet, priority, timeout
+        )
+        timeout_s = req.timeout if req.timeout is not None \
             else self.config.default_timeout_s
-        job_ids: List[int] = []
-        reps: Dict[tuple, _Job] = {}
-        batchable: List[_Job] = []
-
-        def flush() -> None:
-            step = self.config.max_batch_jobs
-            for i in range(0, len(batchable), step):
-                chunk = batchable[i:i + step]
-                if len(chunk) == 1:
-                    self._dispatch(chunk[0])
-                    continue
-                batch = _Batch(
-                    self._next_id, workload, chunk[0].taps, chunk
-                )
-                self._next_id += 1
-                for member in chunk:
-                    member.batch = batch
-                self._batches[batch.batch_id] = batch
-                self._m_batches.inc()
-                self._m_batched_jobs.inc(len(chunk))
-                self._dispatch_batch(batch)
-            batchable.clear()
-
-        params = canonical_params(taps)
-        # Every stream is validated before any is admitted: a bad stream
-        # later in the list must not strand the ones before it.
-        inputs = []
-        for stream in streams:
-            validated = spec.validate_stream(stream, self.alphabet)
-            ktaps, feed = spec.prepare(taps, validated)
-            inputs.append((validated, ktaps, feed))
-        for validated, ktaps, feed in inputs:
+        routes, solos, batches = plan(
+            req.spec, req.taps, req.streams, self.cache, self._now(),
+            self.config.max_batch_jobs, result_cache_key, tenant=tenant,
+        )
+        jobs: List[_Job] = []
+        shed: List[_Job] = []
+        for prepared, route in zip(req.streams, routes):
             while True:
                 delay = self.limiter.delay(tenant, self._loop.time())
                 if delay <= 0.0:
                     break
                 await asyncio.sleep(delay)
-            job_id = self._next_id
-            self._next_id += 1
-            self._m_submitted.inc()
-            job = _Job(
-                job_id, tenant, priority, workload, spec, ktaps, feed,
-                len(validated), self._now(), self._loop.create_future(),
-            )
-            job_ids.append(job_id)
-            if self.obs is not None:
-                job.span = self.obs.tracer.open_span(
-                    "runtime.job", t0=job.submitted_s, unit="s",
-                    job_id=job_id, tenant=tenant, priority=priority.name,
-                    workload=workload,
-                )
-            if not validated:
-                job.started_s = job.submitted_s
-                self._jobs[job_id] = job
-                self._complete(job, [], mode="empty", worker=None,
-                               via_fallback=False)
-                continue
-            job.cache_key = result_cache_key(
-                workload, taps, validated, spec.numeric, params=params
-            )
-            if self.cache is not None:
-                hit = self.cache.get(
-                    job.cache_key, tenant=tenant, now=self._now()
-                )
-                if hit is not None:
-                    job.started_s = self._now()
-                    self._jobs[job_id] = job
-                    self._complete(job, hit, mode="cached", worker=None,
-                                   via_fallback=False)
-                    continue
-            if len(self._jobs) >= self.config.max_pending:
+            saturated = route.kind in (SOLO, BATCH) and \
+                len(self._jobs) >= self.config.max_pending
+            if saturated:
                 self._m_backpressure.inc()
                 if not self.config.degrade_when_saturated:
-                    if job.span is not None:
-                        self.obs.tracer.close(
-                            job.span, t1=self._now(), rejected=True
-                        )
-                    flush()  # already-admitted work must still run
+                    self._next_id += 1  # the rejected job's id stays unused
+                    # Already-admitted work must still run.
+                    self._execute(jobs, shed, solos, batches)
                     raise BackpressureError(
                         f"runtime pending set full "
                         f"({self.config.max_pending})"
                     )
-                self._jobs[job_id] = job
-                job.started_s = self._now()
-                self._serve_fallback(job, reason="saturated")
+            job = self._admit(req, prepared, route.key, tenant)
+            jobs.append(job)
+            if route.kind in INLINE:
+                self._complete(job, route.hit or [], mode=route.kind,
+                               worker=None, via_fallback=False)
                 continue
-            self._jobs[job_id] = job
             if timeout_s is not None:
                 job.deadline = self._loop.time() + timeout_s
                 job.timer = self._loop.call_later(
                     timeout_s, self._on_deadline, job
                 )
-            rep = reps.get(job.cache_key)
-            if rep is not None:
+            if route.kind == DEDUPED:
                 self._m_deduped.inc()
-                self._followers.setdefault(rep.job_id, []).append(job)
-                continue
-            reps[job.cache_key] = job
-            batchable.append(job)
-        flush()
-        return job_ids
+                rep = jobs[route.rep]
+                if not rep.done:
+                    self._followers.follow(rep.job_id, job)
+                else:  # its deadline fired while this call awaited
+                    done = self._completed.get(rep.job_id)
+                    self._complete(job, list(done.results), mode=DEDUPED,
+                                   worker=done.worker,
+                                   via_fallback=done.via_fallback)
+            elif saturated:
+                shed.append(job)
+        self._execute(jobs, shed, solos, batches)
+        return [job.job_id for job in jobs]
+
+    def _admit(
+        self, req: Request, prepared: Prepared, key: Optional[tuple],
+        tenant: str,
+    ) -> _Job:
+        """Admit one planned job: give it an id, count it, open its
+        span and add it to the pending set."""
+        job = _Job(
+            self._next_id, tenant, req.priority, req.spec, prepared.taps,
+            prepared.feed, len(prepared.validated), self._now(),
+            self._loop.create_future(), cache_key=key,
+        )
+        self._next_id += 1
+        self._m_submitted.inc()
+        self._jobs[job.job_id] = job
+        if self.obs is not None:
+            job.span = self.obs.tracer.open_span(
+                "runtime.job", t0=job.submitted_s, unit="s",
+                job_id=job.job_id, tenant=tenant,
+                priority=job.priority.name, workload=job.workload,
+            )
+        return job
 
     # -- dispatch / completion --------------------------------------------
 
-    def _dispatch(self, job: _Job) -> None:
-        fault = self.faults.sample()
-        fault_kind = None
-        stall_s = 0.0
-        if fault is not None:
-            if fault.kind is FaultKind.WORKER_DEATH:
-                fault_kind = "death"
+    def _execute(
+        self, jobs: List[_Job], shed: List[_Job], solos: List[int],
+        batches: List[List[int]],
+    ) -> None:
+        """Run the admitted part of a plan: serve the jobs shed for
+        saturation from the oracle (after their followers joined), then
+        dispatch the solo jobs and the batch plans in plan order."""
+        for job in shed:
+            if not job.done:  # its deadline may have fired already
+                self._serve_fallback(job, reason="saturated")
+        units = [([i], False) for i in solos] + [(c, True) for c in batches]
+        for chunk, batched in units:
+            members = [jobs[i] for i in chunk
+                       if i < len(jobs) and not jobs[i].done]
+            if not members:
+                continue
+            if batched:
+                unit = _Unit(self._next_id, members, batched)
+                self._next_id += 1
+                self._m_batches.inc()
+                self._m_batched_jobs.inc(len(members))
             else:
-                stall_s = fault.extra_beats * self.config.stuck_stall_s
-        if job.started_s is None:
-            job.started_s = self._now()
-        # Character streams cross the process boundary as a compact
-        # string (picks/unpickles ~10x faster than a char list); the
-        # fast engines iterate either form identically.
-        wire_stream = job.stream
-        if not job.spec.numeric and wire_stream and \
-                isinstance(wire_stream[0], str):
-            wire_stream = "".join(wire_stream)
-        request = JobRequest(
-            job_id=job.job_id,
-            attempt=job.attempts,
-            workload=job.workload,
-            taps=job.taps,
-            stream=wire_stream,
-            collect_obs=self.obs is not None,
-            fault=fault_kind,
-            stall_s=stall_s,
-        )
-        self.pool.submit(
-            request,
-            self._reply_from_thread,
-            deadline=job.deadline,
-            priority=int(job.priority),
-        )
+                unit = _Unit(members[0].job_id, members, batched)
+            for member in members:
+                member.unit = unit
+            self._units[unit.unit_id] = unit
+            self._dispatch(unit)
 
-    def _dispatch_batch(self, batch: _Batch) -> None:
-        """Send one batch plan to the pool: the not-yet-done members'
-        streams under one request, one shared fault sample."""
-        live = [j for j in batch.members if not j.done]
+    def _dispatch(self, unit: _Unit) -> None:
+        """Send the unit's not-yet-done members to the pool as one
+        request under one seeded fault sample."""
+        live = [j for j in unit.members if not j.done]
         if not live:
-            self._batches.pop(batch.batch_id, None)
+            self._units.pop(unit.unit_id, None)
             return
-        batch.dispatched = live
+        unit.dispatched = live
         fault = self.faults.sample()
         fault_kind = None
         stall_s = 0.0
@@ -485,25 +460,28 @@ class AsyncMatcherService:
             else:
                 stall_s = fault.extra_beats * self.config.stuck_stall_s
         now = self._now()
-        wire_streams = []
+        wire = []
         for job in live:
             if job.started_s is None:
                 job.started_s = now
-            wire = job.stream
-            if not job.spec.numeric and wire and isinstance(wire[0], str):
-                wire = "".join(wire)
-            wire_streams.append(wire)
+            # Character streams cross the process boundary as a compact
+            # string (pickles/unpickles ~10x faster than a char list);
+            # the fast engines iterate either form identically.
+            stream = job.stream
+            if not job.spec.numeric and stream and isinstance(stream[0], str):
+                stream = "".join(stream)
+            wire.append(stream)
         deadlines = [j.deadline for j in live if j.deadline is not None]
         request = JobRequest(
-            job_id=batch.batch_id,
-            attempt=batch.attempts,
-            workload=batch.workload,
-            taps=batch.taps,
-            stream=None,
+            job_id=unit.unit_id,
+            attempt=unit.attempts,
+            workload=live[0].workload,
+            taps=live[0].taps,
+            stream=None if unit.batched else wire[0],
             collect_obs=self.obs is not None,
             fault=fault_kind,
             stall_s=stall_s,
-            streams=wire_streams,
+            streams=wire if unit.batched else None,
         )
         self.pool.submit(
             request,
@@ -517,75 +495,50 @@ class AsyncMatcherService:
         self._loop.call_soon_threadsafe(self._handle_reply, reply)
 
     def _handle_reply(self, reply: JobReply) -> None:
-        if reply.job_id in self._batches or reply.results_many is not None:
-            self._handle_batch_reply(reply)
-            return
-        job = self._jobs.get(reply.job_id)
-        if job is None or job.done or reply.attempt != job.attempts:
+        unit = self._units.get(reply.job_id)
+        if unit is None or reply.attempt != unit.attempts:
             self._m_stale.inc()
             return
+        live = [j for j in unit.dispatched if not j.done]
         if reply.ok:
-            if self.obs is not None:
-                if reply.metrics:
-                    self.obs.registry.merge_snapshot(reply.metrics)
-                if reply.spans:
-                    self.obs.tracer.adopt(
-                        reply.spans, parent=job.span,
-                        offset=max(job.started_s, 0.0),
-                    )
-            results = job.spec.finalize(job.taps, job.orig_len, reply.results)
-            self._complete(
-                job, results, mode="pool", worker=reply.worker,
-                via_fallback=False,
-            )
-            return
-        job.attempts += 1
-        if reply.died:
-            self._m_deaths.inc()
-        if self.retry.should_retry(job.attempts):
-            self._m_retries.inc()
-            self._dispatch(job)
-        else:
-            self._serve_fallback(job, reason="retries-exhausted")
-
-    def _handle_batch_reply(self, reply: JobReply) -> None:
-        batch = self._batches.get(reply.job_id)
-        if batch is None or reply.attempt != batch.attempts:
-            self._m_stale.inc()
-            return
-        live = [j for j in batch.dispatched if not j.done]
-        if reply.ok:
-            self._batches.pop(batch.batch_id, None)
-            if self.obs is not None:
-                if reply.metrics:
-                    self.obs.registry.merge_snapshot(reply.metrics)
-                if reply.spans and live:
-                    self.obs.tracer.adopt(
-                        reply.spans, parent=live[0].span,
-                        offset=max(live[0].started_s, 0.0),
-                    )
-            for job, rows in zip(batch.dispatched, reply.results_many):
+            self._units.pop(unit.unit_id, None)
+            if live:
+                self._adopt(reply, live[0])
+            rows_each = reply.results_many if unit.batched \
+                else [reply.results]
+            for job, rows in zip(unit.dispatched, rows_each):
                 if job.done:
                     continue  # its deadline fired; already served degraded
                 results = job.spec.finalize(job.taps, job.orig_len, rows)
                 self._complete(
-                    job, results, mode="batched", worker=reply.worker,
-                    via_fallback=False,
+                    job, results, mode="batched" if unit.batched else "pool",
+                    worker=reply.worker, via_fallback=False,
                 )
             return
-        # Whole-batch failure (death or error): bounded whole-batch retry.
-        batch.attempts += 1
+        # Whole-unit failure (death or error): bounded whole-unit retry.
+        unit.attempts += 1
         if reply.died:
             self._m_deaths.inc()
         for job in live:
             job.attempts += 1
-        if live and self.retry.should_retry(batch.attempts):
+        if live and self.retry.should_retry(unit.attempts):
             self._m_retries.inc()
-            self._dispatch_batch(batch)
+            self._dispatch(unit)
         else:
-            self._batches.pop(batch.batch_id, None)
+            self._units.pop(unit.unit_id, None)
             for job in live:
                 self._serve_fallback(job, reason="retries-exhausted")
+
+    def _adopt(self, reply: JobReply, job: _Job) -> None:
+        """Fold a worker's metrics and spans (under *job*) into obs."""
+        if self.obs is None:
+            return
+        if reply.metrics:
+            self.obs.registry.merge_snapshot(reply.metrics)
+        if reply.spans:
+            self.obs.tracer.adopt(
+                reply.spans, parent=job.span, offset=max(job.started_s, 0.0)
+            )
 
     def _on_deadline(self, job: _Job) -> None:
         """The job's SLO expired: shed it from the pool and serve it
@@ -594,8 +547,6 @@ class AsyncMatcherService:
             return
         job.timed_out = True
         self._m_timeouts.inc()
-        if job.batch is None:
-            self.pool.cancel(job.job_id, job.attempts)
         job.attempts += 1
         if self.obs is not None:
             self.obs.tracer.event(
@@ -603,11 +554,11 @@ class AsyncMatcherService:
                 job_id=job.job_id, attempts=job.attempts,
             )
         self._serve_fallback(job, reason="deadline")
-        batch = job.batch
-        if batch is not None and all(j.done for j in batch.members):
-            # Every member has been served; drop the whole plan's reply.
-            self.pool.cancel(batch.batch_id, batch.attempts)
-            self._batches.pop(batch.batch_id, None)
+        unit = job.unit
+        if unit is not None and all(j.done for j in unit.members):
+            # Every member has been served; drop the unit's reply.
+            self.pool.cancel(unit.unit_id, unit.attempts)
+            self._units.pop(unit.unit_id, None)
 
     def _serve_fallback(self, job: _Job, reason: str) -> None:
         """Host-side degraded service: the oracle answer, never wrong."""
@@ -664,16 +615,13 @@ class AsyncMatcherService:
             job.span = None
         if not job.future.done():
             job.future.set_result(result)
-        if (
-            self.cache is not None and job.cache_key is not None
-            and mode not in ("cached", "deduped")
-        ):
-            self.cache.put(job.cache_key, results, now=finished)
         # Fan results out to deduplicated followers: they shared this
         # execution but keep their own identity and latency story.
-        for follower in self._followers.pop(job.job_id, []):
+        for follower in self._followers.settle(
+            job.job_id, job.cache_key, results, mode, finished
+        ):
             self._complete(
-                follower, list(results), mode="deduped", worker=worker,
+                follower, list(results), mode=DEDUPED, worker=worker,
                 via_fallback=via_fallback,
             )
 
@@ -725,48 +673,6 @@ class AsyncMatcherService:
         job-id order; costs work proportional to the completions since
         the last call plus one C-level list copy."""
         return self._completed.snapshot()
-
-    # -- counters (registry-backed, like ServiceTelemetry) -----------------
-
-    @property
-    def submitted(self) -> int:
-        return int(self._m_submitted.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._m_completed.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._m_retries.value)
-
-    @property
-    def deaths(self) -> int:
-        return int(self._m_deaths.value)
-
-    @property
-    def fallbacks(self) -> int:
-        return int(self._m_fallbacks.value)
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._m_timeouts.value)
-
-    @property
-    def backpressure_hits(self) -> int:
-        return int(self._m_backpressure.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._m_batches.value)
-
-    @property
-    def batched_jobs(self) -> int:
-        return int(self._m_batched_jobs.value)
-
-    @property
-    def deduped(self) -> int:
-        return int(self._m_deduped.value)
 
     def stats(self) -> Dict[str, float]:
         """A flat snapshot of the runtime's own counters."""

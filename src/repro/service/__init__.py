@@ -27,6 +27,8 @@ Layout
   and the software-baseline fallback path.
 * :mod:`~repro.service.telemetry` -- per-job and per-worker counters
   rendered through :class:`repro.analysis.report.Table`.
+* :mod:`~repro.service.plan` -- the admission planner both front doors
+  (this farm and :mod:`repro.runtime`) execute: one route per stream.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
   the batch tier consults before dispatching (``submit``/``submit_many``
   with ``cache=ResultCache(...)``).

@@ -207,11 +207,6 @@ class FaultInjector:
         return defect
 
 
-#: An injector that never fires -- the default, healthy farm.
-def no_faults() -> FaultInjector:
-    return FaultInjector(seed=0, p_death=0.0, p_stuck=0.0)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How many times an execution may be reassigned before degrading."""

@@ -32,8 +32,12 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
-from .cache import ResultCache, canonical_params, result_cache_key
+from .cache import ResultCache, result_cache_key
 from .completion import CompletionLog
+from .plan import (
+    DEDUPED, INLINE, Followers, Prepared, Request, parse_request,
+    plan as plan_routes,
+)
 from .pool import DevicePool, PoolWorker, WorkerState
 from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
@@ -46,7 +50,7 @@ from .sharding import (
     plan_shards,
 )
 from .telemetry import ServiceTelemetry
-from ..workloads.registry import WorkloadSpec, get_workload
+from ..workloads.registry import WorkloadSpec
 
 
 @dataclass
@@ -71,7 +75,7 @@ class MatchJob:
     deadline: Optional[float] = None  # absolute beat; None = no SLO
     #: Cross-tenant result-cache identity (also the submit_many dedup
     #: key): canonical workload + params + content digest of the
-    #: validated input.  None until the admission path computes it.
+    #: validated input.  None when the planner computed no key.
     cache_key: Optional[tuple] = None
 
     @property
@@ -132,20 +136,21 @@ class _JobState:
 
 @dataclass(frozen=True)
 class _Execution:
-    """One shard running on one worker (or dying on it)."""
+    """One launch running on one worker (or dying on it): one shard of
+    a solo job, or a whole batch (``shard`` None, ``state`` the batch)."""
 
     seq: int
-    state: _JobState
-    shard: TextShard
+    state: object  # _JobState or _Batch
     worker: PoolWorker
     start_beat: float
     finish_beat: float
     fault: Optional[object]
+    shard: Optional[TextShard] = None
 
 
 @dataclass
-class _BatchJob:
-    """A coalesced batch plan: many compatible jobs, one queue entry.
+class _Batch:
+    """A coalesced batch plan: one queue entry, then its in-flight state.
 
     All members share one workload, prepared tap vector, tenant, and
     priority (the ``submit_many`` contract), and every member's text is
@@ -154,9 +159,10 @@ class _BatchJob:
     members' service beats and is retried, shed, or degraded as a unit
     (per-member deadlines are still honoured individually at launch)."""
 
-    jobs: List[MatchJob]
-    tenant: str
+    jobs: List[MatchJob]  # members still owed a device execution
     priority: Priority
+    started_beat: Optional[float] = None
+    attempts: int = 0  # failed batch executions (drives the retry policy)
 
     @property
     def window_len(self) -> int:
@@ -164,30 +170,8 @@ class _BatchJob:
 
 
 def _members(unit) -> List[MatchJob]:
-    """The jobs one queue entry carries: a singleton job or a batch."""
-    return unit.jobs if isinstance(unit, _BatchJob) else [unit]
-
-
-@dataclass
-class _BatchState:
-    """In-flight bookkeeping for one batch plan."""
-
-    batch: _BatchJob
-    jobs: List[MatchJob]  # members still owed a device execution
-    started_beat: Optional[float] = None
-    attempts: int = 0  # failed batch executions (drives the retry policy)
-
-
-@dataclass(frozen=True)
-class _BatchExecution:
-    """One whole batch running on one worker (or dying on it)."""
-
-    seq: int
-    state: _BatchState
-    worker: PoolWorker
-    start_beat: float
-    finish_beat: float
-    fault: Optional[object]
+    """The jobs one queue entry carries: a solo job or a batch."""
+    return unit.jobs if isinstance(unit, _Batch) else [unit]
 
 
 class MatcherService:
@@ -199,7 +183,9 @@ class MatcherService:
     (``run_kernel`` or ``run_kernel_batch``) or
     :class:`~repro.service.reliability.SoftwareFallback` serves it, text
     shards merge with the spec's ``incomplete`` value, and the spec
-    finalizes.  ``submit`` and ``submit_many`` share one admission step.
+    finalizes.  ``submit(x)`` is ``submit_many([x])``, and every stream
+    is routed by the one planner both front doors share
+    (:func:`repro.service.plan.plan`).
 
     >>> pool = uniform_pool(4, ChipSpec(8, 2), Alphabet("ABCD"))  # doctest: +SKIP
     >>> svc = MatcherService(pool)                                # doctest: +SKIP
@@ -241,8 +227,8 @@ class MatcherService:
         self._seq = 0
         self._inflight: List[Tuple[float, int, object]] = []
         self._retry_ready: Deque[Tuple[_JobState, TextShard]] = deque()
-        self._retry_batches: Deque[_BatchState] = deque()
-        self._followers: Dict[int, List[MatchJob]] = {}
+        self._retry_batches: Deque[_Batch] = deque()
+        self._followers = Followers(cache)
         self._completed = CompletionLog()
         self._last_finish = 0.0  # running max of finished_beat
         for w in pool:
@@ -268,6 +254,11 @@ class MatcherService:
         ``"convolution"``, ``"fir"``, ``"inner-product"``); *text* is the
         character text or numeric sample stream accordingly.
 
+        ``submit(x)`` is ``submit_many([x])``: the same checks, the same
+        route and the same errors.  A narrow text is a chunk of one
+        job, so it runs solo (``mode="direct"`` or ``"multipass"``);
+        a wide text may shard (``"text-sharded"``).
+
         Raises :class:`BackpressureError` when the priority class's
         bounded queue is full and ``degrade_when_saturated`` is off;
         otherwise a saturated submission runs on the host CPU's
@@ -280,53 +271,97 @@ class MatcherService:
         never wedge a drain past the deadline.  The result is flagged
         ``timed_out`` (and still oracle-identical).
         """
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be a positive number of beats")
-        spec = get_workload(workload)
-        taps = spec.parse_params(pattern, self.pool.alphabet)
-        job, done = self._admit(
-            spec, taps, None, self._prepare(spec, taps, text), tenant,
-            priority, timeout, keyed=self.cache is not None,
-        )
-        if not done:
-            self._enqueue([job], priority, tenant)
-        return job.job_id
+        return self.submit_many(
+            pattern, [text], tenant=tenant, priority=priority,
+            workload=workload, timeout=timeout,
+        )[0]
 
-    def _prepare(
-        self, spec: WorkloadSpec, taps: list, text: Sequence
-    ) -> Tuple[list, list, list]:
-        """Validate and prepare one input: ``(validated, ktaps, feed)``.
-        Raises on bad input before anything is admitted."""
-        validated = spec.validate_stream(text, self.pool.alphabet)
-        ktaps, feed = spec.prepare(taps, validated)
-        return validated, ktaps, feed
+    def submit_many(
+        self,
+        pattern,
+        texts: Sequence[Sequence],
+        tenant: str = "default",
+        priority: Priority = Priority.BATCH,
+        workload: str = "match",
+        timeout: Optional[float] = None,
+    ) -> List[int]:
+        """Admit one job per text in *texts*; returns their ids in order.
+
+        The pattern (or tap vector) is parsed **once** and every text is
+        validated before any job is admitted: bad input anywhere raises
+        a :class:`~repro.errors.ReproError` and admits nothing.
+        :func:`~repro.service.plan.plan` then routes each text down the
+        cheapest path that still yields an oracle-identical result:
+
+        * empty texts complete immediately (``mode="empty"``);
+        * texts whose canonical result is already in the
+          :class:`~repro.service.cache.ResultCache` complete from it
+          (``mode="cached"``);
+        * duplicate texts follow the first occurrence, share its
+          execution and get a copy of its answer (``mode="deduped"``),
+          even when that representative is shed to the software
+          baseline;
+        * wide texts (``>= wide_text_threshold``) and a chunk of exactly
+          one job run solo: their own shard/merge plan;
+        * everything else is coalesced into batch plans of 2 to
+          ``config.max_batch_jobs`` members, each dispatched to a worker
+          as a single batched execution (``mode="batched"``).
+
+        Solo units are queued in text order, then the batch plans.
+        Backpressure applies per queue entry (one batch plan is one
+        entry): with ``degrade_when_saturated`` the overflowing entry is
+        served by the software baseline; otherwise the overflowing entry
+        and every entry after it are rejected and
+        :class:`BackpressureError` raised (already-admitted jobs stay
+        admitted).
+        """
+        req = parse_request(
+            workload, pattern, texts, self.pool.alphabet, priority, timeout
+        )
+        routes, solos, batches = plan_routes(
+            req.spec, req.taps, req.streams, self.cache, self.clock.now,
+            self.config.max_batch_jobs, result_cache_key,
+            wide_threshold=self.config.wide_text_threshold, tenant=tenant,
+        )
+        jobs = [
+            self._admit(req, prepared, route.key, tenant)
+            for prepared, route in zip(req.streams, routes)
+        ]
+        for job, route in zip(jobs, routes):
+            if route.kind == DEDUPED:
+                self.telemetry.deduped += 1
+                self._followers.follow(jobs[route.rep].job_id, job)
+            elif route.kind in INLINE:  # no queue, worker, bus or beats
+                now = self.clock.now
+                self._record(job, route.hit or [], now, now, 0.0, route.kind)
+        units: List[object] = [jobs[i] for i in solos]
+        units += [
+            _Batch([jobs[i] for i in chunk], req.priority)
+            for chunk in batches
+        ]
+        self._enqueue(units, req.priority, tenant)
+        return [job.job_id for job in jobs]
 
     def _admit(
-        self, spec: WorkloadSpec, taps: list, params,
-        prepared: Tuple[list, list, list], tenant: str, priority: Priority,
-        timeout: Optional[float], keyed: bool,
-    ) -> Tuple[MatchJob, bool]:
-        """Admit one job up to its route: build it, open its span,
-        complete empty input, and (when *keyed*) compute its cache key
-        and serve a cache hit.  Returns the job and whether it is done.
-
-        *taps* are the parsed (pre-``prepare``) parameters, *params*
-        their :func:`canonical_params` form (or None to derive it), and
-        *prepared* the input as :meth:`_prepare` returns it."""
-        validated, ktaps, feed = prepared
+        self, req: Request, prepared: Prepared, key: Optional[tuple],
+        tenant: str,
+    ) -> MatchJob:
+        """Admit one planned job: give it an id, count it, open its
+        span."""
         now = self.clock.now
         job = MatchJob(
             job_id=self._next_id,
             tenant=tenant,
-            priority=priority,
-            spec=spec,
-            taps=ktaps,
-            text=feed,
-            orig_len=len(validated),
+            priority=req.priority,
+            spec=req.spec,
+            taps=prepared.taps,
+            text=prepared.feed,
+            orig_len=len(prepared.validated),
             submitted_beat=now,
+            cache_key=key,
         )
-        if timeout is not None:
-            job.deadline = now + timeout
+        if req.timeout is not None:
+            job.deadline = now + req.timeout
         self._next_id += 1
         self.telemetry.submitted += 1
         if self.obs is not None:
@@ -334,27 +369,15 @@ class MatcherService:
             # the tracer stack: open/close explicitly, keyed off the job.
             job.span = self.obs.tracer.open_span(
                 "service.job", t0=now, unit="beats",
-                job_id=job.job_id, tenant=tenant, priority=priority.name,
-                workload=spec.name,
+                job_id=job.job_id, tenant=tenant, priority=job.priority.name,
+                workload=job.workload,
             )
-        if not validated:
-            self._complete_empty(job)
-            return job, True
-        if keyed:
-            job.cache_key = result_cache_key(
-                spec.name, taps, validated, spec.numeric, params=params
-            )
-        if self.cache is not None:
-            hit = self.cache.get(job.cache_key, tenant=tenant, now=now)
-            if hit is not None:
-                self._complete_cached(job, hit)
-                return job, True
-        return job, False
+        return job
 
     def _enqueue(
         self, units: Sequence[object], priority: Priority, tenant: str
     ) -> None:
-        """Queue singleton jobs and batch plans in order.  On backpressure
+        """Queue solo jobs and batch plans in order.  On backpressure
         the overflowing unit is served by the software baseline when
         ``degrade_when_saturated``; otherwise it and every unit after it
         are rolled back and :class:`BackpressureError` propagates."""
@@ -381,91 +404,13 @@ class MatcherService:
                 depth=self.queues.depth(priority),
             )
 
-    def submit_many(
-        self,
-        pattern,
-        texts: Sequence[Sequence],
-        tenant: str = "default",
-        priority: Priority = Priority.BATCH,
-        workload: str = "match",
-        timeout: Optional[float] = None,
-    ) -> List[int]:
-        """Admit one job per text in *texts*, coalesced into batch plans.
-
-        The batched front door for query chunks.  The pattern (or tap
-        vector) is parsed **once**; each text then takes the cheapest
-        route that still yields an oracle-identical result:
-
-        * empty texts complete immediately;
-        * texts whose canonical result is already in the
-          :class:`~repro.service.cache.ResultCache` complete from it
-          (``mode="cached"``);
-        * duplicate texts build **one** plan per *unique* text -- the
-          first occurrence is the representative, later ones are
-          followers that share its execution and results
-          (``mode="deduped"``);
-        * wide texts (``>= wide_text_threshold``) keep their own
-          shard/merge plans, exactly like :meth:`submit`;
-        * everything else is coalesced into :class:`_BatchJob` plans of
-          at most ``config.max_batch_jobs`` members, each dispatched to
-          a worker as a single batched execution (``mode="batched"``).
-
-        Backpressure applies per queue entry (one batch plan is one
-        entry): with ``degrade_when_saturated`` the overflowing plan is
-        served by the software baseline; otherwise the overflowing plan
-        and every not-yet-admitted job after it is rejected and
-        :class:`BackpressureError` raised (already-admitted jobs stay
-        admitted).
-        """
-        if timeout is not None and timeout <= 0:
-            raise ServiceError("timeout must be a positive number of beats")
-        spec = get_workload(workload)
-        taps = spec.parse_params(pattern, self.pool.alphabet)
-        params = canonical_params(taps)
-        job_ids: List[int] = []
-        reps: Dict[tuple, MatchJob] = {}
-        batchable: List[MatchJob] = []
-        units: List[object] = []  # wide-text singleton jobs + batch plans
-        # Every text is validated before any is admitted: a bad text
-        # later in the list must not strand the ones before it.
-        inputs = [self._prepare(spec, taps, text) for text in texts]
-        for prepared in inputs:
-            job, done = self._admit(
-                spec, taps, params, prepared, tenant, priority, timeout,
-                keyed=True,
-            )
-            job_ids.append(job.job_id)
-            if done:
-                continue
-            rep = reps.get(job.cache_key)
-            if rep is not None:
-                # One plan per unique text: this job shares the
-                # representative's execution and fans out at completion.
-                self.telemetry.deduped += 1
-                self._followers.setdefault(rep.job_id, []).append(job)
-                continue
-            reps[job.cache_key] = job
-            if len(job.text) >= self.config.wide_text_threshold:
-                units.append(job)  # its own shard/merge plan
-            else:
-                batchable.append(job)
-        step = self.config.max_batch_jobs
-        for i in range(0, len(batchable), step):
-            units.append(_BatchJob(
-                jobs=batchable[i : i + step],
-                tenant=tenant,
-                priority=priority,
-            ))
-        self._enqueue(units, priority, tenant)
-        return job_ids
-
     def _reject(self, job: MatchJob) -> None:
         """Roll one not-admitted job (and its followers) back out."""
         self.telemetry.submitted -= 1
         if job.span is not None:
             self.obs.tracer.close(job.span, t1=self.clock.now, rejected=True)
             job.span = None
-        for follower in self._followers.pop(job.job_id, []):
+        for follower in self._followers.drop(job.job_id):
             self._reject(follower)
 
     # -- draining ----------------------------------------------------------
@@ -497,7 +442,7 @@ class MatcherService:
                 )
             _, _, execution = heapq.heappop(self._inflight)
             self.clock.advance_to(execution.finish_beat)
-            if isinstance(execution, _BatchExecution):
+            if execution.shard is None:
                 self._complete_batch(execution)
             else:
                 self._complete_execution(execution)
@@ -523,17 +468,19 @@ class MatcherService:
                 self._launch(state, shard, worker)
                 continue
             if self._retry_batches:
-                bstate = self._retry_batches.popleft()
-                worker = self._choose_worker(idle, bstate.batch.window_len)
-                self._launch_batch(bstate, worker)
-                continue
-            unit = self.queues.pop()
-            if unit is None:
-                return
-            if isinstance(unit, _BatchJob):
-                self._start_batch(unit)
+                batch = self._retry_batches.popleft()
             else:
-                self._start_job(unit)
+                unit = self.queues.pop()
+                if unit is None:
+                    return
+                self._note_queue_depth(unit.priority)
+                if not isinstance(unit, _Batch):
+                    self._start_job(unit)
+                    continue
+                batch = unit
+            self._launch_batch(
+                batch, self._choose_worker(idle, batch.window_len)
+            )
 
     @staticmethod
     def _choose_worker(
@@ -547,7 +494,6 @@ class MatcherService:
         return max(idle, key=lambda w: (w.capacity, w.name))
 
     def _start_job(self, job: MatchJob) -> None:
-        self._note_queue_depth(job.priority)
         idle = self.pool.idle_workers()
         plen, tlen = job.window_len, len(job.text)
         fitting = sorted(
@@ -555,12 +501,8 @@ class MatcherService:
         )
         if tlen >= self.config.wide_text_threshold and len(fitting) >= 2:
             plan = plan_shards(
-                plen,
-                tlen,
-                len(fitting),
-                self.config.max_shards,
-                self.config.min_shard_chars,
-                obs=self.obs,
+                plen, tlen, len(fitting), self.config.max_shards,
+                self.config.min_shard_chars, obs=self.obs,
             )
             if plan.mode is ShardMode.TEXT_SHARDED:
                 state = _JobState(
@@ -575,25 +517,28 @@ class MatcherService:
         state = _JobState(job, ShardPlan(mode, [whole]), pending={0: whole})
         self._launch(state, whole, worker)
 
+    def _project(
+        self, fault, service: float, chars: int, now: float
+    ) -> Tuple[float, int]:
+        """Projected finish beat and bus characters of one launch.  A
+        worker death burns beats and bus time up to the failure point
+        and brings nothing useful back."""
+        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
+            finish = now + max(1.0, fault.at_fraction * service)
+            return finish, int(chars * fault.at_fraction)
+        extra = fault.extra_beats if fault is not None else 0
+        return max(now + service + extra, self.bus.eta(chars, now)), chars
+
     def _launch(
         self, state: _JobState, shard: TextShard, worker: PoolWorker
     ) -> None:
         now = self.clock.now
-        plen = state.job.window_len
-        n_fed = shard.n_fed
-        service = worker.service_beats(plen, n_fed)
-        chars = worker.transfer_chars(plen, n_fed)
+        plen, n_fed = state.job.window_len, shard.n_fed
         fault = self.faults.sample()
-        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-            # The stream dies partway through; beats and bus time up to
-            # the failure point are burned, nothing useful comes back.
-            burned = max(1.0, fault.at_fraction * service)
-            bus_chars = int(chars * fault.at_fraction)
-            finish = now + burned
-        else:
-            extra = fault.extra_beats if fault is not None else 0
-            bus_chars = chars
-            finish = max(now + service + extra, self.bus.eta(chars, now))
+        finish, bus_chars = self._project(
+            fault, worker.service_beats(plen, n_fed),
+            worker.transfer_chars(plen, n_fed), now,
+        )
         deadline = state.job.deadline
         if deadline is not None and finish > deadline:
             # The SLO would be blown before this launch even finished
@@ -613,25 +558,50 @@ class MatcherService:
                 )
             self._shard_software(state, shard)
             return
+        self._commit(state, worker, now, finish, bus_chars, fault, shard)
+
+    def _commit(
+        self, state, worker: PoolWorker, now: float, finish: float,
+        bus_chars: int, fault, shard: Optional[TextShard] = None,
+    ) -> None:
+        """Commit a launch: its worker and bus time are taken until
+        *finish*, when the execution completes (or dies)."""
         if state.started_beat is None:
             state.started_beat = now
         worker.state = WorkerState.BUSY
         self.bus.reserve(bus_chars, now)
         self._seq += 1
         execution = _Execution(
-            self._seq, state, shard, worker, now, finish, fault
+            self._seq, state, worker, now, finish, fault, shard
         )
         heapq.heappush(self._inflight, (finish, self._seq, execution))
 
     # -- completion --------------------------------------------------------
 
-    def _complete_execution(self, execution: _Execution) -> None:
-        state, shard, worker = execution.state, execution.shard, execution.worker
-        job = state.job
+    def _settle_worker(self, execution) -> bool:
+        """Book one finished execution (solo or batch) against its
+        worker; True when the worker died in it (it is then DEAD, else
+        IDLE again)."""
+        worker, fault = execution.worker, execution.fault
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
         stats.executions += 1
         stats.record_busy(execution.start_beat, execution.finish_beat)
+        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
+            worker.state = WorkerState.DEAD
+            stats.died = True
+            self.telemetry.deaths += 1
+            return True
+        worker.state = WorkerState.IDLE
+        if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
+            stats.stuck_events += 1
+            self.telemetry.stuck_events += 1
+        return False
+
+    def _complete_execution(self, execution: _Execution) -> None:
+        state, shard, worker = execution.state, execution.shard, execution.worker
+        job = state.job
         fault = execution.fault
+        died = self._settle_worker(execution)
         exec_span = None
         if self.obs is not None:
             exec_span = self.obs.tracer.record(
@@ -642,10 +612,7 @@ class MatcherService:
                 attempt=job.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
-        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-            worker.state = WorkerState.DEAD
-            stats.died = True
-            self.telemetry.deaths += 1
+        if died:
             job.attempts += 1
             if self.retry.should_retry(job.attempts) and self.pool.n_live > 0:
                 self.telemetry.retries += 1
@@ -653,10 +620,6 @@ class MatcherService:
             else:
                 self._shard_software(state, shard)
             return
-        worker.state = WorkerState.IDLE
-        if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
-            stats.stuck_events += 1
-            self.telemetry.stuck_events += 1
         results = worker.run_kernel(
             job.spec, job.taps, shard.feed(job.text), obs=self.obs,
             parent=exec_span, t0=execution.start_beat,
@@ -708,70 +671,9 @@ class MatcherService:
         mode = "software" if state.via_fallback and not state.workers_used \
             else plan.mode.value
         self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=started,
-                finished_beat=finished,
-                wait_beats=started - job.submitted_beat,
-                service_beats=state.service_beats,
-                mode=mode,
-                workers=tuple(state.workers_used),
-                attempts=job.attempts,
-                via_fallback=state.via_fallback,
-                workload=job.workload,
-                timed_out=state.timed_out,
-            ),
-            job,
-        )
-
-    def _complete_empty(self, job: MatchJob) -> None:
-        now = self.clock.now
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=[],
-                submitted_beat=now,
-                started_beat=now,
-                finished_beat=now,
-                wait_beats=0.0,
-                service_beats=0.0,
-                mode=ShardMode.DIRECT.value,
-                workers=(),
-                attempts=0,
-                via_fallback=False,
-                workload=job.workload,
-            ),
-            job,
-        )
-
-    def _complete_cached(self, job: MatchJob, results: List) -> None:
-        """Cache hit: the canonical answer is already known -- no queue,
-        no worker, no bus, zero service beats."""
-        now = self.clock.now
-        self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=now,
-                finished_beat=now,
-                wait_beats=0.0,
-                service_beats=0.0,
-                mode="cached",
-                workers=(),
-                attempts=0,
-                via_fallback=False,
-                workload=job.workload,
-            ),
-            job,
+            job, results, started, finished, state.service_beats, mode,
+            state.workers_used, job.attempts, state.via_fallback,
+            state.timed_out,
         )
 
     def _complete_member_software(
@@ -791,35 +693,11 @@ class MatcherService:
                 unit="beats", parent=job.span, chars=len(job.text),
             )
         self._record(
-            JobResult(
-                job_id=job.job_id,
-                tenant=job.tenant,
-                priority=job.priority,
-                results=results,
-                submitted_beat=job.submitted_beat,
-                started_beat=now,
-                finished_beat=now + beats,
-                wait_beats=now - job.submitted_beat,
-                service_beats=beats,
-                mode="software",
-                workers=(),
-                attempts=job.attempts,
-                via_fallback=True,
-                workload=job.workload,
-                timed_out=timed_out,
-            ),
-            job,
+            job, results, now, now + beats, beats, "software",
+            attempts=job.attempts, via_fallback=True, timed_out=timed_out,
         )
 
     # -- batch plans -------------------------------------------------------
-
-    def _start_batch(self, batch: _BatchJob) -> None:
-        self._note_queue_depth(batch.priority)
-        state = _BatchState(batch, jobs=list(batch.jobs))
-        worker = self._choose_worker(
-            self.pool.idle_workers(), batch.window_len
-        )
-        self._launch_batch(state, worker)
 
     def _batch_demand(
         self, jobs: Sequence[MatchJob], worker: PoolWorker
@@ -832,21 +710,14 @@ class MatcherService:
         chars = sum(worker.transfer_chars(plen, len(j.text)) for j in jobs)
         return service, chars
 
-    def _launch_batch(self, state: _BatchState, worker: PoolWorker) -> None:
+    def _launch_batch(self, state: _Batch, worker: PoolWorker) -> None:
         now = self.clock.now
-
-        def project(jobs):
-            service, chars = self._batch_demand(jobs, worker)
-            if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-                burned = max(1.0, fault.at_fraction * service)
-                return now + burned, int(chars * fault.at_fraction)
-            extra = fault.extra_beats if fault is not None else 0
-            return max(now + service + extra, self.bus.eta(chars, now)), chars
-
         # One fault sample per batch execution: the whole batch lives or
         # dies with the worker it lands on.
         fault = self.faults.sample()
-        finish, bus_chars = project(state.jobs)
+        finish, bus_chars = self._project(
+            fault, *self._batch_demand(state.jobs, worker), now
+        )
         shed = [
             j for j in state.jobs
             if j.deadline is not None and finish > j.deadline
@@ -870,37 +741,25 @@ class MatcherService:
             ]
             if not state.jobs:
                 return  # the worker was never committed
-            finish, bus_chars = project(state.jobs)
-        if state.started_beat is None:
-            state.started_beat = now
-        worker.state = WorkerState.BUSY
-        self.bus.reserve(bus_chars, now)
-        self._seq += 1
-        execution = _BatchExecution(
-            self._seq, state, worker, now, finish, fault
-        )
-        heapq.heappush(self._inflight, (finish, self._seq, execution))
+            finish, bus_chars = self._project(
+                fault, *self._batch_demand(state.jobs, worker), now
+            )
+        self._commit(state, worker, now, finish, bus_chars, fault)
 
-    def _complete_batch(self, execution: _BatchExecution) -> None:
+    def _complete_batch(self, execution: _Execution) -> None:
         state, worker = execution.state, execution.worker
-        batch = state.batch
-        stats = self.telemetry.worker_stats(worker.name, worker.capacity)
-        stats.executions += 1
-        stats.record_busy(execution.start_beat, execution.finish_beat)
         fault = execution.fault
+        died = self._settle_worker(execution)
         batch_span = None
         if self.obs is not None:
             batch_span = self.obs.tracer.record(
                 "service.batch",
                 t0=execution.start_beat, t1=execution.finish_beat,
                 unit="beats", worker=worker.name, jobs=len(state.jobs),
-                workload=batch.jobs[0].workload, attempt=state.attempts,
+                workload=state.jobs[0].workload, attempt=state.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
-        if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
-            worker.state = WorkerState.DEAD
-            stats.died = True
-            self.telemetry.deaths += 1
+        if died:
             state.attempts += 1
             for job in state.jobs:
                 job.attempts += 1
@@ -911,10 +770,6 @@ class MatcherService:
                 for job in state.jobs:
                     self._complete_member_software(job)
             return
-        worker.state = WorkerState.IDLE
-        if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
-            stats.stuck_events += 1
-            self.telemetry.stuck_events += 1
         jobs = state.jobs
         results_many = worker.run_kernel_batch(
             jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
@@ -926,30 +781,16 @@ class MatcherService:
             state.started_beat if state.started_beat is not None
             else execution.start_beat
         )
-        plen = batch.window_len
+        plen = state.window_len
         for job, merged in zip(jobs, results_many):
             results = job.spec.finalize(job.taps, job.orig_len, merged)
             self.telemetry.batched_jobs += 1
+            # A member's service beats are its share of the batch: what
+            # its own device run would have cost on this worker.
             self._record(
-                JobResult(
-                    job_id=job.job_id,
-                    tenant=job.tenant,
-                    priority=job.priority,
-                    results=results,
-                    submitted_beat=job.submitted_beat,
-                    started_beat=started,
-                    finished_beat=execution.finish_beat,
-                    wait_beats=started - job.submitted_beat,
-                    # The member's share of the batch: what its own
-                    # device run would have cost on this worker.
-                    service_beats=worker.service_beats(plen, len(job.text)),
-                    mode="batched",
-                    workers=(worker.name,),
-                    attempts=job.attempts,
-                    via_fallback=False,
-                    workload=job.workload,
-                ),
-                job,
+                job, results, started, execution.finish_beat,
+                worker.service_beats(plen, len(job.text)), "batched",
+                (worker.name,), job.attempts,
             )
 
     def _degrade_remaining(self) -> None:
@@ -959,8 +800,8 @@ class MatcherService:
             state, shard = self._retry_ready.popleft()
             self._shard_software(state, shard)
         while self._retry_batches:
-            bstate = self._retry_batches.popleft()
-            for job in bstate.jobs:
+            batch = self._retry_batches.popleft()
+            for job in batch.jobs:
                 self._complete_member_software(job)
         while True:
             unit = self.queues.pop()
@@ -971,55 +812,42 @@ class MatcherService:
 
     # -- accounting --------------------------------------------------------
 
-    def _record(self, result: JobResult, job: MatchJob) -> None:
-        self._completed.add(result)
-        self._last_finish = max(self._last_finish, result.finished_beat)
-        self.telemetry.completed += 1
-        self.telemetry.text_chars_served += len(result.results)
-        self.telemetry.record_job(
-            result.priority, result.wait_beats, result.service_beats
+    def _record(
+        self, job: MatchJob, results: List, started: float, finished: float,
+        service: float, mode: str, workers: Sequence[str] = (),
+        attempts: int = 0, via_fallback: bool = False,
+        timed_out: bool = False,
+    ) -> None:
+        """Complete *job* (its wait runs from submission to *started*),
+        then every deduplicated follower with a copy of the answer."""
+        result = JobResult(
+            job.job_id, job.tenant, job.priority, results,
+            job.submitted_beat, started, finished, started - job.submitted_beat,
+            service, mode, tuple(workers), attempts, via_fallback,
+            job.workload, timed_out,
         )
-        self.telemetry.record_workload(result.workload, len(result.results))
+        self._completed.add(result)
+        self._last_finish = max(self._last_finish, finished)
+        self.telemetry.completed += 1
+        self.telemetry.text_chars_served += len(results)
+        self.telemetry.record_job(job.priority, result.wait_beats, service)
+        self.telemetry.record_workload(job.workload, len(results))
         if job.span is not None:
             self.obs.tracer.close(
-                job.span, t1=result.finished_beat,
-                mode=result.mode, workers=list(result.workers),
-                attempts=result.attempts, via_fallback=result.via_fallback,
-                timed_out=result.timed_out,
-                wait_beats=result.wait_beats,
-                service_beats=result.service_beats,
+                job.span, t1=finished, mode=mode, workers=list(workers),
+                attempts=attempts, via_fallback=via_fallback,
+                timed_out=timed_out, wait_beats=result.wait_beats,
+                service_beats=service,
             )
             job.span = None
-        if (
-            self.cache is not None and job.cache_key is not None
-            and result.mode not in ("cached", "deduped")
+        # Followers share the execution (and its faults, retries,
+        # timeouts) but keep their own identity and latency accounting.
+        for follower in self._followers.settle(
+            job.job_id, job.cache_key, results, mode, finished
         ):
-            self.cache.put(
-                job.cache_key, result.results, now=result.finished_beat
-            )
-        # Fan results out to any deduplicated followers of this job:
-        # they share the execution (and its faults, retries, timeouts)
-        # but keep their own identity and latency accounting.
-        for follower in self._followers.pop(result.job_id, []):
             self._record(
-                JobResult(
-                    job_id=follower.job_id,
-                    tenant=follower.tenant,
-                    priority=follower.priority,
-                    results=list(result.results),
-                    submitted_beat=follower.submitted_beat,
-                    started_beat=result.started_beat,
-                    finished_beat=result.finished_beat,
-                    wait_beats=result.started_beat - follower.submitted_beat,
-                    service_beats=0.0,
-                    mode="deduped",
-                    workers=result.workers,
-                    attempts=0,
-                    via_fallback=result.via_fallback,
-                    workload=follower.workload,
-                    timed_out=result.timed_out,
-                ),
-                follower,
+                follower, list(results), started, finished, 0.0, DEDUPED,
+                workers, 0, via_fallback, timed_out,
             )
 
     def _sync_telemetry(self) -> None:

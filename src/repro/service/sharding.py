@@ -49,10 +49,6 @@ class TextShard:
     feed_start: int
 
     @property
-    def n_owned(self) -> int:
-        return self.out_hi - self.out_lo + 1
-
-    @property
     def n_fed(self) -> int:
         return self.out_hi - self.feed_start + 1
 

@@ -80,15 +80,27 @@ def _require_alphabet(alphabet: Optional[Alphabet], name: str) -> Alphabet:
     return alphabet
 
 
+#: What converting a malformed value raises (``float(None)``,
+#: ``float("a")``, ``float(10**400)``, ``len(5)``); the registry turns
+#: each into a :class:`WorkloadError` at the input boundary.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
 def _parse_char_pattern(params, alphabet, name):
     alphabet = _require_alphabet(alphabet, name)
-    if params and all(isinstance(pc, PatternChar) for pc in params):
-        return list(params)
-    return parse_pattern(params, alphabet)
+    try:
+        if params and all(isinstance(pc, PatternChar) for pc in params):
+            return list(params)
+        return parse_pattern(params, alphabet)
+    except _BAD_VALUE as exc:
+        raise WorkloadError(f"bad {name!r} pattern {params!r}: {exc}") from None
 
 
 def _parse_taps(params, _alphabet, name):
-    taps = [float(v) for v in params]
+    try:
+        taps = [float(v) for v in params]
+    except _BAD_VALUE as exc:
+        raise WorkloadError(f"bad {name!r} taps {params!r}: {exc}") from None
     if not taps:
         raise WorkloadError(f"workload {name!r} needs at least one tap")
     return taps
@@ -162,9 +174,17 @@ class WorkloadSpec:
         return len(taps)
 
     def validate_stream(self, stream: Sequence, alphabet: Optional[Alphabet]) -> list:
-        if self.numeric:
-            return [float(v) for v in stream]
-        return _require_alphabet(alphabet, self.name).validate_text(stream)
+        """The stream as a list of samples (floats) or alphabet
+        characters; anything else raises a :class:`WorkloadError` or
+        :class:`~repro.errors.AlphabetError`."""
+        try:
+            if self.numeric:
+                return [float(v) for v in stream]
+            return _require_alphabet(alphabet, self.name).validate_text(stream)
+        except _BAD_VALUE as exc:
+            raise WorkloadError(
+                f"bad {self.name!r} stream: {type(exc).__name__}: {exc}"
+            ) from None
 
     def run(
         self,
@@ -391,7 +411,7 @@ def get_workload(name: str) -> WorkloadSpec:
     """
     try:
         return WORKLOADS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(WORKLOADS))
         raise WorkloadError(f"unknown workload {name!r} (known: {known})") from None
 

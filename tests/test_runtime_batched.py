@@ -289,6 +289,40 @@ class TestAdversity:
             assert results[jid].results == want
             assert results[jid].mode == "batched"
 
+    def test_rejected_job_is_not_counted_as_submitted(self, shared_pool):
+        async def go():
+            cfg = RuntimeConfig(max_pending=1, degrade_when_saturated=False)
+            svc = AsyncMatcherService(pool=shared_pool, config=cfg)
+            await svc.start()
+            await svc.submit("AX", "ABCAABCA")  # stays pending: no await yet
+            with pytest.raises(BackpressureError):
+                await svc.submit_many("AX", ["AACC", "CABC"])
+            await svc.drain()
+            return svc.submitted, svc.completed, svc.backpressure_hits
+
+        assert run(go()) == (1, 1, 1)
+
+    def test_follower_of_a_rep_served_during_a_rate_limit_wait(
+        self, shared_pool
+    ):
+        """The representative's deadline fires while the call waits on
+        the rate limit; its duplicate still gets a copy of its answer
+        instead of a second oracle run."""
+        async def go():
+            cfg = RuntimeConfig(rate_limits={"t": (50.0, 1.0)})
+            svc = AsyncMatcherService(pool=shared_pool, config=cfg)
+            await svc.start()
+            jids = await svc.submit_many("AX", ["ABCA", "ABCA"], tenant="t",
+                                         timeout=0.001)
+            results = {r.job_id: r for r in await svc.drain()}
+            return [results[j] for j in jids], svc.fallbacks
+
+        (rep, follower), fallbacks = run(go())
+        assert (rep.mode, follower.mode, fallbacks) == (
+            "software", "deduped", 1
+        )
+        assert rep.results == follower.results == oracle("AX", "ABCA")
+
     def test_saturation_raises_after_flushing_admitted_head(self):
         async def go():
             cfg = RuntimeConfig(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import Alphabet, match_oracle, parse_pattern
 from repro.chip.chip import ChipSpec
-from repro.errors import BackpressureError, ReproError
+from repro.errors import BackpressureError, ReproError, ServiceError
 from repro.obs import Observability
 from repro.service import (
     Fault,
@@ -73,12 +73,12 @@ class TestCoalescing:
         config = SchedulerConfig(wide_text_threshold=64, min_shard_chars=16)
         svc = MatcherService(uniform_pool(4, ChipSpec(8, 2), AB), config=config)
         wide = "ABCA" * 40
-        jids = svc.submit_many("ABXA", [wide, "ABCA"])
+        jids = svc.submit_many("ABXA", [wide, "ABCA", "AACC"])
         results = svc.drain()
         assert results[jids[0]].mode == "text-sharded"
         assert len(set(results[jids[0]].workers)) > 1
         assert results[jids[0]].results == oracle("ABXA", wide)
-        assert results[jids[1]].mode == "batched"
+        assert results[jids[1]].mode == results[jids[2]].mode == "batched"
 
     def test_batch_chunking_respects_max_batch_jobs(self):
         config = SchedulerConfig(max_batch_jobs=2)
@@ -86,7 +86,9 @@ class TestCoalescing:
         texts = [t * 2 for t in ("ABCA", "AACC", "CABC", "BBCA", "ACCA")]
         jids = svc.submit_many("AX", texts)
         results = svc.drain()
-        assert svc.telemetry.batches == 3  # 2 + 2 + 1
+        # 2 + 2 + 1: the trailing chunk of one job runs solo.
+        assert svc.telemetry.batches == 2
+        assert results[jids[-1]].mode == "direct"
         for jid, text in zip(jids, texts):
             assert results[jid].results == oracle("AX", text)
 
@@ -99,8 +101,6 @@ class TestCoalescing:
         assert results[jids[1]].results == oracle("AB", "ABAB")
 
     def test_max_batch_jobs_validated(self):
-        from repro.errors import ServiceError
-
         with pytest.raises(ServiceError):
             SchedulerConfig(max_batch_jobs=0)
 
@@ -166,6 +166,15 @@ class TestAdversity:
         assert svc.telemetry.submitted == 0
         assert svc.drain() == []
         assert obs.tracer.find("service.job") == []
+
+    def test_invalid_priority_admits_nothing(self):
+        """The priority is checked before any job is admitted, so an
+        unknown class cannot strand admitted jobs in no queue."""
+        svc = MatcherService(uniform_pool(1, ChipSpec(8, 2), AB))
+        with pytest.raises(ServiceError):
+            svc.submit_many("AB", ["ABCA", "AACC"], priority=7)
+        assert svc.telemetry.submitted == 0
+        assert svc.drain() == []
 
     def test_saturation_degrades_overflow_members(self):
         config = SchedulerConfig(
