@@ -26,7 +26,10 @@ writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
   ``--require-scaling`` to make CI fail under 1.5x on >=2 cores).
 * ``batched_kernels`` -- the multi-job kernels (pattern banks and the
   one-pattern x many-streams ``*_many`` family) vs a loop of the
-  per-job fast kernels, identical rows required.
+  per-job fast kernels, identical rows required; plus the solo case the
+  farm serves per text shard: the per-job kernel vs a batch of one on
+  one 31k-item match shard and one real-valued numeric shard, outputs
+  identical (bit for bit on the numeric shard).
 * ``batched_service`` -- the farm's coalescing ``submit_many`` batch
   tier vs per-job ``submit`` of the same jobs; the >=5x amortization
   target of the batch tier lives here.
@@ -363,7 +366,8 @@ def bench_runtime_scaling(quick: bool) -> Dict[str, object]:
 
 
 def bench_batched_kernels(quick: bool) -> Dict[str, object]:
-    """Multi-job kernels vs a loop of the per-job fast kernels."""
+    """Multi-job kernels vs a loop of the per-job fast kernels, and a
+    batch of one vs the per-job kernel on one wide shard."""
     from repro.core.fastpath import (
         FastMatcherBank,
         fast_inner_products,
@@ -402,6 +406,28 @@ def bench_batched_kernels(quick: bool) -> Dict[str, object]:
         lambda: [fast_inner_products(taps, s) for s in streams], repeats
     )
 
+    # One wide shard (farm_wide's size), in the validated form the farm
+    # hands a worker: the per-job kernel vs the served batch of one.
+    solo_n = 31_000
+    solo_text = AB4.validate_text(make_text(solo_n))
+    solo_stream = [v / 7.0 for v in make_samples(solo_n)]
+    solo_repeats = 5
+    smatch_s, smatch_out = _timed(lambda: one.match(solo_text), solo_repeats)
+    smatch1_s, smatch1_out = _timed(
+        lambda: fast_match_many(patterns[0], [solo_text], AB4)[0],
+        solo_repeats,
+    )
+    snum_s, snum_out = _timed(
+        lambda: fast_inner_products(taps, solo_stream), solo_repeats
+    )
+    snum1_s, snum1_out = _timed(
+        lambda: fast_inner_products_many(taps, [solo_stream])[0],
+        solo_repeats,
+    )
+    solo_equivalent = smatch_out == smatch1_out and [
+        v.hex() for v in snum_out
+    ] == [v.hex() for v in snum1_out]
+
     bank_speedup = loop_s / bank_s if bank_s > 0 else float("inf")
     many_speedup = one_s / many_s if many_s > 0 else float("inf")
     numeric_speedup = nloop_s / nmany_s if nmany_s > 0 else float("inf")
@@ -418,9 +444,20 @@ def bench_batched_kernels(quick: bool) -> Dict[str, object]:
         "numeric_many_s": nmany_s,
         "numeric_loop_s": nloop_s,
         "numeric_speedup": numeric_speedup,
+        "solo_items": solo_n,
+        "solo_match_s": smatch_s,
+        "solo_match_batch1_s": smatch1_s,
+        "solo_match_speedup": (
+            smatch_s / smatch1_s if smatch1_s > 0 else float("inf")
+        ),
+        "solo_numeric_s": snum_s,
+        "solo_numeric_batch1_s": snum1_s,
+        "solo_numeric_speedup": (
+            snum_s / snum1_s if snum1_s > 0 else float("inf")
+        ),
         "meets_target": bank_speedup >= 2.0,
         "equivalent": bank_out == loop_out and many_out == one_out
-        and nmany_out == nloop_out,
+        and nmany_out == nloop_out and solo_equivalent,
     }
 
 

@@ -63,20 +63,18 @@ farm actually sees:
 
 All batched paths are property-tested equal to the per-job fast kernels
 and the oracles (``tests/test_fastpath_batched.py``), ragged batches and
-empty batches included, and fall back to per-job loops when numpy is
-unavailable.
+empty batches included.  The one-pattern-many-texts kernels are the only
+kernels the workload registry serves: a solo job or a text shard is a
+batch of one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..alphabet import Alphabet, PatternChar, parse_pattern, pattern_to_string
+import numpy as _np
 
-try:  # numpy is a declared dependency, but keep a pure-python fallback
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+from ..alphabet import Alphabet, PatternChar, parse_pattern, pattern_to_string
 
 __all__ = [
     "FastMatcher",
@@ -254,16 +252,11 @@ def fast_inner_products(
     k = L - 1
     if n < L:
         return [0.0] * n
-    if _np is not None:
-        windows = _np.lib.stride_tricks.sliding_window_view(
-            _np.asarray(stream, dtype=float), L
-        )
-        body = windows @ _np.asarray(weights, dtype=float)
-        return [0.0] * k + [float(v) for v in body]
-    return [0.0] * k + [  # pragma: no cover - stripped-install fallback
-        sum(weights[j] * stream[i - k + j] for j in range(L))
-        for i in range(k, n)
-    ]
+    windows = _np.lib.stride_tricks.sliding_window_view(
+        _np.asarray(stream, dtype=float), L
+    )
+    body = windows @ _np.asarray(weights, dtype=float)
+    return [0.0] * k + [float(v) for v in body]
 
 
 def fast_squared_distances(
@@ -285,16 +278,11 @@ def fast_squared_distances(
     k = L - 1
     if n < L:
         return [0.0] * n
-    if _np is not None:
-        windows = _np.lib.stride_tricks.sliding_window_view(
-            _np.asarray(stream, dtype=float), L
-        )
-        body = ((windows - _np.asarray(taps, dtype=float)) ** 2).sum(axis=1)
-        return [0.0] * k + [float(v) for v in body]
-    return [0.0] * k + [  # pragma: no cover - stripped-install fallback
-        sum((stream[i - k + j] - taps[j]) ** 2 for j in range(L))
-        for i in range(k, n)
-    ]
+    windows = _np.lib.stride_tricks.sliding_window_view(
+        _np.asarray(stream, dtype=float), L
+    )
+    body = ((windows - _np.asarray(taps, dtype=float)) ** 2).sum(axis=1)
+    return [0.0] * k + [float(v) for v in body]
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +296,6 @@ _LUT_CACHE: Dict[Alphabet, Optional[object]] = {}
 
 def _symbol_lut(alphabet: Alphabet):
     """A 256-entry byte->index table for *alphabet*, or None if unbuildable."""
-    if _np is None:
-        return None
     try:
         return _LUT_CACHE[alphabet]
     except KeyError:
@@ -453,8 +439,7 @@ class FastCounterBank:
     Computes every pattern's :class:`FastCounter` result over one shared
     symbol-code vector: the text is coded once, then each pattern is an
     ``O(pattern_len)`` sweep of vectorized window compares -- no
-    per-character Python at all.  Falls back to per-pattern
-    :class:`FastCounter` loops when numpy is unavailable.
+    per-character Python at all.
 
     >>> from repro.alphabet import Alphabet
     >>> FastCounterBank(["AB", "BB"], Alphabet("AB")).counts_all("ABBB")
@@ -476,11 +461,8 @@ class FastCounterBank:
         return len(self.patterns)
 
     def counts_all(self, text: Sequence[str]) -> List[List[int]]:
-        if _np is None or not self.patterns:  # pragma: no cover - stripped
-            return [
-                FastCounter(p, self.alphabet).counts(text)
-                for p in self.patterns
-            ]
+        if not self.patterns:
+            return []
         codes = _text_codes(text, self.alphabet)
         n = len(text)
         index = self.alphabet.index
@@ -563,9 +545,6 @@ def fast_match_many(
     pcs = _parse(pattern, alphabet, wildcard_symbol)
     if not texts:
         return []
-    if _np is None:  # pragma: no cover - stripped-install fallback
-        m = FastMatcher(pcs, alphabet)
-        return [m.match(t) for t in texts]
     L = len(pcs)
     k = L - 1
     mat, lens = _codes_matrix(texts, alphabet)
@@ -598,9 +577,6 @@ def fast_counts_many(
     pcs = _parse(pattern, alphabet, wildcard_symbol)
     if not texts:
         return []
-    if _np is None:  # pragma: no cover - stripped-install fallback
-        c = FastCounter(pcs, alphabet)
-        return [c.counts(t) for t in texts]
     L = len(pcs)
     k = L - 1
     mat, lens = _codes_matrix(texts, alphabet)
@@ -647,8 +623,6 @@ def fast_inner_products_many(
         raise ValueError("weights must be non-empty")
     if not streams:
         return []
-    if _np is None:  # pragma: no cover - stripped-install fallback
-        return [fast_inner_products(weights, s) for s in streams]
     k = L - 1
     mat, lens = _numeric_matrix(streams)
     if mat.shape[1] < L:
@@ -674,8 +648,6 @@ def fast_squared_distances_many(
         raise ValueError("taps must be non-empty")
     if not streams:
         return []
-    if _np is None:  # pragma: no cover - stripped-install fallback
-        return [fast_squared_distances(taps, s) for s in streams]
     k = L - 1
     mat, lens = _numeric_matrix(streams)
     if mat.shape[1] < L:

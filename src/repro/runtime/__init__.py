@@ -4,7 +4,7 @@ This package makes the paper's Figure 1-1 host/device concurrency
 literal.  The synchronous :mod:`repro.service` farm *models* time on a
 beat clock; here an asyncio host admits jobs through per-tenant rate
 limits and a pending bound, a :class:`WorkerPool` of spawn-context
-processes runs the workload fast kernels genuinely in parallel, and
+processes runs the workload kernels genuinely in parallel, and
 CSP-style bounded :class:`Channel` objects carry the only two message
 types (:class:`JobRequest` / :class:`JobReply`) between them.
 

@@ -2,20 +2,20 @@
 
 ``worker_main`` is what each :class:`~repro.runtime.pool.WorkerPool`
 process runs: receive a :class:`~repro.runtime.channels.JobRequest`,
-evaluate the workload's fast kernel (the same
-:class:`~repro.workloads.WorkloadSpec` engines the synchronous farm
-uses, so results are byte-identical by construction), reply with the
-window-space values plus the worker's own metrics snapshot and spans.
-A ``bist`` request is a self-test probe instead: the worker builds the
-controller from the shipped health config and replies with the report,
-so only probed processes ever load the switch-level simulator.
+evaluate the workload's one kernel, ``spec.batched`` (the same
+:class:`~repro.workloads.WorkloadSpec` kernel the synchronous farm
+uses, so results are byte-identical by construction; a solo job is a
+batch of one), reply with the window-space values plus the worker's
+own metrics snapshot and spans.  A ``bist`` request is a self-test
+probe instead: the worker builds the controller from the shipped health
+config and replies with the report, so only probed processes ever load
+the switch-level simulator.
 
 The function must be importable by ``multiprocessing`` spawn: it lives
 at module top level, takes only picklable arguments, and rebuilds its
 :class:`~repro.alphabet.Alphabet` locally from symbols+bits rather than
-receiving a live object graph.  Compiled character-pattern engines are
-memoized inside the registry's ``fast`` kernels, so a process that
-streams many texts against few patterns builds each engine once.
+receiving a live object graph.  The batch kernels build nothing per
+pattern, so a worker keeps no per-pattern state between requests.
 """
 
 from __future__ import annotations
@@ -60,14 +60,10 @@ def _execute(
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
-        if req.streams is not None:  # a batch plan
-            feeds = list(req.streams)
-            results_many = spec.batched(req.taps, feeds, alphabet)
-            results = None
-        else:
-            feeds = [req.stream]
-            results = spec.fast(req.taps, req.stream, alphabet)
-            results_many = None
+        batch = req.streams is not None  # a batch plan, else a solo job
+        feeds = list(req.streams) if batch else [req.stream]
+        merged = spec.batched(req.taps, feeds, alphabet)
+        results, results_many = (None, merged) if batch else (merged[0], None)
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:

@@ -200,11 +200,12 @@ class PoolWorker:
 
         *spec* is a :class:`~repro.workloads.WorkloadSpec`; *taps* are its
         prepared taps and *stream* the (shard of the) prepared stream.
-        The values always come from the workload's ``fast`` kernel (for
-        match the packed-word :class:`~repro.core.fastpath.FastMatcher`,
-        proven bit-identical to the stepwise chip/cascade/multipass
-        models); whether the window *fits* or needs the Section 3.4
-        multipass scheme only affects the beat and bus accounting in
+        The values always come from the workload's one kernel,
+        ``spec.batched``, called with a batch of one (for match the
+        vectorized :func:`~repro.core.fastpath.fast_match_many`, proven
+        bit-identical to the stepwise chip/cascade/multipass models);
+        whether the window *fits* or needs the Section 3.4 multipass
+        scheme only affects the beat and bus accounting in
         :meth:`service_beats` / :meth:`transfer_chars`.
 
         With an :class:`~repro.obs.Observability` bundle this records a
@@ -218,7 +219,7 @@ class PoolWorker:
         (``oracle_agrees``).  Observation never changes the results.
         """
         self._require_live()
-        results = spec.fast(taps, stream, self.alphabet)
+        results = spec.batched(taps, [stream], self.alphabet)[0]
         if obs is None:
             return results
         if spec is MATCH:

@@ -13,11 +13,16 @@ machine is described by a :class:`WorkloadSpec` that knows how to
 * ``prepare`` the stream for sliding-window evaluation (convolution and
   FIR are inner products against a reversed tap vector over a padded
   stream),
-* evaluate the windowed kernel three ways -- ``fast`` (the packed/strided
-  kernels in :mod:`repro.core.fastpath`), ``oracle`` (the direct
-  definition), and ``stepwise`` (the behavioral cell-by-cell machines in
-  :mod:`repro.extensions`) -- and
+* evaluate the windowed kernel three ways -- ``batched`` (the vectorized
+  one-pattern-many-streams kernels in :mod:`repro.core.fastpath`),
+  ``oracle`` (the direct definition), and ``stepwise`` (the behavioral
+  cell-by-cell machines in :mod:`repro.extensions`) -- and
 * ``finalize`` windowed results back into the workload's native output.
+
+Each workload has ONE serving kernel, ``batched``: a batch of many
+streams, a solo job and a text shard (a batch of one) all run it, just
+as the chip runs the same cells over every character.  The ``"fast"``
+engine name is kept as a synonym for ``"batched"``.
 
 The farm (:mod:`repro.service`) schedules any registered workload with
 halo-overlap sharding and oracle fallback; :func:`run_workload` is the
@@ -37,19 +42,14 @@ single-call entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..alphabet import Alphabet, PatternChar, parse_pattern
 from ..errors import PatternError
 from ..core.fastpath import (
-    FastCounter,
-    FastMatcher,
     fast_counts_many,
-    fast_inner_products,
     fast_inner_products_many,
     fast_match_many,
-    fast_squared_distances,
     fast_squared_distances_many,
 )
 from ..core.reference import correlation_oracle, count_oracle, match_oracle
@@ -106,14 +106,6 @@ def _parse_taps(params, _alphabet, name):
     return taps
 
 
-@lru_cache(maxsize=16)
-def _compiled(engine, taps: tuple, alphabet: Alphabet):
-    """The *engine* (:class:`FastMatcher` or :class:`FastCounter`) built
-    for one pattern, memoized: a farm streams many texts against few
-    patterns, and building the engine is the per-pattern cost."""
-    return engine(list(taps), alphabet)
-
-
 def _identity_prepare(taps, feed):
     return taps, feed
 
@@ -145,13 +137,15 @@ def _fir_finalize(taps, _orig_len, merged):
 class WorkloadSpec:
     """Everything the farm needs to serve one Section 3.4 kernel.
 
-    ``fast``/``oracle`` operate in *window space*: they take the prepared
-    taps and stream and emit one value per prepared-stream position, with
-    ``incomplete`` for positions before the first full window.  That is
-    exactly the matcher's result-stream shape, which is why the farm's
-    halo-overlap text sharding applies to every workload unchanged.
-    ``stepwise`` runs the whole workload end to end on the behavioral
-    :mod:`repro.extensions` machine -- the differential-testing target.
+    ``batched``/``oracle`` operate in *window space*: they take the
+    prepared taps and stream(s) and emit one value per prepared-stream
+    position, with ``incomplete`` for positions before the first full
+    window.  That is exactly the matcher's result-stream shape, which is
+    why the farm's halo-overlap text sharding applies to every workload
+    unchanged.  ``batched`` is the only serving kernel: one stream is
+    ``batched(taps, [feed], alphabet)[0]``.  ``stepwise`` runs the whole
+    workload end to end on the behavioral :mod:`repro.extensions`
+    machine -- the differential-testing target.
     """
 
     name: str
@@ -160,7 +154,6 @@ class WorkloadSpec:
     numeric: bool
     incomplete: object
     parse_params: Callable[[object, Optional[Alphabet]], list]
-    fast: Callable[[list, list, Optional[Alphabet]], list]
     oracle: Callable[[list, list, Optional[Alphabet]], list]
     stepwise: Callable[[object, Sequence, Optional[Alphabet]], list]
     #: Window-space batch evaluator: (prepared taps, list of prepared
@@ -195,25 +188,13 @@ class WorkloadSpec:
     ) -> list:
         """Uniform entry point: parse, prepare, evaluate, finalize.
 
-        ``engine`` selects the evaluator: ``"fast"`` (default),
-        ``"oracle"`` (direct definition), ``"stepwise"`` (the
-        cell-by-cell :mod:`repro.extensions` machine), or ``"batched"``
-        (the vectorized batch kernel, via a one-element batch).
+        ``engine`` selects the evaluator: ``"fast"`` (default) or its
+        synonym ``"batched"`` (the workload's one kernel, as a batch of
+        one), ``"oracle"`` (direct definition), or ``"stepwise"`` (the
+        cell-by-cell :mod:`repro.extensions` machine).
         """
-        if engine == "batched":
-            return self.run_many(params, [stream], alphabet=alphabet)[0]
-        if engine == "stepwise":
-            return self.stepwise(params, stream, alphabet)
-        taps = self.parse_params(params, alphabet)
-        validated = self.validate_stream(stream, alphabet)
-        ktaps, feed = self.prepare(taps, validated)
-        if engine == "fast":
-            merged = self.fast(ktaps, feed, alphabet)
-        elif engine == "oracle":
-            merged = self.oracle(ktaps, feed, alphabet)
-        else:
-            raise WorkloadError(f"unknown engine {engine!r}")
-        return self.finalize(ktaps, len(validated), merged)
+        return self.run_many(params, [stream], alphabet=alphabet,
+                             engine=engine)[0]
 
     def run_many(
         self,
@@ -226,10 +207,10 @@ class WorkloadSpec:
 
         Parameters are parsed and prepared **once** for the whole batch.
         ``engine="batched"`` (default) evaluates every prepared stream in
-        a single call to the spec's vectorized batch kernel; ``"fast"``,
-        ``"oracle"`` and ``"stepwise"`` loop the per-job engines, which
-        is what the differential tests compare against.  An empty batch
-        returns ``[]``.
+        a single call to the spec's vectorized batch kernel, and ``"fast"``
+        is a synonym for it; ``"oracle"`` and ``"stepwise"`` loop the
+        per-job reference engines, which is what the differential tests
+        compare against.  An empty batch returns ``[]``.
         """
         if engine == "stepwise":
             return [self.stepwise(params, s, alphabet) for s in streams]
@@ -242,12 +223,10 @@ class WorkloadSpec:
         prepared = [self.prepare(taps, v) for v in validated]
         ktaps = prepared[0][0]
         feeds = [feed for _ktaps, feed in prepared]
-        if engine == "batched":
-            merged_all = self.batched(ktaps, feeds, alphabet)
-        elif engine == "oracle":
+        if engine == "oracle":
             merged_all = [self.oracle(ktaps, f, alphabet) for f in feeds]
-        else:  # "fast"
-            merged_all = [self.fast(ktaps, f, alphabet) for f in feeds]
+        else:  # "batched" or its synonym "fast"
+            merged_all = self.batched(ktaps, feeds, alphabet)
         return [
             self.finalize(ktaps, len(v), m)
             for v, m in zip(validated, merged_all)
@@ -294,9 +273,6 @@ MATCH = _register(WorkloadSpec(
     numeric=False,
     incomplete=False,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "match"),
-    fast=lambda taps, feed, al: (
-        _compiled(FastMatcher, tuple(taps), al).match(feed)
-    ),
     oracle=lambda taps, feed, al: match_oracle(taps, feed),
     stepwise=lambda params, stream, al: _stepwise_match(params, stream, al),
     batched=lambda taps, feeds, al: fast_match_many(taps, feeds, al),
@@ -309,9 +285,6 @@ COUNT = _register(WorkloadSpec(
     numeric=False,
     incomplete=0,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "count"),
-    fast=lambda taps, feed, al: (
-        _compiled(FastCounter, tuple(taps), al).counts(feed)
-    ),
     oracle=lambda taps, feed, al: count_oracle(taps, feed),
     stepwise=lambda params, stream, al: systolic_match_counts(
         params, stream, _require_alphabet(al, "count")
@@ -326,7 +299,6 @@ CORRELATION = _register(WorkloadSpec(
     numeric=True,
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "correlation"),
-    fast=lambda taps, feed, al: fast_squared_distances(taps, feed),
     oracle=lambda taps, feed, al: correlation_oracle(taps, feed),
     stepwise=lambda params, stream, al: systolic_correlation(
         [float(v) for v in params], [float(v) for v in stream]
@@ -341,7 +313,6 @@ INNER = _register(WorkloadSpec(
     numeric=True,
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "inner-product"),
-    fast=lambda taps, feed, al: fast_inner_products(taps, feed),
     oracle=lambda taps, feed, al: linear_product_oracle(
         taps, feed, INNER_PRODUCT, 0.0
     ),
@@ -358,7 +329,6 @@ CONVOLUTION = _register(WorkloadSpec(
     numeric=True,
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "convolution"),
-    fast=lambda taps, feed, al: fast_inner_products(taps, feed),
     oracle=lambda taps, feed, al: linear_product_oracle(
         taps, feed, INNER_PRODUCT, 0.0
     ),
@@ -377,7 +347,6 @@ FIR = _register(WorkloadSpec(
     numeric=True,
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "fir"),
-    fast=lambda taps, feed, al: fast_inner_products(taps, feed),
     oracle=lambda taps, feed, al: linear_product_oracle(
         taps, feed, INNER_PRODUCT, 0.0
     ),

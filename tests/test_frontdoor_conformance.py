@@ -2,10 +2,11 @@
 
 Every case runs through the beat-clock farm (`MatcherService`) and the
 process runtime (`AsyncMatcherService`) for every registry workload.
-Both must return the same results (the oracle's), the same route per
-position and the same route counts.  Device routes are one label: the
-farm reports ``direct``/``multipass``/``text-sharded`` where the runtime
-reports ``pool``.  No sleeps, no reliance on reply order, and no
+Both must return the same results (the oracle's, element types
+included), the same route per position and the same route counts.
+Device routes are one label: the farm reports
+``direct``/``multipass``/``text-sharded`` where the runtime reports
+``pool``.  No sleeps, no reliance on reply order, and no
 assertions on job ids (runtime batch ids share the job-id counter).
 """
 
@@ -158,9 +159,15 @@ def test_front_doors_agree(shared_pool, name, case):
     results, routes, (hits, deduped, batches, batched_jobs, fallbacks) = sync
     assert routes == CASES[case][1]
     params, streams, _ = _inputs(name, case)
-    assert results == [
+    oracle = [
         run_workload(name, params, s, AB, engine="oracle") for s in streams
     ]
+    assert results == oracle
+    # `==` accepts 1 == True and numpy scalars; the element types must
+    # be the oracle's too, in both front doors.
+    oracle_types = [[type(v) for v in r] for r in oracle]
+    for got in (results, runtime[0]):
+        assert [[type(v) for v in r] for r in got] == oracle_types
     assert hits == routes.count("cached")
     assert deduped == routes.count("deduped")
     assert batched_jobs == routes.count("batched")
