@@ -33,8 +33,11 @@ class SchedulerConfig:
 
     ``queue_capacity``: bound of each priority-class channel (CSP buffer
     size); submissions beyond it hit backpressure.
-    ``max_retries``: attempts per execution before the job degrades to
-    the software fallback.
+    ``max_retries``: retries per execution unit -- a solo job, one
+    shard of a wide job, or one batch plan, each with its own budget --
+    after worker deaths; then the unit's pieces degrade to the software
+    fallback.  ``JobResult.attempts`` still counts every failed
+    execution of the job.
     ``wide_text_threshold``: texts at least this long are sharded across
     idle workers when enough of them can hold the pattern.
     ``max_shards`` / ``min_shard_chars``: shard fan-out bounds.

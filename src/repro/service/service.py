@@ -11,16 +11,27 @@ multipass, or the software fallback -- so service output is bit-identical
 to :func:`repro.core.reference.match_oracle` no matter how the job was
 routed, retried, or sharded.
 
+All device work moves as one kind of record, a ``_Unit``: a list of
+*pieces* (one job and one :class:`~repro.service.sharding.TextShard` of
+its text each).  A solo job is a unit of one whole-text piece, which
+may split into one-piece shard units when it is first dispatched; a
+batch plan is a unit of whole-text pieces run by one batched kernel
+call.  Every unit is launched under one fault sample (pieces whose
+deadline the projected finish would blow are shed to software first),
+retried whole from one retry deque while its own attempt budget lasts,
+and otherwise served piece by piece from
+:class:`~repro.service.reliability.SoftwareFallback`.  A job completes
+when its last piece does.
+
 Matching is one workload among the kernels registered in
 :mod:`repro.workloads` -- match counting, correlation, convolution, FIR,
 sliding inner products (Section 3.4) -- and ``submit(workload=...)``
 serves every one of them down the *same* path: the spec parses and
 prepares the taps, a worker runs the spec's kernel, halo-overlap shards
 merge (one value per stream position, ``window - 1`` warm-up), and the
-spec finalizes.  Retry exhaustion degrades to
-:class:`~repro.service.reliability.SoftwareFallback`.  Whatever the
-routing, results equal the direct oracle definition, property-tested
-under fault injection in ``tests/test_workloads_service.py``.
+spec finalizes.  Whatever the routing, results equal the direct oracle
+definition, property-tested under fault injection in
+``tests/test_workloads_service.py``.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
 from .sharding import (
     ShardMode,
-    ShardPlan,
     TextShard,
     merge_shard_results,  # noqa: F401 -- perfbench's tracer wraps it by name
     merge_shard_values,
@@ -55,12 +65,14 @@ from ..workloads.registry import WorkloadSpec
 
 @dataclass
 class MatchJob:
-    """One admitted query for any registered workload (match included).
+    """One admitted query for any registered workload (match included),
+    with its in-flight state.
 
     ``taps`` holds the workload's *prepared* tap vector, ``text`` the
     prepared stream (padded for convolution/FIR), and ``orig_len`` the
     validated input-stream length that ``spec.finalize`` maps windowed
-    results back onto."""
+    results back onto.  The fields from ``mode`` on fill in as the
+    job's pieces are placed and served."""
 
     job_id: int
     tenant: str
@@ -70,13 +82,26 @@ class MatchJob:
     text: List
     orig_len: int
     submitted_beat: float
-    attempts: int = 0  # failed executions so far (drives the retry policy)
+    attempts: int = 0  # failed executions of any unit carrying the job
     span: Optional[object] = None  # open service.job span (obs attached)
     deadline: Optional[float] = None  # absolute beat; None = no SLO
     #: Cross-tenant result-cache identity (also the submit_many dedup
     #: key): canonical workload + params + content digest of the
     #: validated input.  None when the planner computed no key.
     cache_key: Optional[tuple] = None
+    #: The device route fixed at first dispatch (``direct``,
+    #: ``multipass``, ``text-sharded`` or ``batched``).
+    mode: Optional[str] = None
+    shards: Optional[List[TextShard]] = None  # set when text-sharded
+    pending: int = 1  # pieces not yet served
+    shard_results: Dict[int, List] = field(default_factory=dict)
+    shard_finish: Dict[int, float] = field(default_factory=dict)
+    #: First commit to a worker, else the start of its software run.
+    started_beat: Optional[float] = None
+    service_beats: float = 0.0
+    workers_used: List[str] = field(default_factory=list)
+    via_fallback: bool = False
+    timed_out: bool = False
 
     @property
     def workload(self) -> str:
@@ -86,6 +111,10 @@ class MatchJob:
     def window_len(self) -> int:
         """Cells the job needs: the sliding-window width."""
         return len(self.taps)
+
+    def whole(self) -> Tuple["MatchJob", TextShard]:
+        """The piece covering the job's whole text."""
+        return self, TextShard(0, 0, len(self.text) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -114,64 +143,30 @@ class JobResult:
         return self.finished_beat - self.submitted_beat
 
 
-@dataclass
-class _JobState:
-    """In-flight bookkeeping for one job."""
+@dataclass(eq=False)
+class _Unit:
+    """One queue entry, then one execution at a time on one worker.
 
-    job: MatchJob
-    plan: ShardPlan
-    pending: Dict[int, TextShard]
-    shard_results: Dict[int, List] = field(default_factory=dict)
-    shard_finish: Dict[int, float] = field(default_factory=dict)
-    started_beat: Optional[float] = None
-    service_beats: float = 0.0
-    workers_used: List[str] = field(default_factory=list)
-    via_fallback: bool = False
-    timed_out: bool = False
+    A solo job is one whole-text piece (it may split into one-piece
+    shard units at first dispatch); a batch plan (``batched``) is the
+    whole-text pieces of 2 or more jobs sharing one workload, prepared
+    tap vector, tenant and priority, every text unique.  The unit lives
+    or dies with its worker and is retried whole; ``attempts`` is its
+    own retry budget.  The last four fields describe the execution in
+    flight."""
 
-    @property
-    def done(self) -> bool:
-        return not self.pending
-
-
-@dataclass(frozen=True)
-class _Execution:
-    """One launch running on one worker (or dying on it): one shard of
-    a solo job, or a whole batch (``shard`` None, ``state`` the batch)."""
-
-    seq: int
-    state: object  # _JobState or _Batch
-    worker: PoolWorker
-    start_beat: float
-    finish_beat: float
-    fault: Optional[object]
-    shard: Optional[TextShard] = None
-
-
-@dataclass
-class _Batch:
-    """A coalesced batch plan: one queue entry, then its in-flight state.
-
-    All members share one workload, prepared tap vector, tenant, and
-    priority (the ``submit_many`` contract), and every member's text is
-    *unique* -- duplicates were already peeled off as followers of their
-    representative.  The batch occupies one worker for the sum of its
-    members' service beats and is retried, shed, or degraded as a unit
-    (per-member deadlines are still honoured individually at launch)."""
-
-    jobs: List[MatchJob]  # members still owed a device execution
+    pieces: List[Tuple[MatchJob, TextShard]]
     priority: Priority
-    started_beat: Optional[float] = None
-    attempts: int = 0  # failed batch executions (drives the retry policy)
+    batched: bool = False
+    attempts: int = 0  # failed executions of this unit
+    worker: Optional[PoolWorker] = None
+    start_beat: float = 0.0
+    finish_beat: float = 0.0
+    fault: Optional[object] = None
 
     @property
     def window_len(self) -> int:
-        return self.jobs[0].window_len
-
-
-def _members(unit) -> List[MatchJob]:
-    """The jobs one queue entry carries: a solo job or a batch."""
-    return unit.jobs if isinstance(unit, _Batch) else [unit]
+        return self.pieces[0][0].window_len
 
 
 class MatcherService:
@@ -180,12 +175,14 @@ class MatcherService:
     Every job, whatever its workload, takes one path: the
     :class:`~repro.workloads.WorkloadSpec` parses and prepares its taps,
     a :class:`~repro.service.pool.PoolWorker` runs the spec's kernel
-    (``run_kernel`` or ``run_kernel_batch``) or
-    :class:`~repro.service.reliability.SoftwareFallback` serves it, text
-    shards merge with the spec's ``incomplete`` value, and the spec
-    finalizes.  ``submit(x)`` is ``submit_many([x])``, and every stream
-    is routed by the one planner both front doors share
-    (:func:`repro.service.plan.plan`).
+    (``run_kernel`` for a solo job or shard, ``run_kernel_batch`` for a
+    batch plan) or :class:`~repro.service.reliability.SoftwareFallback`
+    serves it, text shards merge with the spec's ``incomplete`` value,
+    and the spec finalizes.  ``submit(x)`` is ``submit_many([x])``, and
+    every stream is routed by the one planner both front doors share
+    (:func:`repro.service.plan.plan`).  Solo jobs, text shards and batch
+    plans are one kind of in-flight unit, launched, retried, shed and
+    degraded by one path.
 
     >>> pool = uniform_pool(4, ChipSpec(8, 2), Alphabet("ABCD"))  # doctest: +SKIP
     >>> svc = MatcherService(pool)                                # doctest: +SKIP
@@ -225,9 +222,8 @@ class MatcherService:
         self.cache = cache
         self._next_id = 0
         self._seq = 0
-        self._inflight: List[Tuple[float, int, object]] = []
-        self._retry_ready: Deque[Tuple[_JobState, TextShard]] = deque()
-        self._retry_batches: Deque[_Batch] = deque()
+        self._inflight: List[Tuple[float, int, _Unit]] = []
+        self._retry: Deque[_Unit] = deque()
         self._followers = Followers(cache)
         self._completed = CompletionLog()
         self._last_finish = 0.0  # running max of finished_beat
@@ -307,13 +303,15 @@ class MatcherService:
           ``config.max_batch_jobs`` members, each dispatched to a worker
           as a single batched execution (``mode="batched"``).
 
-        Solo units are queued in text order, then the batch plans.
-        Backpressure applies per queue entry (one batch plan is one
-        entry): with ``degrade_when_saturated`` the overflowing entry is
-        served by the software baseline; otherwise the overflowing entry
-        and every entry after it are rejected and
-        :class:`BackpressureError` raised (already-admitted jobs stay
-        admitted).
+        Each solo job and each batch plan is one queue entry; the solo
+        entries are queued in text order, then the batch plans.  A
+        batch plan counts into ``telemetry.batches`` (and its members
+        into ``batched_jobs``) once, when it is queued.  Backpressure
+        applies per entry: with ``degrade_when_saturated`` the
+        overflowing entry is served by the software baseline;
+        otherwise the overflowing entry and every entry after it are
+        rejected and :class:`BackpressureError` raised
+        (already-admitted jobs stay admitted).
         """
         req = parse_request(
             workload, pattern, texts, self.pool.alphabet, priority, timeout
@@ -334,12 +332,12 @@ class MatcherService:
             elif route.kind in INLINE:  # no queue, worker, bus or beats
                 now = self.clock.now
                 self._record(job, route.hit or [], now, now, 0.0, route.kind)
-        units: List[object] = [jobs[i] for i in solos]
+        units = [_Unit([jobs[i].whole()], req.priority) for i in solos]
         units += [
-            _Batch([jobs[i] for i in chunk], req.priority)
+            _Unit([jobs[i].whole() for i in chunk], req.priority, True)
             for chunk in batches
         ]
-        self._enqueue(units, req.priority, tenant)
+        self._enqueue(units, tenant)
         return [job.job_id for job in jobs]
 
     def _admit(
@@ -374,27 +372,29 @@ class MatcherService:
             )
         return job
 
-    def _enqueue(
-        self, units: Sequence[object], priority: Priority, tenant: str
-    ) -> None:
-        """Queue solo jobs and batch plans in order.  On backpressure
-        the overflowing unit is served by the software baseline when
-        ``degrade_when_saturated``; otherwise it and every unit after it
-        are rolled back and :class:`BackpressureError` propagates."""
+    def _enqueue(self, units: Sequence[_Unit], tenant: str) -> None:
+        """Queue units in order; a batch plan is counted once here.  On
+        backpressure the overflowing unit is served by the software
+        baseline when ``degrade_when_saturated``; otherwise it and every
+        unit after it are rolled back and :class:`BackpressureError`
+        propagates."""
         for i, unit in enumerate(units):
             try:
-                self.queues.put(priority, tenant, unit)
-                self._note_queue_depth(priority)
+                self.queues.put(unit.priority, tenant, unit)
             except BackpressureError:
                 self.telemetry.backpressure_hits += 1
                 if self.config.degrade_when_saturated:
-                    for job in _members(unit):
-                        self._complete_member_software(job)
+                    for job, shard in unit.pieces:
+                        self._serve_software(job, shard)
                     continue
                 for late in units[i:]:
-                    for job in _members(late):
+                    for job, _ in late.pieces:
                         self._reject(job)
                 raise
+            self._note_queue_depth(unit.priority)
+            if unit.batched:
+                self.telemetry.batches += 1
+                self.telemetry.batched_jobs += len(unit.pieces)
 
     def _note_queue_depth(self, priority: Priority) -> None:
         if self.obs is not None:
@@ -421,31 +421,22 @@ class MatcherService:
 
         Besides running the jobs, the cost is work proportional to the
         completions since the last call plus one C-level list copy."""
-        while (
-            self.queues.depth() or self._retry_ready
-            or self._retry_batches or self._inflight
-        ):
+        while self.queues.depth() or self._retry or self._inflight:
             self._assign_all()
             if not self._inflight:
                 if self.pool.n_live == 0:
                     self._degrade_remaining()
                     continue
-                if (
-                    not self.queues.depth() and not self._retry_ready
-                    and not self._retry_batches
-                ):
+                if not self.queues.depth() and not self._retry:
                     # Everything was served inline (deadline timeouts /
                     # saturation degrades) without touching a worker.
                     continue
                 raise ServiceError(
                     "scheduler stalled with live workers and queued jobs"
                 )
-            _, _, execution = heapq.heappop(self._inflight)
-            self.clock.advance_to(execution.finish_beat)
-            if execution.shard is None:
-                self._complete_batch(execution)
-            else:
-                self._complete_execution(execution)
+            _, _, unit = heapq.heappop(self._inflight)
+            self.clock.advance_to(unit.finish_beat)
+            self._complete(unit)
         self._sync_telemetry()
         return self._completed.snapshot()
 
@@ -458,29 +449,20 @@ class MatcherService:
     # -- assignment --------------------------------------------------------
 
     def _assign_all(self) -> None:
+        """Fill idle workers: retries first, then the queues."""
         while True:
             idle = self.pool.idle_workers()
             if not idle:
                 return
-            if self._retry_ready:
-                state, shard = self._retry_ready.popleft()
-                worker = self._choose_worker(idle, state.job.window_len)
-                self._launch(state, shard, worker)
+            if self._retry:
+                unit = self._retry.popleft()
+                self._launch(unit, self._choose_worker(idle, unit.window_len))
                 continue
-            if self._retry_batches:
-                batch = self._retry_batches.popleft()
-            else:
-                unit = self.queues.pop()
-                if unit is None:
-                    return
-                self._note_queue_depth(unit.priority)
-                if not isinstance(unit, _Batch):
-                    self._start_job(unit)
-                    continue
-                batch = unit
-            self._launch_batch(
-                batch, self._choose_worker(idle, batch.window_len)
-            )
+            unit = self.queues.pop()
+            if unit is None:
+                return
+            self._note_queue_depth(unit.priority)
+            self._dispatch(unit, idle)
 
     @staticmethod
     def _choose_worker(
@@ -493,8 +475,16 @@ class MatcherService:
             return min(fitting, key=lambda w: (w.capacity, w.name))
         return max(idle, key=lambda w: (w.capacity, w.name))
 
-    def _start_job(self, job: MatchJob) -> None:
-        idle = self.pool.idle_workers()
+    def _dispatch(self, unit: _Unit, idle: Sequence[PoolWorker]) -> None:
+        """First dispatch of a queued unit, which fixes each job's mode.
+        A wide solo job with two or more idle workers that fit it splits
+        into one-piece shard units, one per worker."""
+        if unit.batched:
+            for job, _ in unit.pieces:
+                job.mode = "batched"
+            self._launch(unit, self._choose_worker(idle, unit.window_len))
+            return
+        job, _ = unit.pieces[0]
         plen, tlen = job.window_len, len(job.text)
         fitting = sorted(
             (w for w in idle if w.fits(plen)), key=lambda w: (w.capacity, w.name)
@@ -505,87 +495,84 @@ class MatcherService:
                 self.config.min_shard_chars, obs=self.obs,
             )
             if plan.mode is ShardMode.TEXT_SHARDED:
-                state = _JobState(
-                    job, plan, pending={s.index: s for s in plan.shards}
-                )
+                job.mode, job.shards = plan.mode.value, plan.shards
+                job.pending = len(plan.shards)
                 for shard, worker in zip(plan.shards, fitting):
-                    self._launch(state, shard, worker)
+                    self._launch(_Unit([(job, shard)], unit.priority), worker)
                 return
         worker = self._choose_worker(idle, plen)
-        mode = ShardMode.DIRECT if worker.fits(plen) else ShardMode.MULTIPASS
-        whole = TextShard(0, 0, tlen - 1, 0)
-        state = _JobState(job, ShardPlan(mode, [whole]), pending={0: whole})
-        self._launch(state, whole, worker)
+        job.mode = (
+            ShardMode.DIRECT if worker.fits(plen) else ShardMode.MULTIPASS
+        ).value
+        self._launch(unit, worker)
 
     def _project(
-        self, fault, service: float, chars: int, now: float
+        self, fault, unit: _Unit, worker: PoolWorker, now: float
     ) -> Tuple[float, int]:
-        """Projected finish beat and bus characters of one launch.  A
-        worker death burns beats and bus time up to the failure point
+        """Projected finish beat and bus characters of running *unit*'s
+        pieces back to back on *worker* (one load of the taps per piece).
+        A worker death burns beats and bus time up to the failure point
         and brings nothing useful back."""
+        plen, fed = unit.window_len, [s.n_fed for _, s in unit.pieces]
+        service = sum(worker.service_beats(plen, n) for n in fed)
+        chars = sum(worker.transfer_chars(plen, n) for n in fed)
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             finish = now + max(1.0, fault.at_fraction * service)
             return finish, int(chars * fault.at_fraction)
         extra = fault.extra_beats if fault is not None else 0
         return max(now + service + extra, self.bus.eta(chars, now)), chars
 
-    def _launch(
-        self, state: _JobState, shard: TextShard, worker: PoolWorker
-    ) -> None:
+    def _launch(self, unit: _Unit, worker: PoolWorker) -> None:
+        """Launch *unit* on *worker* under one fault sample: the unit
+        lives or dies with its worker.  Pieces whose job deadline the
+        projected finish would blow (slow worker, stuck beats, bus
+        queue, or a death that would burn past it) are served degraded
+        right now; the survivors are re-projected once and committed.
+        A fully shed unit never commits the worker or the bus."""
         now = self.clock.now
-        plen, n_fed = state.job.window_len, shard.n_fed
         fault = self.faults.sample()
-        finish, bus_chars = self._project(
-            fault, worker.service_beats(plen, n_fed),
-            worker.transfer_chars(plen, n_fed), now,
-        )
-        deadline = state.job.deadline
-        if deadline is not None and finish > deadline:
-            # The SLO would be blown before this launch even finished
-            # (slow worker, stuck beats, bus queue, or a death that
-            # would burn past the deadline): don't commit the worker or
-            # the bus at all -- serve the shard degraded right now.
-            # The sampled fault is discarded with the launch.
-            self.telemetry.timeouts += 1
-            state.timed_out = True
-            if state.started_beat is None:
-                state.started_beat = now
-            if self.obs is not None:
-                self.obs.tracer.event(
-                    "job.timeout", t=now, unit="beats",
-                    job_id=state.job.job_id, shard=shard.index,
-                    projected_finish=finish, deadline=deadline,
-                )
-            self._shard_software(state, shard)
-            return
-        self._commit(state, worker, now, finish, bus_chars, fault, shard)
+        finish, bus_chars = self._project(fault, unit, worker, now)
 
-    def _commit(
-        self, state, worker: PoolWorker, now: float, finish: float,
-        bus_chars: int, fault, shard: Optional[TextShard] = None,
-    ) -> None:
-        """Commit a launch: its worker and bus time are taken until
-        *finish*, when the execution completes (or dies)."""
-        if state.started_beat is None:
-            state.started_beat = now
+        def blown(piece) -> bool:
+            deadline = piece[0].deadline
+            return deadline is not None and finish > deadline
+
+        shed = [piece for piece in unit.pieces if blown(piece)]
+        if shed:
+            for job, shard in shed:
+                self.telemetry.timeouts += 1
+                job.timed_out = True
+                if self.obs is not None:
+                    self.obs.tracer.event(
+                        "job.timeout", t=now, unit="beats",
+                        job_id=job.job_id, shard=shard.index,
+                        batch=unit.batched, projected_finish=finish,
+                        deadline=job.deadline,
+                    )
+                self._serve_software(job, shard)
+            unit.pieces = [p for p in unit.pieces if not blown(p)]
+            if not unit.pieces:
+                return
+            finish, bus_chars = self._project(fault, unit, worker, now)
+        for job, _ in unit.pieces:
+            if job.started_beat is None:
+                job.started_beat = now
         worker.state = WorkerState.BUSY
         self.bus.reserve(bus_chars, now)
+        unit.worker, unit.fault = worker, fault
+        unit.start_beat, unit.finish_beat = now, finish
         self._seq += 1
-        execution = _Execution(
-            self._seq, state, worker, now, finish, fault, shard
-        )
-        heapq.heappush(self._inflight, (finish, self._seq, execution))
+        heapq.heappush(self._inflight, (finish, self._seq, unit))
 
     # -- completion --------------------------------------------------------
 
-    def _settle_worker(self, execution) -> bool:
-        """Book one finished execution (solo or batch) against its
-        worker; True when the worker died in it (it is then DEAD, else
-        IDLE again)."""
-        worker, fault = execution.worker, execution.fault
+    def _settle_worker(self, unit: _Unit) -> bool:
+        """Book one finished execution against its worker; True when the
+        worker died in it (it is then DEAD, else IDLE again)."""
+        worker, fault = unit.worker, unit.fault
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
         stats.executions += 1
-        stats.record_busy(execution.start_beat, execution.finish_beat)
+        stats.record_busy(unit.start_beat, unit.finish_beat)
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             worker.state = WorkerState.DEAD
             stats.died = True
@@ -597,218 +584,119 @@ class MatcherService:
             self.telemetry.stuck_events += 1
         return False
 
-    def _complete_execution(self, execution: _Execution) -> None:
-        state, shard, worker = execution.state, execution.shard, execution.worker
-        job = state.job
-        fault = execution.fault
-        died = self._settle_worker(execution)
-        exec_span = None
+    def _complete(self, unit: _Unit) -> None:
+        """A unit's execution finished.  On a worker death every piece's
+        job counts a failed attempt and the unit is retried whole while
+        its own budget lasts (else each piece is served from software);
+        otherwise the worker's kernel yields every piece's results."""
+        worker, fault = unit.worker, unit.fault
+        died = self._settle_worker(unit)
+        job, shard = unit.pieces[0]
+        span = None
         if self.obs is not None:
-            exec_span = self.obs.tracer.record(
-                "service.execution",
-                t0=execution.start_beat, t1=execution.finish_beat,
-                unit="beats", parent=job.span,
-                worker=worker.name, shard=shard.index,
-                attempt=job.attempts,
+            attrs = dict(
+                t0=unit.start_beat, t1=unit.finish_beat, unit="beats",
+                worker=worker.name, attempt=unit.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
-        if died:
-            job.attempts += 1
-            if self.retry.should_retry(job.attempts) and self.pool.n_live > 0:
-                self.telemetry.retries += 1
-                self._retry_ready.append((state, shard))
+            if unit.batched:
+                span = self.obs.tracer.record(
+                    "service.batch", jobs=len(unit.pieces),
+                    workload=job.workload, **attrs,
+                )
             else:
-                self._shard_software(state, shard)
+                span = self.obs.tracer.record(
+                    "service.execution", parent=job.span,
+                    shard=shard.index, **attrs,
+                )
+        if died:
+            unit.attempts += 1
+            for job, _ in unit.pieces:
+                job.attempts += 1
+            if self.retry.should_retry(unit.attempts) and self.pool.n_live:
+                self.telemetry.retries += 1
+                self._retry.append(unit)
+            else:
+                for job, shard in unit.pieces:
+                    self._serve_software(job, shard)
             return
-        results = worker.run_kernel(
-            job.spec, job.taps, shard.feed(job.text), obs=self.obs,
-            parent=exec_span, t0=execution.start_beat,
-            t1=execution.finish_beat,
-        )
-        state.shard_results[shard.index] = results
-        state.shard_finish[shard.index] = execution.finish_beat
-        state.service_beats += execution.finish_beat - execution.start_beat
-        state.workers_used.append(worker.name)
-        del state.pending[shard.index]
-        if state.done:
-            self._finalize(state)
+        run = dict(obs=self.obs, parent=span, t0=unit.start_beat,
+                   t1=unit.finish_beat)
+        if unit.batched:
+            rows = worker.run_kernel_batch(
+                job.spec, job.taps, [s.feed(j.text) for j, s in unit.pieces],
+                **run,
+            )
+        else:
+            rows = [worker.run_kernel(
+                job.spec, job.taps, shard.feed(job.text), **run
+            )]
+        plen = unit.window_len
+        for (job, shard), results in zip(unit.pieces, rows):
+            job.workers_used.append(worker.name)
+            # A batch member's service beats are its own device share:
+            # what its own run would have cost on this worker.
+            beats = worker.service_beats(plen, shard.n_fed) if unit.batched \
+                else unit.finish_beat - unit.start_beat
+            self._settle(job, shard, results, unit.finish_beat, beats)
 
-    def _shard_software(self, state: _JobState, shard: TextShard) -> None:
-        """Retries exhausted (or no live workers): the host CPU finishes
-        this shard with the software baseline."""
-        job = state.job
+    def _serve_software(self, job: MatchJob, shard: TextShard) -> None:
+        """The host CPU serves one piece with the software baseline
+        (saturation, deadline shed, retries exhausted or no live
+        workers)."""
+        now = self.clock.now
+        if job.started_beat is None:
+            job.started_beat = now
         feed = shard.feed(job.text)
         results = self.fallback.kernel(job.spec, job.taps, feed)
         beats = self.fallback.beats(job.window_len, len(feed), self.beat_ns)
-        finish = self.clock.now + beats
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "service.software_fallback", t0=self.clock.now, t1=finish,
-                unit="beats", parent=job.span,
-                shard=shard.index, chars=len(feed),
-            )
-        state.shard_results[shard.index] = results
-        state.shard_finish[shard.index] = finish
-        state.service_beats += beats
-        state.via_fallback = True
-        self.telemetry.fallbacks += 1
-        del state.pending[shard.index]
-        if state.done:
-            self._finalize(state)
-
-    def _finalize(self, state: _JobState) -> None:
-        job, plan = state.job, state.plan
-        if plan.mode is ShardMode.TEXT_SHARDED:
-            ordered = [state.shard_results[s.index] for s in plan.shards]
-            results = merge_shard_values(
-                plan.shards, ordered, len(job.text), job.spec.incomplete
-            )
-        else:
-            results = state.shard_results[0]
-        results = job.spec.finalize(job.taps, job.orig_len, results)
-        finished = max(state.shard_finish.values())
-        started = state.started_beat if state.started_beat is not None else finished
-        mode = "software" if state.via_fallback and not state.workers_used \
-            else plan.mode.value
-        self._record(
-            job, results, started, finished, state.service_beats, mode,
-            state.workers_used, job.attempts, state.via_fallback,
-            state.timed_out,
-        )
-
-    def _complete_member_software(
-        self, job: MatchJob, timed_out: bool = False
-    ) -> None:
-        """Serve one whole job from the host CPU (saturation degrade,
-        deadline shed, batch retry exhaustion, or an all-dead pool),
-        preserving its original submission beat for latency accounting."""
-        merged = self.fallback.kernel(job.spec, job.taps, job.text)
-        results = job.spec.finalize(job.taps, job.orig_len, merged)
-        beats = self.fallback.beats(job.window_len, len(job.text), self.beat_ns)
-        now = self.clock.now
-        self.telemetry.fallbacks += 1
         if self.obs is not None:
             self.obs.tracer.record(
                 "service.software_fallback", t0=now, t1=now + beats,
-                unit="beats", parent=job.span, chars=len(job.text),
+                unit="beats", parent=job.span,
+                shard=shard.index, chars=len(feed),
             )
+        job.via_fallback = True
+        self.telemetry.fallbacks += 1
+        self._settle(job, shard, results, now + beats, beats)
+
+    def _settle(
+        self, job: MatchJob, shard: TextShard, results: List,
+        finish: float, beats: float,
+    ) -> None:
+        """Book one served piece; the job completes with its last."""
+        job.shard_results[shard.index] = results
+        job.shard_finish[shard.index] = finish
+        job.service_beats += beats
+        job.pending -= 1
+        if not job.pending:
+            self._finalize(job)
+
+    def _finalize(self, job: MatchJob) -> None:
+        """Complete a job: merge its shards, finalize, label its mode."""
+        if job.shards is not None:
+            ordered = [job.shard_results[s.index] for s in job.shards]
+            results = merge_shard_values(
+                job.shards, ordered, len(job.text), job.spec.incomplete
+            )
+        else:
+            results = job.shard_results[0]
+        results = job.spec.finalize(job.taps, job.orig_len, results)
+        mode = "software" if job.via_fallback and not job.workers_used \
+            else job.mode
         self._record(
-            job, results, now, now + beats, beats, "software",
-            attempts=job.attempts, via_fallback=True, timed_out=timed_out,
+            job, results, job.started_beat, max(job.shard_finish.values()),
+            job.service_beats, mode, job.workers_used, job.attempts,
+            job.via_fallback, job.timed_out,
         )
-
-    # -- batch plans -------------------------------------------------------
-
-    def _batch_demand(
-        self, jobs: Sequence[MatchJob], worker: PoolWorker
-    ) -> Tuple[float, int]:
-        """Summed device beats and bus characters for a batch's members
-        run back-to-back on *worker* (one load of the shared pattern per
-        member, same accounting as a singleton launch)."""
-        plen = jobs[0].window_len
-        service = sum(worker.service_beats(plen, len(j.text)) for j in jobs)
-        chars = sum(worker.transfer_chars(plen, len(j.text)) for j in jobs)
-        return service, chars
-
-    def _launch_batch(self, state: _Batch, worker: PoolWorker) -> None:
-        now = self.clock.now
-        # One fault sample per batch execution: the whole batch lives or
-        # dies with the worker it lands on.
-        fault = self.faults.sample()
-        finish, bus_chars = self._project(
-            fault, *self._batch_demand(state.jobs, worker), now
-        )
-        shed = [
-            j for j in state.jobs
-            if j.deadline is not None and finish > j.deadline
-        ]
-        if shed:
-            # Per-member SLO check before committing the worker: members
-            # whose deadline the projected finish would blow are served
-            # degraded right now; the survivors are re-projected once.
-            shed_ids = {j.job_id for j in shed}
-            for job in shed:
-                self.telemetry.timeouts += 1
-                if self.obs is not None:
-                    self.obs.tracer.event(
-                        "job.timeout", t=now, unit="beats",
-                        job_id=job.job_id, batch=True,
-                        projected_finish=finish, deadline=job.deadline,
-                    )
-                self._complete_member_software(job, timed_out=True)
-            state.jobs = [
-                j for j in state.jobs if j.job_id not in shed_ids
-            ]
-            if not state.jobs:
-                return  # the worker was never committed
-            finish, bus_chars = self._project(
-                fault, *self._batch_demand(state.jobs, worker), now
-            )
-        self._commit(state, worker, now, finish, bus_chars, fault)
-
-    def _complete_batch(self, execution: _Execution) -> None:
-        state, worker = execution.state, execution.worker
-        fault = execution.fault
-        died = self._settle_worker(execution)
-        batch_span = None
-        if self.obs is not None:
-            batch_span = self.obs.tracer.record(
-                "service.batch",
-                t0=execution.start_beat, t1=execution.finish_beat,
-                unit="beats", worker=worker.name, jobs=len(state.jobs),
-                workload=state.jobs[0].workload, attempt=state.attempts,
-                fault=fault.kind.value if fault is not None else None,
-            )
-        if died:
-            state.attempts += 1
-            for job in state.jobs:
-                job.attempts += 1
-            if self.retry.should_retry(state.attempts) and self.pool.n_live:
-                self.telemetry.retries += 1
-                self._retry_batches.append(state)
-            else:
-                for job in state.jobs:
-                    self._complete_member_software(job)
-            return
-        jobs = state.jobs
-        results_many = worker.run_kernel_batch(
-            jobs[0].spec, jobs[0].taps, [j.text for j in jobs],
-            obs=self.obs, parent=batch_span,
-            t0=execution.start_beat, t1=execution.finish_beat,
-        )
-        self.telemetry.batches += 1
-        started = (
-            state.started_beat if state.started_beat is not None
-            else execution.start_beat
-        )
-        plen = state.window_len
-        for job, merged in zip(jobs, results_many):
-            results = job.spec.finalize(job.taps, job.orig_len, merged)
-            self.telemetry.batched_jobs += 1
-            # A member's service beats are its share of the batch: what
-            # its own device run would have cost on this worker.
-            self._record(
-                job, results, started, execution.finish_beat,
-                worker.service_beats(plen, len(job.text)), "batched",
-                (worker.name,), job.attempts,
-            )
 
     def _degrade_remaining(self) -> None:
         """Every live worker is gone: drain all remaining work through
         the software fallback (availability over throughput)."""
-        while self._retry_ready:
-            state, shard = self._retry_ready.popleft()
-            self._shard_software(state, shard)
-        while self._retry_batches:
-            batch = self._retry_batches.popleft()
-            for job in batch.jobs:
-                self._complete_member_software(job)
-        while True:
-            unit = self.queues.pop()
-            if unit is None:
-                break
-            for job in _members(unit):
-                self._complete_member_software(job)
+        while self._retry or self.queues.depth():
+            unit = self._retry.popleft() if self._retry else self.queues.pop()
+            for job, shard in unit.pieces:
+                self._serve_software(job, shard)
 
     # -- accounting --------------------------------------------------------
 

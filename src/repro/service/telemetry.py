@@ -316,8 +316,8 @@ class ServiceTelemetry:
                 "software fallbacks": self.fallbacks,
                 "deadline timeouts": self.timeouts,
                 "backpressure hits": self.backpressure_hits,
-                "batched executions": self.batches,
-                "jobs served batched": self.batched_jobs,
+                "batch plans": self.batches,
+                "jobs in batch plans": self.batched_jobs,
                 "jobs deduplicated": self.deduped,
                 "text chars served": self.text_chars_served,
                 "makespan beats": self.makespan_beats,

@@ -8,6 +8,8 @@ Device routes are one label: the farm reports
 ``direct``/``multipass``/``text-sharded`` where the runtime reports
 ``pool``.  No sleeps, no reliance on reply order, and no
 assertions on job ids (runtime batch ids share the job-id counter).
+The seeded-fault cases kill exactly one unit's first launch, so
+neither outcome depends on which reply arrives first.
 """
 
 import asyncio
@@ -18,6 +20,8 @@ from repro.alphabet import Alphabet
 from repro.chip.chip import ChipSpec
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.service import (
+    FaultInjector,
+    FaultKind,
     MatcherService,
     ResultCache,
     SchedulerConfig,
@@ -44,6 +48,33 @@ CASES = {
     "saturated": ("submit_many",
                   ["software", "software", "deduped", "software", "deduped"]),
 }
+
+#: The seeded-death cases run the mixed case under
+#: ``FaultInjector(seed, p_death=P_DEATH)``.  Both front doors take one
+#: fault sample per launch: the solo job, then the batch plan, then each
+#: retry of the one unit that died.  Per case: the seed, which of those
+#: samples kill a worker, the routes, and the expected
+#: (batches, batched_jobs, retries, fallbacks).
+P_DEATH = 0.3
+MIXED = CASES["mixed"][1]
+EXHAUSTED = ["software", "software", "deduped", "empty", "device"]
+DEATHS = {
+    "solo-retried": (3, [True, False, False], MIXED, (1, 2, 1, 0)),
+    "batch-retried": (22, [False, True, False], MIXED, (1, 2, 1, 0)),
+    "batch-exhausted": (15, [False, True, True, True], EXHAUSTED,
+                        (1, 2, 2, 2)),
+}
+
+
+def _deaths(seed, n):
+    """Which of the first *n* fault samples of *seed* kill a worker."""
+    probe = FaultInjector(seed=seed, p_death=P_DEATH)
+    return [f is not None and f.kind is FaultKind.WORKER_DEATH
+            for f in (probe.sample() for _ in range(n))]
+
+
+def _faults(seed):
+    return None if seed is None else FaultInjector(seed=seed, p_death=P_DEATH)
 
 
 def _inputs(name, case):
@@ -73,7 +104,7 @@ def _label(mode):
     return "device" if mode in DEVICE else mode
 
 
-def _sync(name, case):
+def _sync(name, case, seed=None):
     via, _ = CASES[case]
     params, streams, filler = _inputs(name, case)
     config = SchedulerConfig(
@@ -81,8 +112,12 @@ def _sync(name, case):
         queue_capacity=1 if case == "saturated" else 64,
     )
     cache = ResultCache()
-    svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
-                         config=config, cache=cache)
+    # Seeded deaths leave the farm's dead chips dead: four chips give
+    # every retry a live one, as the runtime's workers always are.
+    svc = MatcherService(
+        uniform_pool(2 if seed is None else 4, ChipSpec(8, 2), AB),
+        config=config, cache=cache, faults=_faults(seed),
+    )
     if case == "warm_cache":
         svc.submit_many(params, streams, workload=name)
         svc.drain()
@@ -92,7 +127,7 @@ def _sync(name, case):
     def counts():
         t = svc.telemetry
         return (cache.hits, t.deduped, t.batches, t.batched_jobs,
-                t.fallbacks)
+                t.fallbacks, t.retries)
 
     before = counts()
     if via == "submit":
@@ -105,7 +140,7 @@ def _sync(name, case):
             tuple(x - y for x, y in zip(counts(), before)))
 
 
-def _async(pool, name, case):
+def _async(pool, name, case, seed=None):
     via, _ = CASES[case]
     params, streams, filler = _inputs(name, case)
 
@@ -115,7 +150,8 @@ def _async(pool, name, case):
             max_pending=1 if case == "saturated" else 256,
         )
         cache = ResultCache()
-        svc = AsyncMatcherService(pool=pool, config=config, cache=cache)
+        svc = AsyncMatcherService(pool=pool, config=config, cache=cache,
+                                  faults=_faults(seed))
         await svc.start()
         if case == "warm_cache":
             await svc.submit_many(params, streams, workload=name)
@@ -127,7 +163,7 @@ def _async(pool, name, case):
 
         def counts():
             return (cache.hits, svc.deduped, svc.batches, svc.batched_jobs,
-                    svc.fallbacks)
+                    svc.fallbacks, svc.retries)
 
         before = counts()
         if via == "submit":
@@ -156,12 +192,10 @@ def test_front_doors_agree(shared_pool, name, case):
     runtime = _async(shared_pool, name, case)
     assert sync == runtime
 
-    results, routes, (hits, deduped, batches, batched_jobs, fallbacks) = sync
+    results, routes, counts = sync
+    hits, deduped, batches, batched_jobs, fallbacks, retries = counts
     assert routes == CASES[case][1]
-    params, streams, _ = _inputs(name, case)
-    oracle = [
-        run_workload(name, params, s, AB, engine="oracle") for s in streams
-    ]
+    oracle = _oracle(name, case)
     assert results == oracle
     # `==` accepts 1 == True and numpy scalars; the element types must
     # be the oracle's too, in both front doors.
@@ -173,3 +207,32 @@ def test_front_doors_agree(shared_pool, name, case):
     assert batched_jobs == routes.count("batched")
     assert batches == (1 if batched_jobs else 0)
     assert fallbacks == routes.count("software")
+    assert retries == 0
+
+
+def _oracle(name, case):
+    params, streams, _ = _inputs(name, case)
+    return [run_workload(name, params, s, AB, engine="oracle")
+            for s in streams]
+
+
+@pytest.mark.parametrize("case", list(DEATHS))
+@pytest.mark.parametrize("name", list_workloads())
+def test_front_doors_agree_under_seeded_deaths(shared_pool, name, case):
+    """The mixed case with seeded worker deaths in one unit: the solo
+    job's or the batch plan's first launch dies and is retried once, or
+    the batch plan dies on every attempt and its members are served
+    from software.  Both front doors return the oracle's results on the
+    same routes and count the same batch plans (one, counted when it is
+    queued, whatever its fate), batched jobs, retries and fallbacks."""
+    seed, deaths, want_routes, want_counts = DEATHS[case]
+    assert _deaths(seed, len(deaths)) == deaths
+    sync = _sync(name, "mixed", seed)
+    assert sync == _async(shared_pool, name, "mixed", seed)
+
+    results, routes, counts = sync
+    hits, deduped, batches, batched_jobs, fallbacks, retries = counts
+    assert results == _oracle(name, "mixed")
+    assert routes == want_routes
+    assert (hits, deduped) == (0, 1)
+    assert (batches, batched_jobs, retries, fallbacks) == want_counts

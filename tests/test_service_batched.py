@@ -132,6 +132,33 @@ class TestAdversity:
             assert results[jid].results == oracle("AX", text)
             assert results[jid].via_fallback
 
+    def test_batch_retry_exhaustion_keeps_first_launch_beat(self):
+        """A job starts at its first commit to a worker: a batch whose
+        retries run out reports the same start as a solo job with the
+        same history, so its dead attempts are not queue wait."""
+        texts = ["ABCA", "AACC", "CABC"]
+
+        def run(submit):
+            svc = MatcherService(
+                uniform_pool(8, ChipSpec(16, 2), AB),
+                faults=FaultInjector(seed=3, p_death=1.0),
+            )
+            ids = submit(svc)
+            done = svc.drain()
+            assert svc.telemetry.deaths == 3  # first launch + 2 retries
+            return [done[i] for i in ids]
+
+        batched = run(lambda svc: svc.submit_many("AB", texts))
+        (solo,) = run(lambda svc: [svc.submit("AB", texts[0])])
+        assert solo.started_beat == 0.0 and solo.wait_beats == 0.0
+        for r, text in zip(batched, texts):
+            assert r.mode == "software" and r.via_fallback
+            assert r.attempts == 3
+            assert r.results == oracle("AB", text)
+            assert r.started_beat == solo.started_beat
+            assert r.wait_beats == solo.wait_beats
+            assert r.finished_beat > r.started_beat
+
     def test_member_timeout_sheds_before_launch(self):
         svc = MatcherService(uniform_pool(1, ChipSpec(8, 2), AB))
         texts = ["ABCA" * 8, "AACC" * 8]

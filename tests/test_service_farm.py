@@ -356,6 +356,31 @@ class TestMatcherService:
         assert r.results == oracle("AXC", "ABCAACACCAB")
         assert svc.telemetry.deaths == 2  # two attempts died, then degrade
 
+    def test_retry_budget_is_per_shard(self):
+        """``max_retries`` is attempts per execution: each shard of a wide
+        job has its own budget, so three shards dying once each are all
+        retried on the device, while the job still counts every death."""
+        seed, config = 12, SchedulerConfig(
+            wide_text_threshold=64, max_shards=4, min_shard_chars=16,
+        )
+        probe = FaultInjector(seed=seed, p_death=0.5)
+        deaths = [f is not None and f.kind is FaultKind.WORKER_DEATH
+                  for f in (probe.sample() for _ in range(7))]
+        # Four shard launches, three of them die; the three retries live.
+        assert sum(deaths[:4]) == 3 and not any(deaths[4:])
+        svc = MatcherService(
+            uniform_pool(8, ChipSpec(8, 2), AB), config=config,
+            faults=FaultInjector(seed=seed, p_death=0.5),
+        )
+        text = "ABCAACACCABD" * 20
+        jid = svc.submit("AXC", text)
+        r = svc.drain()[jid]
+        assert r.mode == "text-sharded" and len(r.workers) == 4
+        assert r.results == oracle("AXC", text)
+        assert r.attempts == 3 and not r.via_fallback
+        t = svc.telemetry
+        assert (t.deaths, t.retries, t.fallbacks) == (3, 3, 0)
+
     def test_stuck_beats_add_latency_not_errors(self):
         # A fast host keeps the job device-bound so the stall is visible
         # beat for beat (on the 1979 host the bus would hide it).
