@@ -27,6 +27,7 @@ reliability policy stays in the service layer, threading the existing
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import multiprocessing as mp
 import queue
@@ -87,6 +88,9 @@ class WorkerPool:
         self._quarantined: Set[int] = set()
         self._index = {name: i for i, name in enumerate(self._names)}
         self._seq = 0
+        # Request ids for service units: unique per pool, so services
+        # sharing a pool never collide on a cancelled (id, attempt).
+        self.unit_ids = itertools.count()
         self._started = False
         self._closing = False
         self._dispatcher: Optional[threading.Thread] = None
@@ -209,6 +213,12 @@ class WorkerPool:
 
     # -- fleet health ------------------------------------------------------
 
+    def _worker_index(self, name: str) -> int:
+        widx = self._index.get(name)
+        if widx is None:
+            raise ServiceError(f"no pool worker named {name!r}")
+        return widx
+
     def idle_names(self) -> List[str]:
         """Names of the workers currently idle (probe candidates)."""
         with self._cond:
@@ -217,6 +227,12 @@ class WorkerPool:
     def quarantined_names(self) -> List[str]:
         with self._cond:
             return [self._names[i] for i in sorted(self._quarantined)]
+
+    @property
+    def n_live(self) -> int:
+        """Workers that can take work (not quarantined)."""
+        with self._cond:
+            return self.n_workers - len(self._quarantined)
 
     def submit_to(
         self, name: str, request: JobRequest, callback: ReplyCallback
@@ -230,9 +246,7 @@ class WorkerPool:
         quarantined worker just returns ``False`` (probe it next
         sweep).
         """
-        widx = self._index.get(name)
-        if widx is None:
-            raise ServiceError(f"no pool worker named {name!r}")
+        widx = self._worker_index(name)
         if not self._started:
             raise ServiceError("worker pool is not started")
         key = (request.job_id, request.attempt)
@@ -260,9 +274,7 @@ class WorkerPool:
         job, but its reply no longer returns it to the idle list, so no
         further work ever reaches it.
         """
-        widx = self._index.get(name)
-        if widx is None:
-            raise ServiceError(f"no pool worker named {name!r}")
+        widx = self._worker_index(name)
         with self._cond:
             self._quarantined.add(widx)
             if widx in self._idle:
@@ -282,9 +294,7 @@ class WorkerPool:
         the idle list.  Only a quarantined worker can be healed --
         healing a live one would drop its in-flight job.
         """
-        widx = self._index.get(name)
-        if widx is None:
-            raise ServiceError(f"no pool worker named {name!r}")
+        widx = self._worker_index(name)
         with self._cond:
             if widx not in self._quarantined:
                 raise ServiceError(

@@ -10,11 +10,14 @@ the event loop is the host, the pool processes are the attached
 special-purpose devices, and the bounded channels between them are the
 bus.
 
-The reliability story is the synchronous farm's, threaded through
-unchanged: a seeded :class:`~repro.service.reliability.FaultInjector`
-decides per dispatch whether the device dies mid-job or stalls;
+The reliability story is the synchronous farm's: both drive one
+sans-I/O :class:`~repro.service.core.ServiceCore` (this module from the
+event loop and the pool's collector callback).  A seeded
+:class:`~repro.service.reliability.FaultInjector` decides per dispatch
+whether the device dies mid-job or stalls;
 :class:`~repro.service.reliability.RetryPolicy` bounds reassignment; and
-exhausted retries, saturation, and expired deadlines all degrade to
+exhausted retries, saturation, expired deadlines and a pool with no
+live worker all degrade to
 :class:`~repro.service.reliability.SoftwareFallback` -- slower, never
 wrong.  Whatever the routing, results are byte-identical to the
 synchronous service and to the workload oracle (property-tested in
@@ -39,11 +42,8 @@ from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..alphabet import Alphabet
 from ..errors import BackpressureError, ServiceError
 from ..service.cache import ResultCache, result_cache_key
-from ..service.plan import (
-    BATCH, DEDUPED, INLINE, SOLO, Followers, Prepared, Request,
-    parse_request, plan,
-)
-from ..service.completion import CompletionLog
+from ..service.core import Job, ServiceCore, Trace, Unit
+from ..service.plan import BATCH, DEDUPED, SOLO, parse_request, plan
 from ..service.reliability import (
     FaultInjector,
     FaultKind,
@@ -51,8 +51,7 @@ from ..service.reliability import (
     SoftwareFallback,
 )
 from ..service.scheduler import Priority
-from ..service.telemetry import _Scalar
-from ..workloads.registry import WorkloadSpec
+from ..service.telemetry import JobCounters
 from .admission import RateLimiter
 from .channels import JobReply, JobRequest
 from .pool import WorkerPool
@@ -65,7 +64,8 @@ class RuntimeConfig:
     ``max_pending``: admitted-but-unfinished bound; beyond it submission
     raises :class:`~repro.errors.BackpressureError` or (default) runs on
     the host oracle, exactly like the farm's ``degrade_when_saturated``.
-    ``max_retries``: failed executions per job before degrading.
+    ``max_retries``: failed executions per unit (a solo job or a batch
+    plan) before its jobs degrade.
     ``default_timeout_s``: SLO applied to jobs submitted without an
     explicit ``timeout`` (None = no deadline).
     ``stuck_stall_s``: wall seconds per stuck *beat* when a seeded
@@ -129,48 +129,13 @@ class RuntimeResult:
         return self.finished_s - self.submitted_s
 
 
-@dataclass(eq=False)
-class _Job:
-    """In-flight bookkeeping for one admitted job."""
-
-    job_id: int
-    tenant: str
-    priority: Priority
-    spec: WorkloadSpec
-    taps: list
-    stream: list
-    orig_len: int
-    submitted_s: float
-    future: asyncio.Future
-    cache_key: Optional[tuple] = None
-    deadline: Optional[float] = None
-    started_s: Optional[float] = None
-    attempts: int = 0
-    span: object = None
-    done: bool = False
-    timed_out: bool = False
-    timer: Optional[asyncio.TimerHandle] = None
-    unit: Optional["_Unit"] = None
-
-    @property
-    def workload(self) -> str:
-        return self.spec.name
+_TRACE = Trace(
+    "s", "runtime.job", "runtime.fallback", "runtime.job.timeout",
+    ("mode", "worker", "attempts", "via_fallback", "timed_out"),
+)
 
 
-@dataclass(eq=False)
-class _Unit:
-    """One dispatch unit: a solo job (its id is the job's) or a batch
-    plan of compatible jobs (its own id).  One wire request per attempt,
-    one fault sample, whole-unit retry."""
-
-    unit_id: int
-    members: List[_Job]
-    batched: bool
-    attempts: int = 0
-    dispatched: List[_Job] = field(default_factory=list)  # last attempt's
-
-
-class AsyncMatcherService:
+class AsyncMatcherService(JobCounters):
     """Concurrent submit/stream/drain over a pool of worker processes.
 
     Construct with a worker count and alphabet (a pool is built for
@@ -179,18 +144,6 @@ class AsyncMatcherService:
     an explicit ``await start()`` -- and closed when finished so the
     processes join.
     """
-
-    # Counters, registry-backed like ServiceTelemetry.
-    submitted = _Scalar("_m_submitted", int)
-    completed = _Scalar("_m_completed", int)
-    retries = _Scalar("_m_retries", int)
-    deaths = _Scalar("_m_deaths", int)
-    fallbacks = _Scalar("_m_fallbacks", int)
-    timeouts = _Scalar("_m_timeouts", int)
-    backpressure_hits = _Scalar("_m_backpressure", int)
-    batches = _Scalar("_m_batches", int)
-    batched_jobs = _Scalar("_m_batched_jobs", int)
-    deduped = _Scalar("_m_deduped", int)
 
     def __init__(
         self,
@@ -216,19 +169,9 @@ class AsyncMatcherService:
         from ..obs.metrics import MetricsRegistry
 
         self.registry = obs.registry if obs is not None else MetricsRegistry()
-        r = self.registry
-        self._m_submitted = r.counter("runtime.jobs.submitted")
-        self._m_completed = r.counter("runtime.jobs.completed")
-        self._m_retries = r.counter("runtime.retries")
-        self._m_deaths = r.counter("runtime.deaths")
-        self._m_fallbacks = r.counter("runtime.fallbacks")
-        self._m_timeouts = r.counter("runtime.timeouts")
-        self._m_backpressure = r.counter("runtime.backpressure_hits")
-        self._m_stale = r.counter("runtime.stale_replies")
-        self._m_batches = r.counter("runtime.batches")
-        self._m_batched_jobs = r.counter("runtime.jobs.batched")
-        self._m_deduped = r.counter("runtime.jobs.deduped")
-        self._h_latency = r.histogram("runtime.job.latency_s")
+        super().__init__(self.registry, "runtime", "deaths")
+        self._m_stale = self.registry.counter("runtime.stale_replies")
+        self._h_latency = self.registry.histogram("runtime.job.latency_s")
         # Optional cross-tenant result cache (shared with the sync farm's
         # key scheme, so a farm-warmed cache serves runtime traffic and
         # vice versa).  Its ``now`` domain here is runtime seconds.
@@ -236,11 +179,15 @@ class AsyncMatcherService:
         self.limiter = RateLimiter(
             self.config.rate_limits, self.config.default_rate_limit
         )
-        self._jobs: Dict[int, _Job] = {}
-        self._completed = CompletionLog()
-        self._units: Dict[int, _Unit] = {}
-        self._followers = Followers(cache)
-        self._next_id = 0
+        self.core = ServiceCore(
+            self, self.retry, self.fallback, cache, obs, _TRACE,
+            self._publish, lambda plen, n, start: self._now() - start,
+        )
+        # Pending jobs' futures and deadline timers, by job id.
+        self._futures: Dict[int, asyncio.Future] = {}
+        self._timers: Dict[int, asyncio.TimerHandle] = {}
+        # Units on the wire, by their pool-wide ids.
+        self._units: Dict[int, Unit] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = time.perf_counter()
         self._started = False
@@ -345,8 +292,8 @@ class AsyncMatcherService:
             req.spec, req.taps, req.streams, self.cache, self._now(),
             self.config.max_batch_jobs, result_cache_key, tenant=tenant,
         )
-        jobs: List[_Job] = []
-        shed: List[_Job] = []
+        jobs: List[Job] = []
+        shed: List[Job] = []
         for prepared, route in zip(req.streams, routes):
             while True:
                 delay = self.limiter.delay(tenant, self._loop.time())
@@ -354,103 +301,65 @@ class AsyncMatcherService:
                     break
                 await asyncio.sleep(delay)
             saturated = route.kind in (SOLO, BATCH) and \
-                len(self._jobs) >= self.config.max_pending
+                len(self._futures) >= self.config.max_pending
             if saturated:
-                self._m_backpressure.inc()
+                self.backpressure_hits += 1
                 if not self.config.degrade_when_saturated:
-                    self._next_id += 1  # the rejected job's id stays unused
+                    self.core.next_id += 1  # the rejected job's id stays unused
                     # Already-admitted work must still run.
-                    self._execute(jobs, shed, solos, batches)
+                    self._execute(jobs, shed, solos, batches, req.priority)
                     raise BackpressureError(
                         f"runtime pending set full "
                         f"({self.config.max_pending})"
                     )
-            job = self._admit(req, prepared, route.key, tenant)
-            jobs.append(job)
-            if route.kind in INLINE:
-                self._complete(job, route.hit or [], mode=route.kind,
-                               worker=None, via_fallback=False)
+            deadline = None if timeout_s is None \
+                else self._loop.time() + timeout_s
+            job = self.core.admit(
+                jobs, req, prepared, route, tenant, self._now(), deadline
+            )
+            if job.done:
                 continue
-            if timeout_s is not None:
-                job.deadline = self._loop.time() + timeout_s
-                job.timer = self._loop.call_later(
+            self._futures[job.job_id] = self._loop.create_future()
+            if route.kind == DEDUPED:
+                continue  # it shares its representative's fate and timer
+            if deadline is not None:
+                self._timers[job.job_id] = self._loop.call_later(
                     timeout_s, self._on_deadline, job
                 )
-            if route.kind == DEDUPED:
-                self._m_deduped.inc()
-                rep = jobs[route.rep]
-                if not rep.done:
-                    self._followers.follow(rep.job_id, job)
-                else:  # its deadline fired while this call awaited
-                    done = self._completed.get(rep.job_id)
-                    self._complete(job, list(done.results), mode=DEDUPED,
-                                   worker=done.worker,
-                                   via_fallback=done.via_fallback)
-            elif saturated:
+            if saturated:
                 shed.append(job)
-        self._execute(jobs, shed, solos, batches)
+        self._execute(jobs, shed, solos, batches, req.priority)
         return [job.job_id for job in jobs]
-
-    def _admit(
-        self, req: Request, prepared: Prepared, key: Optional[tuple],
-        tenant: str,
-    ) -> _Job:
-        """Admit one planned job: give it an id, count it, open its
-        span and add it to the pending set."""
-        job = _Job(
-            self._next_id, tenant, req.priority, req.spec, prepared.taps,
-            prepared.feed, len(prepared.validated), self._now(),
-            self._loop.create_future(), cache_key=key,
-        )
-        self._next_id += 1
-        self._m_submitted.inc()
-        self._jobs[job.job_id] = job
-        if self.obs is not None:
-            job.span = self.obs.tracer.open_span(
-                "runtime.job", t0=job.submitted_s, unit="s",
-                job_id=job.job_id, tenant=tenant,
-                priority=job.priority.name, workload=job.workload,
-            )
-        return job
 
     # -- dispatch / completion --------------------------------------------
 
     def _execute(
-        self, jobs: List[_Job], shed: List[_Job], solos: List[int],
-        batches: List[List[int]],
+        self, jobs: List[Job], shed: List[Job], solos: List[int],
+        batches: List[List[int]], priority: Priority,
     ) -> None:
         """Run the admitted part of a plan: serve the jobs shed for
         saturation from the oracle (after their followers joined), then
         dispatch the solo jobs and the batch plans in plan order."""
+        now = self._now()
         for job in shed:
             if not job.done:  # its deadline may have fired already
-                self._serve_fallback(job, reason="saturated")
-        units = [([i], False) for i in solos] + [(c, True) for c in batches]
-        for chunk, batched in units:
-            members = [jobs[i] for i in chunk
-                       if i < len(jobs) and not jobs[i].done]
-            if not members:
-                continue
-            if batched:
-                unit = _Unit(self._next_id, members, batched)
-                self._next_id += 1
-                self._m_batches.inc()
-                self._m_batched_jobs.inc(len(members))
-            else:
-                unit = _Unit(members[0].job_id, members, batched)
-            for member in members:
-                member.unit = unit
+                self.core.degrade([job.whole()], now, reason="saturated")
+        for unit in self.core.units(jobs, solos, batches, priority):
+            unit.unit_id = next(self.pool.unit_ids)
+            self.core.queued(unit)
             self._units[unit.unit_id] = unit
             self._dispatch(unit)
 
-    def _dispatch(self, unit: _Unit) -> None:
-        """Send the unit's not-yet-done members to the pool as one
-        request under one seeded fault sample."""
-        live = [j for j in unit.members if not j.done]
-        if not live:
+    def _dispatch(self, unit: Unit) -> None:
+        """Send the unit's open pieces to the pool as one request under
+        one seeded fault sample, or serve them from software when no
+        worker is live."""
+        unit.pieces = [p for p in unit.pieces if not p[0].done]
+        now = self._now()
+        if not unit.pieces or not self.pool.n_live:
             self._units.pop(unit.unit_id, None)
+            self.core.degrade(unit.pieces, now, reason="no-live-worker")
             return
-        unit.dispatched = live
         fault = self.faults.sample()
         fault_kind = None
         stall_s = 0.0
@@ -459,24 +368,25 @@ class AsyncMatcherService:
                 fault_kind = "death"
             else:
                 stall_s = fault.extra_beats * self.config.stuck_stall_s
-        now = self._now()
+        jobs = [job for job, _ in unit.pieces]
         wire = []
-        for job in live:
-            if job.started_s is None:
-                job.started_s = now
+        for job in jobs:
+            job.mode = "batched" if unit.batched else "pool"
+            if job.started is None:
+                job.started = now
             # Character streams cross the process boundary as a compact
             # string (pickles/unpickles ~10x faster than a char list);
             # the fast engines iterate either form identically.
-            stream = job.stream
+            stream = job.text
             if not job.spec.numeric and stream and isinstance(stream[0], str):
                 stream = "".join(stream)
             wire.append(stream)
-        deadlines = [j.deadline for j in live if j.deadline is not None]
+        deadlines = [j.deadline for j in jobs if j.deadline is not None]
         request = JobRequest(
             job_id=unit.unit_id,
             attempt=unit.attempts,
-            workload=live[0].workload,
-            taps=live[0].taps,
+            workload=jobs[0].workload,
+            taps=jobs[0].taps,
             stream=None if unit.batched else wire[0],
             collect_obs=self.obs is not None,
             fault=fault_kind,
@@ -487,7 +397,7 @@ class AsyncMatcherService:
             request,
             self._reply_from_thread,
             deadline=min(deadlines) if deadlines else None,
-            priority=int(min(j.priority for j in live)),
+            priority=int(unit.priority),
         )
 
     def _reply_from_thread(self, reply: JobReply) -> None:
@@ -499,140 +409,81 @@ class AsyncMatcherService:
         if unit is None or reply.attempt != unit.attempts:
             self._m_stale.inc()
             return
-        live = [j for j in unit.dispatched if not j.done]
+        now = self._now()
         if reply.ok:
             self._units.pop(unit.unit_id, None)
-            if live:
-                self._adopt(reply, live[0])
+            live = [job for job, _ in unit.pieces if not job.done]
+            if live and self.obs is not None:
+                # Fold the worker's metrics and spans in under a served job.
+                if reply.metrics:
+                    self.obs.registry.merge_snapshot(reply.metrics)
+                if reply.spans:
+                    self.obs.tracer.adopt(reply.spans, parent=live[0].span,
+                                          offset=max(live[0].started, 0.0))
             rows_each = reply.results_many if unit.batched \
                 else [reply.results]
-            for job, rows in zip(unit.dispatched, rows_each):
-                if job.done:
-                    continue  # its deadline fired; already served degraded
-                results = job.spec.finalize(job.taps, job.orig_len, rows)
-                self._complete(
-                    job, results, mode="batched" if unit.batched else "pool",
-                    worker=reply.worker, via_fallback=False,
-                )
+            for (job, shard), rows in zip(unit.pieces, rows_each):
+                if not job.done:  # else its deadline fired: served degraded
+                    self.core.settle(job, shard, rows, now, 0.0, reply.worker)
             return
-        # Whole-unit failure (death or error): bounded whole-unit retry.
-        unit.attempts += 1
+        # Whole-unit failure (death or error): the core's retry rule.
         if reply.died:
-            self._m_deaths.inc()
-        for job in live:
-            job.attempts += 1
-        if live and self.retry.should_retry(unit.attempts):
-            self._m_retries.inc()
+            self.deaths += 1
+        if self.core.failed(unit, self.pool.n_live, now,
+                            reason="retries-exhausted"):
             self._dispatch(unit)
         else:
             self._units.pop(unit.unit_id, None)
-            for job in live:
-                self._serve_fallback(job, reason="retries-exhausted")
 
-    def _adopt(self, reply: JobReply, job: _Job) -> None:
-        """Fold a worker's metrics and spans (under *job*) into obs."""
-        if self.obs is None:
-            return
-        if reply.metrics:
-            self.obs.registry.merge_snapshot(reply.metrics)
-        if reply.spans:
-            self.obs.tracer.adopt(
-                reply.spans, parent=job.span, offset=max(job.started_s, 0.0)
-            )
-
-    def _on_deadline(self, job: _Job) -> None:
+    def _on_deadline(self, job: Job) -> None:
         """The job's SLO expired: shed it from the pool and serve it
         degraded.  A hung worker can no longer wedge this job."""
         if job.done:
             return
-        job.timed_out = True
-        self._m_timeouts.inc()
         job.attempts += 1
-        if self.obs is not None:
-            self.obs.tracer.event(
-                "runtime.job.timeout", t=self._now(), unit="s",
-                job_id=job.job_id, attempts=job.attempts,
-            )
-        self._serve_fallback(job, reason="deadline")
-        unit = job.unit
-        if unit is not None and all(j.done for j in unit.members):
+        now, unit = self._now(), job.unit  # completion clears job.unit
+        self.core.time_out(job, now, attempts=job.attempts)
+        self.core.degrade([job.whole()], now, reason="deadline")
+        if unit is not None and all(j.done for j, _ in unit.pieces):
             # Every member has been served; drop the unit's reply.
             self.pool.cancel(unit.unit_id, unit.attempts)
             self._units.pop(unit.unit_id, None)
 
-    def _serve_fallback(self, job: _Job, reason: str) -> None:
-        """Host-side degraded service: the oracle answer, never wrong."""
-        t0 = self._now()
-        merged = self.fallback.kernel(job.spec, job.taps, job.stream)
-        results = job.spec.finalize(job.taps, job.orig_len, merged)
-        self._m_fallbacks.inc()
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "runtime.fallback", t0=t0, t1=self._now(), unit="s",
-                parent=job.span, reason=reason, samples=len(job.stream),
-            )
-        self._complete(
-            job, results, mode="software", worker=None, via_fallback=True
-        )
-
-    def _complete(
-        self, job: _Job, results: list, mode: str,
-        worker: Optional[str], via_fallback: bool,
-    ) -> None:
-        if job.done:
-            return
-        job.done = True
-        if job.timer is not None:
-            job.timer.cancel()
-            job.timer = None
-        finished = self._now()
-        started = job.started_s if job.started_s is not None else finished
+    def _publish(self, job: Job) -> RuntimeResult:
+        """The finished job's result; resolves its future and cancels
+        its deadline timer."""
+        timer = self._timers.pop(job.job_id, None)
+        if timer is not None:
+            timer.cancel()
         result = RuntimeResult(
             job_id=job.job_id,
             tenant=job.tenant,
             priority=job.priority,
             workload=job.workload,
-            results=results,
-            submitted_s=job.submitted_s,
-            started_s=started,
-            finished_s=finished,
+            results=job.results,
+            submitted_s=job.submitted,
+            started_s=job.started,
+            finished_s=job.finished,
             attempts=job.attempts,
-            via_fallback=via_fallback,
+            via_fallback=job.via_fallback,
             timed_out=job.timed_out,
-            worker=worker,
-            mode=mode,
+            worker=job.workers_used[-1] if job.workers_used else None,
+            mode=job.mode,
         )
-        del self._jobs[job.job_id]
-        self._completed.add(result)
-        self._m_completed.inc()
         self._h_latency.observe(result.latency_s)
-        if job.span is not None:
-            self.obs.tracer.close(
-                job.span, t1=finished, mode=mode, worker=worker,
-                attempts=job.attempts, via_fallback=via_fallback,
-                timed_out=job.timed_out,
-            )
-            job.span = None
-        if not job.future.done():
-            job.future.set_result(result)
-        # Fan results out to deduplicated followers: they shared this
-        # execution but keep their own identity and latency story.
-        for follower in self._followers.settle(
-            job.job_id, job.cache_key, results, mode, finished
-        ):
-            self._complete(
-                follower, list(results), mode=DEDUPED, worker=worker,
-                via_fallback=via_fallback,
-            )
+        future = self._futures.pop(job.job_id, None)
+        if future is not None and not future.done():
+            future.set_result(result)
+        return result
 
     # -- results -----------------------------------------------------------
 
     async def result(self, job_id: int) -> RuntimeResult:
         """Await one job's completion."""
-        job = self._jobs.get(job_id)
-        if job is not None:
-            return await asyncio.shield(job.future)
-        done = self._completed.get(job_id)
+        future = self._futures.get(job_id)
+        if future is not None:
+            return await asyncio.shield(future)
+        done = self.core.log.get(job_id)
         if done is None:
             raise ServiceError(f"unknown job id {job_id}")
         return done
@@ -645,10 +496,10 @@ class AsyncMatcherService:
         order."""
         wanted = None if job_ids is None else set(job_ids)
         pending = {
-            job.future for jid, job in self._jobs.items()
+            future for jid, future in self._futures.items()
             if wanted is None or jid in wanted
         }
-        for result in self._completed.snapshot():
+        for result in self.core.log.snapshot():
             if wanted is None or result.job_id in wanted:
                 yield result
         while pending:
@@ -664,15 +515,15 @@ class AsyncMatcherService:
         contract).  Besides the waiting, the cost is work proportional
         to the completions since the last call plus one C-level list
         copy."""
-        while self._jobs:
-            await asyncio.wait([job.future for job in self._jobs.values()])
-        return self._completed.snapshot()
+        while self._futures:
+            await asyncio.wait(list(self._futures.values()))
+        return self.core.log.snapshot()
 
     def results(self) -> List[RuntimeResult]:
         """Completed results so far (no waiting), as a fresh list in
         job-id order; costs work proportional to the completions since
         the last call plus one C-level list copy."""
-        return self._completed.snapshot()
+        return self.core.log.snapshot()
 
     def stats(self) -> Dict[str, float]:
         """A flat snapshot of the runtime's own counters."""

@@ -33,30 +33,24 @@ def _execute(
 ) -> JobReply:
     """Run one request to completion (or to its injected fault)."""
     t0 = time.perf_counter()
+
+    def reply(ok: bool, wall: Optional[float] = None, **fields) -> JobReply:
+        if wall is None:
+            wall = time.perf_counter() - t0
+        return JobReply(req.job_id, req.attempt, ok, name, os.getpid(), wall,
+                        **fields)
+
     if req.stall_s > 0.0:
         # An injected stuck/hung worker: the host's deadline machinery,
         # not this process, is responsible for routing around it.
         time.sleep(req.stall_s)
     if req.fault == "death":
-        return JobReply(
-            job_id=req.job_id,
-            attempt=req.attempt,
-            ok=False,
-            worker=name,
-            pid=os.getpid(),
-            wall_s=time.perf_counter() - t0,
-            error="injected worker death",
-            died=True,
-        )
+        return reply(False, error="injected worker death", died=True)
     try:
         if req.bist is not None:
             config, defect = req.bist
             report = config.controller().run(defect=defect, chip_name=name)
-            return JobReply(
-                job_id=req.job_id, attempt=req.attempt, ok=True,
-                worker=name, pid=os.getpid(),
-                wall_s=time.perf_counter() - t0, bist=report,
-            )
+            return reply(True, bist=report)
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
@@ -68,28 +62,10 @@ def _execute(
         metrics = spans = None
         if req.collect_obs:
             metrics, spans = _observe(req, spec, name, feeds, wall)
-        return JobReply(
-            job_id=req.job_id,
-            attempt=req.attempt,
-            ok=True,
-            worker=name,
-            pid=os.getpid(),
-            wall_s=wall,
-            results=results,
-            metrics=metrics,
-            spans=spans,
-            results_many=results_many,
-        )
+        return reply(True, wall, results=results, metrics=metrics,
+                     spans=spans, results_many=results_many)
     except Exception as exc:  # ship the failure home instead of dying
-        return JobReply(
-            job_id=req.job_id,
-            attempt=req.attempt,
-            ok=False,
-            worker=name,
-            pid=os.getpid(),
-            wall_s=time.perf_counter() - t0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return reply(False, error=f"{type(exc).__name__}: {exc}")
 
 
 def _observe(req, spec, name, feeds, wall):

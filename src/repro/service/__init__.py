@@ -29,6 +29,8 @@ Layout
   rendered through :class:`repro.analysis.report.Table`.
 * :mod:`~repro.service.plan` -- the admission planner both front doors
   (this farm and :mod:`repro.runtime`) execute: one route per stream.
+* :mod:`~repro.service.core` -- the sans-I/O :class:`ServiceCore` both
+  front doors drive: jobs, units, retries, degradation, completion.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
   the batch tier consults before dispatching (``submit``/``submit_many``
   with ``cache=ResultCache(...)``).

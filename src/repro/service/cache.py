@@ -35,6 +35,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..alphabet import PatternChar, pattern_to_string
 from ..errors import ServiceError
 from ..obs.metrics import MetricsRegistry
+from .telemetry import _Scalar
 
 __all__ = ["ResultCache", "canonical_params", "result_cache_key"]
 
@@ -118,6 +119,12 @@ class ResultCache:
     [False, True]
     """
 
+    hits = _Scalar("_hits", int)
+    misses = _Scalar("_misses", int)
+    evictions = _Scalar("_evictions", int)
+    expirations = _Scalar("_expirations", int)
+    stores = _Scalar("_stores", int)
+
     def __init__(
         self,
         max_entries: int = 1024,
@@ -157,26 +164,6 @@ class ResultCache:
                                        tenant=tenant),
             )
         return pair
-
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._evictions.value)
-
-    @property
-    def expirations(self) -> int:
-        return int(self._expirations.value)
-
-    @property
-    def stores(self) -> int:
-        return int(self._stores.value)
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

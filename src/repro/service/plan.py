@@ -7,7 +7,8 @@ checks and prepares the whole call before any job is admitted, and
 :func:`plan` routes every stream.  The beat-clock farm
 (:class:`~repro.service.service.MatcherService`) and the process runtime
 (:class:`~repro.runtime.service.AsyncMatcherService`) both execute its
-routes and keep only their transport gate: the farm's per-queue-entry
+routes through one :class:`~repro.service.core.ServiceCore` and keep
+only their transport gate: the farm's per-queue-entry
 backpressure, the runtime's per-job rate limit and ``max_pending``
 bound.  ``submit(x)`` is ``submit_many([x])`` in both.
 
@@ -176,31 +177,3 @@ def plan(
         solos.append(chunk[0])
     solos.sort()
     return Plan(routes, solos, batches)
-
-
-class Followers:
-    """Deduped followers parked on their representative, and the cache
-    write-back that runs when the representative completes."""
-
-    def __init__(self, cache: Optional[ResultCache]):
-        self.cache = cache
-        self._waiting: Dict[int, list] = {}
-
-    def follow(self, rep_id: int, job) -> None:
-        self._waiting.setdefault(rep_id, []).append(job)
-
-    def drop(self, job_id: int) -> list:
-        """Forget the followers of a rejected job; returns them."""
-        return self._waiting.pop(job_id, [])
-
-    def settle(
-        self, job_id: int, key: Optional[tuple], results: list, mode: str,
-        now: float,
-    ) -> list:
-        """Job *job_id* completed with *results*: store an executed
-        answer under *key* and return the followers owed a copy of it
-        (they share the execution but keep their own identity)."""
-        if self.cache is not None and key is not None and \
-                mode not in (CACHED, DEDUPED):
-            self.cache.put(key, results, now=now)
-        return self._waiting.pop(job_id, [])

@@ -108,19 +108,13 @@ class BoundedQueue:
     def is_full(self) -> bool:
         return self._size >= self.capacity
 
-    def put(self, tenant: str, job: object, force: bool = False) -> None:
-        """Enqueue at the tail; ``force`` bypasses the bound (used for
-        retries, which were already admitted once)."""
-        if self.is_full and not force:
+    def put(self, tenant: str, job: object) -> None:
+        """Enqueue at the tail."""
+        if self.is_full:
             raise BackpressureError(
                 f"queue full ({self.capacity} jobs); backpressure"
             )
         self._by_tenant.setdefault(tenant, deque()).append(job)
-        self._size += 1
-
-    def put_front(self, tenant: str, job: object) -> None:
-        """Requeue at the head of the tenant's lane (retry path)."""
-        self._by_tenant.setdefault(tenant, deque()).appendleft(job)
         self._size += 1
 
     def pop(self) -> Optional[object]:
@@ -154,16 +148,9 @@ class JobQueues:
         }
         self.high_water: Dict[Priority, int] = {p: 0 for p in Priority}
 
-    def put(
-        self, priority: Priority, tenant: str, job: object, force: bool = False
-    ) -> None:
+    def put(self, priority: Priority, tenant: str, job: object) -> None:
         q = self.queues[priority]
-        q.put(tenant, job, force=force)
-        self.high_water[priority] = max(self.high_water[priority], len(q))
-
-    def put_front(self, priority: Priority, tenant: str, job: object) -> None:
-        q = self.queues[priority]
-        q.put_front(tenant, job)
+        q.put(tenant, job)
         self.high_water[priority] = max(self.high_water[priority], len(q))
 
     def pop(self) -> Optional[object]:

@@ -11,17 +11,14 @@ multipass, or the software fallback -- so service output is bit-identical
 to :func:`repro.core.reference.match_oracle` no matter how the job was
 routed, retried, or sharded.
 
-All device work moves as one kind of record, a ``_Unit``: a list of
-*pieces* (one job and one :class:`~repro.service.sharding.TextShard` of
-its text each).  A solo job is a unit of one whole-text piece, which
-may split into one-piece shard units when it is first dispatched; a
-batch plan is a unit of whole-text pieces run by one batched kernel
-call.  Every unit is launched under one fault sample (pieces whose
-deadline the projected finish would blow are shed to software first),
-retried whole from one retry deque while its own attempt budget lasts,
-and otherwise served piece by piece from
-:class:`~repro.service.reliability.SoftwareFallback`.  A job completes
-when its last piece does.
+Jobs, units, admission after the planner, the retry rule, software
+service and completion are the sans-I/O
+:class:`~repro.service.core.ServiceCore`'s, shared with the process
+runtime; this module is its beat-clock transport.  It keeps the
+bounded queues, worker choice, the split of a wide solo job into
+one-piece shard units at first dispatch, launch under one fault sample
+(pieces whose deadline the projected finish would blow are shed to
+software first), the shared bus and worker settlement.
 
 Matching is one workload among the kernels registered in
 :mod:`repro.workloads` -- match counting, correlation, convolution, FIR,
@@ -38,83 +35,33 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
 from .cache import ResultCache, result_cache_key
-from .completion import CompletionLog
-from .plan import (
-    DEDUPED, INLINE, Followers, Prepared, Request, parse_request,
-    plan as plan_routes,
-)
+from .core import Job, ServiceCore, Trace, Unit
+from .plan import parse_request, plan as plan_routes
 from .pool import DevicePool, PoolWorker, WorkerState
 from .reliability import FaultInjector, FaultKind, RetryPolicy, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
 from .sharding import (
     ShardMode,
-    TextShard,
     merge_shard_results,  # noqa: F401 -- perfbench's tracer wraps it by name
     merge_shard_values,
     plan_shards,
 )
 from .telemetry import ServiceTelemetry
-from ..workloads.registry import WorkloadSpec
 
+#: The farm's name for an admitted job (the core's record).
+MatchJob = Job
 
-@dataclass
-class MatchJob:
-    """One admitted query for any registered workload (match included),
-    with its in-flight state.
-
-    ``taps`` holds the workload's *prepared* tap vector, ``text`` the
-    prepared stream (padded for convolution/FIR), and ``orig_len`` the
-    validated input-stream length that ``spec.finalize`` maps windowed
-    results back onto.  The fields from ``mode`` on fill in as the
-    job's pieces are placed and served."""
-
-    job_id: int
-    tenant: str
-    priority: Priority
-    spec: WorkloadSpec
-    taps: list
-    text: List
-    orig_len: int
-    submitted_beat: float
-    attempts: int = 0  # failed executions of any unit carrying the job
-    span: Optional[object] = None  # open service.job span (obs attached)
-    deadline: Optional[float] = None  # absolute beat; None = no SLO
-    #: Cross-tenant result-cache identity (also the submit_many dedup
-    #: key): canonical workload + params + content digest of the
-    #: validated input.  None when the planner computed no key.
-    cache_key: Optional[tuple] = None
-    #: The device route fixed at first dispatch (``direct``,
-    #: ``multipass``, ``text-sharded`` or ``batched``).
-    mode: Optional[str] = None
-    shards: Optional[List[TextShard]] = None  # set when text-sharded
-    pending: int = 1  # pieces not yet served
-    shard_results: Dict[int, List] = field(default_factory=dict)
-    shard_finish: Dict[int, float] = field(default_factory=dict)
-    #: First commit to a worker, else the start of its software run.
-    started_beat: Optional[float] = None
-    service_beats: float = 0.0
-    workers_used: List[str] = field(default_factory=list)
-    via_fallback: bool = False
-    timed_out: bool = False
-
-    @property
-    def workload(self) -> str:
-        return self.spec.name
-
-    @property
-    def window_len(self) -> int:
-        """Cells the job needs: the sliding-window width."""
-        return len(self.taps)
-
-    def whole(self) -> Tuple["MatchJob", TextShard]:
-        """The piece covering the job's whole text."""
-        return self, TextShard(0, 0, len(self.text) - 1, 0)
+_TRACE = Trace(
+    "beats", "service.job", "service.software_fallback", "job.timeout",
+    ("mode", "workers", "attempts", "via_fallback", "timed_out",
+     "wait_beats", "service_beats"),
+)
 
 
 @dataclass(frozen=True)
@@ -143,32 +90,6 @@ class JobResult:
         return self.finished_beat - self.submitted_beat
 
 
-@dataclass(eq=False)
-class _Unit:
-    """One queue entry, then one execution at a time on one worker.
-
-    A solo job is one whole-text piece (it may split into one-piece
-    shard units at first dispatch); a batch plan (``batched``) is the
-    whole-text pieces of 2 or more jobs sharing one workload, prepared
-    tap vector, tenant and priority, every text unique.  The unit lives
-    or dies with its worker and is retried whole; ``attempts`` is its
-    own retry budget.  The last four fields describe the execution in
-    flight."""
-
-    pieces: List[Tuple[MatchJob, TextShard]]
-    priority: Priority
-    batched: bool = False
-    attempts: int = 0  # failed executions of this unit
-    worker: Optional[PoolWorker] = None
-    start_beat: float = 0.0
-    finish_beat: float = 0.0
-    fault: Optional[object] = None
-
-    @property
-    def window_len(self) -> int:
-        return self.pieces[0][0].window_len
-
-
 class MatcherService:
     """The multi-tenant matcher farm (the public API of the subsystem).
 
@@ -182,7 +103,8 @@ class MatcherService:
     every stream is routed by the one planner both front doors share
     (:func:`repro.service.plan.plan`).  Solo jobs, text shards and batch
     plans are one kind of in-flight unit, launched, retried, shed and
-    degraded by one path.
+    degraded by one path, whose bookkeeping is the
+    :class:`~repro.service.core.ServiceCore` the runtime shares.
 
     >>> pool = uniform_pool(4, ChipSpec(8, 2), Alphabet("ABCD"))  # doctest: +SKIP
     >>> svc = MatcherService(pool)                                # doctest: +SKIP
@@ -220,12 +142,17 @@ class MatcherService:
         # counters into the run's unified metrics; its TTL is measured
         # in beats (the farm's clock).
         self.cache = cache
-        self._next_id = 0
+        self.core = ServiceCore(
+            self.telemetry, self.retry, self.fallback, cache, obs, _TRACE,
+            self._publish,
+            lambda plen, n, start: self.fallback.beats(plen, n, self.beat_ns),
+            # Looked up per call: a wrapper installed on this module's
+            # merge_shard_values is the one that runs.
+            lambda *args: merge_shard_values(*args),
+        )
         self._seq = 0
-        self._inflight: List[Tuple[float, int, _Unit]] = []
-        self._retry: Deque[_Unit] = deque()
-        self._followers = Followers(cache)
-        self._completed = CompletionLog()
+        self._inflight: List[Tuple[float, int, Unit]] = []
+        self._retry: Deque[Unit] = deque()
         self._last_finish = 0.0  # running max of finished_beat
         for w in pool:
             stats = self.telemetry.worker_stats(w.name, w.capacity)
@@ -316,63 +243,21 @@ class MatcherService:
         req = parse_request(
             workload, pattern, texts, self.pool.alphabet, priority, timeout
         )
+        now = self.clock.now
         routes, solos, batches = plan_routes(
-            req.spec, req.taps, req.streams, self.cache, self.clock.now,
+            req.spec, req.taps, req.streams, self.cache, now,
             self.config.max_batch_jobs, result_cache_key,
             wide_threshold=self.config.wide_text_threshold, tenant=tenant,
         )
-        jobs = [
-            self._admit(req, prepared, route.key, tenant)
-            for prepared, route in zip(req.streams, routes)
-        ]
-        for job, route in zip(jobs, routes):
-            if route.kind == DEDUPED:
-                self.telemetry.deduped += 1
-                self._followers.follow(jobs[route.rep].job_id, job)
-            elif route.kind in INLINE:  # no queue, worker, bus or beats
-                now = self.clock.now
-                self._record(job, route.hit or [], now, now, 0.0, route.kind)
-        units = [_Unit([jobs[i].whole()], req.priority) for i in solos]
-        units += [
-            _Unit([jobs[i].whole() for i in chunk], req.priority, True)
-            for chunk in batches
-        ]
-        self._enqueue(units, tenant)
+        deadline = None if req.timeout is None else now + req.timeout
+        jobs: List[Job] = []
+        for prepared, route in zip(req.streams, routes):
+            self.core.admit(jobs, req, prepared, route, tenant, now, deadline)
+        self._enqueue(self.core.units(jobs, solos, batches, req.priority),
+                      tenant)
         return [job.job_id for job in jobs]
 
-    def _admit(
-        self, req: Request, prepared: Prepared, key: Optional[tuple],
-        tenant: str,
-    ) -> MatchJob:
-        """Admit one planned job: give it an id, count it, open its
-        span."""
-        now = self.clock.now
-        job = MatchJob(
-            job_id=self._next_id,
-            tenant=tenant,
-            priority=req.priority,
-            spec=req.spec,
-            taps=prepared.taps,
-            text=prepared.feed,
-            orig_len=len(prepared.validated),
-            submitted_beat=now,
-            cache_key=key,
-        )
-        if req.timeout is not None:
-            job.deadline = now + req.timeout
-        self._next_id += 1
-        self.telemetry.submitted += 1
-        if self.obs is not None:
-            # Jobs overlap in simulated time, so their spans cannot nest on
-            # the tracer stack: open/close explicitly, keyed off the job.
-            job.span = self.obs.tracer.open_span(
-                "service.job", t0=now, unit="beats",
-                job_id=job.job_id, tenant=tenant, priority=job.priority.name,
-                workload=job.workload,
-            )
-        return job
-
-    def _enqueue(self, units: Sequence[_Unit], tenant: str) -> None:
+    def _enqueue(self, units: Sequence[Unit], tenant: str) -> None:
         """Queue units in order; a batch plan is counted once here.  On
         backpressure the overflowing unit is served by the software
         baseline when ``degrade_when_saturated``; otherwise it and every
@@ -384,17 +269,14 @@ class MatcherService:
             except BackpressureError:
                 self.telemetry.backpressure_hits += 1
                 if self.config.degrade_when_saturated:
-                    for job, shard in unit.pieces:
-                        self._serve_software(job, shard)
+                    self.core.degrade(unit.pieces, self.clock.now)
                     continue
                 for late in units[i:]:
                     for job, _ in late.pieces:
-                        self._reject(job)
+                        self.core.reject(job, self.clock.now)
                 raise
             self._note_queue_depth(unit.priority)
-            if unit.batched:
-                self.telemetry.batches += 1
-                self.telemetry.batched_jobs += len(unit.pieces)
+            self.core.queued(unit)
 
     def _note_queue_depth(self, priority: Priority) -> None:
         if self.obs is not None:
@@ -403,15 +285,6 @@ class MatcherService:
                 priority=priority.name,
                 depth=self.queues.depth(priority),
             )
-
-    def _reject(self, job: MatchJob) -> None:
-        """Roll one not-admitted job (and its followers) back out."""
-        self.telemetry.submitted -= 1
-        if job.span is not None:
-            self.obs.tracer.close(job.span, t1=self.clock.now, rejected=True)
-            job.span = None
-        for follower in self._followers.drop(job.job_id):
-            self._reject(follower)
 
     # -- draining ----------------------------------------------------------
 
@@ -425,7 +298,12 @@ class MatcherService:
             self._assign_all()
             if not self._inflight:
                 if self.pool.n_live == 0:
-                    self._degrade_remaining()
+                    # Every live worker is gone: serve all remaining work
+                    # from software (availability over throughput).
+                    while self._retry or self.queues.depth():
+                        unit = self._retry.popleft() if self._retry \
+                            else self.queues.pop()
+                        self.core.degrade(unit.pieces, self.clock.now)
                     continue
                 if not self.queues.depth() and not self._retry:
                     # Everything was served inline (deadline timeouts /
@@ -435,16 +313,16 @@ class MatcherService:
                     "scheduler stalled with live workers and queued jobs"
                 )
             _, _, unit = heapq.heappop(self._inflight)
-            self.clock.advance_to(unit.finish_beat)
+            self.clock.advance_to(unit.finish)
             self._complete(unit)
         self._sync_telemetry()
-        return self._completed.snapshot()
+        return self.core.log.snapshot()
 
     def results(self) -> List[JobResult]:
         """Completed results so far (without draining), as a fresh list
         in job-id order; costs work proportional to the completions since
         the last call plus one C-level list copy."""
-        return self._completed.snapshot()
+        return self.core.log.snapshot()
 
     # -- assignment --------------------------------------------------------
 
@@ -475,7 +353,7 @@ class MatcherService:
             return min(fitting, key=lambda w: (w.capacity, w.name))
         return max(idle, key=lambda w: (w.capacity, w.name))
 
-    def _dispatch(self, unit: _Unit, idle: Sequence[PoolWorker]) -> None:
+    def _dispatch(self, unit: Unit, idle: Sequence[PoolWorker]) -> None:
         """First dispatch of a queued unit, which fixes each job's mode.
         A wide solo job with two or more idle workers that fit it splits
         into one-piece shard units, one per worker."""
@@ -498,7 +376,7 @@ class MatcherService:
                 job.mode, job.shards = plan.mode.value, plan.shards
                 job.pending = len(plan.shards)
                 for shard, worker in zip(plan.shards, fitting):
-                    self._launch(_Unit([(job, shard)], unit.priority), worker)
+                    self._launch(Unit([(job, shard)], unit.priority), worker)
                 return
         worker = self._choose_worker(idle, plen)
         job.mode = (
@@ -507,7 +385,7 @@ class MatcherService:
         self._launch(unit, worker)
 
     def _project(
-        self, fault, unit: _Unit, worker: PoolWorker, now: float
+        self, fault, unit: Unit, worker: PoolWorker, now: float
     ) -> Tuple[float, int]:
         """Projected finish beat and bus characters of running *unit*'s
         pieces back to back on *worker* (one load of the taps per piece).
@@ -522,7 +400,7 @@ class MatcherService:
         extra = fault.extra_beats if fault is not None else 0
         return max(now + service + extra, self.bus.eta(chars, now)), chars
 
-    def _launch(self, unit: _Unit, worker: PoolWorker) -> None:
+    def _launch(self, unit: Unit, worker: PoolWorker) -> None:
         """Launch *unit* on *worker* under one fault sample: the unit
         lives or dies with its worker.  Pieces whose job deadline the
         projected finish would blow (slow worker, stuck beats, bus
@@ -540,39 +418,34 @@ class MatcherService:
         shed = [piece for piece in unit.pieces if blown(piece)]
         if shed:
             for job, shard in shed:
-                self.telemetry.timeouts += 1
-                job.timed_out = True
-                if self.obs is not None:
-                    self.obs.tracer.event(
-                        "job.timeout", t=now, unit="beats",
-                        job_id=job.job_id, shard=shard.index,
-                        batch=unit.batched, projected_finish=finish,
-                        deadline=job.deadline,
-                    )
-                self._serve_software(job, shard)
+                self.core.time_out(
+                    job, now, shard=shard.index, batch=unit.batched,
+                    projected_finish=finish, deadline=job.deadline,
+                )
+                self.core.degrade([(job, shard)], now)
             unit.pieces = [p for p in unit.pieces if not blown(p)]
             if not unit.pieces:
                 return
             finish, bus_chars = self._project(fault, unit, worker, now)
         for job, _ in unit.pieces:
-            if job.started_beat is None:
-                job.started_beat = now
+            if job.started is None:
+                job.started = now
         worker.state = WorkerState.BUSY
         self.bus.reserve(bus_chars, now)
         unit.worker, unit.fault = worker, fault
-        unit.start_beat, unit.finish_beat = now, finish
+        unit.start, unit.finish = now, finish
         self._seq += 1
         heapq.heappush(self._inflight, (finish, self._seq, unit))
 
     # -- completion --------------------------------------------------------
 
-    def _settle_worker(self, unit: _Unit) -> bool:
+    def _settle_worker(self, unit: Unit) -> bool:
         """Book one finished execution against its worker; True when the
         worker died in it (it is then DEAD, else IDLE again)."""
         worker, fault = unit.worker, unit.fault
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
         stats.executions += 1
-        stats.record_busy(unit.start_beat, unit.finish_beat)
+        stats.record_busy(unit.start, unit.finish)
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             worker.state = WorkerState.DEAD
             stats.died = True
@@ -584,25 +457,26 @@ class MatcherService:
             self.telemetry.stuck_events += 1
         return False
 
-    def _complete(self, unit: _Unit) -> None:
-        """A unit's execution finished.  On a worker death every piece's
-        job counts a failed attempt and the unit is retried whole while
-        its own budget lasts (else each piece is served from software);
-        otherwise the worker's kernel yields every piece's results."""
+    def _complete(self, unit: Unit) -> None:
+        """A unit's execution finished.  On a worker death the core's
+        failure rule retries it whole or serves its pieces from
+        software; otherwise the worker's kernel yields every piece's
+        results."""
         worker, fault = unit.worker, unit.fault
         died = self._settle_worker(unit)
         job, shard = unit.pieces[0]
         span = None
         if self.obs is not None:
             attrs = dict(
-                t0=unit.start_beat, t1=unit.finish_beat, unit="beats",
+                t0=unit.start, t1=unit.finish, unit="beats",
                 worker=worker.name, attempt=unit.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
             if unit.batched:
                 span = self.obs.tracer.record(
                     "service.batch", jobs=len(unit.pieces),
-                    workload=job.workload, **attrs,
+                    workload=job.workload,
+                    job_ids=[j.job_id for j, _ in unit.pieces], **attrs,
                 )
             else:
                 span = self.obs.tracer.record(
@@ -610,18 +484,10 @@ class MatcherService:
                     shard=shard.index, **attrs,
                 )
         if died:
-            unit.attempts += 1
-            for job, _ in unit.pieces:
-                job.attempts += 1
-            if self.retry.should_retry(unit.attempts) and self.pool.n_live:
-                self.telemetry.retries += 1
+            if self.core.failed(unit, self.pool.n_live, self.clock.now):
                 self._retry.append(unit)
-            else:
-                for job, shard in unit.pieces:
-                    self._serve_software(job, shard)
             return
-        run = dict(obs=self.obs, parent=span, t0=unit.start_beat,
-                   t1=unit.finish_beat)
+        run = dict(obs=self.obs, parent=span, t0=unit.start, t1=unit.finish)
         if unit.batched:
             rows = worker.run_kernel_batch(
                 job.spec, job.taps, [s.feed(j.text) for j, s in unit.pieces],
@@ -633,110 +499,31 @@ class MatcherService:
             )]
         plen = unit.window_len
         for (job, shard), results in zip(unit.pieces, rows):
-            job.workers_used.append(worker.name)
             # A batch member's service beats are its own device share:
             # what its own run would have cost on this worker.
             beats = worker.service_beats(plen, shard.n_fed) if unit.batched \
-                else unit.finish_beat - unit.start_beat
-            self._settle(job, shard, results, unit.finish_beat, beats)
-
-    def _serve_software(self, job: MatchJob, shard: TextShard) -> None:
-        """The host CPU serves one piece with the software baseline
-        (saturation, deadline shed, retries exhausted or no live
-        workers)."""
-        now = self.clock.now
-        if job.started_beat is None:
-            job.started_beat = now
-        feed = shard.feed(job.text)
-        results = self.fallback.kernel(job.spec, job.taps, feed)
-        beats = self.fallback.beats(job.window_len, len(feed), self.beat_ns)
-        if self.obs is not None:
-            self.obs.tracer.record(
-                "service.software_fallback", t0=now, t1=now + beats,
-                unit="beats", parent=job.span,
-                shard=shard.index, chars=len(feed),
+                else unit.finish - unit.start
+            self.core.settle(
+                job, shard, results, unit.finish, beats, worker.name
             )
-        job.via_fallback = True
-        self.telemetry.fallbacks += 1
-        self._settle(job, shard, results, now + beats, beats)
-
-    def _settle(
-        self, job: MatchJob, shard: TextShard, results: List,
-        finish: float, beats: float,
-    ) -> None:
-        """Book one served piece; the job completes with its last."""
-        job.shard_results[shard.index] = results
-        job.shard_finish[shard.index] = finish
-        job.service_beats += beats
-        job.pending -= 1
-        if not job.pending:
-            self._finalize(job)
-
-    def _finalize(self, job: MatchJob) -> None:
-        """Complete a job: merge its shards, finalize, label its mode."""
-        if job.shards is not None:
-            ordered = [job.shard_results[s.index] for s in job.shards]
-            results = merge_shard_values(
-                job.shards, ordered, len(job.text), job.spec.incomplete
-            )
-        else:
-            results = job.shard_results[0]
-        results = job.spec.finalize(job.taps, job.orig_len, results)
-        mode = "software" if job.via_fallback and not job.workers_used \
-            else job.mode
-        self._record(
-            job, results, job.started_beat, max(job.shard_finish.values()),
-            job.service_beats, mode, job.workers_used, job.attempts,
-            job.via_fallback, job.timed_out,
-        )
-
-    def _degrade_remaining(self) -> None:
-        """Every live worker is gone: drain all remaining work through
-        the software fallback (availability over throughput)."""
-        while self._retry or self.queues.depth():
-            unit = self._retry.popleft() if self._retry else self.queues.pop()
-            for job, shard in unit.pieces:
-                self._serve_software(job, shard)
 
     # -- accounting --------------------------------------------------------
 
-    def _record(
-        self, job: MatchJob, results: List, started: float, finished: float,
-        service: float, mode: str, workers: Sequence[str] = (),
-        attempts: int = 0, via_fallback: bool = False,
-        timed_out: bool = False,
-    ) -> None:
-        """Complete *job* (its wait runs from submission to *started*),
-        then every deduplicated follower with a copy of the answer."""
+    def _publish(self, job: Job) -> JobResult:
+        """The finished job's result (its wait runs from submission to
+        its start), booked into the farm's telemetry."""
+        results, started, finished = job.results, job.started, job.finished
         result = JobResult(
-            job.job_id, job.tenant, job.priority, results,
-            job.submitted_beat, started, finished, started - job.submitted_beat,
-            service, mode, tuple(workers), attempts, via_fallback,
-            job.workload, timed_out,
+            job.job_id, job.tenant, job.priority, results, job.submitted,
+            started, finished, started - job.submitted, job.service,
+            job.mode, tuple(job.workers_used), job.attempts,
+            job.via_fallback, job.workload, job.timed_out,
         )
-        self._completed.add(result)
         self._last_finish = max(self._last_finish, finished)
-        self.telemetry.completed += 1
         self.telemetry.text_chars_served += len(results)
-        self.telemetry.record_job(job.priority, result.wait_beats, service)
+        self.telemetry.record_job(job.priority, result.wait_beats, job.service)
         self.telemetry.record_workload(job.workload, len(results))
-        if job.span is not None:
-            self.obs.tracer.close(
-                job.span, t1=finished, mode=mode, workers=list(workers),
-                attempts=attempts, via_fallback=via_fallback,
-                timed_out=timed_out, wait_beats=result.wait_beats,
-                service_beats=service,
-            )
-            job.span = None
-        # Followers share the execution (and its faults, retries,
-        # timeouts) but keep their own identity and latency accounting.
-        for follower in self._followers.settle(
-            job.job_id, job.cache_key, results, mode, finished
-        ):
-            self._record(
-                follower, list(results), started, finished, 0.0, DEDUPED,
-                workers, 0, via_fallback, timed_out,
-            )
+        return result
 
     def _sync_telemetry(self) -> None:
         t = self.telemetry

@@ -29,8 +29,31 @@ from ..obs.metrics import MetricsRegistry
 from .scheduler import Priority
 
 
+class _Scalar:
+    """Descriptor exposing one registry metric as a plain attribute."""
+
+    __slots__ = ("attr", "cast")
+
+    def __init__(self, attr: str, cast=float):
+        self.attr = attr
+        self.cast = cast
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return self.cast(getattr(obj, self.attr).value)
+
+    def __set__(self, obj, value) -> None:
+        getattr(obj, self.attr).value = float(value)
+
+
 class WorkerStats:
     """Lifetime counters for one pool worker (a registry view)."""
+
+    executions = _Scalar("_executions", int)
+    busy_beats = _Scalar("_busy", float)
+    stuck_events = _Scalar("_stuck", int)
+    died = _Scalar("_died", bool)
 
     __slots__ = (
         "name", "capacity", "_executions", "_busy", "_stuck", "_died",
@@ -51,40 +74,6 @@ class WorkerStats:
         # High-water mark of accounted busy time: record_busy clips
         # against it so overlapping executions count once.
         self._busy_until = 0.0
-
-    # -- the pre-registry attribute API (thin views) ----------------------
-
-    @property
-    def executions(self) -> int:
-        return int(self._executions.value)
-
-    @executions.setter
-    def executions(self, v: int) -> None:
-        self._executions.value = float(v)
-
-    @property
-    def busy_beats(self) -> float:
-        return self._busy.value
-
-    @busy_beats.setter
-    def busy_beats(self, v: float) -> None:
-        self._busy.value = float(v)
-
-    @property
-    def stuck_events(self) -> int:
-        return int(self._stuck.value)
-
-    @stuck_events.setter
-    def stuck_events(self, v: int) -> None:
-        self._stuck.value = float(v)
-
-    @property
-    def died(self) -> bool:
-        return bool(self._died.value)
-
-    @died.setter
-    def died(self, v: bool) -> None:
-        self._died.set(1.0 if v else 0.0)
 
     # -- accounting --------------------------------------------------------
 
@@ -114,6 +103,10 @@ class WorkerStats:
 class ClassStats:
     """Latency accounting for one priority class (a registry view)."""
 
+    jobs = _Scalar("_jobs", int)
+    total_wait_beats = _Scalar("_wait", float)
+    total_service_beats = _Scalar("_service", float)
+
     __slots__ = ("_jobs", "_wait", "_service")
 
     def __init__(self, registry: MetricsRegistry, priority: Priority):
@@ -125,30 +118,6 @@ class ClassStats:
         )
 
     @property
-    def jobs(self) -> int:
-        return int(self._jobs.value)
-
-    @jobs.setter
-    def jobs(self, v: int) -> None:
-        self._jobs.value = float(v)
-
-    @property
-    def total_wait_beats(self) -> float:
-        return self._wait.value
-
-    @total_wait_beats.setter
-    def total_wait_beats(self, v: float) -> None:
-        self._wait.value = float(v)
-
-    @property
-    def total_service_beats(self) -> float:
-        return self._service.value
-
-    @total_service_beats.setter
-    def total_service_beats(self, v: float) -> None:
-        self._service.value = float(v)
-
-    @property
     def mean_wait_beats(self) -> float:
         return self.total_wait_beats / self.jobs if self.jobs else 0.0
 
@@ -157,25 +126,37 @@ class ClassStats:
         return self.total_service_beats / self.jobs if self.jobs else 0.0
 
 
-class _Scalar:
-    """Descriptor exposing one registry metric as a plain attribute."""
+class JobCounters:
+    """The job counters both front doors keep, as views of
+    ``<prefix>.*`` registry counters (the farm's deaths are
+    ``service.worker_deaths``, the runtime's ``runtime.deaths``)."""
 
-    __slots__ = ("attr", "cast")
+    submitted = _Scalar("_submitted", int)
+    completed = _Scalar("_completed", int)
+    retries = _Scalar("_retries", int)
+    deaths = _Scalar("_deaths", int)
+    fallbacks = _Scalar("_fallbacks", int)
+    timeouts = _Scalar("_timeouts", int)
+    backpressure_hits = _Scalar("_backpressure", int)
+    batches = _Scalar("_batches", int)
+    batched_jobs = _Scalar("_batched_jobs", int)
+    deduped = _Scalar("_deduped", int)
 
-    def __init__(self, attr: str, cast=float):
-        self.attr = attr
-        self.cast = cast
+    def __init__(self, registry: MetricsRegistry, prefix: str, deaths: str):
+        r = registry
+        self._submitted = r.counter(f"{prefix}.jobs.submitted")
+        self._completed = r.counter(f"{prefix}.jobs.completed")
+        self._retries = r.counter(f"{prefix}.retries")
+        self._deaths = r.counter(f"{prefix}.{deaths}")
+        self._fallbacks = r.counter(f"{prefix}.fallbacks")
+        self._timeouts = r.counter(f"{prefix}.timeouts")
+        self._backpressure = r.counter(f"{prefix}.backpressure_hits")
+        self._batches = r.counter(f"{prefix}.batches")
+        self._batched_jobs = r.counter(f"{prefix}.jobs.batched")
+        self._deduped = r.counter(f"{prefix}.jobs.deduped")
 
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return self.cast(getattr(obj, self.attr).value)
 
-    def __set__(self, obj, value) -> None:
-        getattr(obj, self.attr).value = float(value)
-
-
-class ServiceTelemetry:
+class ServiceTelemetry(JobCounters):
     """The farm's aggregate counters, backed by one metrics registry.
 
     Construct with the registry of the run's
@@ -184,17 +165,7 @@ class ServiceTelemetry:
     behaves exactly like the pre-registry dataclass.
     """
 
-    submitted = _Scalar("_submitted", int)
-    completed = _Scalar("_completed", int)
-    retries = _Scalar("_retries", int)
-    deaths = _Scalar("_deaths", int)
     stuck_events = _Scalar("_stuck", int)
-    fallbacks = _Scalar("_fallbacks", int)
-    timeouts = _Scalar("_timeouts", int)
-    backpressure_hits = _Scalar("_backpressure", int)
-    batches = _Scalar("_batches", int)
-    batched_jobs = _Scalar("_batched_jobs", int)
-    deduped = _Scalar("_deduped", int)
     text_chars_served = _Scalar("_chars", int)
     bus_busy_beats = _Scalar("_bus_busy", float)
     bus_chars_moved = _Scalar("_bus_chars", int)
@@ -206,18 +177,9 @@ class ServiceTelemetry:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        super().__init__(self.registry, "service", "worker_deaths")
         r = self.registry
-        self._submitted = r.counter("service.jobs.submitted")
-        self._completed = r.counter("service.jobs.completed")
-        self._retries = r.counter("service.retries")
-        self._deaths = r.counter("service.worker_deaths")
         self._stuck = r.counter("service.stuck_events")
-        self._fallbacks = r.counter("service.fallbacks")
-        self._timeouts = r.counter("service.timeouts")
-        self._backpressure = r.counter("service.backpressure_hits")
-        self._batches = r.counter("service.batches")
-        self._batched_jobs = r.counter("service.jobs.batched")
-        self._deduped = r.counter("service.jobs.deduped")
         self._chars = r.counter("service.text_chars_served")
         self._bus_busy = r.gauge("service.bus.busy_beats")
         self._bus_chars = r.gauge("service.bus.chars_moved")

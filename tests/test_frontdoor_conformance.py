@@ -6,10 +6,9 @@ Both must return the same results (the oracle's, element types
 included), the same route per position and the same route counts.
 Device routes are one label: the farm reports
 ``direct``/``multipass``/``text-sharded`` where the runtime reports
-``pool``.  No sleeps, no reliance on reply order, and no
-assertions on job ids (runtime batch ids share the job-id counter).
-The seeded-fault cases kill exactly one unit's first launch, so
-neither outcome depends on which reply arrives first.
+``pool``.  Both hand out the same job ids.  No sleeps and no reliance
+on reply order: the seeded-fault cases kill exactly one unit's first
+launch, so neither outcome depends on which reply arrives first.
 """
 
 import asyncio
@@ -236,3 +235,71 @@ def test_front_doors_agree_under_seeded_deaths(shared_pool, name, case):
     assert routes == want_routes
     assert (hits, deduped) == (0, 1)
     assert (batches, batched_jobs, retries, fallbacks) == want_counts
+
+
+def _sync_calls(name, calls, timeout=None, faults=None):
+    """Each ``submit_many`` call's ids, and the last call's (route,
+    timed_out) per position, from the farm."""
+    params, streams, _ = _inputs(name, "mixed")
+    svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
+                         config=SchedulerConfig(max_batch_jobs=MAX_BATCH),
+                         faults=faults)
+    ids = [svc.submit_many(params, streams, workload=name, timeout=timeout)
+           for _ in range(calls)]
+    done = {r.job_id: r for r in svc.drain()}
+    return ids, [(_label(done[i].mode), done[i].timed_out) for i in ids[-1]]
+
+
+def _async_calls(pool, name, calls, timeout=None, faults=None,
+                 stuck_stall_s=0.0):
+    """The same, from the runtime."""
+    params, streams, _ = _inputs(name, "mixed")
+
+    async def go():
+        config = RuntimeConfig(max_batch_jobs=MAX_BATCH,
+                               stuck_stall_s=stuck_stall_s)
+        svc = AsyncMatcherService(pool=pool, config=config, faults=faults)
+        await svc.start()
+        ids = [await svc.submit_many(params, streams, workload=name,
+                                     timeout=timeout)
+               for _ in range(calls)]
+        done = {r.job_id: r for r in await svc.drain()}
+        return ids, [(_label(done[i].mode), done[i].timed_out)
+                     for i in ids[-1]]
+
+    return asyncio.run(go())
+
+
+@pytest.mark.parametrize("name", list_workloads())
+def test_front_doors_hand_out_the_same_job_ids(shared_pool, name):
+    """Two consecutive mixed calls (a batch plan, a follower, an empty
+    stream and a solo job each): runtime units take wire ids of their
+    own, so neither front door skips a job id."""
+    sync_ids, _ = _sync_calls(name, 2)
+    assert sync_ids == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert _async_calls(shared_pool, name, 2)[0] == sync_ids
+
+
+#: Every launch is stuck for STUCK_BEATS: past the farm's 1-beat
+#: deadline at launch, and in the runtime a stall 30x its 10 ms
+#: deadline, so every representative times out before any reply.
+STUCK_BEATS = 100
+
+
+def _stuck():
+    return FaultInjector(seed=5, p_stuck=1.0,
+                         stuck_beats=(STUCK_BEATS, STUCK_BEATS))
+
+
+@pytest.mark.parametrize("name", list_workloads())
+def test_follower_reports_its_representatives_timeout(shared_pool, name):
+    """Every representative misses its deadline and is served from
+    software; its duplicate reports the same fate (``timed_out``) in
+    both front doors, and the empty stream never times out."""
+    _, sync = _sync_calls(name, 1, timeout=1.0, faults=_stuck())
+    _, runtime = _async_calls(shared_pool, name, 1, timeout=0.01,
+                              faults=_stuck(), stuck_stall_s=0.003)
+    assert sync == runtime == [
+        ("software", True), ("software", True), ("deduped", True),
+        ("empty", False), ("software", True),
+    ]

@@ -137,6 +137,28 @@ class TestReliabilityPolicy:
                                            engine="oracle")
         assert r.results == expect
 
+    def test_no_live_worker_degrades_instead_of_hanging(self):
+        """With its only worker quarantined, the pool has no live
+        worker: the unit is served from software at dispatch instead of
+        waiting forever in the pool (``wait_for`` is only a hang
+        guard)."""
+
+        async def go():
+            async with AsyncMatcherService(1, AB) as svc:
+                [name] = svc.pool.idle_names()
+                svc.pool.quarantine(name)
+                assert svc.pool.n_live == 0
+                jid = await asyncio.wait_for(svc.submit("AB", "ABAB"), 30)
+                r = await asyncio.wait_for(svc.result(jid), 30)
+                return r, svc.stats()
+
+        r, stats = run(go())
+        assert (r.mode, r.via_fallback, r.worker) == ("software", True, None)
+        assert r.results == get_workload("match").run("AB", "ABAB", AB,
+                                                      engine="oracle")
+        assert (stats["fallbacks"], stats["retries"]) == (1, 0)
+        assert stats["pool_dispatched"] == 0
+
     def test_deadline_sheds_stalled_worker(self):
         """A stuck worker cannot wedge the drain: the deadline fires,
         the job completes degraded, and the late reply is dropped."""
@@ -148,14 +170,20 @@ class TestReliabilityPolicy:
                                      stuck_beats=(500, 500)),
                 config=RuntimeConfig(stuck_stall_s=0.002),  # 1s stall
             ) as svc:
+                cancel = svc.pool.cancel
+                svc.pool.cancel = lambda *key: cancelled.append(key) or \
+                    cancel(*key)
                 jid = await svc.submit("AB", "ABAB" * 4, timeout=0.2)
                 r = await svc.result(jid)
                 stats = svc.stats()
                 return r, stats
 
+        cancelled = []
         r, stats = run(go())
         assert r.timed_out and r.via_fallback
         assert stats["timeouts"] == 1
+        # The stalled attempt was cancelled, so its late reply is dropped.
+        assert [attempt for _, attempt in cancelled] == [0]
         expect = get_workload("match").run("AB", "ABAB" * 4, AB,
                                            engine="oracle")
         assert r.results == expect

@@ -120,6 +120,33 @@ class TestAdversity:
             assert r.results == oracle("AXC", text)
             assert r.attempts >= 1 and not r.via_fallback
 
+    def test_batch_spans_name_their_member_jobs(self):
+        """A batched job's trace names every execution that carried it:
+        seed 1 kills the batch's first launch and spares its retry, so
+        each member id sits on exactly two ``service.batch`` spans, each
+        with its worker, attempt and fault."""
+        probe = FaultInjector(seed=1, p_death=0.3)
+        first, second = probe.sample(), probe.sample()
+        assert first.kind is FaultKind.WORKER_DEATH and second is None
+        obs = Observability()
+        svc = MatcherService(
+            uniform_pool(4, ChipSpec(8, 2), AB),
+            faults=FaultInjector(seed=1, p_death=0.3), obs=obs,
+        )
+        jids = svc.submit_many("AB", ["ABCA", "AACC", "CABC"])
+        results = svc.drain()
+        batches = obs.tracer.find("service.batch")
+        for jid in jids:
+            assert sum(jid in s.attrs["job_ids"] for s in batches) == 2
+            assert results[jid].mode == "batched"
+        dead, retry = batches
+        assert dead.attrs["job_ids"] == retry.attrs["job_ids"] == jids
+        assert (dead.attrs["attempt"], dead.attrs["fault"]) == (
+            0, "worker-death")
+        assert (retry.attrs["attempt"], retry.attrs["fault"]) == (1, None)
+        # The dead chip stays dead: the retry ran elsewhere.
+        assert dead.attrs["worker"] != retry.attrs["worker"]
+
     def test_all_workers_dead_degrades_batch_members(self):
         faults = ScriptedInjector(
             [Fault(FaultKind.WORKER_DEATH, at_fraction=0.1)] * 8

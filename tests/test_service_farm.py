@@ -140,8 +140,7 @@ class TestScheduler:
         q.put("a", 2)
         with pytest.raises(BackpressureError):
             q.put("a", 3)
-        q.put("a", 3, force=True)  # retries bypass the bound
-        assert len(q) == 3
+        assert len(q) == 2
 
     def test_tenant_round_robin(self):
         q = BoundedQueue(10)
@@ -150,12 +149,6 @@ class TestScheduler:
         q.put("bob", "b1")
         assert [q.pop() for _ in range(4)] == ["a1", "b1", "a2", "a3"]
         assert q.pop() is None
-
-    def test_put_front_requeues_ahead(self):
-        q = BoundedQueue(10)
-        q.put("a", "first")
-        q.put_front("a", "retry")
-        assert q.pop() == "retry"
 
     def test_priority_classes_drain_in_order(self):
         jq = JobQueues(SchedulerConfig(queue_capacity=4))
