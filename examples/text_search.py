@@ -29,7 +29,7 @@ QUERIES = ["CHIP", "P?TTERN", "S?STOLIC", "THE TIME", "MEG?CHARACTERS"]
 
 
 def main():
-    spec = ChipSpec(n_cells=8, char_bits=5, beat_ns=250.0)
+    spec = ChipSpec(cells=8, char_bits=5, beat_ns=250.0)
     cascade = ChipCascade(spec, n_chips=2, alphabet=ASCII_UPPER)  # 16 cells
     host = HostSpec()
 

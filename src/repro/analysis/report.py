@@ -8,12 +8,14 @@ from typing import List, Mapping, Sequence
 class Table:
     """Minimal fixed-width table formatter for bench reports.
 
+    Floats print with trailing zeros stripped, so ``4.0`` reads ``4``:
+
     >>> t = Table(["n", "rate"])
     >>> t.row([8, 4.0])
     >>> print(t.render())          # doctest: +NORMALIZE_WHITESPACE
     n  rate
     -  ----
-    8  4.0
+    8  4
     """
 
     def __init__(self, headers: Sequence[str], title: str = ""):

@@ -126,7 +126,7 @@ def run_soak(
     """
     alphabet = Alphabet("abcd")
     pool = uniform_pool(
-        n_workers, ChipSpec(n_cells, alphabet.bits, 250.0), alphabet
+        n_workers, ChipSpec(n_cells, alphabet.bits, beat_ns=250.0), alphabet
     )
     target_live = pool.n_live
     injector = FaultInjector(seed=seed, p_death=p_death, p_defect=p_defect)

@@ -29,6 +29,8 @@ class ChipCascade:
     def __init__(self, spec: ChipSpec, n_chips: int, alphabet: Alphabet):
         if n_chips <= 0:
             raise ChipError("cascade needs at least one chip")
+        if spec.kernel != "match":
+            raise ChipError(f"a {spec.kernel!r} spec is not a pattern matcher")
         if alphabet.bits > spec.char_bits:
             raise ChipError("alphabet wider than the chip datapath")
         self.spec = spec
@@ -37,7 +39,7 @@ class ChipCascade:
         self.chain = ChainedArrays(
             [
                 LinearArray(
-                    spec.n_cells,
+                    spec.cells,
                     MATCHER_CHANNELS,
                     lambda i: MatcherCellKernel(),
                     ("p", "s"),
@@ -60,7 +62,7 @@ class ChipCascade:
     @property
     def capacity(self) -> int:
         """kn character cells (the Figure 3-7 headline)."""
-        return self.spec.n_cells * self.n_chips
+        return self.spec.cells * self.n_chips
 
     def load_pattern(self, pattern, wildcard_symbol: str = "X") -> None:
         if pattern and all(isinstance(pc, PatternChar) for pc in pattern):

@@ -1,4 +1,8 @@
-"""One pattern-matching chip: capacity, pins, and timing.
+"""One chip: its specification, capacity, pins, and timing.
+
+A :class:`ChipSpec` states a chip once -- kernel, size, beat clock -- for
+both the serving tier (pool workers, cascades, the Plate 2 prototype) and
+the silicon compiler (:func:`repro.compiler.compile_workload`).
 
 A :class:`PatternMatchingChip` is the packaged article: a fixed number of
 character cells (set at fabrication time), the chip-edge pins that make
@@ -13,10 +17,10 @@ compiled ``match`` chip at switch level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..alphabet import Alphabet, PatternChar, parse_pattern
-from ..errors import ChipError, PatternError
+from ..errors import ChipError, CompileError, PatternError
 from ..core.array import SystolicMatcherArray
 from ..core.fastpath import FastMatcher
 from ..core.matcher import MatchReport
@@ -24,35 +28,104 @@ from ..core.multipass import multipass_match
 from ..streams import RecirculatingPattern
 
 
+#: Kernels a chip can implement (the Section 3 machines with real cell
+#: circuits, hence the kernels the compiler can lower to silicon).
+KERNELS = ("match", "count", "inner-product")
+
+
 @dataclass(frozen=True)
 class ChipSpec:
-    """Fabrication-time parameters of a chip."""
+    """One chip, fully parameterized: the farm serves it, the compiler
+    lays it out.
 
-    n_cells: int
-    char_bits: int
+    Section 4's methodology starts from "a precise functional
+    specification of the chip"; this is it -- a kernel plus the numbers
+    that size and clock the machine.  ``cells`` is the column count *m*
+    (the longest pattern / tap vector the chip accepts); ``char_bits`` is
+    the character width *w* of the matching kernels; ``data_bits`` is the
+    operand width *B* of the numeric kernel; ``beat_ns`` is the beat
+    clock.  Everything else (result-bus width, comparator row count, and
+    in the compiler the cell library and floorplan) is *derived*.
+    ``name`` defaults to a size mnemonic.
+
+    ``match``
+        Wildcard substring matching -- ``char_bits`` comparator rows over
+        a row of one-bit accumulators (the fabricated prototype).
+    ``count``
+        Per-window count of matching positions -- the same comparator
+        rows over a row of counting cells with a ripple counter wide
+        enough that a full window never wraps.
+    ``inner-product``
+        Sliding inner products over small unsigned integers -- one row of
+        multiply-accumulate cells with ``data_bits``-wide operand buses
+        and an accumulator sized so the worst-case window sum never wraps.
+
+    >>> ChipSpec(8).name
+    'match_8x2'
+    >>> ChipSpec(12, 3, kernel="count").result_bits
+    4
+    >>> ChipSpec(4, kernel="inner-product", data_bits=2).result_bits
+    6
+    """
+
+    cells: int
+    char_bits: int = 2
+    kernel: str = "match"
+    data_bits: int = 2
     beat_ns: float = 250.0
-    name: str = "pattern-matcher"
+    chip_name: str = ""
 
-    def __post_init__(self):
-        if self.n_cells <= 0:
-            raise ChipError("a chip needs at least one character cell")
-        if self.char_bits <= 0:
-            raise ChipError("characters need at least one bit")
+    def __post_init__(self) -> None:
+        if self.kernel not in KERNELS:
+            raise CompileError(
+                f"unknown kernel {self.kernel!r} (known: {', '.join(KERNELS)})"
+            )
+        if self.cells < 1:
+            raise CompileError("a chip needs at least one cell")
+        if self.kernel in ("match", "count") and self.char_bits < 1:
+            raise CompileError("char_bits must be at least 1")
+        if self.kernel == "inner-product" and self.data_bits < 1:
+            raise CompileError("data_bits must be at least 1")
         if self.beat_ns <= 0:
-            raise ChipError("beat time must be positive")
+            raise CompileError("beat time must be positive")
+
+    # -- derived dimensions -------------------------------------------------
 
     @property
-    def pins(self) -> List[str]:
-        """The package pins (Section 3.4 extensibility set)."""
-        pins = ["VDD", "GND", "PHI1", "PHI2",
-                "LAM_IN", "X_IN", "LAM_OUT", "X_OUT", "R_IN", "R_OUT"]
-        for j in range(self.char_bits):
-            pins += [f"P_IN{j}", f"P_OUT{j}", f"S_IN{j}", f"S_OUT{j}"]
-        return pins
+    def w_rows(self) -> int:
+        """Comparator rows above the result row (0 for numeric kernels)."""
+        return self.char_bits if self.kernel in ("match", "count") else 0
 
     @property
-    def pin_count(self) -> int:
-        return len(self.pins)
+    def result_row(self) -> int:
+        """Row index of the result row in the (i + j) polarity scheme."""
+        return self.w_rows
+
+    @property
+    def result_bits(self) -> int:
+        """Result-bus width, sized so a full window never wraps.
+
+        ``match`` carries one bit.  ``count`` can reach ``cells`` (every
+        position matches), needing ``cells.bit_length()`` bits.  The
+        inner product of ``cells`` maximal ``data_bits``-wide operands
+        reaches ``cells * (2**data_bits - 1)**2``; the accumulator is
+        additionally at least ``2 * data_bits`` wide so a single product
+        always fits.
+        """
+        if self.kernel == "match":
+            return 1
+        if self.kernel == "count":
+            return max(2, self.cells.bit_length())
+        peak = self.cells * (2 ** self.data_bits - 1) ** 2
+        return max(2 * self.data_bits, peak.bit_length())
+
+    @property
+    def name(self) -> str:
+        if self.chip_name:
+            return self.chip_name
+        if self.kernel == "inner-product":
+            return f"ip_{self.cells}x{self.data_bits}"
+        return f"{self.kernel}_{self.cells}x{self.char_bits}"
 
     def characters_per_second(self) -> float:
         """Bus data rate in characters per second.
@@ -68,6 +141,8 @@ class PatternMatchingChip:
     """A packaged chip that can be loaded with any pattern that fits."""
 
     def __init__(self, spec: ChipSpec, alphabet: Alphabet):
+        if spec.kernel != "match":
+            raise ChipError(f"a {spec.kernel!r} spec is not a pattern matcher")
         if alphabet.bits > spec.char_bits:
             raise ChipError(
                 f"alphabet needs {alphabet.bits}-bit characters but the chip "
@@ -75,7 +150,7 @@ class PatternMatchingChip:
             )
         self.spec = spec
         self.alphabet = alphabet
-        self.array = SystolicMatcherArray(spec.n_cells, name=spec.name)
+        self.array = SystolicMatcherArray(spec.cells, name=spec.name)
         self._pattern: Optional[List[PatternChar]] = None
         self._stream: Optional[RecirculatingPattern] = None
         self._fast: Optional[FastMatcher] = None
@@ -100,10 +175,10 @@ class PatternMatchingChip:
             parsed = list(pattern)
         else:
             parsed = parse_pattern(pattern, self.alphabet, wildcard_symbol)
-        if len(parsed) > self.spec.n_cells:
+        if len(parsed) > self.spec.cells:
             raise PatternError(
                 f"pattern of length {len(parsed)} exceeds chip capacity "
-                f"{self.spec.n_cells}; cascade chips (Figure 3-7) or use "
+                f"{self.spec.cells}; cascade chips (Figure 3-7) or use "
                 f"multipass matching"
             )
         self._pattern = parsed
@@ -163,7 +238,7 @@ class PatternMatchingChip:
         parsed = parse_pattern(pattern, self.alphabet) if not (
             pattern and all(isinstance(pc, PatternChar) for pc in pattern)
         ) else list(pattern)
-        return multipass_match(parsed, list(text), self.spec.n_cells,
+        return multipass_match(parsed, list(text), self.spec.cells,
                                obs=self.obs)
 
     # -- timing ----------------------------------------------------------------------

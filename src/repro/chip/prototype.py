@@ -19,10 +19,10 @@ from .chip import ChipSpec, PatternMatchingChip
 
 #: The published prototype parameters.
 PROTOTYPE = ChipSpec(
-    n_cells=8,
+    8,
     char_bits=2,
     beat_ns=250.0,
-    name="CMU pattern matcher (Spring 1979)",
+    chip_name="CMU pattern matcher (Spring 1979)",
 )
 
 #: Design effort reported in Section 5.
@@ -40,7 +40,7 @@ class PrototypeChip(PatternMatchingChip):
 
     @property
     def max_pattern_length(self) -> int:
-        return PROTOTYPE.n_cells
+        return PROTOTYPE.cells
 
     def data_rate_mchars_per_s(self) -> float:
         """4 Mchars/s: one character per 250 ns."""

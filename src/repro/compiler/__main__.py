@@ -20,10 +20,10 @@ import random
 import sys
 
 from ..alphabet import Alphabet
+from ..chip.chip import KERNELS
 from ..errors import ReproError
 from ..signoff.pipeline import Signoff
 from .flow import compile_workload
-from .spec import KERNELS
 from .verify import differential
 
 #: The default compile matrix: every kernel at two sizes, one beyond the

@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..alphabet import Alphabet
+from ..chip.chip import ChipSpec
+from ..errors import CompileError
 from .ir import LogicalDesign, build_logical_db, build_net_to_cells, elaborate
 from .library import Library, library_for
 from .netlist import CompiledNetlist, elaborate_circuit
@@ -21,7 +23,6 @@ from .physical import build_assembler, build_bundles
 from .place import Placement, place
 from .simulate import feed_plan, mask_results, run_structural, run_switch_level
 from .ir import validate_ir
-from .spec import ChipSpec, CompileError
 
 __all__ = ["CompiledChip", "compile_workload"]
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .spec import ChipSpec, CompileError
+from ..chip.chip import ChipSpec
+from ..errors import CompileError
 
 __all__ = [
     "LogicalDesign",
@@ -71,7 +72,7 @@ class LogicalDesign:
 def build_logical_db(design: LogicalDesign) -> Dict[str, List[str]]:
     """The validation view: cell type -> sorted instance names.
 
-    >>> chip = elaborate(ChipSpec("match", cells=2, char_bits=1))
+    >>> chip = elaborate(ChipSpec(2, char_bits=1))
     >>> for cell_type, insts in sorted(build_logical_db(chip).items()):
     ...     print(cell_type, insts)
     accumulator ['a0', 'a1']
@@ -93,7 +94,7 @@ def build_net_to_cells(
     Chip-level ports are nets named after themselves, so the edge nets of
     the graph are exactly ``design.ports``:
 
-    >>> chip = elaborate(ChipSpec("match", cells=2, char_bits=1))
+    >>> chip = elaborate(ChipSpec(2, char_bits=1))
     >>> build_net_to_cells(chip)["P_IN0"]
     [('c0_0', 'p_in')]
     >>> build_net_to_cells(chip)["lam.1"]

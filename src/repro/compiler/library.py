@@ -11,7 +11,7 @@ about one cell, across all abstraction levels:
   simulation, the differential-verification reference).
 
 :func:`library_for` assembles the :class:`Library` a given
-:class:`~repro.compiler.spec.ChipSpec` elaborates against; result-cell
+:class:`~repro.chip.chip.ChipSpec` elaborates against; result-cell
 types are parameterized by bus width, so ``counter4`` and ``counter5``
 are distinct library entries with distinct layouts.
 """
@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..chip.chip import ChipSpec
 from ..circuit.cells.accumulator import build_accumulator
 from ..circuit.cells.comparator import build_comparator
 from ..circuit.cells.counter import build_counter
 from ..circuit.cells.mac import build_mac
 from ..circuit.netlist import Circuit
+from ..errors import CompileError
 from ..layout.cells import (
     CellBundle,
     accumulator_bundle,
@@ -33,7 +35,6 @@ from ..layout.cells import (
     counter_bundle,
     mac_bundle,
 )
-from .spec import ChipSpec, CompileError
 
 __all__ = ["CellType", "Library", "library_for"]
 
@@ -219,9 +220,9 @@ class Library:
 def library_for(spec: ChipSpec) -> Library:
     """The library a :class:`ChipSpec` needs.
 
-    >>> sorted(library_for(ChipSpec("count", cells=8)).cell_types())
+    >>> sorted(library_for(ChipSpec(8, kernel="count")).cell_types())
     ['comparator', 'counter4']
-    >>> library_for(ChipSpec("inner-product", cells=4)).result_cell.name
+    >>> library_for(ChipSpec(4, kernel="inner-product")).result_cell.name
     'mac2x6'
     """
     if spec.kernel == "match":

@@ -16,10 +16,10 @@ from typing import Dict, List, Tuple
 
 from ..circuit.netlist import GND, VDD, Circuit
 from ..circuit.signals import HIGH, LOW
+from ..errors import CompileError
 from .ir import CONST_ONE, LogicalDesign, build_net_to_cells
 from .library import Library
 from .place import Placement
-from .spec import CompileError
 
 __all__ = ["CompiledNetlist", "elaborate_circuit"]
 

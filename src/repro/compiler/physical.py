@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..chip.chip import ChipSpec
 from ..layout.assembly import ArrayAssembler
 from ..layout.cells import CellBundle
 from .ir import LogicalDesign
 from .library import Library
 from .place import Placement
-from .spec import ChipSpec
 
 __all__ = ["build_bundles", "build_assembler"]
 

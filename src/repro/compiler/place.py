@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..chip.chip import ChipSpec
+from ..errors import CompileError
 from .ir import CONST_ONE, LogicalDesign, build_net_to_cells
-from .spec import ChipSpec, CompileError
 
 __all__ = ["Placement", "place"]
 
@@ -89,7 +90,7 @@ def place(design: LogicalDesign, spec: ChipSpec) -> Placement:
     """Derive the grid from the IR connectivity and verify it is an array.
 
     >>> from .ir import elaborate
-    >>> spec = ChipSpec("match", cells=3, char_bits=1)
+    >>> spec = ChipSpec(3, char_bits=1)
     >>> p = place(elaborate(spec), spec)
     >>> p.row(1)
     ['a0', 'a1', 'a2']

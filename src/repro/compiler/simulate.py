@@ -32,16 +32,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..alphabet import Alphabet, PatternChar, parse_pattern
+from ..chip.chip import ChipSpec
 from ..circuit.signals import HIGH, UNKNOWN
 from ..core.bit_level import bit_feed_schedule
-from ..errors import PatternError
+from ..errors import CompileError, PatternError
 from ..streams import RecirculatingPattern
 from ..systolic.cell import is_bubble
 from .ir import CONST_ONE, LogicalDesign
 from .library import Library
 from .netlist import CompiledNetlist
 from .place import Placement
-from .spec import ChipSpec, CompileError
 
 __all__ = [
     "FeedPlan",

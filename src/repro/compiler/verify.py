@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabet import Alphabet
+from ..errors import CompileError
 from ..workloads.registry import run_workload
 from .flow import CompiledChip
-from .spec import CompileError
 
 __all__ = ["DifferentialResult", "differential", "MutantResult",
            "run_design_mutants"]

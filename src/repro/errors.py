@@ -70,6 +70,11 @@ class ChipError(ReproError):
     """Chip- or cascade-level configuration error."""
 
 
+class CompileError(ChipError):
+    """Invalid chip specification or inconsistent compiler intermediate
+    form."""
+
+
 class ProvisionError(ChipError):
     """A replacement worker could not be provisioned (wafer supply
     exhausted, or every candidate harvest failed its incoming BIST)."""

@@ -27,6 +27,10 @@ from ..errors import ServiceError
 #: Sentinel sent down a request channel to stop a worker loop.
 SHUTDOWN = None
 
+#: ``JobReply.error`` of a request the pool hands back unrun because
+#: every worker is quarantined (no worker ever saw it).
+NO_LIVE_WORKER = "no-live-worker"
+
 
 class ChannelClosed(ServiceError):
     """The channel was closed while a send/receive was pending."""

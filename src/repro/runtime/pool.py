@@ -19,7 +19,10 @@ half).  It owns
   corrupting anything, which is what keeps slow workers from wedging a
   drain.
 
-The pool never retries, degrades, or verifies; it moves messages.  All
+The pool never retries, degrades, or verifies; it moves messages.  A
+request still waiting when every worker is quarantined goes back to its
+submitter unrun (a :data:`~repro.runtime.channels.NO_LIVE_WORKER`
+reply) instead of waiting for a heal.  All
 reliability policy stays in the service layer, threading the existing
 :mod:`repro.service.reliability` machinery.
 """
@@ -36,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..alphabet import Alphabet
 from ..errors import ServiceError
-from .channels import SHUTDOWN, Channel, JobReply, JobRequest
+from .channels import NO_LIVE_WORKER, SHUTDOWN, Channel, JobReply, JobRequest
 from .worker import worker_main
 
 ReplyCallback = Callable[[JobReply], None]
@@ -329,7 +332,10 @@ class WorkerPool:
         while True:
             with self._cond:
                 while not self._closing and not (
-                    self._pending and self._idle
+                    self._pending and (
+                        self._idle
+                        or len(self._quarantined) == self.n_workers
+                    )
                 ):
                     self._cond.wait()
                 if self._closing:
@@ -339,8 +345,18 @@ class WorkerPool:
                 if key in self._cancelled:
                     self._cancelled.discard(key)
                     continue
-                widx = self._idle.pop(0)
-                self.dispatched += 1
+                if self._idle:
+                    widx = self._idle.pop(0)
+                    self.dispatched += 1
+                else:
+                    # Every worker is quarantined: hand the request back
+                    # unrun instead of holding it until a heal.
+                    widx, unrun = None, self._callbacks.pop(key, None)
+            if widx is None:
+                if unrun is not None:
+                    unrun(JobReply(request.job_id, request.attempt, False,
+                                   "", 0, 0.0, error=NO_LIVE_WORKER))
+                continue
             # Send outside the lock: the worker is idle, so its
             # capacity-1 channel is empty and this cannot block long.
             self._requests[widx].send(request)

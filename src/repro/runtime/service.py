@@ -53,7 +53,7 @@ from ..service.reliability import (
 from ..service.scheduler import Priority
 from ..service.telemetry import JobCounters
 from .admission import RateLimiter
-from .channels import JobReply, JobRequest
+from .channels import NO_LIVE_WORKER, JobReply, JobRequest
 from .pool import WorkerPool
 
 
@@ -409,6 +409,11 @@ class AsyncMatcherService(JobCounters):
         if unit is None or reply.attempt != unit.attempts:
             self._m_stale.inc()
             return
+        if reply.error == NO_LIVE_WORKER:
+            # It never ran: the dispatch rule serves it from software
+            # (or resubmits it, if a heal came first), counting no attempt.
+            self._dispatch(unit)
+            return
         now = self._now()
         if reply.ok:
             self._units.pop(unit.unit_id, None)
@@ -440,7 +445,6 @@ class AsyncMatcherService(JobCounters):
         degraded.  A hung worker can no longer wedge this job."""
         if job.done:
             return
-        job.attempts += 1
         now, unit = self._now(), job.unit  # completion clears job.unit
         self.core.time_out(job, now, attempts=job.attempts)
         self.core.degrade([job.whole()], now, reason="deadline")

@@ -89,8 +89,8 @@ class PoolWorker:
         return cls(
             name,
             chip,
-            chip.spec.n_cells,
-            chip.spec.n_cells,
+            chip.spec.cells,
+            chip.spec.cells,
             chip.spec.beat_ns,
             chip.alphabet,
         )
@@ -124,9 +124,10 @@ class PoolWorker:
             n_cells = 0
         backend = None
         if n_cells > 0:
-            backend = PatternMatchingChip(
-                ChipSpec(n_cells, alphabet.bits, beat_ns, name=name), alphabet
+            spec = ChipSpec(
+                n_cells, alphabet.bits, beat_ns=beat_ns, chip_name=name
             )
+            backend = PatternMatchingChip(spec, alphabet)
         return cls(name, backend, n_cells, wafer.n_sites, beat_ns, alphabet)
 
     # -- queries ----------------------------------------------------------

@@ -5,8 +5,9 @@ scheduler down:
 
 * *worker death* -- the chip stops mid-job (a Section 5 wafer reality:
   latent defects, infant mortality).  The in-flight execution is lost;
-  the job is requeued at the front of its lane and reassigned to another
-  worker.
+  the whole unit is retried on another worker -- the farm relaunches it
+  from its retry deque ahead of the priority queues, the runtime
+  re-dispatches it to the process pool.
 * *stuck beats* -- the chip stalls for a bounded number of beats (clock
   or handshake glitch) but completes correctly.  Only latency suffers.
 

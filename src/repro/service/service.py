@@ -6,9 +6,10 @@ applies); ``drain`` runs the farm to completion: assign queued work to
 idle workers, advance the clock to the next completion, handle faults,
 repeat.  Every execution is beat-accounted (worker service time from the
 250 ns timing model, bus occupancy from the host memory model), and every
-result is produced by a verified matching engine -- chip, cascade,
-multipass, or the software fallback -- so service output is bit-identical
-to :func:`repro.core.reference.match_oracle` no matter how the job was
+device result comes from the workload's one serving kernel,
+``spec.batched`` (a solo job or shard is a batch of one), or from the
+software fallback -- so service output is bit-identical to
+:func:`repro.core.reference.match_oracle` no matter how the job was
 routed, retried, or sharded.
 
 Jobs, units, admission after the planner, the retry rule, software

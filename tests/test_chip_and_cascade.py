@@ -1,5 +1,9 @@
 """Packaged chips, the Figure 3-7 cascade, and the Plate 2 prototype."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from repro import Alphabet, match_oracle, parse_pattern
 from repro.chip import ChipCascade, PatternMatchingChip, PrototypeChip
 from repro.chip.chip import ChipSpec
 from repro.chip.prototype import DESIGN_EFFORT_MAN_MONTHS, PROTOTYPE
+from repro.compiler import compile_workload
 from repro.errors import ChipError, PatternError
 
 from conftest import AB4, patterns, texts
@@ -15,23 +20,58 @@ from conftest import AB4, patterns, texts
 
 class TestChipSpec:
     def test_prototype_parameters(self):
-        assert PROTOTYPE.n_cells == 8
+        assert PROTOTYPE.cells == 8
         assert PROTOTYPE.char_bits == 2
+        assert PROTOTYPE.kernel == "match"
         assert PROTOTYPE.beat_ns == 250.0
 
     def test_extensibility_pin_set(self):
-        """Section 3.4: pattern/text outputs and a result input exist."""
-        pins = PROTOTYPE.pins
-        for required in ("R_IN", "R_OUT", "LAM_OUT", "P_OUT0", "S_OUT1"):
+        """Section 3.4: pattern/text outputs and a result input exist on
+        the compiled prototype's pad ring."""
+        pins = compile_workload(
+            PROTOTYPE.kernel, PROTOTYPE.cells, char_bits=PROTOTYPE.char_bits
+        ).assembler.pin_names()
+        for required in ("R_IN0", "R_OUT0", "LAM_OUT", "P_OUT0", "S_OUT1"):
             assert required in pins
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ChipError):
-            ChipSpec(n_cells=0, char_bits=2)
+            ChipSpec(cells=0, char_bits=2)
         with pytest.raises(ChipError):
-            ChipSpec(n_cells=4, char_bits=0)
+            ChipSpec(cells=4, char_bits=0)
         with pytest.raises(ChipError):
-            ChipSpec(n_cells=4, char_bits=2, beat_ns=-1)
+            ChipSpec(cells=4, char_bits=2, beat_ns=-1)
+
+    def test_one_spec_serves_and_compiles(self):
+        """The pool's ``ChipSpec(16, 2)`` is the compiler's 16x2 match
+        chip; a beat time in the kernel slot fails at the kernel check,
+        and a non-match spec cannot be packaged as a pattern matcher."""
+        spec = ChipSpec(16, 2)
+        assert (spec.cells, spec.char_bits, spec.kernel) == (16, 2, "match")
+        assert spec.beat_ns == 250.0
+        assert spec.name == "match_16x2"
+        with pytest.raises(ChipError, match="unknown kernel"):
+            ChipSpec(8, 2, 250.0)
+        with pytest.raises(ChipError):
+            PatternMatchingChip(ChipSpec(4, kernel="count"), AB4)
+        with pytest.raises(ChipError):
+            ChipCascade(ChipSpec(4, kernel="inner-product"), 2, AB4)
+
+    def test_serving_tier_loads_no_compiler(self):
+        """The spec lives in ``repro.chip`` so that building a farm never
+        pays for importing the compiler (a fresh interpreter, since this
+        one has long loaded it)."""
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        probe = (
+            "import sys, repro.service, repro.chip\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.compiler')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestPatternMatchingChip:

@@ -239,7 +239,7 @@ def test_front_doors_agree_under_seeded_deaths(shared_pool, name, case):
 
 def _sync_calls(name, calls, timeout=None, faults=None):
     """Each ``submit_many`` call's ids, and the last call's (route,
-    timed_out) per position, from the farm."""
+    timed_out, attempts) per position, from the farm."""
     params, streams, _ = _inputs(name, "mixed")
     svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
                          config=SchedulerConfig(max_batch_jobs=MAX_BATCH),
@@ -247,7 +247,8 @@ def _sync_calls(name, calls, timeout=None, faults=None):
     ids = [svc.submit_many(params, streams, workload=name, timeout=timeout)
            for _ in range(calls)]
     done = {r.job_id: r for r in svc.drain()}
-    return ids, [(_label(done[i].mode), done[i].timed_out) for i in ids[-1]]
+    return ids, [(_label(done[i].mode), done[i].timed_out, done[i].attempts)
+                 for i in ids[-1]]
 
 
 def _async_calls(pool, name, calls, timeout=None, faults=None,
@@ -264,8 +265,8 @@ def _async_calls(pool, name, calls, timeout=None, faults=None,
                                      timeout=timeout)
                for _ in range(calls)]
         done = {r.job_id: r for r in await svc.drain()}
-        return ids, [(_label(done[i].mode), done[i].timed_out)
-                     for i in ids[-1]]
+        return ids, [(_label(done[i].mode), done[i].timed_out,
+                      done[i].attempts) for i in ids[-1]]
 
     return asyncio.run(go())
 
@@ -295,11 +296,12 @@ def _stuck():
 def test_follower_reports_its_representatives_timeout(shared_pool, name):
     """Every representative misses its deadline and is served from
     software; its duplicate reports the same fate (``timed_out``) in
-    both front doors, and the empty stream never times out."""
+    both front doors, and the empty stream never times out.  A deadline
+    shed is not a failed execution: every job reports 0 attempts."""
     _, sync = _sync_calls(name, 1, timeout=1.0, faults=_stuck())
     _, runtime = _async_calls(shared_pool, name, 1, timeout=0.01,
                               faults=_stuck(), stuck_stall_s=0.003)
     assert sync == runtime == [
-        ("software", True), ("software", True), ("deduped", True),
-        ("empty", False), ("software", True),
+        ("software", True, 0), ("software", True, 0), ("deduped", True, 0),
+        ("empty", False, 0), ("software", True, 0),
     ]

@@ -81,7 +81,7 @@ def trail(health, obs):
 
 def sweep_sync(injector, supply, config):
     obs = Observability()
-    pool = uniform_pool(2, ChipSpec(8, AB.bits, 250.0), AB)
+    pool = uniform_pool(2, ChipSpec(8, AB.bits, beat_ns=250.0), AB)
     health = FleetHealth(pool, supply=supply, injector=injector,
                          config=config, obs=obs)
     try:
@@ -159,7 +159,7 @@ def test_identical_without_supply(health_injector, healed_pool):
     assert [a for a, _c, _d in sync_trail["events"]] == ["quarantine"] * 2
 
     with pytest.raises(ProvisionError, match="no wafer supply"):
-        FleetHealth(uniform_pool(1, ChipSpec(8, AB.bits, 250.0), AB)) \
+        FleetHealth(uniform_pool(1, ChipSpec(8, AB.bits, beat_ns=250.0), AB)) \
             .heal_one()
     victim = healed_pool.quarantined_names()[0]
     with pytest.raises(ProvisionError, match="no wafer supply"):

@@ -159,6 +159,35 @@ class TestReliabilityPolicy:
         assert (stats["fallbacks"], stats["retries"]) == (1, 0)
         assert stats["pool_dispatched"] == 0
 
+    def test_quarantining_the_last_worker_frees_waiting_units(self):
+        """Units still waiting in the pool when its last worker is
+        quarantined are served from software, counting no attempt,
+        instead of waiting for a heal (``wait_for`` is only a hang
+        guard).  The running unit's 0.3 s stall keeps the second one
+        waiting."""
+
+        async def go():
+            async with AsyncMatcherService(
+                1, AB,
+                faults=FaultInjector(seed=3, p_stuck=1.0,
+                                     stuck_beats=(150, 150)),
+                config=RuntimeConfig(max_batch_jobs=1, stuck_stall_s=0.002),
+            ) as svc:
+                await svc.submit_many("AX", ["ABCA", "AACC"])
+                svc.pool.quarantine("proc-0")
+                results = await asyncio.wait_for(svc.drain(), 3.0)
+                return results, svc.stats()
+
+        results, stats = run(go())
+        match = get_workload("match")
+        assert [r.results for r in results] == [
+            match.run("AX", text, AB, engine="oracle")
+            for text in ("ABCA", "AACC")
+        ]
+        assert [r.attempts for r in results] == [0, 0]
+        assert (results[1].mode, results[1].via_fallback) == ("software", True)
+        assert stats["retries"] == 0
+
     def test_deadline_sheds_stalled_worker(self):
         """A stuck worker cannot wedge the drain: the deadline fires,
         the job completes degraded, and the late reply is dropped."""

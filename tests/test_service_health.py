@@ -31,7 +31,7 @@ STUCK = CellDefect(CellDefectKind.STUCK_AT_1, 0, 0, port="d_out")
 
 
 def small_pool(n=3, cells=8):
-    return uniform_pool(n, ChipSpec(cells, AB.bits, 250.0), AB)
+    return uniform_pool(n, ChipSpec(cells, AB.bits, beat_ns=250.0), AB)
 
 
 def good_supply(n_wafers=16, seed=5):

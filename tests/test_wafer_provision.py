@@ -96,7 +96,7 @@ class TestWaferSupply:
 
 class TestProvisioningGates:
     def test_heal_one_exhausts_supply_with_clean_error(self):
-        pool = uniform_pool(2, ChipSpec(8, AB.bits, 250.0), AB)
+        pool = uniform_pool(2, ChipSpec(8, AB.bits, beat_ns=250.0), AB)
         supply = WaferSupply(2, rows=2, cols=2, defect_rate=0.0, seed=3)
         health = FleetHealth(pool, supply=supply)
         health.heal_one()
@@ -105,7 +105,7 @@ class TestProvisioningGates:
             health.heal_one()
 
     def test_heal_to_capacity_propagates_exhaustion(self):
-        pool = uniform_pool(2, ChipSpec(8, AB.bits, 250.0), AB)
+        pool = uniform_pool(2, ChipSpec(8, AB.bits, beat_ns=250.0), AB)
         pool.workers[0].quarantine()
         pool.workers[1].quarantine()
         health = FleetHealth(
