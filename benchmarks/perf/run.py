@@ -1,20 +1,21 @@
 """Perf-regression harness for the hot paths.
 
-Times the layers the event-driven settle and the packed-word fast path
+Times the layers the event-driven settle and the vectorized kernels
 accelerate, checks each against its slow reference bit for bit, and
 writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
 
 * ``circuit_settle`` -- the switch-level matcher (``GateLevelMatcher``)
   driven by the event engine vs :func:`repro.circuit.simulator.settle_reference`,
   cold and steady-state (warmed partition caches), same result bits.
-* ``char_matching`` -- :class:`repro.core.fastpath.FastMatcher` vs the
+* ``char_matching`` -- ``PatternMatcher.match`` (the ``match`` kernel
+  :func:`repro.core.fastpath.fast_match_many` as a batch of one) vs the
   stepwise systolic model on a >=100 kB text (quick mode shrinks it),
   both equal to :func:`repro.core.reference.match_oracle`.
-* ``bit_gate_agreement`` -- fast path vs the bit-pipelined array and the
-  transistor-level netlist on the paper's example text.
+* ``bit_gate_agreement`` -- ``PatternMatcher.match`` vs the bit-pipelined
+  array and the transistor-level netlist on the paper's example text.
 * ``service_throughput`` -- wall-clock drain rate of the matcher farm
   with batched submission, results equal to the oracle.
-* ``workload_kernels`` -- the packed/strided Section 3.4 kernels
+* ``workload_kernels`` -- the vectorized Section 3.4 kernels
   (count, correlation, inner products, convolution, FIR) vs the stepwise
   ``repro.extensions`` cell machines, values identical.
 * ``workload_service`` -- mixed kernel jobs drained through the farm via
@@ -24,12 +25,10 @@ writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
   with 1 worker process vs N, real wall-clock speedup on multi-core
   machines (recorded but not asserted on single-core boxes; pass
   ``--require-scaling`` to make CI fail under 1.5x on >=2 cores).
-* ``batched_kernels`` -- the multi-job kernels (pattern banks and the
-  one-pattern x many-streams ``*_many`` family) vs a loop of the
-  per-job fast kernels, identical rows required; plus the solo case the
-  farm serves per text shard: the per-job kernel vs a batch of one on
-  one 31k-item match shard and one real-valued numeric shard, outputs
-  identical (bit for bit on the numeric shard).
+* ``batched_kernels`` -- the one-pattern x many-streams ``*_many``
+  kernels over a whole batch vs a loop of batch-of-one calls to the same
+  kernel (the per-job path a solo job takes), every row equal to the
+  oracle.
 * ``batched_service`` -- the farm's coalescing ``submit_many`` batch
   tier vs per-job ``submit`` of the same jobs; the >=5x amortization
   target of the batch tier lives here.
@@ -62,7 +61,6 @@ from typing import Callable, Dict, List
 from repro import (
     Alphabet,
     BitLevelMatcher,
-    FastMatcher,
     Observability,
     PatternMatcher,
     match_oracle,
@@ -140,12 +138,12 @@ def bench_circuit_settle(quick: bool) -> Dict[str, object]:
 
 
 def bench_char_matching(quick: bool) -> Dict[str, object]:
-    """Packed-word fast path vs the stepwise systolic model."""
+    """The match kernel (batch of one) vs the stepwise systolic model."""
     pattern = "ABXCA"
     n = 20_000 if quick else 100_000
     text = make_text(n)
 
-    fast = PatternMatcher(pattern, AB4)  # routes match() to FastMatcher
+    fast = PatternMatcher(pattern, AB4)  # match() runs fast_match_many
     step = PatternMatcher(pattern, AB4, use_fast_path=False)
     fast_s, fast_out = _timed(lambda: fast.match(text), 1 if quick else 3)
     step_s, step_out = _timed(lambda: step.match(text))
@@ -165,12 +163,12 @@ def bench_char_matching(quick: bool) -> Dict[str, object]:
 
 
 def bench_bit_gate_agreement(quick: bool) -> Dict[str, object]:
-    """Fast path vs bit-pipelined array vs transistor netlist."""
+    """The match kernel vs bit-pipelined array vs transistor netlist."""
     pattern = "AXC"
     gate_text = "ABCAACACCAB"
     bit_text = "ABCAACACCAB" * (4 if quick else 16)
 
-    fast = FastMatcher(pattern, AB4)
+    fast = PatternMatcher(pattern, AB4)
     bit = BitLevelMatcher(pattern, AB4)
     gate = GateLevelMatcher(pattern, AB4)
 
@@ -222,7 +220,7 @@ def make_samples(n: int, span: int = 9) -> List[float]:
 
 
 def bench_workload_kernels(quick: bool) -> Dict[str, object]:
-    """Packed/strided Section 3.4 kernels vs the stepwise cell machines."""
+    """Vectorized Section 3.4 kernels vs the stepwise cell machines."""
     from repro.workloads import get_workload
 
     n = 1_000 if quick else 4_000
@@ -366,98 +364,55 @@ def bench_runtime_scaling(quick: bool) -> Dict[str, object]:
 
 
 def bench_batched_kernels(quick: bool) -> Dict[str, object]:
-    """Multi-job kernels vs a loop of the per-job fast kernels, and a
-    batch of one vs the per-job kernel on one wide shard."""
-    from repro.core.fastpath import (
-        FastMatcherBank,
-        fast_inner_products,
-        fast_inner_products_many,
-        fast_match_many,
+    """One call over a whole batch vs a loop of batch-of-one calls to the
+    same ``*_many`` kernel, every row equal to the oracle."""
+    from repro.core.fastpath import fast_inner_products_many, fast_match_many
+    from repro.extensions.linear_products import (
+        INNER_PRODUCT,
+        linear_product_oracle,
     )
 
-    n = 5_000 if quick else 20_000
-    n_patterns = 16
     n_texts = 16 if quick else 64
-    text = make_text(n)
-    patterns = [
-        ("ABXC", "AXCA", "BXAC", "XACB")[i % 4] + make_text(2 + i % 3)
-        for i in range(n_patterns)
-    ]
+    pattern = "ABXC" + make_text(2)
     texts = [make_text(200 + 13 * i) for i in range(n_texts)]
     taps = make_samples(8, span=7)
     streams = [make_samples(200 + 13 * i) for i in range(n_texts)]
     repeats = 1 if quick else 3
 
-    bank = FastMatcherBank(patterns, AB4)
-    bank_s, bank_out = _timed(lambda: bank.match_all(text), repeats)
-    loops = [FastMatcher(p, AB4) for p in patterns]
-    loop_s, loop_out = _timed(lambda: [m.match(text) for m in loops], repeats)
-
     many_s, many_out = _timed(
-        lambda: fast_match_many(patterns[0], texts, AB4), repeats
+        lambda: fast_match_many(pattern, texts, AB4), repeats
     )
-    one = FastMatcher(patterns[0], AB4)
-    one_s, one_out = _timed(lambda: [one.match(t) for t in texts], repeats)
-
+    loop_s, loop_out = _timed(
+        lambda: [fast_match_many(pattern, [t], AB4)[0] for t in texts],
+        repeats,
+    )
     nmany_s, nmany_out = _timed(
         lambda: fast_inner_products_many(taps, streams), repeats
     )
     nloop_s, nloop_out = _timed(
-        lambda: [fast_inner_products(taps, s) for s in streams], repeats
+        lambda: [fast_inner_products_many(taps, [s])[0] for s in streams],
+        repeats,
     )
 
-    # One wide shard (farm_wide's size), in the validated form the farm
-    # hands a worker: the per-job kernel vs the served batch of one.
-    solo_n = 31_000
-    solo_text = AB4.validate_text(make_text(solo_n))
-    solo_stream = [v / 7.0 for v in make_samples(solo_n)]
-    solo_repeats = 5
-    smatch_s, smatch_out = _timed(lambda: one.match(solo_text), solo_repeats)
-    smatch1_s, smatch1_out = _timed(
-        lambda: fast_match_many(patterns[0], [solo_text], AB4)[0],
-        solo_repeats,
-    )
-    snum_s, snum_out = _timed(
-        lambda: fast_inner_products(taps, solo_stream), solo_repeats
-    )
-    snum1_s, snum1_out = _timed(
-        lambda: fast_inner_products_many(taps, [solo_stream])[0],
-        solo_repeats,
-    )
-    solo_equivalent = smatch_out == smatch1_out and [
-        v.hex() for v in snum_out
-    ] == [v.hex() for v in snum1_out]
-
-    bank_speedup = loop_s / bank_s if bank_s > 0 else float("inf")
-    many_speedup = one_s / many_s if many_s > 0 else float("inf")
+    parsed = PatternMatcher(pattern, AB4).pattern
+    oracle = [match_oracle(parsed, list(t)) for t in texts]
+    # Integer-valued samples: every float sum is exact, so rows are equal.
+    noracle = [
+        linear_product_oracle(taps, s, INNER_PRODUCT, 0.0) for s in streams
+    ]
+    many_speedup = loop_s / many_s if many_s > 0 else float("inf")
     numeric_speedup = nloop_s / nmany_s if nmany_s > 0 else float("inf")
     return {
-        "patterns": n_patterns,
-        "text_chars": n,
         "batch_texts": n_texts,
-        "bank_s": bank_s,
-        "bank_loop_s": loop_s,
-        "bank_speedup": bank_speedup,
         "many_s": many_s,
-        "many_loop_s": one_s,
+        "many_loop_s": loop_s,
         "many_speedup": many_speedup,
         "numeric_many_s": nmany_s,
         "numeric_loop_s": nloop_s,
         "numeric_speedup": numeric_speedup,
-        "solo_items": solo_n,
-        "solo_match_s": smatch_s,
-        "solo_match_batch1_s": smatch1_s,
-        "solo_match_speedup": (
-            smatch_s / smatch1_s if smatch1_s > 0 else float("inf")
-        ),
-        "solo_numeric_s": snum_s,
-        "solo_numeric_batch1_s": snum1_s,
-        "solo_numeric_speedup": (
-            snum_s / snum1_s if snum1_s > 0 else float("inf")
-        ),
-        "meets_target": bank_speedup >= 2.0,
-        "equivalent": bank_out == loop_out and many_out == one_out
-        and nmany_out == nloop_out and solo_equivalent,
+        "meets_target": many_speedup >= 2.0,
+        "equivalent": many_out == loop_out == oracle
+        and nmany_out == nloop_out == noracle,
     }
 
 

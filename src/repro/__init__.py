@@ -30,7 +30,6 @@ from .alphabet import (
 )
 from .core import (
     BitLevelMatcher,
-    FastMatcher,
     MatchReport,
     PatternMatcher,
     SystolicMatcherArray,
@@ -38,7 +37,6 @@ from .core import (
     match_oracle,
     multipass_match,
 )
-from .core.fastpath import FastCounter
 from .errors import ReproError
 from .obs import MetricsRegistry, Observability, Tracer
 from .workloads import WorkloadSpec, get_workload, list_workloads, run_workload
@@ -49,8 +47,6 @@ __all__ = [
     "ASCII_UPPER",
     "Alphabet",
     "BitLevelMatcher",
-    "FastCounter",
-    "FastMatcher",
     "MatchReport",
     "MetricsRegistry",
     "Observability",

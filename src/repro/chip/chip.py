@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 from ..alphabet import Alphabet, PatternChar, parse_pattern
 from ..errors import ChipError, CompileError, PatternError
 from ..core.array import SystolicMatcherArray
-from ..core.fastpath import FastMatcher
+from ..core.fastpath import fast_match_many
 from ..core.matcher import MatchReport
 from ..core.multipass import multipass_match
 from ..streams import RecirculatingPattern
@@ -153,7 +153,6 @@ class PatternMatchingChip:
         self.array = SystolicMatcherArray(spec.cells, name=spec.name)
         self._pattern: Optional[List[PatternChar]] = None
         self._stream: Optional[RecirculatingPattern] = None
-        self._fast: Optional[FastMatcher] = None
         self.obs = None
 
     def attach_obs(self, obs) -> None:
@@ -183,7 +182,6 @@ class PatternMatchingChip:
             )
         self._pattern = parsed
         self._stream = RecirculatingPattern(parsed)
-        self._fast = FastMatcher(parsed, self.alphabet)
 
     @property
     def pattern(self) -> List[PatternChar]:
@@ -196,13 +194,13 @@ class PatternMatchingChip:
     def match(self, text: Sequence[str]) -> List[bool]:
         """Stream *text* through the chip; one result bit per character.
 
-        Runs on the bit-parallel fast path (equivalent to the stepwise
-        array; see :mod:`repro.core.fastpath`); :meth:`report` runs the
-        beat-accurate array when timing figures are needed.
+        Runs the ``match`` kernel as a batch of one (equivalent to the
+        stepwise array; see :mod:`repro.core.fastpath`); :meth:`report`
+        runs the beat-accurate array when timing figures are needed.
         """
-        if self._fast is None:
+        if self._pattern is None:
             raise ChipError("no pattern loaded")
-        return self._fast.match(text)
+        return fast_match_many(self._pattern, [text], self.alphabet)[0]
 
     def report(self, text: Sequence[str]) -> MatchReport:
         if self._stream is None:

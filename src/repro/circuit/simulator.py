@@ -643,6 +643,12 @@ class _EventEngine:
         # all drives the sub.  Sub-components are independent except for
         # the MAYBE pessimism step, so when no MAYBE channels are live
         # (every steady-state pass) the writeback is fused into the sweep.
+        # Strict decay defers the writeback too: the error must name the
+        # node the reference names (the first decayed member of the
+        # undriven sub whose earliest node comes first in node order), so
+        # every sub is resolved before anything is raised or written.
+        deferred = have_maybe or strict_decay
+        decayed: Optional[Tuple[int, int]] = None  # (sub's first node, node)
         res: Dict[int, Tuple[LogicValue, Strength]] = {}
         changed: Set[int] = set()
         watch = self._watch
@@ -679,19 +685,15 @@ class _EventEngine:
                                     and stored is not UNKNOWN
                                 ):
                                     if strict_decay:
-                                        raise ChargeDecayError(
-                                            f"{circuit.name}: node "
-                                            f"{node.name} read "
-                                            f"{now - node.last_refresh:.0f} ns"
-                                            f" after last refresh (retention "
-                                            f"{retention:.0f} ns)"
-                                        )
+                                        pick = (min(mem), i)
+                                        if decayed is None or pick < decayed:
+                                            decayed = pick
                                     stored = UNKNOWN
                                 if s is _NONE:
                                     v, s = stored, _CHARGE
                                 elif v != stored:
                                     v = UNKNOWN
-                if have_maybe:
+                if deferred:
                     res[sub] = (v, s)
                     continue
                 # Fused writeback (no MAYBE pessimism this pass).
@@ -725,9 +727,16 @@ class _EventEngine:
                     elif i in watch:
                         watch.discard(i)
                         self._deadline = None
+        if decayed is not None:
+            node = nodes[decayed[1]]
+            raise ChargeDecayError(
+                f"{circuit.name}: node {node.name} read "
+                f"{now - node.last_refresh:.0f} ns after last refresh "
+                f"(retention {retention:.0f} ns)"
+            )
         self.stat_passes += 1
         self.stat_comps_resolved += len(parts)
-        if not have_maybe:
+        if not deferred:
             self.stat_nodes_changed += len(changed)
             return changed
 

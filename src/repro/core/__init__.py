@@ -16,14 +16,12 @@ Contents map to Section 3.2 of the paper:
 
 from .array import SystolicMatcherArray, TextToken
 from .bit_level import BitLevelMatcher
-from .fastpath import FastMatcher
 from .matcher import MatchReport, PatternMatcher
 from .multipass import multipass_match
 from .reference import match_oracle, count_oracle
 
 __all__ = [
     "BitLevelMatcher",
-    "FastMatcher",
     "MatchReport",
     "PatternMatcher",
     "SystolicMatcherArray",

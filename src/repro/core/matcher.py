@@ -24,7 +24,7 @@ from ..errors import PatternError
 from ..streams import RecirculatingPattern
 from ..systolic.tracing import TraceRecorder
 from .array import SystolicMatcherArray
-from .fastpath import FastMatcher
+from .fastpath import fast_match_many
 from .reference import match_oracle
 
 
@@ -74,12 +74,13 @@ class PatternMatcher:
         When True, a :class:`~repro.systolic.tracing.TraceRecorder` is
         attached and exposed as :attr:`recorder`.
     use_fast_path:
-        When True (the default), plain :meth:`match` calls run on the
-        bit-parallel :class:`~repro.core.fastpath.FastMatcher` (proven
-        equivalent to the stepwise array by the property tests); pass
-        False to force every call through the beat-by-beat simulation.
-        :meth:`report` always runs the stepwise array, since its beat and
-        utilization figures only exist there.
+        When True (the default), plain :meth:`match` calls run the
+        ``match`` workload's vectorized kernel as a batch of one
+        (:func:`~repro.core.fastpath.fast_match_many`, checked against the
+        stepwise array and the oracle by the property tests); pass False,
+        or ``trace=True``, to force every call through the beat-by-beat
+        simulation.  :meth:`report` always runs the stepwise array, since
+        its beat and utilization figures only exist there.
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  Fast-path
         matches count into ``matcher.fastpath.matches`` / ``.chars``;
@@ -112,11 +113,7 @@ class PatternMatcher:
         self.recorder = TraceRecorder() if trace else None
         self.array = SystolicMatcherArray(n_cells, recorder=self.recorder)
         self._stream = RecirculatingPattern(self.pattern)
-        self._fast: Optional[FastMatcher] = (
-            FastMatcher(self.pattern, alphabet)
-            if use_fast_path and self.recorder is None
-            else None
-        )
+        self._fast = use_fast_path and self.recorder is None
         self.obs = None
         self._m_fast_matches = None
         self._m_fast_chars = None
@@ -149,11 +146,11 @@ class PatternMatcher:
 
     def match(self, text: Sequence[str]) -> List[bool]:
         """One result bit per text character (Section 3.1 semantics)."""
-        if self._fast is not None:
+        if self._fast:
             if self._m_fast_matches is not None:
                 self._m_fast_matches.inc()
                 self._m_fast_chars.inc(len(text))
-            return self._fast.match(text)
+            return fast_match_many(self.pattern, [text], self.alphabet)[0]
         return self.report(text).results
 
     def report(self, text: Sequence[str]) -> MatchReport:

@@ -18,10 +18,10 @@ stream rightward, signal stream leftward, results leaving with the signal
   machines above are instances.
 
 These are the *behavioral* cell-by-cell machines -- the executable spec.
-Their production twins live in :mod:`repro.core.fastpath` (packed/strided
-kernels, differentially tested against these cells) and are served at
-farm scale through ``MatcherService.submit(workload=...)`` via the
-:mod:`repro.workloads` registry:
+The kernels the farm serves live in :mod:`repro.core.fastpath`
+(vectorized window kernels, differentially tested against these cells)
+and run at farm scale through ``MatcherService.submit(workload=...)``
+via the :mod:`repro.workloads` registry:
 
 >>> from repro.workloads import run_workload
 >>> run_workload("correlation", [1.0, 3.0], [1.0, 3.0, 5.0])

@@ -21,8 +21,8 @@ results agree with ``numpy.convolve`` to floating-point accuracy.
 >>> systolic_convolution([1.0, 2.0], [1.0, 1.0, 1.0])
 [1.0, 3.0, 3.0, 2.0]
 
-The fast twin is :func:`repro.core.fastpath.fast_inner_products`; the
-farm serves these as ``submit(workload="inner-product")`` and
+The served kernel is :func:`repro.core.fastpath.fast_inner_products_many`;
+the farm serves these as ``submit(workload="inner-product")`` and
 ``submit(workload="convolution")``.
 """
 

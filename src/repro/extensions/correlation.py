@@ -23,9 +23,10 @@ window, and a *small* value means a good match:
 >>> systolic_correlation([1.0, 3.0], [1.0, 3.0, 5.0])
 [0.0, 0.0, 8.0]
 
-The fast twin is :func:`repro.core.fastpath.fast_squared_distances`; the
-direct definition is :func:`repro.core.reference.correlation_oracle`; the
-farm serves this as ``submit(workload="correlation")``.
+The served kernel is
+:func:`repro.core.fastpath.fast_squared_distances_many`; the direct
+definition is :func:`repro.core.reference.correlation_oracle`; the farm
+serves this as ``submit(workload="correlation")``.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ Usage -- one integer per text position, 0 before the first full window:
 >>> systolic_match_counts("AB", "ABBB", Alphabet("AB"))
 [0, 2, 1, 1]
 
-The fast twin is :class:`repro.core.fastpath.FastCounter`; the direct
-definition is :func:`repro.core.reference.count_oracle`; the farm serves
-this as ``submit(workload="count")``.
+The served kernel is :func:`repro.core.fastpath.fast_counts_many`; the
+direct definition is :func:`repro.core.reference.count_oracle`; the farm
+serves this as ``submit(workload="count")``.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ service-level beat count traces back to the paper's 250 ns/char model.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from enum import Enum
 from typing import List, Optional, Sequence
@@ -442,12 +443,17 @@ class DevicePool:
 def uniform_pool(
     n_workers: int, spec: ChipSpec, alphabet: Alphabet
 ) -> DevicePool:
-    """*n* identical single-chip workers (the catalogue-order farm)."""
+    """*n* identical single-chip workers (the catalogue-order farm).
+
+    Each chip is named after its worker, so its ``array.*`` metrics carry
+    a label of their own (``array=chip-0``, ``array=chip-1``, ...).
+    """
     if n_workers <= 0:
         raise ServiceError("pool needs at least one worker")
     return DevicePool(
         [
-            PoolWorker.from_chip(f"chip-{i}", PatternMatchingChip(spec, alphabet))
+            PoolWorker.from_chip(f"chip-{i}", PatternMatchingChip(
+                dataclasses.replace(spec, chip_name=f"chip-{i}"), alphabet))
             for i in range(n_workers)
         ]
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
@@ -134,9 +134,6 @@ class BoundedQueue:
             return job
         return None
 
-    def tenants(self) -> List[str]:
-        return [t for t, lane in self._by_tenant.items() if lane]
-
 
 class JobQueues:
     """One bounded channel per priority class, drained in class order."""
@@ -231,8 +228,3 @@ class SharedBus:
             self._m_reservations.inc()
             self._h_wait.observe(start - now)
         return self.free_at
-
-    def utilization(self, makespan_beats: float) -> float:
-        if makespan_beats <= 0:
-            return 0.0
-        return min(1.0, self.busy_beats / makespan_beats)

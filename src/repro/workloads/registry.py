@@ -21,8 +21,8 @@ machine is described by a :class:`WorkloadSpec` that knows how to
 
 Each workload has ONE serving kernel, ``batched``: a batch of many
 streams, a solo job and a text shard (a batch of one) all run it, just
-as the chip runs the same cells over every character.  The ``"fast"``
-engine name is kept as a synonym for ``"batched"``.
+as the chip runs the same cells over every character.  ``"fast"`` is
+still accepted as an old name for ``"batched"``.
 
 The farm (:mod:`repro.service`) schedules any registered workload with
 halo-overlap sharding and oracle fallback; :func:`run_workload` is the
@@ -184,14 +184,14 @@ class WorkloadSpec:
         params,
         stream: Sequence,
         alphabet: Optional[Alphabet] = None,
-        engine: str = "fast",
+        engine: str = "batched",
     ) -> list:
         """Uniform entry point: parse, prepare, evaluate, finalize.
 
-        ``engine`` selects the evaluator: ``"fast"`` (default) or its
-        synonym ``"batched"`` (the workload's one kernel, as a batch of
-        one), ``"oracle"`` (direct definition), or ``"stepwise"`` (the
-        cell-by-cell :mod:`repro.extensions` machine).
+        ``engine`` selects the evaluator: ``"batched"`` (default; the
+        workload's one kernel, as a batch of one), ``"oracle"`` (direct
+        definition), or ``"stepwise"`` (the cell-by-cell
+        :mod:`repro.extensions` machine).
         """
         return self.run_many(params, [stream], alphabet=alphabet,
                              engine=engine)[0]
@@ -207,10 +207,10 @@ class WorkloadSpec:
 
         Parameters are parsed and prepared **once** for the whole batch.
         ``engine="batched"`` (default) evaluates every prepared stream in
-        a single call to the spec's vectorized batch kernel, and ``"fast"``
-        is a synonym for it; ``"oracle"`` and ``"stepwise"`` loop the
-        per-job reference engines, which is what the differential tests
-        compare against.  An empty batch returns ``[]``.
+        a single call to the spec's vectorized batch kernel; ``"oracle"``
+        and ``"stepwise"`` loop the per-job reference engines, which is
+        what the differential tests compare against.  An empty batch
+        returns ``[]``.
         """
         if engine == "stepwise":
             return [self.stepwise(params, s, alphabet) for s in streams]
@@ -225,7 +225,7 @@ class WorkloadSpec:
         feeds = [feed for _ktaps, feed in prepared]
         if engine == "oracle":
             merged_all = [self.oracle(ktaps, f, alphabet) for f in feeds]
-        else:  # "batched" or its synonym "fast"
+        else:  # "batched", or its old name "fast"
             merged_all = self.batched(ktaps, feeds, alphabet)
         return [
             self.finalize(ktaps, len(v), m)
@@ -399,7 +399,7 @@ def run_workload(
     params,
     stream: Sequence,
     alphabet: Optional[Alphabet] = None,
-    engine: str = "fast",
+    engine: str = "batched",
 ) -> list:
     """Run one workload end to end (see :meth:`WorkloadSpec.run`)."""
     return get_workload(name).run(params, stream, alphabet=alphabet, engine=engine)

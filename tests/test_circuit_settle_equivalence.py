@@ -13,7 +13,7 @@ built, one driven by each engine, and compared after every operation.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import GND, HIGH, LOW, UNKNOWN, VDD, Circuit
@@ -102,6 +102,10 @@ def random_stimulus(rng: random.Random, names):
 class TestRandomNetlists:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000))
+    # Two undriven groups decay in one strict settle; both engines must
+    # name the reference's pick (first group in node order), not whichever
+    # the event engine happens to resolve first.
+    @example(seed=2306)
     def test_engines_agree_over_random_runs(self, seed):
         rng = random.Random(seed)
         c_evt, c_ref, names = build_random_pair(rng)

@@ -1,10 +1,12 @@
-"""Property: the packed-word fast path is the systolic matcher.
+"""Property: the vectorized match kernel is the systolic matcher.
 
-:class:`~repro.core.fastpath.FastMatcher` must agree bit for bit with
-the stepwise :class:`~repro.core.matcher.PatternMatcher` (the beat-level
-array simulation) and with :func:`~repro.core.reference.match_oracle`
-over random alphabets, random wildcard patterns and random texts.  The
-fast path is only allowed to be a speedup, never a different matcher.
+:func:`~repro.core.fastpath.fast_match_many`, which
+:meth:`PatternMatcher.match` and :meth:`PatternMatchingChip.match` run as
+a batch of one, must agree bit for bit with the stepwise
+:class:`~repro.core.matcher.PatternMatcher` (the beat-level array
+simulation) and with :func:`~repro.core.reference.match_oracle` over
+random alphabets, random wildcard patterns and random texts.  The kernel
+is only allowed to be a speedup, never a different matcher.
 """
 
 import pytest
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from repro import (
     WILDCARD,
     Alphabet,
-    FastMatcher,
     PatternMatcher,
     match_oracle,
     parse_pattern,
 )
+from repro.chip.chip import ChipSpec, PatternMatchingChip
+from repro.core.fastpath import fast_match_many
 from repro.errors import AlphabetError
 
 AB4 = Alphabet("ABCD")
@@ -53,12 +56,13 @@ class TestEquivalence:
     @given(alphabet_pattern_text())
     def test_fast_equals_stepwise_equals_oracle(self, case):
         alphabet, pattern, text = case
-        fast = FastMatcher(pattern, alphabet).match(text)
+        fast = PatternMatcher(pattern, alphabet).match(text)
         stepwise = PatternMatcher(
             pattern, alphabet, use_fast_path=False
         ).match(text)
         oracle = match_oracle(parse_pattern(pattern, alphabet), list(text))
         assert fast == stepwise == oracle
+        assert fast_match_many(pattern, [text], alphabet) == [oracle]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -66,45 +70,77 @@ class TestEquivalence:
         st.text(alphabet="ABCD", min_size=0, max_size=120),
     )
     def test_symbolic_wildcard_patterns(self, pattern, text):
-        fast = FastMatcher(pattern, AB4).match(text)
+        fast = PatternMatcher(pattern, AB4).match(text)
         stepwise = PatternMatcher(pattern, AB4, use_fast_path=False).match(text)
         assert fast == stepwise
         assert fast == match_oracle(parse_pattern(pattern, AB4), list(text))
 
     def test_pattern_longer_than_text(self):
-        assert FastMatcher("ABCD", AB4).match("AB") == [False, False]
+        assert PatternMatcher("ABCD", AB4).match("AB") == [False, False]
 
     def test_all_wild_pattern_accepts_everything_after_fill(self):
-        out = FastMatcher("XXX", AB4).match("ABCDA")
+        out = PatternMatcher("XXX", AB4).match("ABCDA")
         assert out == [False, False, True, True, True]
 
     def test_find_reports_start_positions(self):
-        assert FastMatcher("AXC", AB4).match("ABCAACACCAB")[2] is True
-        assert 0 in FastMatcher("AXC", AB4).find("ABCAACACCAB")
+        m = PatternMatcher("AXC", AB4)
+        assert m.match("ABCAACACCAB")[2] is True
+        assert m.find("ABCAACACCAB") == [0, 3, 6]
 
 
 class TestApiParity:
     def test_rejects_out_of_alphabet_text_like_validating_paths(self):
-        fast = FastMatcher("AB", AB4)
-        with pytest.raises(AlphabetError) as fast_err:
-            fast.match("ABZ")
-        with pytest.raises(AlphabetError) as ref_err:
-            AB4.validate_text("ABZ")
-        assert str(fast_err.value) == str(ref_err.value)
+        chip = PatternMatchingChip(ChipSpec(4, 2), AB4)
+        chip.load_pattern("AB")
+        matchers = (
+            PatternMatcher("AB", AB4).match,
+            chip.match,
+            lambda text: fast_match_many("AB", [text], AB4),
+        )
+        # A stray letter, a non-str item, a symbol outside latin-1.
+        for bad in ("ABZ", ["A", 5], "AB\u0100"):
+            with pytest.raises(AlphabetError) as ref_err:
+                AB4.validate_text(bad)
+            for match in matchers:
+                with pytest.raises(AlphabetError) as err:
+                    match(bad)
+                assert str(err.value) == str(ref_err.value)
 
     def test_matcher_routes_match_but_not_report(self):
         m = PatternMatcher("AXC", AB4)
-        assert m._fast is not None
         text = "ABCAACACCAB"
+        assert m.match(text) == match_oracle(m.pattern, list(text))
+        # match() ran the kernel: the stepwise array never fired.
+        assert m.array.array.fire_count == 0
         assert m.match(text) == m.report(text).results
         # report() ran the stepwise array: beat counters advanced.
         assert m.array.array.fire_count > 0
 
     def test_trace_mode_disables_fast_path(self):
         m = PatternMatcher("AXC", AB4, trace=True)
-        assert m._fast is None
+        text = "ABCAACACCAB"
+        assert m.match(text) == match_oracle(m.pattern, list(text))
+        # The match ran beat by beat: the recorder saw every beat.
+        assert m.recorder.beats
+        assert len(m.recorder.beats) == m.array.array.beat
 
     def test_pattern_metadata(self):
-        fm = FastMatcher("AXC", AB4)
-        assert fm.pattern_string == "AXC"
-        assert fm.pattern_length == 3
+        m = PatternMatcher("AXC", AB4)
+        assert m.pattern_string == "AXC"
+        assert m.pattern_length == 3
+
+
+class TestChipMatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.text(alphabet="ABCDX", min_size=1, max_size=8),
+        st.text(alphabet="ABCD", min_size=0, max_size=60),
+    )
+    def test_chip_match_equals_oracle_equals_report(self, cells, pattern, text):
+        if len(pattern) > cells:
+            pattern = pattern[:cells]
+        chip = PatternMatchingChip(ChipSpec(cells, 2), AB4)
+        chip.load_pattern(pattern)
+        oracle = match_oracle(parse_pattern(pattern, AB4), list(text))
+        assert chip.match(text) == oracle == chip.report(text).results

@@ -1,31 +1,35 @@
-"""Property: the batched kernels are the per-job fast kernels, many at once.
+"""Property: the batched kernels are the Section 3.4 machines, many at once.
 
-Every batched evaluator in :mod:`repro.core.fastpath` -- the
-multi-pattern :class:`FastMatcherBank`/:class:`FastCounterBank` (many
-patterns x one text) and the ``*_many`` family (one pattern x many
-texts/streams) -- must agree element for element with a loop of the
-per-job kernels, and therefore (transitively, via ``test_fastpath`` and
-``test_workloads_kernels``) with the stepwise arrays and the oracle.
-Ragged batches (mixed pattern lengths, mixed text lengths) and the
-empty batch are first-class cases, not edge cases.
+Every ``*_many`` kernel in :mod:`repro.core.fastpath` (one pattern x many
+texts/streams) must agree element for element, row by row, with the
+workload's oracle in :mod:`repro.core.reference` /
+:mod:`repro.extensions.linear_products` and with its stepwise cell
+machine (the beat-level matcher, the counting machine, the correlation
+machine, the inner-product machine).  Ragged batches (mixed text
+lengths) and the empty batch are first-class cases, not edge cases.
+Numeric streams are integer-valued floats, so every sum is exact and the
+engines must be *equal*.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Alphabet, FastCounter, FastMatcher
+from repro import Alphabet, PatternMatcher, count_oracle, match_oracle, parse_pattern
 from repro.core.fastpath import (
-    FastCounterBank,
-    FastMatcherBank,
     fast_counts_many,
-    fast_inner_products,
     fast_inner_products_many,
     fast_match_many,
-    fast_squared_distances,
     fast_squared_distances_many,
 )
+from repro.core.reference import correlation_oracle
 from repro.errors import AlphabetError
+from repro.extensions import (
+    systolic_correlation,
+    systolic_inner_products,
+    systolic_match_counts,
+)
+from repro.extensions.linear_products import INNER_PRODUCT, linear_product_oracle
 
 AB = Alphabet("ABCD")
 
@@ -36,54 +40,30 @@ taps_lists = st.lists(int_floats, min_size=1, max_size=8)
 numeric_streams = st.lists(int_floats, min_size=0, max_size=40)
 
 
-class TestBanks:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(char_patterns, min_size=1, max_size=8), char_texts)
-    def test_matcher_bank_is_a_loop_of_fast_matchers(self, patterns, text):
-        bank = FastMatcherBank(patterns, AB)
-        rows = bank.match_all(text)
-        assert len(rows) == len(patterns)
-        for pattern, row in zip(patterns, rows):
-            assert row == FastMatcher(pattern, AB).match(text)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(char_patterns, min_size=1, max_size=8), char_texts)
-    def test_counter_bank_is_a_loop_of_fast_counters(self, patterns, text):
-        bank = FastCounterBank(patterns, AB)
-        rows = bank.counts_all(text)
-        for pattern, row in zip(patterns, rows):
-            assert row == FastCounter(pattern, AB).counts(text)
-
-    def test_bank_metadata(self):
-        bank = FastMatcherBank(["AB", "AXCD"], AB)
-        assert len(bank) == 2
-        assert bank.pattern_strings == ["AB", "AXCD"]
-
-    def test_empty_bank_matches_nothing(self):
-        bank = FastMatcherBank([], AB)
-        assert len(bank) == 0 and bank.match_all("ABC") == []
-
-    def test_bank_out_of_alphabet_text(self):
-        bank = FastMatcherBank(["AB"], AB)
-        with pytest.raises(AlphabetError):
-            bank.match_all("AZ")
+def stepwise_match(pattern, text):
+    return PatternMatcher(pattern, AB, use_fast_path=False).match(text)
 
 
 class TestManyTexts:
     @settings(max_examples=80, deadline=None)
     @given(char_patterns, st.lists(char_texts, min_size=0, max_size=8))
     def test_match_many_is_a_loop_of_fast_matchers(self, pattern, texts):
+        parsed = parse_pattern(pattern, AB)
         rows = fast_match_many(pattern, texts, AB)
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
-            assert row == FastMatcher(pattern, AB).match(text)
+            assert row == match_oracle(parsed, list(text))
+            assert row == stepwise_match(pattern, text)
 
     @settings(max_examples=80, deadline=None)
     @given(char_patterns, st.lists(char_texts, min_size=0, max_size=8))
     def test_counts_many_is_a_loop_of_fast_counters(self, pattern, texts):
+        parsed = parse_pattern(pattern, AB)
         rows = fast_counts_many(pattern, texts, AB)
+        assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
-            assert row == FastCounter(pattern, AB).counts(text)
+            assert row == count_oracle(parsed, list(text))
+            assert row == systolic_match_counts(pattern, text, AB)
 
     def test_empty_batch(self):
         assert fast_match_many("AB", [], AB) == []
@@ -93,12 +73,16 @@ class TestManyTexts:
         texts = ["", "A", "ABAB", "ABCDABCD" * 4]
         rows = fast_match_many("ABX", texts, AB)
         assert rows[0] == [] and rows[1] == [False]
+        parsed = parse_pattern("ABX", AB)
         for text, row in zip(texts, rows):
-            assert row == FastMatcher("ABX", AB).match(text)
+            assert row == match_oracle(parsed, list(text))
+            assert row == stepwise_match("ABX", text)
 
     def test_out_of_alphabet_in_any_member_raises(self):
         with pytest.raises(AlphabetError):
             fast_match_many("AB", ["ABCD", "AZ"], AB)
+        with pytest.raises(AlphabetError):
+            fast_counts_many("AB", ["AZ"], AB)
 
 
 class TestManyStreams:
@@ -108,14 +92,17 @@ class TestManyStreams:
         rows = fast_inner_products_many(taps, streams)
         assert len(rows) == len(streams)
         for stream, row in zip(streams, rows):
-            assert row == fast_inner_products(taps, stream)
+            assert row == linear_product_oracle(taps, stream, INNER_PRODUCT, 0.0)
+            assert row == systolic_inner_products(taps, stream)
 
     @settings(max_examples=80, deadline=None)
     @given(taps_lists, st.lists(numeric_streams, min_size=0, max_size=8))
     def test_squared_distances_many(self, taps, streams):
         rows = fast_squared_distances_many(taps, streams)
+        assert len(rows) == len(streams)
         for stream, row in zip(streams, rows):
-            assert row == fast_squared_distances(taps, stream)
+            assert row == correlation_oracle(taps, stream)
+            assert row == systolic_correlation(taps, stream)
 
     def test_empty_taps_rejected(self):
         with pytest.raises(ValueError):

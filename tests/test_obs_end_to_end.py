@@ -141,3 +141,20 @@ class TestCLI:
         data = json.loads(trace.read_text())
         assert data["format"] == 1
         assert any(s["name"] == "service.job" for s in data["spans"])
+
+
+class TestPerWorkerArrayLabels:
+    def test_each_worker_publishes_its_own_array_series(self):
+        """Pool chips are named after their workers, so deep re-drives on
+        two workers land in two ``array.*`` series, not one shared one."""
+        obs = Observability(deep=True)
+        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB), obs=obs)
+        for text in ("ABCAACACCAB", "ACCABCA", "AACCB"):
+            svc.submit("AXC", text)
+        served = {w for r in svc.drain() for w in r.workers}
+        assert served == {"chip-0", "chip-1"}
+        beats = obs.registry.snapshot()["array.beats"]
+        assert sorted(m["labels"]["array"] for m in beats) == [
+            "chip-0", "chip-1"
+        ]
+        assert all(m["value"] > 0 for m in beats)

@@ -1,16 +1,15 @@
 """`engine="batched"` and `run_many`: every registry workload, verified.
 
 Each workload has one serving kernel, ``batched``; a solo job or a text
-shard runs it as a batch of one (``run(engine="fast")``).  So the reference
-here is independent of that kernel: the per-job kernels of
-:mod:`repro.core.fastpath` (``FastMatcher.match``, ``FastCounter.counts``,
-``fast_inner_products``, ``fast_squared_distances``) applied to the
-prepared taps and feeds, and the ``oracle``.  Both a ragged batch (mixed
-stream lengths, including empty members) and a batch of one must agree
-with them for **every** workload, because the service layers route
-traffic either way and promise oracle-identical answers regardless.  On
-non-integer float inputs the per-job numeric kernels and a batch of one
-must be bit-identical; a ragged batch must agree up to rounding.
+shard runs it as a batch of one (``run(engine="batched")``, the
+default).  So the references here are independent of that kernel: the
+workload's ``oracle`` (the direct definition) and its ``stepwise``
+cell-by-cell machine.  Both a ragged batch (mixed stream lengths,
+including empty members) and a batch of one must agree with them for
+**every** workload, because the service layers route traffic either way
+and promise oracle-identical answers regardless.  On non-integer float
+inputs ``run`` must be bit-identical to a batch of one, and a member of
+a ragged batch must equal its own batch of one up to rounding.
 """
 
 import pytest
@@ -18,12 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Alphabet
-from repro.core.fastpath import (
-    FastCounter,
-    FastMatcher,
-    fast_inner_products,
-    fast_squared_distances,
-)
 from repro.workloads import (
     WorkloadError,
     get_workload,
@@ -37,16 +30,6 @@ AB = Alphabet("ABCD")
 CHAR_WORKLOADS = ("match", "count")
 NUMERIC_WORKLOADS = ("correlation", "inner-product", "convolution", "fir")
 
-#: The per-job window-space kernel of each workload: (taps, feed) -> merged.
-PER_JOB = {
-    "match": lambda taps, feed: FastMatcher(taps, AB).match(feed),
-    "count": lambda taps, feed: FastCounter(taps, AB).counts(feed),
-    "correlation": fast_squared_distances,
-    "inner-product": fast_inner_products,
-    "convolution": fast_inner_products,
-    "fir": fast_inner_products,
-}
-
 char_patterns = st.text(alphabet="ABCDX", min_size=1, max_size=10)
 char_texts = st.text(alphabet="ABCD", min_size=0, max_size=50)
 int_floats = st.integers(-8, 8).map(float)
@@ -55,14 +38,18 @@ numeric_streams = st.lists(int_floats, min_size=0, max_size=40)
 real_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-def per_job(name, params, stream):
-    """*name* over one stream through its per-job fastpath kernel."""
+def oracle(name, params, stream):
+    """*name* over one stream through its direct definition."""
     spec = get_workload(name)
     alphabet = None if spec.numeric else AB
-    taps = spec.parse_params(params, alphabet)
-    validated = spec.validate_stream(stream, alphabet)
-    ktaps, feed = spec.prepare(taps, validated)
-    return spec.finalize(ktaps, len(validated), PER_JOB[name](ktaps, feed))
+    return spec.run(params, stream, alphabet, engine="oracle")
+
+
+def stepwise(name, params, stream):
+    """*name* over one stream through its cell-by-cell machine."""
+    spec = get_workload(name)
+    alphabet = None if spec.numeric else AB
+    return spec.run(params, stream, alphabet, engine="stepwise")
 
 
 def types(rows):
@@ -88,12 +75,11 @@ class TestEveryWorkload:
         self, name, pattern, texts
     ):
         spec = get_workload(name)
-        expected = [per_job(name, pattern, t) for t in texts]
+        expected = [oracle(name, pattern, t) for t in texts]
         assert bits(spec.run_many(pattern, texts, AB)) == bits(expected)
-        solo = [spec.run(pattern, t, AB, engine="fast") for t in texts]
+        solo = [spec.run(pattern, t, AB, engine="batched") for t in texts]
         assert bits(solo) == bits(expected)
-        oracle = spec.run_many(pattern, texts, AB, engine="oracle")
-        assert oracle == expected and types(oracle) == types(expected)
+        assert [stepwise(name, pattern, t) for t in texts] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -105,12 +91,11 @@ class TestEveryWorkload:
         self, name, taps, streams
     ):
         spec = get_workload(name)
-        expected = [per_job(name, taps, s) for s in streams]
+        expected = [oracle(name, taps, s) for s in streams]
         assert bits(spec.run_many(taps, streams)) == bits(expected)
-        solo = [spec.run(taps, s, engine="fast") for s in streams]
+        solo = [spec.run(taps, s, engine="batched") for s in streams]
         assert bits(solo) == bits(expected)
-        oracle = spec.run_many(taps, streams, engine="oracle")
-        assert oracle == expected and types(oracle) == types(expected)
+        assert [stepwise(name, taps, s) for s in streams] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -122,13 +107,12 @@ class TestEveryWorkload:
         self, name, taps, stream
     ):
         spec = get_workload(name)
-        expected = per_job(name, taps, stream)
-        assert bits([spec.run(taps, stream)]) == bits([expected])
-        assert bits([spec.run(taps, stream, engine="batched")]) == bits(
-            [expected]
-        )
-        oracle = spec.run(taps, stream, engine="oracle")
-        assert oracle == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        solo = spec.run(taps, stream)
+        assert bits([solo]) == bits(spec.run_many(taps, [stream]))
+        assert bits([solo]) == bits([spec.run(taps, stream, engine="batched")])
+        want = oracle(name, taps, stream)
+        assert types([solo]) == types([want])
+        assert solo == pytest.approx(want, rel=1e-9, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -141,10 +125,11 @@ class TestEveryWorkload:
     ):
         # A stream padded into a taller matrix may take a different numpy
         # matmul loop than it does alone, so only the rounding may differ.
-        got = get_workload(name).run_many(taps, streams)
-        expected = [per_job(name, taps, s) for s in streams]
-        assert types(got) == types(expected)
-        for row, ref in zip(got, expected):
+        spec = get_workload(name)
+        got = spec.run_many(taps, streams)
+        alone = [spec.run(taps, s) for s in streams]
+        assert types(got) == types(alone)
+        for row, ref in zip(got, alone):
             assert row == pytest.approx(ref, rel=1e-9, abs=1e-6)
 
     def test_all_registry_workloads_have_a_batched_path(self):
@@ -173,7 +158,7 @@ class TestEdges:
     def test_equal_length_batch_and_batch_of_one(self):
         texts = ["ABCA", "CABD", "AACC"]
         assert run_workload_many("match", "AX", texts, AB) == [
-            per_job("match", "AX", t) for t in texts
+            oracle("match", "AX", t) for t in texts
         ]
         assert run_workload_many("fir", [0.5, 0.25], [[]]) == [[]]
         assert run_workload_many("match", "ABC", [""], AB) == [[]]

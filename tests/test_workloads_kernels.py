@@ -2,7 +2,8 @@
 
 Three independent implementations of every workload must agree:
 
-* ``fast``     -- the packed/strided kernels in :mod:`repro.core.fastpath`
+* ``batched``  -- the vectorized kernels in :mod:`repro.core.fastpath`,
+  here as a batch of one (the form a solo job or text shard runs)
 * ``oracle``   -- the direct definition (``count_oracle`` and friends)
 * ``stepwise`` -- the behavioral cell-by-cell :mod:`repro.extensions`
   machines (the executable spec of the paper's cells)
@@ -13,7 +14,7 @@ the switch-level matcher reports a match there.
 
 Numeric streams are drawn as integer-valued floats: float64 arithmetic on
 them is exact regardless of summation order, so the three engines must be
-*equal*, not merely close, and the farm can mix fast and oracle shard
+*equal*, not merely close, and the farm can mix kernel and oracle shard
 provenance without tolerance bookkeeping.
 """
 
@@ -22,15 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Alphabet, FastCounter, count_oracle, parse_pattern
+from repro import Alphabet, PatternMatcher, count_oracle, parse_pattern
 from repro.core.fastpath import (
-    FastMatcher,
-    fast_inner_products,
-    fast_squared_distances,
+    fast_counts_many,
+    fast_inner_products_many,
+    fast_squared_distances_many,
 )
 from repro.core.reference import correlation_oracle
-from repro.errors import PatternError
-from repro.extensions import systolic_convolution, systolic_match_counts
+from repro.errors import AlphabetError, PatternError
+from repro.extensions import (
+    systolic_convolution,
+    systolic_correlation,
+    systolic_inner_products,
+    systolic_match_counts,
+)
+from repro.extensions.linear_products import INNER_PRODUCT, linear_product_oracle
 from repro.workloads import WorkloadError, get_workload, list_workloads, run_workload
 
 AB = Alphabet("ABCD")
@@ -42,38 +49,41 @@ taps_lists = st.lists(int_floats, min_size=1, max_size=8)
 numeric_streams = st.lists(int_floats, min_size=0, max_size=60)
 
 
+def counts(pattern, text):
+    return fast_counts_many(pattern, [text], AB)[0]
+
+
 class TestFastCounter:
     @settings(max_examples=60, deadline=None)
     @given(char_patterns, char_streams)
     def test_agrees_with_oracle_and_stepwise_cells(self, pattern, text):
         parsed = parse_pattern(pattern, AB)
-        fast = FastCounter(pattern, AB).counts(text)
+        fast = counts(pattern, text)
         assert fast == count_oracle(parsed, list(text))
         assert fast == systolic_match_counts(pattern, text, AB)
 
     def test_wildcards_always_count(self):
-        assert FastCounter("XX", AB).counts("ABCD") == [0, 2, 2, 2]
+        assert counts("XX", "ABCD") == [0, 2, 2, 2]
 
     def test_invalid_symbol_raises_alphabet_error(self):
-        with pytest.raises(Exception):
-            FastCounter("AB", AB).counts("AZ")
+        with pytest.raises(AlphabetError):
+            counts("AB", "AZ")
 
     def test_long_pattern_spans_many_lanes(self):
-        pattern = "ABCD" * 10  # 40 lanes, 6 bits each
+        pattern = "ABCD" * 10  # 40 positions, counts up to 40
         text = "ABCD" * 25
         parsed = parse_pattern(pattern, AB)
-        assert FastCounter(pattern, AB).counts(text) == count_oracle(
-            parsed, list(text)
-        )
+        assert counts(pattern, text) == count_oracle(parsed, list(text))
+        assert counts(pattern, text) == systolic_match_counts(pattern, text, AB)
 
 
 class TestNumericKernels:
     @settings(max_examples=60, deadline=None)
     @given(taps_lists, numeric_streams)
     def test_squared_distances_agree(self, taps, stream):
-        assert fast_squared_distances(taps, stream) == correlation_oracle(
-            taps, stream
-        )
+        fast = fast_squared_distances_many(taps, [stream])[0]
+        assert fast == correlation_oracle(taps, stream)
+        assert fast == systolic_correlation(taps, stream)
 
     @settings(max_examples=60, deadline=None)
     @given(taps_lists, numeric_streams)
@@ -83,7 +93,10 @@ class TestNumericKernels:
             sum(taps[j] * stream[i - k + j] for j in range(len(taps)))
             for i in range(k, len(stream))
         ]
-        assert fast_inner_products(taps, stream) == want
+        fast = fast_inner_products_many(taps, [stream])[0]
+        assert fast == want
+        assert fast == linear_product_oracle(taps, stream, INNER_PRODUCT, 0.0)
+        assert fast == systolic_inner_products(taps, stream)
 
     def test_convolution_matches_numpy(self):
         h, x = [1.0, -2.0, 3.0], [4.0, 0.0, -1.0, 2.0, 5.0]
@@ -94,9 +107,9 @@ class TestNumericKernels:
 
     def test_empty_taps_rejected(self):
         with pytest.raises(ValueError):
-            fast_inner_products([], [1.0])
+            fast_inner_products_many([], [[1.0]])
         with pytest.raises(ValueError):
-            fast_squared_distances([], [1.0])
+            fast_squared_distances_many([], [[1.0]])
 
 
 class TestRegistryEngines:
@@ -108,7 +121,7 @@ class TestRegistryEngines:
     )
     def test_numeric_engines_agree(self, name, taps, stream):
         spec = get_workload(name)
-        fast = spec.run(taps, stream, engine="fast")
+        fast = spec.run(taps, stream, engine="batched")
         assert fast == spec.run(taps, stream, engine="oracle")
         assert fast == spec.run(taps, stream, engine="stepwise")
 
@@ -118,13 +131,13 @@ class TestRegistryEngines:
     )
     def test_char_engines_agree(self, name, pattern, text):
         spec = get_workload(name)
-        fast = spec.run(pattern, text, AB, engine="fast")
+        fast = spec.run(pattern, text, AB, engine="batched")
         assert fast == spec.run(pattern, text, AB, engine="oracle")
         assert fast == spec.run(pattern, text, AB, engine="stepwise")
 
     def test_real_float_taps_match_oracle_closely(self):
-        """Non-integer floats: fast vs stepwise may differ in summation
-        order, so assert closeness there (fast vs oracle share order)."""
+        """Non-integer floats: the kernel and the stepwise machine may sum
+        in a different order, so assert closeness."""
         taps = [0.1, -0.25, 1.7]
         stream = [0.3, 1.1, -2.2, 0.7, 5.5, -0.4]
         spec = get_workload("fir")
@@ -160,8 +173,6 @@ class TestGateLevelCrossCheck:
 
         pattern, text = "AXC", "ABCAACACCAB"
         L = len(pattern)
-        counts = FastCounter(pattern, AB).counts(text)
         gate = GateLevelMatcher(pattern, AB).match(text)
-        assert [c == L for c in counts] == gate
-        fast_match = FastMatcher(pattern, AB).match(text)
-        assert gate == fast_match
+        assert [c == L for c in counts(pattern, text)] == gate
+        assert gate == PatternMatcher(pattern, AB).match(text)
