@@ -139,19 +139,15 @@ class Characterizer:
         """
         pins = stimulus_pins(placement.w_rows)
         lfsr = LFSRPatternGenerator(len(pins), seed=self.seed)
-        c = net.circuit
         passes: List[int] = []
         for beat in range(self.beats):
             drive_pins(net, pins, lfsr.bits())
             lfsr.step()
-            phase = net.phi[beat % 2]
-            for level, dt in ((HIGH, 100.0), (LOW, 25.0)):
-                c.set_input(phase, level)
-                try:
-                    passes.append(c.settle())
-                except CircuitError:
-                    return tuple(passes), False
-                c.advance_time(dt)
+            try:
+                net.pulse(beat)
+            except CircuitError:
+                return tuple(passes + net.clock.passes), False
+            passes += net.clock.passes
         return tuple(passes), True
 
     def characterize(self, net: CompiledNetlist, placement: Placement,

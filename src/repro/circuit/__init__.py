@@ -9,17 +9,19 @@ subpackage reproduces that technology level:
 * :mod:`repro.circuit.signals` -- ternary logic values and drive strengths;
 * :mod:`repro.circuit.netlist` -- nodes, enhancement/depletion transistors,
   and the :class:`Circuit` container;
-* :mod:`repro.circuit.simulator` -- the relaxation switch-level solver with
-  ratioed-logic strength resolution, charge storage and decay;
-* :mod:`repro.circuit.clocks` -- two-phase non-overlapping clock driver;
+* :mod:`repro.circuit.simulator` -- the switch-level solver with
+  ratioed-logic strength resolution, charge storage and decay: one
+  production engine (``Circuit.settle``, event-driven) beside its oracle
+  (``settle_reference``, whole-circuit relaxation);
+* :mod:`repro.circuit.clocks` -- the two-phase non-overlapping clock
+  driver, the one clock every shift register and compiled chip pulses
+  through;
 * :mod:`repro.circuit.gates` -- gate macros (inverter, NAND, NOR, XNOR)
   built from transistors;
 * :mod:`repro.circuit.shift_register` -- dynamic (Figure 3-5) and static
   shift registers for the Section 3.3.3 comparison;
 * :mod:`repro.circuit.cells` -- the positive and negative comparator and
-  accumulator cells;
-* :mod:`repro.circuit.vectorsettle` -- the batch tier's vectorized settle:
-  many identical instances stepped as one array program.
+  accumulator cells.
 
 Whole chips are not wired here: the chip compiler
 (:mod:`repro.compiler.netlist`) builds them from these cells, and
@@ -30,7 +32,6 @@ against the behavioural model.
 from .clocks import TwoPhaseClock
 from .netlist import Circuit, GND, VDD
 from .signals import HIGH, LOW, UNKNOWN, LogicValue
-from .vectorsettle import VectorizedCircuits
 
 __all__ = [
     "Circuit",
@@ -41,5 +42,4 @@ __all__ = [
     "TwoPhaseClock",
     "UNKNOWN",
     "VDD",
-    "VectorizedCircuits",
 ]

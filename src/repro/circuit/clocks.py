@@ -9,11 +9,16 @@ two transistors."
 four-step sequence per beat-pair and *enforces* the non-overlap invariant:
 it is impossible to reach a state with both phases high, and a
 :class:`~repro.errors.ClockError` is raised if client code forces one.
+
+It is the package's one clock driver: the shift registers, every compiled
+chip (:meth:`repro.compiler.netlist.CompiledNetlist.pulse`) and BIST
+characterization all pulse through it, so the phase sequence and its
+100/25 ns timings are written once, here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 from ..errors import ClockError
 from .netlist import Circuit
@@ -51,6 +56,8 @@ class TwoPhaseClock:
         self.phase_high_ns = phase_high_ns
         self.gap_ns = gap_ns
         self.ticks = 0
+        #: Relaxation passes of each settle of the latest pulse.
+        self.passes: List[int] = []
         circuit.set_input(phi1, LOW)
         circuit.set_input(phi2, LOW)
 
@@ -70,27 +77,35 @@ class TwoPhaseClock:
 
     # -- stepping ----------------------------------------------------------------
 
-    def _pulse(self, phase: str, on_high: Optional[Callable[[], None]] = None) -> None:
-        """Raise one phase, settle, optionally sample, then lower it."""
+    def _pulse(self, phase: str) -> None:
+        """Raise one phase, settle, hold it high, lower it, settle, gap.
+
+        ``passes`` records the relaxation passes of each settle of this
+        pulse as it runs, so a caller that catches a settle failure still
+        sees the passes that completed before it.
+        """
         c = self.circuit
+        self.passes = []
         c.set_input(phase, HIGH)
         self._check_nonoverlap()
-        c.settle()
-        if on_high is not None:
-            on_high()
+        self.passes.append(c.settle())
         c.advance_time(self.phase_high_ns)
         c.set_input(phase, LOW)
-        c.settle()
+        self.passes.append(c.settle())
         c.advance_time(self.gap_ns)
         self.ticks += 1
 
-    def tick_phi1(self, on_high: Optional[Callable[[], None]] = None) -> None:
-        """One phi1 pulse (transfers data into phi1-clocked stages)."""
-        self._pulse(self.phi1, on_high)
+    def pulse(self, beat: int) -> None:
+        """The pulse of beat *beat*: phi1 on even beats, phi2 on odd."""
+        self._pulse(self.phi2 if beat % 2 else self.phi1)
 
-    def tick_phi2(self, on_high: Optional[Callable[[], None]] = None) -> None:
+    def tick_phi1(self) -> None:
+        """One phi1 pulse (transfers data into phi1-clocked stages)."""
+        self._pulse(self.phi1)
+
+    def tick_phi2(self) -> None:
         """One phi2 pulse."""
-        self._pulse(self.phi2, on_high)
+        self._pulse(self.phi2)
 
     def beat_pair(self) -> None:
         """A full clock cycle: phi1 pulse then phi2 pulse."""
@@ -100,10 +115,7 @@ class TwoPhaseClock:
     def run_beats(self, n: int) -> None:
         """Alternate phases for *n* beats, starting with phi1."""
         for i in range(n):
-            if i % 2 == 0:
-                self.tick_phi1()
-            else:
-                self.tick_phi2()
+            self.pulse(i)
 
     def idle(self, duration_ns: float) -> None:
         """Let time pass with both phases low (dynamic nodes age)."""

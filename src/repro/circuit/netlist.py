@@ -85,8 +85,6 @@ class Circuit:
         self.loads: List[DepletionLoad] = []
         self.inputs: Dict[str, LogicValue] = {}
         self.time_ns: float = 0.0
-        self._adjacency_dirty = True
-        self._adjacency: Dict[str, List[Enhancement]] = {}
         # Event-engine bookkeeping: the topology version invalidates the
         # engine's static index; _dirty_ext collects externally-perturbed
         # node names (pins toggled between settles).
@@ -115,7 +113,6 @@ class Circuit:
         if n is None:
             n = Node(name)
             self.nodes[name] = n
-            self._adjacency_dirty = True
             self._topo_version += 1
         return n
 
@@ -125,7 +122,6 @@ class Circuit:
             self.node(t)
         e = Enhancement(gate, a, b, label)
         self.transistors.append(e)
-        self._adjacency_dirty = True
         self._topo_version += 1
         return e
 
@@ -138,7 +134,6 @@ class Circuit:
         for i, t in enumerate(self.transistors):
             if t.label == label:
                 del self.transistors[i]
-                self._adjacency_dirty = True
                 self._topo_version += 1
                 self._dirty_ext.update((t.a, t.b))
                 return t
@@ -289,14 +284,3 @@ class Circuit:
     def n_transistors(self) -> int:
         """Enhancement + depletion device count (the paper-era size metric)."""
         return len(self.transistors) + len(self.loads)
-
-    def adjacency(self) -> Dict[str, List[Enhancement]]:
-        """Node -> channel-connected transistors (cached)."""
-        if self._adjacency_dirty:
-            adj: Dict[str, List[Enhancement]] = {n: [] for n in self.nodes}
-            for t in self.transistors:
-                adj[t.a].append(t)
-                adj[t.b].append(t)
-            self._adjacency = adj
-            self._adjacency_dirty = False
-        return self._adjacency

@@ -83,11 +83,7 @@ class DynamicShiftRegister:
         value at the register output after the shift."""
         if bit is not None:
             self.circuit.set_input(self.input_node, HIGH if bit else LOW)
-        phase_is_1 = self._shifts % 2 == 0
-        if phase_is_1:
-            self.clock.tick_phi1()
-        else:
-            self.clock.tick_phi2()
+        self.clock.pulse(self._shifts)
         self._shifts += 1
         return self._output_value()
 
@@ -187,10 +183,7 @@ class StaticShiftRegister:
         self.set_shifting(True)
         if bit is not None:
             self.circuit.set_input(self.input_node, HIGH if bit else LOW)
-        if self._shifts % 2 == 0:
-            self.clock.tick_phi1()
-        else:
-            self.clock.tick_phi2()
+        self.clock.pulse(self._shifts)
         self._shifts += 1
         return self._output_value()
 
@@ -199,10 +192,7 @@ class StaticShiftRegister:
         self.set_shifting(False)
         beats = max(1, int(duration_ns / self.clock.beat_time_ns))
         for i in range(beats):
-            if i % 2 == 0:
-                self.clock.tick_phi1()
-            else:
-                self.clock.tick_phi2()
+            self.clock.pulse(i)
 
     def read_storage(self) -> List[LogicValue]:
         return [self.circuit.read(n) for n in self.storage_nodes]

@@ -37,10 +37,6 @@ class LogicValue(IntEnum):
     def __str__(self) -> str:
         return {0: "0", 1: "1", 2: "X"}[int(self)]
 
-    @property
-    def is_known(self) -> bool:
-        return self is not LogicValue.UNKNOWN
-
 
 LOW = LogicValue.LOW
 HIGH = LogicValue.HIGH

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..circuit.clocks import TwoPhaseClock
 from ..circuit.netlist import GND, VDD, Circuit
 from ..circuit.signals import HIGH, LOW
 from ..errors import CompileError
@@ -34,31 +35,23 @@ class CompiledNetlist:
     the complement of the logical value (its driver is a positive twin,
     whose output inverter emits the complement);
     ``result_nodes[b]`` is the driver node of ``R_OUT<b>`` (read directly,
-    as the host would probe the pad).
+    as the host would probe the pad); ``clock`` is the chip's
+    :class:`~repro.circuit.clocks.TwoPhaseClock` on the ``phi`` nodes.
     """
 
     def __init__(self, name: str, retention_ns: float = 1e9):
         self.circuit = Circuit(name, retention_ns=retention_ns)
-        self.phi: Tuple[str, str] = ("phi1", "phi2")
-        self.circuit.set_input("phi1", LOW)
-        self.circuit.set_input("phi2", LOW)
+        self.clock = TwoPhaseClock(self.circuit)
+        self.phi: Tuple[str, str] = (self.clock.phi1, self.clock.phi2)
         self.pins: Dict[str, str] = {}
         self.in_invert: Dict[str, bool] = {}
         self.out_invert: Dict[str, bool] = {}
         self.result_nodes: List[str] = []
         self.instance_ports: Dict[str, Dict[str, str]] = {}
 
-    def pulse(self, beat: int, phase_high_ns: float = 100.0,
-              gap_ns: float = 25.0) -> None:
-        """One beat: raise the beat's phase, settle, lower it."""
-        c = self.circuit
-        phase = self.phi[beat % 2]
-        c.set_input(phase, HIGH)
-        c.settle()
-        c.advance_time(phase_high_ns)
-        c.set_input(phase, LOW)
-        c.settle()
-        c.advance_time(gap_ns)
+    def pulse(self, beat: int) -> None:
+        """One beat: the chip's clock pulses the beat's phase."""
+        self.clock.pulse(beat)
 
     def drive_pin(self, name: str, bit: int) -> None:
         """Drive an input pin with a logical bit, honouring twin polarity."""

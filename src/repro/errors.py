@@ -92,10 +92,6 @@ class SignoffError(ReproError):
     """Signoff pipeline misuse or internal inconsistency."""
 
 
-class ExtractionError(SignoffError):
-    """Layout geometry could not be interpreted as a transistor netlist."""
-
-
 class ObservabilityError(ReproError):
     """Metrics/tracing/VCD misuse (kind mismatch, undeclared signal...)."""
 
@@ -106,11 +102,3 @@ class ServiceError(ReproError):
 
 class BackpressureError(ServiceError):
     """A bounded job queue refused a submission (queue at capacity)."""
-
-
-class OverloadError(ServiceError):
-    """The concurrent runtime shed a job (admission control overload)."""
-
-
-class DeadlineError(ServiceError):
-    """A job's deadline expired before it could be served."""

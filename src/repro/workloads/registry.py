@@ -162,10 +162,6 @@ class WorkloadSpec:
     prepare: Callable[[list, list], Tuple[list, list]] = _identity_prepare
     finalize: Callable[[list, int, list], list] = _identity_finalize
 
-    def window_length(self, taps: Sequence) -> int:
-        """Sliding-window width: the halo the shard planner must overlap."""
-        return len(taps)
-
     def validate_stream(self, stream: Sequence, alphabet: Optional[Alphabet]) -> list:
         """The stream as a list of samples (floats) or alphabet
         characters; anything else raises a :class:`WorkloadError` or

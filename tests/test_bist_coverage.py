@@ -10,14 +10,18 @@ from repro.bist import (
     MISR,
     BISTController,
     BISTState,
+    Characterizer,
     LFSRPatternGenerator,
     MUTATION_DEFECT_NAMES,
     SignatureAnalyzer,
     fault_universe,
+    inject_defect,
     mutation_defect,
 )
 from repro.bist.__main__ import main as bist_main
+from repro.circuit.gates import inverter, nor2
 from repro.compiler import compile_workload
+from repro.compiler.netlist import elaborate_circuit
 from repro.errors import CircuitError
 from repro.service.reliability import CellDefect, CellDefectKind
 
@@ -210,6 +214,35 @@ class TestCharacterizer:
         assert c.recommended_beat_ns > 250.0
         assert report.diagnosis is not None
         assert report.diagnosis.beat == -1  # timing-only: no divergence
+
+    @staticmethod
+    def _fresh_netlist():
+        chip = compile_workload("match", M, char_bits=W)
+        return elaborate_circuit(chip.design, chip.placement, chip.library), chip
+
+    def test_oscillating_defect_stops_the_warm_up(self):
+        """A stuck-at-1 on a cell output closes an oscillating loop: the
+        high-phase settle of beat 1 fails, so the passes of beat 0's two
+        settles are all the warm-up records."""
+        net, chip = self._fresh_netlist()
+        inject_defect(net, CellDefect(
+            CellDefectKind.STUCK_AT_1, 1, 0, port="d_out"
+        ))
+        assert Characterizer().measure_settle(net, chip.placement) == (
+            (6, 2), False
+        )
+
+    def test_low_phase_oscillation_keeps_the_high_phase_passes(self):
+        """A ring that only runs while phi1 is low: beat 0's high-phase
+        settle completes, its low-phase settle never does."""
+        net, chip = self._fresh_netlist()
+        c = net.circuit
+        nor2(c, "phi1", "ring.r2", "ring.r0")
+        inverter(c, "ring.r0", "ring.r1")
+        inverter(c, "ring.r1", "ring.r2")
+        assert Characterizer().measure_settle(net, chip.placement) == (
+            (6,), False
+        )
 
 
 class TestCoverage:

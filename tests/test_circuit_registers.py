@@ -5,6 +5,7 @@ import pytest
 from repro.circuit import Circuit, TwoPhaseClock
 from repro.circuit.shift_register import DynamicShiftRegister, StaticShiftRegister
 from repro.circuit.signals import HIGH, LOW, UNKNOWN
+from repro.compiler import compile_workload
 from repro.errors import CircuitError, ClockError
 
 
@@ -37,6 +38,24 @@ class TestTwoPhaseClock:
         clk.run_beats(4)
         assert clk.ticks == 4
         assert c.time_ns == pytest.approx(4 * clk.beat_time_ns)
+
+
+class TestCompiledChipClock:
+    """A compiled chip pulses through its own TwoPhaseClock."""
+
+    def test_pulse_runs_one_clock_beat(self):
+        net = compile_workload("match", 2, char_bits=1).netlist
+        net.pulse(0)
+        assert net.clock.ticks == 1 and len(net.clock.passes) == 2
+        assert net.circuit.time_ns == pytest.approx(net.clock.beat_time_ns)
+        assert net.circuit.inputs["phi1"] is LOW
+
+    @pytest.mark.parametrize("beat, held", [(0, "phi2"), (1, "phi1")])
+    def test_pulse_with_other_phase_held_high_raises(self, beat, held):
+        net = compile_workload("match", 2, char_bits=1).netlist
+        net.circuit.set_input(held, HIGH)
+        with pytest.raises(ClockError):
+            net.pulse(beat)
 
 
 class TestDynamicShiftRegister:
