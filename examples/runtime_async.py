@@ -33,7 +33,10 @@ async def main():
         rate_limits={"logs": (40.0, 4)},
     )
     # A little seeded chaos: some jobs lose their worker mid-flight and
-    # are retried; the answers must not change.
+    # are retried on another.  A dead worker leaves dispatch, as a dead
+    # chip leaves the farm, until a health sweep heals it, so once every
+    # worker has died the rest is served by the host-side oracle.  The
+    # answers must not change.
     faults = FaultInjector(seed=7, p_death=0.15)
 
     async with AsyncMatcherService(CHAR_WORKERS, ab, config=config,

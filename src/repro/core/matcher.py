@@ -72,15 +72,13 @@ class PatternMatcher:
         :class:`repro.chip.cascade.ChipCascade` for longer patterns.
     trace:
         When True, a :class:`~repro.systolic.tracing.TraceRecorder` is
-        attached and exposed as :attr:`recorder`.
-    use_fast_path:
-        When True (the default), plain :meth:`match` calls run the
-        ``match`` workload's vectorized kernel as a batch of one
-        (:func:`~repro.core.fastpath.fast_match_many`, checked against the
-        stepwise array and the oracle by the property tests); pass False,
-        or ``trace=True``, to force every call through the beat-by-beat
-        simulation.  :meth:`report` always runs the stepwise array, since
-        its beat and utilization figures only exist there.
+        attached and exposed as :attr:`recorder`, and every
+        :meth:`match` runs the beat-by-beat simulation.  Otherwise
+        :meth:`match` runs the ``match`` workload's vectorized kernel as
+        a batch of one (:func:`~repro.core.fastpath.fast_match_many`,
+        checked against the stepwise array and the oracle by the
+        property tests).  :meth:`report` always runs the stepwise array,
+        since its beat and utilization figures only exist there.
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  Fast-path
         matches count into ``matcher.fastpath.matches`` / ``.chars``;
@@ -95,7 +93,6 @@ class PatternMatcher:
         n_cells: Optional[int] = None,
         wildcard_symbol: str = "X",
         trace: bool = False,
-        use_fast_path: bool = True,
         obs=None,
     ):
         self.alphabet = alphabet
@@ -113,7 +110,7 @@ class PatternMatcher:
         self.recorder = TraceRecorder() if trace else None
         self.array = SystolicMatcherArray(n_cells, recorder=self.recorder)
         self._stream = RecirculatingPattern(self.pattern)
-        self._fast = use_fast_path and self.recorder is None
+        self._fast = self.recorder is None
         self.obs = None
         self._m_fast_matches = None
         self._m_fast_chars = None

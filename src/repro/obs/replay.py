@@ -66,17 +66,18 @@ def trace_report(data: Dict[str, object]) -> Dict[str, object]:
         "makespan_beats": makespan,
     }
 
-    # Per-worker view: executions from spans, busy beats from the metric
-    # the telemetry layer publishes (already overlap-clipped).
+    # Per-worker view: executions and samples from the device's one
+    # span per call, busy beats from the metric the telemetry layer
+    # publishes (already overlap-clipped).
     worker_execs: Dict[str, int] = {}
-    worker_chars: Dict[str, int] = {}
+    worker_samples: Dict[str, int] = {}
     for s in spans:
-        if s.get("name") != "worker.match":
+        if s.get("name") != "worker.kernel":
             continue
         w = str(s["attrs"].get("worker", "?"))
         worker_execs[w] = worker_execs.get(w, 0) + 1
-        worker_chars[w] = worker_chars.get(w, 0) + int(
-            s["attrs"].get("chars", 0)
+        worker_samples[w] = worker_samples.get(w, 0) + int(
+            s["attrs"].get("samples", 0)
         )
     workers = {}
     busy_rows = _metric_rows(metrics, "service.worker.busy_beats")
@@ -88,7 +89,7 @@ def trace_report(data: Dict[str, object]) -> Dict[str, object]:
         busy = _metric_value(metrics, "service.worker.busy_beats", worker=name)
         workers[name] = {
             "executions": worker_execs.get(name, 0),
-            "chars": worker_chars.get(name, 0),
+            "samples": worker_samples.get(name, 0),
             "busy_beats": busy,
             "utilization": min(1.0, busy / makespan) if makespan > 0 else 0.0,
         }
@@ -160,12 +161,12 @@ def render_report(report: Dict[str, object]) -> str:
     workers: Dict[str, Dict] = report["workers"]             # type: ignore
     if workers:
         t = Table(
-            ["worker", "executions", "chars", "busy beats", "utilization"],
+            ["worker", "executions", "samples", "busy beats", "utilization"],
             title="workers",
         )
         for name in sorted(workers):
             w = workers[name]
-            t.row([name, w["executions"], w["chars"], w["busy_beats"],
+            t.row([name, w["executions"], w["samples"], w["busy_beats"],
                    w["utilization"]])
         sections.append(t.render())
 

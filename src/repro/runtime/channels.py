@@ -28,7 +28,7 @@ from ..errors import ServiceError
 SHUTDOWN = None
 
 #: ``JobReply.error`` of a request the pool hands back unrun because
-#: every worker is quarantined (no worker ever saw it).
+#: every worker is quarantined or dead (no worker ever saw it).
 NO_LIVE_WORKER = "no-live-worker"
 
 
@@ -96,11 +96,16 @@ class Channel:
 class JobRequest:
     """One execution order sent to a worker process.
 
-    ``taps`` and ``stream`` are already *prepared* by the host (the
-    workload's ``parse_params``/``validate_stream``/``prepare`` ran
-    before admission), so the worker only evaluates the windowed kernel
-    -- the same division of labour as the synchronous farm's
-    :meth:`~repro.service.pool.PoolWorker.run_kernel`.
+    Every kernel execution crosses the wire in this one shape: one taps
+    vector and ``streams``, one prepared stream per piece of the unit
+    (a solo job is a batch of one, a batch plan many), answered by the
+    workload's batched kernel in a single crossing.  ``job_id`` is the
+    unit's pool-wide id.  ``taps`` and ``streams`` are already
+    *prepared* by the host (the workload's
+    ``parse_params``/``validate_stream``/``prepare`` ran before
+    admission), so the worker only evaluates the windowed kernel -- the
+    same division of labour as the synchronous farm's
+    :meth:`~repro.service.pool.PoolWorker.run_kernel_batch`.
 
     ``fault``/``stall_s`` carry host-side seeded fault injection across
     the process boundary: ``"death"`` makes the worker report the chip
@@ -115,23 +120,16 @@ class JobRequest:
     plain frozen dataclasses that pickle as they are.  The worker runs
     ``HealthConfig.controller()`` in-process and answers with the
     :class:`~repro.bist.controller.BISTReport` on ``JobReply.bist``.
-
-    When ``streams`` is set the request is a *batch plan*: one taps
-    vector, many prepared streams, answered by the workload's batched
-    kernel in a single crossing (``stream`` is ignored).  ``job_id`` is
-    then the batch id and the reply comes back in ``results_many``,
-    one window-space row list per stream, in order.
     """
 
     job_id: int
     attempt: int
     workload: str
     taps: list
-    stream: object  # list, or a compact str for character workloads
+    streams: list  # each a list, or a compact str for character workloads
     collect_obs: bool = False
     fault: Optional[str] = None
     stall_s: float = 0.0
-    streams: Optional[list] = None  # batch plan: many streams, one taps
     bist: Optional[tuple] = None  # self-test probe: (config, defect)
 
 
@@ -139,9 +137,11 @@ class JobRequest:
 class JobReply:
     """A worker's answer: window-space results plus its observations.
 
-    ``metrics`` is the worker-local registry snapshot and ``spans`` the
-    worker-local span dump; the host folds them into the run's
-    :class:`~repro.obs.Observability` via ``merge_snapshot``/``adopt``.
+    ``results`` holds one window-space row list per request stream, in
+    order.  ``metrics`` is the worker-local registry snapshot and
+    ``spans`` the worker-local span dump; the host folds them into the
+    run's :class:`~repro.obs.Observability` via
+    ``merge_snapshot``/``adopt``.
     """
 
     job_id: int
@@ -155,5 +155,4 @@ class JobReply:
     died: bool = False
     metrics: Optional[Dict[str, List[dict]]] = None
     spans: Optional[List[dict]] = field(default=None)
-    results_many: Optional[list] = None  # batch plan answer, stream order
     bist: Optional[object] = None  # self-test probe answer: a BISTReport

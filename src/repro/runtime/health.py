@@ -71,7 +71,7 @@ class RuntimeHealth(HealthPolicy):
         defect = self.directives.get(name)
         request = JobRequest(
             job_id=self._probe_id, attempt=0, workload="bist", taps=[],
-            stream=[], bist=(self.config, defect),
+            streams=[], bist=(self.config, defect),
         )
         if not await loop.run_in_executor(
             None, self.pool.submit_to, name, request, on_reply

@@ -20,7 +20,9 @@ half).  It owns
   drain.
 
 The pool never retries, degrades, or verifies; it moves messages.  A
-request still waiting when every worker is quarantined goes back to its
+worker whose reply reports a death leaves dispatch at once, as a
+quarantined one does, until a heal respawns it.  A request still
+waiting when every worker is quarantined or dead goes back to its
 submitter unrun (a :data:`~repro.runtime.channels.NO_LIVE_WORKER`
 reply) instead of waiting for a heal.  All
 reliability policy stays in the service layer, threading the existing
@@ -86,8 +88,9 @@ class WorkerPool:
         self._callbacks: Dict[Tuple[int, int], ReplyCallback] = {}
         self._cancelled: Set[Tuple[int, int]] = set()
         self._idle: List[int] = []
-        # Workers pulled from dispatch by the health loop: never in
-        # _idle, never dispatched to, until heal() respawns them.
+        # Workers out of dispatch, quarantined by the health loop or
+        # dead in an execution: never in _idle, never dispatched to,
+        # until heal() respawns them.
         self._quarantined: Set[int] = set()
         self._index = {name: i for i, name in enumerate(self._names)}
         self._seq = 0
@@ -228,12 +231,14 @@ class WorkerPool:
             return [self._names[i] for i in sorted(self._idle)]
 
     def quarantined_names(self) -> List[str]:
+        """Names of the workers out of dispatch (quarantined or dead):
+        the ones a health sweep heals."""
         with self._cond:
             return [self._names[i] for i in sorted(self._quarantined)]
 
     @property
     def n_live(self) -> int:
-        """Workers that can take work (not quarantined)."""
+        """Workers that can take work (neither quarantined nor dead)."""
         with self._cond:
             return self.n_workers - len(self._quarantined)
 
@@ -289,20 +294,21 @@ class WorkerPool:
             ).inc()
 
     def heal(self, name: str, timeout: float = 10.0) -> None:
-        """Replace a quarantined worker's process with a fresh one.
+        """Replace a quarantined or dead worker's process with a fresh
+        one.
 
         The old process gets a SHUTDOWN sentinel and a grace period,
         then is terminated; its request channel is drained so the
         replacement inherits clean channels; the fresh process rejoins
-        the idle list.  Only a quarantined worker can be healed --
+        the idle list.  Only a worker out of dispatch can be healed --
         healing a live one would drop its in-flight job.
         """
         widx = self._worker_index(name)
         with self._cond:
             if widx not in self._quarantined:
                 raise ServiceError(
-                    f"worker {name!r} is not quarantined; only a "
-                    "quarantined worker can be healed"
+                    f"worker {name!r} is live; only a quarantined or "
+                    "dead worker can be healed"
                 )
         proc = self._procs[widx]
         ch = self._requests[widx]
@@ -349,8 +355,9 @@ class WorkerPool:
                     widx = self._idle.pop(0)
                     self.dispatched += 1
                 else:
-                    # Every worker is quarantined: hand the request back
-                    # unrun instead of holding it until a heal.
+                    # Every worker is quarantined or dead: hand the
+                    # request back unrun instead of holding it until a
+                    # heal.
                     widx, unrun = None, self._callbacks.pop(key, None)
             if widx is None:
                 if unrun is not None:
@@ -378,6 +385,11 @@ class WorkerPool:
             key = (reply.job_id, reply.attempt)
             with self._cond:
                 widx = self._index.get(reply.worker)
+                if widx is not None and reply.died:
+                    # The device died in this execution: like a dead
+                    # farm chip it leaves dispatch, and n_live drops,
+                    # until heal() respawns it.
+                    self._quarantined.add(widx)
                 if (
                     widx is not None
                     and widx not in self._idle

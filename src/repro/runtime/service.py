@@ -387,11 +387,10 @@ class AsyncMatcherService(JobCounters):
             attempt=unit.attempts,
             workload=jobs[0].workload,
             taps=jobs[0].taps,
-            stream=None if unit.batched else wire[0],
+            streams=wire,
             collect_obs=self.obs is not None,
             fault=fault_kind,
             stall_s=stall_s,
-            streams=wire if unit.batched else None,
         )
         self.pool.submit(
             request,
@@ -425,9 +424,7 @@ class AsyncMatcherService(JobCounters):
                 if reply.spans:
                     self.obs.tracer.adopt(reply.spans, parent=live[0].span,
                                           offset=max(live[0].started, 0.0))
-            rows_each = reply.results_many if unit.batched \
-                else [reply.results]
-            for (job, shard), rows in zip(unit.pieces, rows_each):
+            for (job, shard), rows in zip(unit.pieces, reply.results):
                 if not job.done:  # else its deadline fired: served degraded
                     self.core.settle(job, shard, rows, now, 0.0, reply.worker)
             return

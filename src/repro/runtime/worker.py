@@ -2,14 +2,15 @@
 
 ``worker_main`` is what each :class:`~repro.runtime.pool.WorkerPool`
 process runs: receive a :class:`~repro.runtime.channels.JobRequest`,
-evaluate the workload's one kernel, ``spec.batched`` (the same
+evaluate the workload's one kernel, ``spec.batched``, over the
+request's streams in one call (the same
 :class:`~repro.workloads.WorkloadSpec` kernel the synchronous farm
 uses, so results are byte-identical by construction; a solo job is a
-batch of one), reply with the window-space values plus the worker's
-own metrics snapshot and spans.  A ``bist`` request is a self-test
-probe instead: the worker builds the controller from the shipped health
-config and replies with the report, so only probed processes ever load
-the switch-level simulator.
+batch of one), reply with one window-space row list per stream plus
+the worker's own metrics snapshot and one ``worker.kernel`` span.  A
+``bist`` request is a self-test probe instead: the worker builds the
+controller from the shipped health config and replies with the report,
+so only probed processes ever load the switch-level simulator.
 
 The function must be importable by ``multiprocessing`` spawn: it lives
 at module top level, takes only picklable arguments, and rebuilds its
@@ -54,42 +55,35 @@ def _execute(
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
-        batch = req.streams is not None  # a batch plan, else a solo job
-        feeds = list(req.streams) if batch else [req.stream]
-        merged = spec.batched(req.taps, feeds, alphabet)
-        results, results_many = (None, merged) if batch else (merged[0], None)
+        results = spec.batched(req.taps, req.streams, alphabet)
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:
-            metrics, spans = _observe(req, spec, name, feeds, wall)
+            metrics, spans = _observe(req, spec, name, wall)
         return reply(True, wall, results=results, metrics=metrics,
-                     spans=spans, results_many=results_many)
+                     spans=spans)
     except Exception as exc:  # ship the failure home instead of dying
         return reply(False, error=f"{type(exc).__name__}: {exc}")
 
 
-def _observe(req, spec, name, feeds, wall):
+def _observe(req, spec, name, wall):
     """The worker-local metrics snapshot and spans of one execution."""
     from ..obs import Observability
 
     obs = Observability()
-    samples = sum(len(f) for f in feeds)
-    attrs = dict(engine="fastpath")
-    if req.streams is not None:
-        attrs = dict(jobs=len(feeds), engine="batched")
-        obs.registry.counter(
-            "runtime.worker.batches", worker=name, workload=spec.name
-        ).inc()
+    samples = sum(len(s) for s in req.streams)
     obs.tracer.record(
         "worker.kernel", t0=0.0, t1=wall, unit="s",
         worker=name, pid=os.getpid(), workload=spec.name,
-        samples=samples, window=len(req.taps), attempt=req.attempt,
-        **attrs,
+        jobs=len(req.streams), samples=samples, window=len(req.taps),
+        attempt=req.attempt,
     )
-    obs.registry.counter(
-        "runtime.worker.jobs", worker=name, workload=spec.name
-    ).inc(len(feeds))
-    obs.registry.counter("runtime.worker.samples", worker=name).inc(samples)
+    labels = dict(worker=name, workload=spec.name)
+    obs.registry.counter("runtime.worker.executions", **labels).inc()
+    obs.registry.counter("runtime.worker.jobs", **labels).inc(
+        len(req.streams)
+    )
+    obs.registry.counter("runtime.worker.samples", **labels).inc(samples)
     obs.registry.histogram("runtime.worker.wall_s", worker=name).observe(wall)
     return obs.registry.snapshot(), obs.tracer.to_dict()["spans"]
 

@@ -175,98 +175,24 @@ class PoolWorker:
             )
 
     def run_match(
-        self,
-        pattern: Sequence[PatternChar],
-        text: Sequence[str],
-        obs=None,
-        parent=None,
-        t0: float = 0.0,
-        t1: float = 0.0,
+        self, pattern: Sequence[PatternChar], text: Sequence[str], **kw
     ) -> List[bool]:
-        """Execute one match: :meth:`run_kernel` for the match workload."""
-        return self.run_kernel(
-            MATCH, pattern, text, obs=obs, parent=parent, t0=t0, t1=t1
-        )
+        """One match: a batch of one through :meth:`run_kernel_batch`."""
+        return self.run_kernel_batch(MATCH, pattern, [text], **kw)[0]
 
     def run_kernel(
-        self,
-        spec,
-        taps: Sequence,
-        stream: Sequence,
-        obs=None,
-        parent=None,
-        t0: float = 0.0,
-        t1: float = 0.0,
+        self, spec, taps: Sequence, stream: Sequence, **kw
     ) -> List:
-        """Execute one workload window pass on this worker.
-
-        *spec* is a :class:`~repro.workloads.WorkloadSpec`; *taps* are its
-        prepared taps and *stream* the (shard of the) prepared stream.
-        The values always come from the workload's one kernel,
-        ``spec.batched``, called with a batch of one (for match the
-        vectorized :func:`~repro.core.fastpath.fast_match_many`, proven
-        bit-identical to the stepwise chip/cascade/multipass models);
-        whether the window *fits* or needs the Section 3.4 multipass
-        scheme only affects the beat and bus accounting in
-        :meth:`service_beats` / :meth:`transfer_chars`.
-
-        With an :class:`~repro.obs.Observability` bundle this records a
-        span (``t0``/``t1`` are the execution's service beats, ``parent``
-        its job span).  The chip backend runs only match, so a match
-        records ``worker.match`` and, when ``obs.deep`` is set, re-drives
-        the execution through the beat-accurate array -- and, when
-        ``obs.trace_circuit`` allows, the transistor-level netlist.  Any
-        other workload records ``worker.kernel`` and ``obs.deep``
-        re-checks it against the workload's direct oracle
-        (``oracle_agrees``).  Observation never changes the results.
-        """
-        self._require_live()
-        results = spec.batched(taps, [stream], self.alphabet)[0]
-        if obs is None:
-            return results
-        if spec is MATCH:
-            span = obs.tracer.record(
-                "worker.match", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, chars=len(stream), pattern_len=len(taps),
-                engine="fastpath",
-            )
-            obs.registry.counter("worker.matches", worker=self.name).inc()
-            obs.registry.counter("worker.chars", worker=self.name).inc(
-                len(stream)
-            )
-            if obs.deep:
-                self._deep_trace(obs, span, tuple(taps), stream, results)
-            return results
-        span = obs.tracer.record(
-            "worker.kernel", t0=t0, t1=t1, unit="beats", parent=parent,
-            worker=self.name, workload=spec.name, samples=len(stream),
-            window=len(taps), engine="fastpath",
-        )
-        obs.registry.counter(
-            "worker.kernels", worker=self.name, workload=spec.name
-        ).inc()
-        obs.registry.counter("worker.samples", worker=self.name).inc(
-            len(stream)
-        )
-        if obs.deep:
-            oracle = spec.oracle(taps, stream, self.alphabet)
-            span.attrs["oracle_agrees"] = oracle == results
-        return results
+        """One window pass: a batch of one through
+        :meth:`run_kernel_batch`."""
+        return self.run_kernel_batch(spec, taps, [stream], **kw)[0]
 
     def run_match_batch(
-        self,
-        pattern: Sequence[PatternChar],
-        texts: Sequence[Sequence[str]],
-        obs=None,
-        parent=None,
-        t0: float = 0.0,
-        t1: float = 0.0,
+        self, pattern: Sequence[PatternChar], texts: Sequence, **kw
     ) -> List[List[bool]]:
-        """Execute one pattern over a batch of texts:
-        :meth:`run_kernel_batch` for the match workload."""
-        return self.run_kernel_batch(
-            MATCH, pattern, texts, obs=obs, parent=parent, t0=t0, t1=t1
-        )
+        """Many matches: :meth:`run_kernel_batch` for the match
+        workload."""
+        return self.run_kernel_batch(MATCH, pattern, texts, **kw)
 
     def run_kernel_batch(
         self,
@@ -278,39 +204,61 @@ class PoolWorker:
         t0: float = 0.0,
         t1: float = 0.0,
     ) -> List[List]:
-        """Execute one workload over a whole batch of streams in one call.
+        """Execute one workload over a batch of streams in one device call.
 
-        The batch tier's device model: the farm streams many short inputs
-        through the loaded taps back to back, and the result streams come
-        out per input.  Values come from the workload's vectorized
-        ``batched`` kernel; ``obs.deep`` re-checks every member against
-        the workload's direct oracle (results are always the kernel's).
+        Every execution takes this path: a solo job or text shard is a
+        batch of one, a batch plan streams many short inputs through the
+        loaded taps back to back.  *spec* is a
+        :class:`~repro.workloads.WorkloadSpec`, *taps* its prepared taps
+        and *streams* the prepared streams (or shards of them); the
+        result streams come out per input.  The values always come from
+        the workload's one kernel, ``spec.batched`` (for match the
+        vectorized :func:`~repro.core.fastpath.fast_match_many`, proven
+        bit-identical to the stepwise chip/cascade/multipass models);
+        whether the window *fits* or needs the Section 3.4 multipass
+        scheme only affects the beat and bus accounting in
+        :meth:`service_beats` / :meth:`transfer_chars`.
+
+        With an :class:`~repro.obs.Observability` bundle this records one
+        ``worker.kernel`` span (``t0``/``t1`` are the execution's service
+        beats, ``parent`` its execution span) and counts the execution
+        and its samples.  With ``obs.deep`` every member is re-checked:
+        a match member is re-driven through the beat-accurate array
+        (``array_agrees``) and, when ``obs.trace_circuit`` allows, the
+        transistor-level netlist (``circuit_agrees``); any other
+        workload is checked against its direct oracle
+        (``oracle_agrees``).  Observation never changes the results.
         """
         self._require_live()
-        results = spec.batched(taps, list(streams), self.alphabet)
-        if obs is not None:
-            samples = sum(len(s) for s in streams)
-            span = obs.tracer.record(
-                "worker.batch", t0=t0, t1=t1, unit="beats", parent=parent,
-                worker=self.name, jobs=len(streams), chars=samples,
-                window=len(taps), workload=spec.name, engine="batched",
-            )
-            obs.registry.counter("worker.batches", worker=self.name).inc()
-            obs.registry.counter("worker.samples", worker=self.name).inc(
-                samples
-            )
-            if obs.deep:
-                span.attrs["oracle_agrees"] = all(
-                    spec.oracle(taps, s, self.alphabet) == r
-                    for s, r in zip(streams, results)
-                )
+        streams = list(streams)
+        results = spec.batched(taps, streams, self.alphabet)
+        if obs is None:
+            return results
+        samples = sum(len(s) for s in streams)
+        span = obs.tracer.record(
+            "worker.kernel", t0=t0, t1=t1, unit="beats", parent=parent,
+            worker=self.name, workload=spec.name, jobs=len(streams),
+            samples=samples, window=len(taps),
+        )
+        labels = dict(worker=self.name, workload=spec.name)
+        obs.registry.counter("worker.executions", **labels).inc()
+        obs.registry.counter("worker.samples", **labels).inc(samples)
+        if obs.deep:
+            for stream, rows in zip(streams, results):
+                if spec is MATCH:
+                    self._deep_trace(obs, span, tuple(taps), stream, rows)
+                else:
+                    _agree(span, "oracle_agrees",
+                           spec.oracle(taps, stream, self.alphabet) == rows)
         return results
 
     def _deep_trace(self, obs, span, key, text, results) -> None:
-        """Re-drive the execution through slower models under the tracer.
+        """Re-drive one match member through slower models under the
+        tracer.
 
-        Observation only -- agreement is recorded as span attributes, the
-        service's results are untouched.
+        Observation only -- agreement is recorded as span attributes
+        (true only while every member agrees), the service's results are
+        untouched.
         """
         backend = self.backend
         if (
@@ -322,8 +270,9 @@ class PoolWorker:
             try:
                 with obs.tracer.nest(span):
                     rep = backend.report(text)
-                span.attrs["array_agrees"] = rep.results == results
-                span.attrs["array_beats"] = rep.beats
+                _agree(span, "array_agrees", rep.results == results)
+                span.attrs["array_beats"] = \
+                    span.attrs.get("array_beats", 0) + rep.beats
             finally:
                 backend.attach_obs(None)
         if (
@@ -342,7 +291,7 @@ class PoolWorker:
             try:
                 with obs.tracer.nest(span):
                     gate_results = self._gate.match(text)
-                span.attrs["circuit_agrees"] = gate_results == results
+                _agree(span, "circuit_agrees", gate_results == results)
             finally:
                 self._gate.attach_obs(None)
 
@@ -377,6 +326,11 @@ class PoolWorker:
             f"PoolWorker({self.name!r}, {self.capacity}/{self.nominal_capacity} "
             f"cells, {tag})"
         )
+
+
+def _agree(span, key: str, ok: bool) -> None:
+    """And one member's cross-check into the span's *key* attribute."""
+    span.attrs[key] = span.attrs.get(key, True) and ok
 
 
 class DevicePool:

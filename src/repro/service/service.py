@@ -96,10 +96,10 @@ class MatcherService:
 
     Every job, whatever its workload, takes one path: the
     :class:`~repro.workloads.WorkloadSpec` parses and prepares its taps,
-    a :class:`~repro.service.pool.PoolWorker` runs the spec's kernel
-    (``run_kernel`` for a solo job or shard, ``run_kernel_batch`` for a
-    batch plan) or :class:`~repro.service.reliability.SoftwareFallback`
-    serves it, text shards merge with the spec's ``incomplete`` value,
+    a :class:`~repro.service.pool.PoolWorker` runs the spec's kernel in
+    one device call, ``run_kernel_batch`` (a solo job or text shard is a
+    batch of one), or :class:`~repro.service.reliability.SoftwareFallback`
+    serves it; text shards merge with the spec's ``incomplete`` value,
     and the spec finalizes.  ``submit(x)`` is ``submit_many([x])``, and
     every stream is routed by the one planner both front doors share
     (:func:`repro.service.plan.plan`).  Solo jobs, text shards and batch
@@ -461,43 +461,28 @@ class MatcherService:
     def _complete(self, unit: Unit) -> None:
         """A unit's execution finished.  On a worker death the core's
         failure rule retries it whole or serves its pieces from
-        software; otherwise the worker's kernel yields every piece's
-        results."""
+        software; otherwise one device call, the worker's batched
+        kernel, yields every piece's results."""
         worker, fault = unit.worker, unit.fault
         died = self._settle_worker(unit)
         job, shard = unit.pieces[0]
         span = None
         if self.obs is not None:
-            attrs = dict(
-                t0=unit.start, t1=unit.finish, unit="beats",
-                worker=worker.name, attempt=unit.attempts,
+            span = self.obs.tracer.record(
+                "service.execution", t0=unit.start, t1=unit.finish,
+                unit="beats", parent=None if unit.batched else job.span,
+                job_ids=[j.job_id for j, _ in unit.pieces],
+                shard=shard.index, worker=worker.name, attempt=unit.attempts,
                 fault=fault.kind.value if fault is not None else None,
             )
-            if unit.batched:
-                span = self.obs.tracer.record(
-                    "service.batch", jobs=len(unit.pieces),
-                    workload=job.workload,
-                    job_ids=[j.job_id for j, _ in unit.pieces], **attrs,
-                )
-            else:
-                span = self.obs.tracer.record(
-                    "service.execution", parent=job.span,
-                    shard=shard.index, **attrs,
-                )
         if died:
             if self.core.failed(unit, self.pool.n_live, self.clock.now):
                 self._retry.append(unit)
             return
-        run = dict(obs=self.obs, parent=span, t0=unit.start, t1=unit.finish)
-        if unit.batched:
-            rows = worker.run_kernel_batch(
-                job.spec, job.taps, [s.feed(j.text) for j, s in unit.pieces],
-                **run,
-            )
-        else:
-            rows = [worker.run_kernel(
-                job.spec, job.taps, shard.feed(job.text), **run
-            )]
+        rows = worker.run_kernel_batch(
+            job.spec, job.taps, [s.feed(j.text) for j, s in unit.pieces],
+            obs=self.obs, parent=span, t0=unit.start, t1=unit.finish,
+        )
         plen = unit.window_len
         for (job, shard), results in zip(unit.pieces, rows):
             # A batch member's service beats are its own device share:

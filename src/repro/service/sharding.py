@@ -4,8 +4,8 @@ Two independent axes, both straight from Section 3.4:
 
 * A pattern longer than a worker's cell count runs the *multipass*
   scheme on that worker (handled inside
-  :meth:`~repro.service.pool.PoolWorker.run_kernel`); the plan records it
-  so telemetry and timing use multipass rates.
+  :meth:`~repro.service.pool.PoolWorker.run_kernel_batch`); the plan
+  records it so telemetry and timing use multipass rates.
 * A text much longer than a pattern can be cut into chunks and matched
   on several workers at once.  Each chunk overlaps its left neighbour by
   ``k = len(pattern) - 1`` characters so every window is seen whole;

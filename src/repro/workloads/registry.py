@@ -358,10 +358,8 @@ FIR = _register(WorkloadSpec(
 def _stepwise_match(params, stream, alphabet):
     from ..core.matcher import PatternMatcher
 
-    matcher = PatternMatcher(
-        params, _require_alphabet(alphabet, "match"), use_fast_path=False
-    )
-    return matcher.match(stream)
+    matcher = PatternMatcher(params, _require_alphabet(alphabet, "match"))
+    return matcher.report(stream).results
 
 
 def get_workload(name: str) -> WorkloadSpec:

@@ -227,21 +227,20 @@ class TestAsyncRuntime:
         ids = _check_runtime(svc, results)
         assert ids == [wide] + quick
 
-    def test_seeded_fault_retries(self, shared_pool):
+    def test_seeded_fault_retries(self):
+        # Its own pool: a worker that dies stays out of dispatch.
         async def go():
-            svc = AsyncMatcherService(
-                pool=shared_pool,
-                faults=FaultInjector(seed=7, p_death=0.35),
-            )
-            await svc.start()
-            jids = []
-            for round_ in range(2):
-                jids.append(await svc.submit("ABXC", WIDE))
-                jids += await svc.submit_many(
-                    "AXC", [t[round_:] + "D" for t in NARROW]
-                )
-                jids += await svc.submit_many("AB", [""])
-                results = await svc.drain()
+            async with AsyncMatcherService(
+                2, AB, faults=FaultInjector(seed=7, p_death=0.35),
+            ) as svc:
+                jids = []
+                for round_ in range(2):
+                    jids.append(await svc.submit("ABXC", WIDE))
+                    jids += await svc.submit_many(
+                        "AXC", [t[round_:] + "D" for t in NARROW]
+                    )
+                    jids += await svc.submit_many("AB", [""])
+                    results = await svc.drain()
             return svc, jids, results
 
         svc, jids, results = run(go())

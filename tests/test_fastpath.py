@@ -57,9 +57,7 @@ class TestEquivalence:
     def test_fast_equals_stepwise_equals_oracle(self, case):
         alphabet, pattern, text = case
         fast = PatternMatcher(pattern, alphabet).match(text)
-        stepwise = PatternMatcher(
-            pattern, alphabet, use_fast_path=False
-        ).match(text)
+        stepwise = PatternMatcher(pattern, alphabet).report(text).results
         oracle = match_oracle(parse_pattern(pattern, alphabet), list(text))
         assert fast == stepwise == oracle
         assert fast_match_many(pattern, [text], alphabet) == [oracle]
@@ -71,7 +69,7 @@ class TestEquivalence:
     )
     def test_symbolic_wildcard_patterns(self, pattern, text):
         fast = PatternMatcher(pattern, AB4).match(text)
-        stepwise = PatternMatcher(pattern, AB4, use_fast_path=False).match(text)
+        stepwise = PatternMatcher(pattern, AB4).report(text).results
         assert fast == stepwise
         assert fast == match_oracle(parse_pattern(pattern, AB4), list(text))
 

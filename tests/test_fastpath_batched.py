@@ -41,7 +41,7 @@ numeric_streams = st.lists(int_floats, min_size=0, max_size=40)
 
 
 def stepwise_match(pattern, text):
-    return PatternMatcher(pattern, AB, use_fast_path=False).match(text)
+    return PatternMatcher(pattern, AB).report(text).results
 
 
 class TestManyTexts:

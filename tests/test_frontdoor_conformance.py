@@ -48,20 +48,25 @@ CASES = {
                   ["software", "software", "deduped", "software", "deduped"]),
 }
 
-#: The seeded-death cases run the mixed case under
+#: The seeded-death cases run the mixed case on two workers under
 #: ``FaultInjector(seed, p_death=P_DEATH)``.  Both front doors take one
 #: fault sample per launch: the solo job, then the batch plan, then each
-#: retry of the one unit that died.  Per case: the seed, which of those
-#: samples kill a worker, the routes, and the expected
-#: (batches, batched_jobs, retries, fallbacks).
+#: retry of the one unit that died.  A worker that dies stays out of
+#: dispatch in both, so the unit whose two launches both die finds no
+#: live worker left and is served from software.  Per case: the seed,
+#: which of those samples kill a worker, the routes, the expected
+#: (batches, batched_jobs, retries, fallbacks, deaths) and each job's
+#: attempts.
 P_DEATH = 0.3
 MIXED = CASES["mixed"][1]
 EXHAUSTED = ["software", "software", "deduped", "empty", "device"]
 DEATHS = {
-    "solo-retried": (3, [True, False, False], MIXED, (1, 2, 1, 0)),
-    "batch-retried": (22, [False, True, False], MIXED, (1, 2, 1, 0)),
-    "batch-exhausted": (15, [False, True, True, True], EXHAUSTED,
-                        (1, 2, 2, 2)),
+    "solo-retried": (3, [True, False, False], MIXED, (1, 2, 1, 0, 1),
+                     [0, 0, 0, 0, 1]),
+    "batch-retried": (22, [False, True, False], MIXED, (1, 2, 1, 0, 1),
+                      [1, 1, 0, 0, 0]),
+    "batch-exhausted": (15, [False, True, True], EXHAUSTED, (1, 2, 1, 2, 2),
+                        [2, 2, 0, 0, 0]),
 }
 
 
@@ -111,10 +116,8 @@ def _sync(name, case, seed=None):
         queue_capacity=1 if case == "saturated" else 64,
     )
     cache = ResultCache()
-    # Seeded deaths leave the farm's dead chips dead: four chips give
-    # every retry a live one, as the runtime's workers always are.
     svc = MatcherService(
-        uniform_pool(2 if seed is None else 4, ChipSpec(8, 2), AB),
+        uniform_pool(2, ChipSpec(8, 2), AB),
         config=config, cache=cache, faults=_faults(seed),
     )
     if case == "warm_cache":
@@ -126,7 +129,7 @@ def _sync(name, case, seed=None):
     def counts():
         t = svc.telemetry
         return (cache.hits, t.deduped, t.batches, t.batched_jobs,
-                t.fallbacks, t.retries)
+                t.fallbacks, t.retries, t.deaths)
 
     before = counts()
     if via == "submit":
@@ -136,7 +139,8 @@ def _sync(name, case, seed=None):
     done = {r.job_id: r for r in svc.drain()}
     return ([done[i].results for i in ids],
             [_label(done[i].mode) for i in ids],
-            tuple(x - y for x, y in zip(counts(), before)))
+            tuple(x - y for x, y in zip(counts(), before)),
+            [done[i].attempts for i in ids])
 
 
 def _async(pool, name, case, seed=None):
@@ -162,7 +166,7 @@ def _async(pool, name, case, seed=None):
 
         def counts():
             return (cache.hits, svc.deduped, svc.batches, svc.batched_jobs,
-                    svc.fallbacks, svc.retries)
+                    svc.fallbacks, svc.retries, svc.deaths)
 
         before = counts()
         if via == "submit":
@@ -172,7 +176,8 @@ def _async(pool, name, case, seed=None):
         done = {r.job_id: r for r in await svc.drain()}
         return ([done[i].results for i in ids],
                 [_label(done[i].mode) for i in ids],
-                tuple(x - y for x, y in zip(counts(), before)))
+                tuple(x - y for x, y in zip(counts(), before)),
+                [done[i].attempts for i in ids])
 
     return asyncio.run(go())
 
@@ -191,8 +196,8 @@ def test_front_doors_agree(shared_pool, name, case):
     runtime = _async(shared_pool, name, case)
     assert sync == runtime
 
-    results, routes, counts = sync
-    hits, deduped, batches, batched_jobs, fallbacks, retries = counts
+    results, routes, counts, attempts = sync
+    hits, deduped, batches, batched_jobs, fallbacks, retries, deaths = counts
     assert routes == CASES[case][1]
     oracle = _oracle(name, case)
     assert results == oracle
@@ -206,7 +211,8 @@ def test_front_doors_agree(shared_pool, name, case):
     assert batched_jobs == routes.count("batched")
     assert batches == (1 if batched_jobs else 0)
     assert fallbacks == routes.count("software")
-    assert retries == 0
+    assert retries == deaths == 0
+    assert attempts == [0] * len(routes)
 
 
 def _oracle(name, case):
@@ -215,26 +221,37 @@ def _oracle(name, case):
             for s in streams]
 
 
+@pytest.fixture
+def own_pool():
+    """A fresh 2-process pool: a worker that dies stays out of dispatch,
+    so a death case must not share its pool."""
+    pool = WorkerPool(2, AB).start()
+    yield pool
+    pool.shutdown()
+
+
 @pytest.mark.parametrize("case", list(DEATHS))
 @pytest.mark.parametrize("name", list_workloads())
-def test_front_doors_agree_under_seeded_deaths(shared_pool, name, case):
-    """The mixed case with seeded worker deaths in one unit: the solo
-    job's or the batch plan's first launch dies and is retried once, or
-    the batch plan dies on every attempt and its members are served
-    from software.  Both front doors return the oracle's results on the
-    same routes and count the same batch plans (one, counted when it is
-    queued, whatever its fate), batched jobs, retries and fallbacks."""
-    seed, deaths, want_routes, want_counts = DEATHS[case]
+def test_front_doors_agree_under_seeded_deaths(own_pool, name, case):
+    """The mixed case with seeded worker deaths in one unit on two
+    workers: the solo job's or the batch plan's first launch dies and
+    is retried once on the other worker, or the batch plan dies on both
+    and its members are served from software.  Both front doors return
+    the oracle's results on the same routes and count the same batch
+    plans (one, counted when it is queued, whatever its fate), batched
+    jobs, retries, fallbacks, deaths and per-job attempts."""
+    seed, deaths, want_routes, want_counts, want_attempts = DEATHS[case]
     assert _deaths(seed, len(deaths)) == deaths
     sync = _sync(name, "mixed", seed)
-    assert sync == _async(shared_pool, name, "mixed", seed)
+    assert sync == _async(own_pool, name, "mixed", seed)
 
-    results, routes, counts = sync
-    hits, deduped, batches, batched_jobs, fallbacks, retries = counts
+    results, routes, counts, attempts = sync
+    hits, deduped, batches, batched_jobs, fallbacks, retries, deaths = counts
     assert results == _oracle(name, "mixed")
     assert routes == want_routes
     assert (hits, deduped) == (0, 1)
-    assert (batches, batched_jobs, retries, fallbacks) == want_counts
+    assert (batches, batched_jobs, retries, fallbacks, deaths) == want_counts
+    assert attempts == want_attempts
 
 
 def _sync_calls(name, calls, timeout=None, faults=None):

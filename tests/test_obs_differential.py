@@ -118,7 +118,7 @@ class TestServiceDifferential:
 
     def test_deep_trace_cross_checks_agree(self):
         svc, _ = _drain(Observability(deep=True))
-        matches = svc.obs.tracer.find("worker.match")
+        matches = svc.obs.tracer.find("worker.kernel")
         assert matches
         checked = [s for s in matches if "array_agrees" in s.attrs]
         assert checked, "deep mode must re-drive the stepwise array"

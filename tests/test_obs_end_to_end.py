@@ -18,7 +18,7 @@ from repro.chip.chip import ChipSpec
 from repro.obs.__main__ import main as obs_main
 from repro.obs.replay import render_report, trace_report
 from repro.obs.trace import Tracer
-from repro.service import MatcherService, uniform_pool
+from repro.service import MatcherService, PoolWorker, uniform_pool
 
 AB = Alphabet("ABCD")
 
@@ -56,10 +56,10 @@ class TestSpanChain:
         settles = obs.tracer.find("circuit.settle")
         assert settles, "trace_circuit must record settle spans"
         names = [s.name for s in obs.tracer.ancestry(settles[0])]
-        # Innermost parent first: the gate-level run, the worker match,
+        # Innermost parent first: the gate-level run, the device call,
         # the shard execution, then the job itself.
         assert names == [
-            "gate.match", "worker.match", "service.execution", "service.job"
+            "gate.match", "worker.kernel", "service.execution", "service.job"
         ]
 
     def test_array_level_spans_nest_under_worker(self, traced_run):
@@ -67,21 +67,22 @@ class TestSpanChain:
         runs = obs.tracer.find("array.run")
         assert runs
         names = [s.name for s in obs.tracer.ancestry(runs[0])]
-        assert names[:2] == ["chip.report", "worker.match"]
+        assert names[:2] == ["chip.report", "worker.kernel"]
         assert names[-1] == "service.job"
 
     def test_cross_level_agreement_attrs(self, traced_run):
         obs, _, _ = traced_run
-        wm = obs.tracer.find("worker.match")[0]
+        wm = obs.tracer.find("worker.kernel")[0]
         assert wm.attrs["array_agrees"] is True
         assert wm.attrs["circuit_agrees"] is True
-        assert wm.attrs["engine"] == "fastpath"
 
     def test_metrics_published_at_every_level(self, traced_run):
         obs, svc, _ = traced_run
         r = obs.registry
         assert r.value("service.jobs.completed") == 1
-        assert r.value("worker.matches", worker="chip-0") == 1
+        assert r.value(
+            "worker.executions", worker="chip-0", workload="match"
+        ) == 1
         # Array beats from the deep re-drive, labelled by chip name.
         assert r.value("array.beats", array=svc.pool.workers[0].backend.spec.name) > 0
         # Settle calls from the gate-level re-drive, labelled by the
@@ -141,6 +142,44 @@ class TestCLI:
         data = json.loads(trace.read_text())
         assert data["format"] == 1
         assert any(s["name"] == "service.job" for s in data["spans"])
+
+
+class TestReplayCountsEveryExecution:
+    def test_replay_equals_telemetry_per_worker(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Every device call counts in the replay, whatever the unit: a
+        wide text's shards on both chips, a batch plan, a count job and
+        a match job.  Per worker, the replayed executions equal the
+        telemetry's and the replayed samples equal what the device was
+        fed."""
+        fed = {}
+        real = PoolWorker.run_kernel_batch
+
+        def spy(self, spec, taps, streams, **kw):
+            fed[self.name] = fed.get(self.name, 0) + sum(map(len, streams))
+            return real(self, spec, taps, streams, **kw)
+
+        monkeypatch.setattr(PoolWorker, "run_kernel_batch", spy)
+        obs = Observability()
+        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB), obs=obs)
+        svc.submit("AXC", "ABCD" * 200)
+        svc.drain()
+        svc.submit_many("AXC", ["ABCA", "AACC", "CABC"])
+        svc.submit("AX", "ABCAB", workload="count")
+        svc.submit("AXC", "ABCAACACCAB")
+        modes = [r.mode for r in svc.drain()]
+        assert modes == ["text-sharded"] + ["batched"] * 3 + ["direct"] * 2
+        trace, out = tmp_path / "trace.json", tmp_path / "report.json"
+        obs.save(str(trace))
+        assert obs_main(["replay", str(trace), "--json", str(out)]) == 0
+        capsys.readouterr()
+        workers = json.loads(out.read_text())["workers"]
+        assert {w: r["executions"] for w, r in workers.items()} == {
+            w: s.executions for w, s in svc.telemetry.workers.items()
+        }
+        assert {w: r["samples"] for w, r in workers.items()} == fed
+        assert sum(fed.values()) > 800  # the shards' halo is fed twice
 
 
 class TestPerWorkerArrayLabels:

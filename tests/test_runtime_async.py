@@ -114,20 +114,22 @@ class TestDifferential:
 
 
 class TestReliabilityPolicy:
-    def test_retries_then_fallback_exhaustion(self, shared_pool):
+    def test_retries_then_fallback_exhaustion(self):
         """With p_death=1 every attempt dies: the job burns its retry
-        budget and lands on the oracle fallback."""
+        budget and lands on the oracle fallback.  Each death takes its
+        worker out of dispatch, so three workers carry the three
+        attempts."""
 
         async def go():
-            svc = AsyncMatcherService(
-                pool=shared_pool,
+            async with AsyncMatcherService(
+                3, AB,
                 faults=FaultInjector(seed=1, p_death=1.0),
                 config=RuntimeConfig(max_retries=2),
-            )
-            await svc.start()
-            jid = await svc.submit("AB", "ABAB" * 8)
-            r = await svc.result(jid)
-            return r, svc.retries, svc.deaths
+            ) as svc:
+                jid = await svc.submit("AB", "ABAB" * 8)
+                r = await svc.result(jid)
+                assert svc.pool.n_live == 0
+                return r, svc.retries, svc.deaths
 
         r, retries, deaths = run(go())
         assert r.via_fallback and r.mode == "software"
@@ -387,7 +389,6 @@ class TestObservability:
         kernels = [s for s in spans if s["name"] == "worker.kernel"]
         assert len(jobs) == 4
         assert len(kernels) == 1
-        assert kernels[0]["attrs"]["engine"] == "batched"
         assert kernels[0]["attrs"]["jobs"] == 3
         modes = sorted(r.mode for r in results)
         assert modes == ["batched", "batched", "batched", "deduped"]

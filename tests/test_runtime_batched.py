@@ -87,6 +87,41 @@ class TestCoalescing:
         assert batches == 0
         assert results[jids[0]].results == oracle("AX", "ABCAABCA")
 
+    def test_solo_and_batch_units_share_one_wire_shape(
+        self, shared_pool, monkeypatch
+    ):
+        """A solo unit is a batch of one on the wire: both units cross in
+        ``JobRequest.streams``, one stream per piece, and each reply
+        holds one result row per stream."""
+        sent, replies = [], []
+        submit = shared_pool.submit
+
+        def spy(request, callback, **kw):
+            sent.append(request)
+
+            def on_reply(reply):
+                replies.append(reply)
+                callback(reply)
+
+            submit(request, on_reply, **kw)
+
+        monkeypatch.setattr(shared_pool, "submit", spy)
+        texts = ["ABCAABCA", "AACC", "CABC"]
+
+        async def go():
+            svc = AsyncMatcherService(pool=shared_pool)
+            await svc.start()
+            await svc.submit("AX", texts[0])
+            await svc.submit_many("AX", texts[1:])
+            return [r.mode for r in await svc.drain()]
+
+        assert run(go()) == ["pool", "batched", "batched"]
+        solo, batch = sent
+        assert [len(r.streams) for r in sent] == [1, 2]
+        rows = {r.job_id: r.results for r in replies}
+        assert rows[solo.job_id] == [oracle("AX", texts[0])]
+        assert rows[batch.job_id] == [oracle("AX", t) for t in texts[1:]]
+
     @pytest.mark.parametrize("case", [
         *list_workloads(), "empty", "cached", "saturated-degrade",
         "saturated-reject",

@@ -116,7 +116,7 @@ class TestQuarantineHeal:
 
         probe_config = HealthConfig(vectors=4, characterize=False)
         request = JobRequest(job_id=-99, attempt=0, workload="bist",
-                             taps=[], stream=[], bist=(probe_config, None))
+                             taps=[], streams=[], bist=(probe_config, None))
         assert pool.submit_to(victim, request, lambda reply: None) is False
         # A probe of a quarantined worker reports "not idle", not a hang.
         assert run(health.probe(victim)) is None

@@ -18,6 +18,7 @@ from repro.runtime import (
     TokenBucket,
     WorkerPool,
 )
+from repro.runtime.channels import NO_LIVE_WORKER
 
 AB = Alphabet("ABCD")
 
@@ -100,14 +101,14 @@ class TestChannel:
     def test_messages_picklable(self):
         req = JobRequest(
             job_id=1, attempt=0, workload="match",
-            taps=list(AB.symbols), stream=["A", "B"], fault="death",
+            taps=list(AB.symbols), streams=[["A", "B"]], fault="death",
         )
         rep = JobReply(
             job_id=1, attempt=0, ok=True, worker="w", pid=1, wall_s=0.1,
-            results=[True, False], metrics={"c": []}, spans=[{"name": "s"}],
+            results=[[True, False]], metrics={"c": []}, spans=[{"name": "s"}],
         )
         assert pickle.loads(pickle.dumps(req)).job_id == 1
-        assert pickle.loads(pickle.dumps(rep)).results == [True, False]
+        assert pickle.loads(pickle.dumps(rep)).results == [[True, False]]
 
 
 # -- the pool itself (real spawned workers) --------------------------------
@@ -144,7 +145,7 @@ def _match_request(job_id, text="ABCDABCA", attempt=0, **kw):
 
     return JobRequest(
         job_id=job_id, attempt=attempt, workload="match",
-        taps=parse_pattern("AB", AB), stream=list(text), **kw,
+        taps=parse_pattern("AB", AB), streams=[list(text)], **kw,
     )
 
 
@@ -158,7 +159,7 @@ class TestWorkerPool:
         assert reply.ok and not reply.died
         expect = get_workload("match").run("AB", "ABCDABCA", AB,
                                            engine="oracle")
-        assert reply.results == expect
+        assert reply.results == [expect]
 
     def test_parallel_fanout_uses_both_workers(self, pool):
         cb, wait = _collect(8)
@@ -168,11 +169,38 @@ class TestWorkerPool:
         assert len({r.worker for r in replies}) == 2
         assert len({r.pid for r in replies}) == 2
 
-    def test_death_directive_reports_died(self, pool):
-        cb, wait = _collect(1)
-        pool.submit(_match_request(2, fault="death"), cb)
-        (reply,) = wait()
-        assert not reply.ok and reply.died and reply.results is None
+    def test_death_directive_reports_died(self):
+        """A died reply takes its worker out of dispatch: ``n_live``
+        drops and the next request runs on the other worker."""
+        duo = WorkerPool(2, AB).start()
+        try:
+            cb, wait = _collect(1)
+            duo.submit(_match_request(2, fault="death"), cb)
+            (reply,) = wait()
+            assert not reply.ok and reply.died and reply.results is None
+            assert duo.n_live == 1
+            assert duo.quarantined_names() == [reply.worker]
+            cb2, wait2 = _collect(1)
+            duo.submit(_match_request(3), cb2)
+            (after,) = wait2()
+            assert after.ok and after.worker != reply.worker
+        finally:
+            duo.shutdown()
+
+    def test_last_worker_death_hands_back_no_live_worker(self):
+        """On a 1-process pool the death leaves no live worker: the next
+        request comes back unrun instead of reaching the dead one."""
+        solo = WorkerPool(1, AB).start()
+        try:
+            cb, wait = _collect(1)
+            solo.submit(_match_request(2, fault="death"), cb)
+            assert wait()[0].died and solo.n_live == 0
+            cb2, wait2 = _collect(1)
+            solo.submit(_match_request(3), cb2)
+            (after,) = wait2()
+            assert not after.ok and after.error == NO_LIVE_WORKER
+        finally:
+            solo.shutdown()
 
     def test_edf_dispatch_order(self):
         """Pending jobs drain earliest deadline first regardless of
@@ -223,7 +251,7 @@ class TestWorkerPool:
     def test_worker_exception_ships_home(self, pool):
         cb, wait = _collect(1)
         bad = JobRequest(job_id=5, attempt=0, workload="no-such-workload",
-                        taps=[], stream=[1.0])
+                        taps=[], streams=[[1.0]])
         pool.submit(bad, cb)
         (reply,) = wait()
         assert not reply.ok and not reply.died

@@ -123,8 +123,8 @@ class TestAdversity:
     def test_batch_spans_name_their_member_jobs(self):
         """A batched job's trace names every execution that carried it:
         seed 1 kills the batch's first launch and spares its retry, so
-        each member id sits on exactly two ``service.batch`` spans, each
-        with its worker, attempt and fault."""
+        each member id sits on exactly two ``service.execution`` spans,
+        each with its worker, attempt and fault."""
         probe = FaultInjector(seed=1, p_death=0.3)
         first, second = probe.sample(), probe.sample()
         assert first.kind is FaultKind.WORKER_DEATH and second is None
@@ -135,7 +135,7 @@ class TestAdversity:
         )
         jids = svc.submit_many("AB", ["ABCA", "AACC", "CABC"])
         results = svc.drain()
-        batches = obs.tracer.find("service.batch")
+        batches = obs.tracer.find("service.execution")
         for jid in jids:
             assert sum(jid in s.attrs["job_ids"] for s in batches) == 2
             assert results[jid].mode == "batched"
