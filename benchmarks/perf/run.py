@@ -54,6 +54,8 @@ import sys
 import time
 from typing import Callable, Dict, List
 
+import numpy as np
+
 from repro import (
     Alphabet,
     BitLevelMatcher,
@@ -373,6 +375,9 @@ def bench_batched_kernels(quick: bool) -> Dict[str, object]:
     texts = [make_text(200 + 13 * i) for i in range(n_texts)]
     taps = make_samples(8, span=7)
     streams = [make_samples(200 + 13 * i) for i in range(n_texts)]
+    # The kernels take typed rows, encoded once at the boundary.
+    rows = [AB4.encode_text(t) for t in texts]
+    samples = [np.asarray(s, dtype=float) for s in streams]
 
     def best(fn):
         # One untimed call first, so no side pays the warm-up; then best
@@ -380,13 +385,17 @@ def bench_batched_kernels(quick: bool) -> Dict[str, object]:
         fn()
         return _timed(fn, 5)
 
-    many_s, many_out = best(lambda: fast_match_many(pattern, texts, AB4))
+    many_s, many_out = best(lambda: fast_match_many(pattern, rows, AB4))
     loop_s, loop_out = best(
-        lambda: [fast_match_many(pattern, [t], AB4)[0] for t in texts]
+        lambda: [fast_match_many(pattern, [r], AB4)[0] for r in rows]
     )
-    nmany_s, nmany_out = best(lambda: fast_inner_products_many(taps, streams))
+    nmany_s, nmany_out = best(lambda: fast_inner_products_many(taps, samples))
     nloop_s, nloop_out = best(
-        lambda: [fast_inner_products_many(taps, [s])[0] for s in streams]
+        lambda: [fast_inner_products_many(taps, [s])[0] for s in samples]
+    )
+    many_out, loop_out, nmany_out, nloop_out = (
+        [row.tolist() for row in out]
+        for out in (many_out, loop_out, nmany_out, nloop_out)
     )
 
     parsed = PatternMatcher(pattern, AB4).pattern

@@ -11,6 +11,9 @@ This module provides:
 
 * :class:`Alphabet` -- a finite, ordered character set with a stable binary
   encoding of configurable width,
+* :class:`EncodedText` -- a validated text as one array of symbol codes,
+  the form every layer after admission reads (:meth:`Alphabet.encode_text`
+  is the one character encoder),
 * :data:`WILDCARD` -- the canonical wild-card marker used throughout the
   library,
 * :class:`PatternChar` -- one pattern position (character + ``x`` bit),
@@ -21,7 +24,9 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import AlphabetError, PatternError
 
@@ -81,6 +86,7 @@ class Alphabet:
         self._symbols: Tuple[str, ...] = tuple(symbols)
         self._bits = bits
         self._index = {s: i for i, s in enumerate(self._symbols)}
+        self._table: Optional[bytes] = None  # built by encode_text
 
     # -- basic queries ----------------------------------------------------
 
@@ -146,6 +152,58 @@ class Alphabet:
                     ) from None
         return chars
 
+    def encode_text(self, text: Iterable[str]) -> "EncodedText":
+        """Validate *text* and encode it as symbol codes, in one pass.
+
+        This is the package's one character encoder.  It accepts and
+        rejects exactly what :meth:`validate_text` does, with the same
+        :class:`AlphabetError` for the first stray character.  A str (or
+        a list of one-character strs) of latin-1 characters is encoded
+        by one ``bytes.translate`` over its bytes (alphabets of up to 255
+        symbols); anything else goes through :meth:`validate_text` and a
+        per-character lookup.
+
+        >>> Alphabet("ABCD").encode_text("CAB").codes
+        array([2, 0, 1], dtype=uint8)
+        """
+        chars = text
+        if not isinstance(text, str):
+            chars = text if isinstance(text, list) else list(text)
+            try:
+                text = "".join(chars)
+            except TypeError:
+                return self._encode_each(chars)
+            # Equal lengths mean one character per item, unless an empty
+            # string makes room for a longer one.
+            if len(text) != len(chars) or "" in chars:
+                return self._encode_each(chars)
+        n = len(self._symbols)
+        if n > 255:  # codes no longer fit the one-byte table
+            return self._encode_each(chars)
+        try:
+            raw = text.encode("latin-1")
+        except UnicodeEncodeError:
+            return self._encode_each(chars)
+        if self._table is None:
+            # Byte -> code; a stray byte maps to n, one past the last code.
+            table = bytearray([n]) * 256
+            for i, s in enumerate(self._symbols):
+                if ord(s) < 256:
+                    table[ord(s)] = i
+            self._table = bytes(table)
+        codes = raw.translate(self._table)
+        if codes.find(bytes([n])) >= 0:
+            self.validate_text(chars)  # raises for the first stray item
+        return EncodedText(np.frombuffer(codes, dtype=np.uint8), self)
+
+    def _encode_each(self, text: Iterable[str]) -> "EncodedText":
+        chars = self.validate_text(text)
+        codes = np.fromiter(
+            map(self._index.__getitem__, chars),
+            dtype=np.min_scalar_type(len(self._symbols)), count=len(chars),
+        )
+        return EncodedText(codes, self)
+
     # -- binary encoding (Figure 3-4: high-order bit enters first) --------
 
     def encode(self, ch: str) -> Tuple[int, ...]:
@@ -170,6 +228,48 @@ class Alphabet:
                 f"of {self!r}"
             )
         return self._symbols[value]
+
+
+class EncodedText:
+    """A validated text: its symbol codes and the alphabet they index.
+
+    Every layer after admission reads the codes: a kernel row, the cache
+    key's bytes, a text shard (a slice is a view of the same codes), the
+    runtime wire.  It is still a sequence of characters -- ``len``,
+    iteration and indexing decode codes back to symbols -- so the
+    character-level readers (the oracles, the shift-or fallback, the
+    stepwise machines) take it as they take a str.
+    ``numpy.asarray(text)`` is the code array itself, no copy.
+
+    >>> text = Alphabet("ABCD").encode_text("DAB")
+    >>> "".join(text), text[0], list(text[1:])
+    ('DAB', 'D', ['A', 'B'])
+    """
+
+    __slots__ = ("codes", "alphabet")
+
+    def __init__(self, codes: np.ndarray, alphabet: Alphabet):
+        self.codes = codes
+        self.alphabet = alphabet
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.alphabet.symbols.__getitem__, self.codes.tolist())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EncodedText(self.codes[i], self.alphabet)
+        return self.alphabet.symbols[self.codes[i]]
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is not None:
+            return self.codes.astype(dtype)
+        return self.codes.copy() if copy else self.codes
+
+    def __repr__(self) -> str:
+        return f"EncodedText({''.join(self)!r}, {self.alphabet!r})"
 
 
 #: The alphabet of the fabricated prototype chip (Plate 2): four symbols,

@@ -200,7 +200,8 @@ class PatternMatchingChip:
         """
         if self._pattern is None:
             raise ChipError("no pattern loaded")
-        return fast_match_many(self._pattern, [text], self.alphabet)[0]
+        codes = self.alphabet.encode_text(text)
+        return fast_match_many(self._pattern, [codes], self.alphabet)[0].tolist()
 
     def report(self, text: Sequence[str]) -> MatchReport:
         if self._stream is None:

@@ -147,7 +147,9 @@ class PatternMatcher:
             if self._m_fast_matches is not None:
                 self._m_fast_matches.inc()
                 self._m_fast_chars.inc(len(text))
-            return fast_match_many(self.pattern, [text], self.alphabet)[0]
+            codes = self.alphabet.encode_text(text)
+            return fast_match_many(self.pattern, [codes],
+                                   self.alphabet)[0].tolist()
         return self.report(text).results
 
     def report(self, text: Sequence[str]) -> MatchReport:

@@ -11,16 +11,19 @@ the only two message types that ever cross it.
 
 Everything here must be spawn-safe: requests and replies are plain
 dataclasses of picklable fields (pattern characters are the frozen
-:class:`~repro.alphabet.PatternChar`), and channels are created from an
-explicit ``multiprocessing.get_context("spawn")`` context so the runtime
-behaves identically on fork and spawn platforms.
+:class:`~repro.alphabet.PatternChar`, streams and result rows numpy
+arrays), and channels are created from an explicit
+``multiprocessing.get_context("spawn")`` context so the runtime behaves
+identically on fork and spawn platforms.
 """
 
 from __future__ import annotations
 
 import queue
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..errors import ServiceError
 
@@ -126,7 +129,7 @@ class JobRequest:
     attempt: int
     workload: str
     taps: list
-    streams: list  # each a list, or a compact str for character workloads
+    streams: list  # each a typed array: symbol codes or float64 samples
     collect_obs: bool = False
     fault: Optional[str] = None
     stall_s: float = 0.0
@@ -137,8 +140,9 @@ class JobRequest:
 class JobReply:
     """A worker's answer: window-space results plus its observations.
 
-    ``results`` holds one window-space row list per request stream, in
-    order.  ``metrics`` is the worker-local registry snapshot and
+    ``results`` holds one window-space row per request stream, in order,
+    as :func:`pack_row` ships it (:func:`unpack_row` restores the
+    array).  ``metrics`` is the worker-local registry snapshot and
     ``spans`` the worker-local span dump; the host folds them into the
     run's :class:`~repro.obs.Observability` via
     ``merge_snapshot``/``adopt``.
@@ -156,3 +160,34 @@ class JobReply:
     metrics: Optional[Dict[str, List[dict]]] = None
     spans: Optional[List[dict]] = field(default=None)
     bist: Optional[object] = None  # self-test probe answer: a BISTReport
+
+
+#: A result row on the wire: an array, or a boolean row's length and
+#: packed bits.
+WireRow = Union[np.ndarray, Tuple[int, bytes]]
+
+
+def pack_row(row: np.ndarray) -> WireRow:
+    """A result row as it crosses the wire: a boolean (match) row as its
+    length and ``np.packbits`` bytes, one bit per position; any other
+    row as its array.
+
+    >>> pack_row(np.array([True, False, True]))
+    (3, b'\\xa0')
+    """
+    if row.dtype == bool:
+        return len(row), np.packbits(row).tobytes()
+    return row
+
+
+def unpack_row(row: WireRow) -> np.ndarray:
+    """The array :func:`pack_row` shipped.
+
+    >>> unpack_row(pack_row(np.array([True, False, True]))).tolist()
+    [True, False, True]
+    """
+    if isinstance(row, tuple):
+        n, bits = row
+        return np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
+                             count=n).view(bool)
+    return row

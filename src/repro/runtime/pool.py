@@ -161,6 +161,9 @@ class WorkerPool:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
         for ch in self._requests:
+            # A request the worker never received would fill its
+            # capacity-1 channel and bounce the sentinel.
+            _clear(ch)
             ch.try_send(SHUTDOWN)
         for proc in self._procs:
             proc.join(timeout=timeout)
@@ -312,15 +315,13 @@ class WorkerPool:
                 )
         proc = self._procs[widx]
         ch = self._requests[widx]
+        _clear(ch)
         ch.try_send(SHUTDOWN)
         proc.join(timeout=timeout)
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=1.0)
-        while True:
-            got, _ = ch.try_recv()
-            if not got:
-                break
+        _clear(ch)
         self._procs[widx] = self._spawn(widx)
         with self._cond:
             self._quarantined.discard(widx)
@@ -413,3 +414,9 @@ class WorkerPool:
                     "runtime.pool.replies", worker=reply.worker
                 ).inc()
             callback(reply)
+
+
+def _clear(ch: Channel) -> None:
+    """Drop whatever waits undelivered in a request channel."""
+    while ch.try_recv()[0]:
+        pass

@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..alphabet import Alphabet
 from ..errors import BackpressureError, ServiceError
 from ..service.cache import ResultCache, result_cache_key
@@ -52,8 +54,9 @@ from ..service.reliability import (
 )
 from ..service.scheduler import Priority
 from ..service.telemetry import JobCounters
+from ..workloads.registry import to_list
 from .admission import RateLimiter
-from .channels import NO_LIVE_WORKER, JobReply, JobRequest
+from .channels import NO_LIVE_WORKER, JobReply, JobRequest, unpack_row
 from .pool import WorkerPool
 
 
@@ -369,25 +372,18 @@ class AsyncMatcherService(JobCounters):
             else:
                 stall_s = fault.extra_beats * self.config.stuck_stall_s
         jobs = [job for job, _ in unit.pieces]
-        wire = []
         for job in jobs:
             job.mode = "batched" if unit.batched else "pool"
             if job.started is None:
                 job.started = now
-            # Character streams cross the process boundary as a compact
-            # string (pickles/unpickles ~10x faster than a char list);
-            # the fast engines iterate either form identically.
-            stream = job.text
-            if not job.spec.numeric and stream and isinstance(stream[0], str):
-                stream = "".join(stream)
-            wire.append(stream)
         deadlines = [j.deadline for j in jobs if j.deadline is not None]
         request = JobRequest(
             job_id=unit.unit_id,
             attempt=unit.attempts,
             workload=jobs[0].workload,
             taps=jobs[0].taps,
-            streams=wire,
+            # The typed arrays themselves: symbol codes or samples.
+            streams=[np.asarray(job.text) for job in jobs],
             collect_obs=self.obs is not None,
             fault=fault_kind,
             stall_s=stall_s,
@@ -424,9 +420,10 @@ class AsyncMatcherService(JobCounters):
                 if reply.spans:
                     self.obs.tracer.adopt(reply.spans, parent=live[0].span,
                                           offset=max(live[0].started, 0.0))
-            for (job, shard), rows in zip(unit.pieces, reply.results):
+            for (job, shard), row in zip(unit.pieces, reply.results):
                 if not job.done:  # else its deadline fired: served degraded
-                    self.core.settle(job, shard, rows, now, 0.0, reply.worker)
+                    self.core.settle(job, shard, unpack_row(row), now, 0.0,
+                                     reply.worker)
             return
         # Whole-unit failure (death or error): the core's retry rule.
         if reply.died:
@@ -451,8 +448,9 @@ class AsyncMatcherService(JobCounters):
             self._units.pop(unit.unit_id, None)
 
     def _publish(self, job: Job) -> RuntimeResult:
-        """The finished job's result; resolves its future and cancels
-        its deadline timer."""
+        """The finished job's result, its values converted to their
+        public element types in one step; resolves its future and
+        cancels its deadline timer."""
         timer = self._timers.pop(job.job_id, None)
         if timer is not None:
             timer.cancel()
@@ -461,7 +459,7 @@ class AsyncMatcherService(JobCounters):
             tenant=job.tenant,
             priority=job.priority,
             workload=job.workload,
-            results=job.results,
+            results=to_list(job.results),
             submitted_s=job.submitted,
             started_s=job.started,
             finished_s=job.finished,

@@ -6,8 +6,10 @@ evaluate the workload's one kernel, ``spec.batched``, over the
 request's streams in one call (the same
 :class:`~repro.workloads.WorkloadSpec` kernel the synchronous farm
 uses, so results are byte-identical by construction; a solo job is a
-batch of one), reply with one window-space row list per stream plus
-the worker's own metrics snapshot and one ``worker.kernel`` span.  A
+batch of one) over the request's typed streams, reply with one
+window-space row per stream (:func:`~repro.runtime.channels.pack_row`:
+match rows as packed bits) plus the worker's own metrics snapshot and
+one ``worker.kernel`` span.  A
 ``bist`` request is a self-test probe instead: the worker builds the
 controller from the shipped health config and replies with the report,
 so only probed processes ever load the switch-level simulator.
@@ -26,7 +28,7 @@ import time
 from typing import Optional
 
 from ..alphabet import Alphabet
-from .channels import Channel, JobReply, JobRequest, SHUTDOWN
+from .channels import Channel, JobReply, JobRequest, SHUTDOWN, pack_row
 
 
 def _execute(
@@ -55,7 +57,8 @@ def _execute(
         from ..workloads.registry import get_workload
 
         spec = get_workload(req.workload)
-        results = spec.batched(req.taps, req.streams, alphabet)
+        results = [pack_row(row) for row in
+                   spec.batched(req.taps, req.streams, alphabet)]
         wall = time.perf_counter() - t0
         metrics = spans = None
         if req.collect_obs:

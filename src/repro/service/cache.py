@@ -15,10 +15,13 @@ pre-``prepare`` values: canonicalization (wildcards rendered as ``X``,
 taps as floats) means two spellings of the same job share an entry, and
 keying on parameters means a changed ``workload`` or tap vector can
 never alias a stale result -- the invalidation property the cache tests
-pin down.  Entries are LRU with three bounds: entry count, total cached
-output values (a size bound, since one result value ~ one output word),
-and an optional TTL in the caller's clock units (beats for the simulated
-farm, seconds for the asyncio runtime).
+pin down.  A validated stream is hashed as the bytes of its typed array
+(symbol codes or float64 samples); a character key also names the
+alphabet, since equal codes under two alphabets are different texts.
+Entries are LRU with three bounds: entry count, total cached output
+values (a size bound, since one result value ~ one output word), and an
+optional TTL in the caller's clock units (beats for the simulated farm,
+seconds for the asyncio runtime).
 
 The cache is deliberately clock-agnostic (``now`` is an argument, never
 ``time.time()``): the farm runs on a simulated :class:`~repro.service.scheduler.BeatClock`
@@ -28,11 +31,12 @@ and tests need determinism.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..alphabet import PatternChar, pattern_to_string
+import numpy as np
+
+from ..alphabet import EncodedText, PatternChar, pattern_to_string
 from ..errors import ServiceError
 from ..obs.metrics import MetricsRegistry
 from .telemetry import _Scalar
@@ -55,13 +59,15 @@ def canonical_params(taps: Sequence):
 def _stream_digest(stream: Sequence, numeric: bool) -> bytes:
     """A content digest of a validated input stream.
 
-    Character streams hash their utf-8 text; numeric streams hash the
-    exact IEEE-754 bytes (no repr round-off), so two streams collide only
-    if they are value-identical.
+    Encoded texts hash their code bytes, other character streams their
+    utf-8 text; numeric streams hash the exact IEEE-754 bytes (no repr
+    round-off), so two streams collide only if they are value-identical.
     """
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.sha256()  # hardware-accelerated on current x86 and arm
     if numeric:
-        h.update(array("d", stream).tobytes())
+        h.update(np.ascontiguousarray(stream, dtype=np.float64))
+    elif isinstance(stream, EncodedText):
+        h.update(np.ascontiguousarray(stream.codes))
     else:
         h.update("".join(stream).encode("utf-8"))
     return h.digest()
@@ -76,13 +82,18 @@ def result_cache_key(
     ``taps`` is the *parsed* parameter vector (:class:`PatternChar` list
     or float taps) and ``stream`` the *validated* input, both pre-
     ``prepare``: prepare-side padding is derived from these, so it can
-    never split identical jobs into distinct keys.  Pass ``params``
-    (from :func:`canonical_params`) to skip re-canonicalizing ``taps``
-    when keying many jobs that share one parameter vector.
+    never split identical jobs into distinct keys.  An
+    :class:`~repro.alphabet.EncodedText` keys on its code bytes plus its
+    alphabet's symbols.  Pass ``params`` (from :func:`canonical_params`)
+    to skip re-canonicalizing ``taps`` when keying many jobs that share
+    one parameter vector.
     """
     if params is None:
         params = canonical_params(taps)
-    return (workload, params, len(stream), _stream_digest(stream, numeric))
+    symbols = stream.alphabet.symbols \
+        if isinstance(stream, EncodedText) else None
+    return (workload, params, symbols, len(stream),
+            _stream_digest(stream, numeric))
 
 
 class _Entry:
@@ -219,7 +230,11 @@ class ResultCache:
         return list(entry.results)
 
     def put(self, key: Tuple, results: Sequence, now: float = 0.0) -> None:
-        """Store one result (a copy of it), evicting LRU past the bounds."""
+        """Store one result (a copy of it), evicting LRU past the bounds.
+
+        The services store the list they published, so an entry shares
+        its values with the published result and every hit's copy
+        shares them too."""
         if len(results) > self.max_values:
             return  # larger than the whole size budget: not cacheable
         old = self._entries.pop(key, None)  # re-store refreshes age + order

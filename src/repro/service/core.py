@@ -17,7 +17,7 @@ the shard merge and the builder of its public result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..workloads.registry import WorkloadSpec
 from .cache import ResultCache
@@ -32,18 +32,20 @@ from .sharding import TextShard, merge_shard_values
 class Job:
     """One admitted stream of any registered workload, with its state.
 
-    ``taps`` is the *prepared* tap vector, ``text`` the prepared stream
-    (padded for convolution/FIR) and ``orig_len`` the validated input
-    length ``spec.finalize`` maps results back onto.  Times are in the
-    front door's clock unit; the last three fields are set when the job
-    completes."""
+    ``taps`` is the *prepared* tap vector, ``text`` the prepared typed
+    stream (codes or samples, padded for convolution/FIR) and
+    ``orig_len`` the validated input length ``spec.finalize`` maps
+    results back onto.  Times are in the front door's clock unit; the
+    last three fields are set when the job completes: ``results`` holds
+    the result array (a cache hit's list) until the front door
+    publishes it, then the published list."""
 
     job_id: int
     tenant: str
     priority: Priority
     spec: WorkloadSpec
     taps: list
-    text: list
+    text: Sequence
     orig_len: int
     submitted: float
     deadline: Optional[float] = None  # absolute; None = no SLO
@@ -53,7 +55,7 @@ class Job:
     mode: Optional[str] = None  # device route fixed at first dispatch
     shards: Optional[List[TextShard]] = None  # set when text-sharded
     pending: int = 1  # pieces not yet served
-    shard_results: Dict[int, list] = field(default_factory=dict)
+    shard_results: Dict[int, Sequence] = field(default_factory=dict)
     shard_finish: Dict[int, float] = field(default_factory=dict)
     started: Optional[float] = None  # first commit, else software start
     service: float = 0.0
@@ -62,7 +64,7 @@ class Job:
     timed_out: bool = False
     unit: Optional["Unit"] = None  # the planned unit carrying it
     done: bool = False
-    results: Optional[list] = None
+    results: Optional[Sequence] = None
     finished: Optional[float] = None
 
     @property
@@ -126,7 +128,9 @@ class ServiceCore:
     *counters* has integer ``submitted``, ``completed``, ``deduped``,
     ``batches``, ``batched_jobs``, ``retries``, ``fallbacks`` and
     ``timeouts`` attributes.  *publish* builds the public result of a
-    finished :class:`Job` (and does the front door's own accounting);
+    finished :class:`Job`, converting ``job.results`` to the list its
+    ``results`` attribute carries (and does the front door's own
+    accounting);
     *software_cost* maps (window, characters, start) to the duration of
     a software run that started at *start*: modelled host beats in the
     farm, measured seconds in the runtime.
@@ -257,7 +261,7 @@ class ServiceCore:
             self.settle(job, shard, results, now + cost, cost)
 
     def settle(
-        self, job: Job, shard: TextShard, results: list, finish: float,
+        self, job: Job, shard: TextShard, results: Sequence, finish: float,
         cost: float, worker: Optional[str] = None,
     ) -> None:
         """Book one served piece (*worker* None for software); the job
@@ -282,13 +286,17 @@ class ServiceCore:
         self._complete(job, results, max(job.shard_finish.values()), mode)
 
     def _complete(
-        self, job: Job, results: list, finished: float, mode: str
+        self, job: Job, results: Sequence, finished: float, mode: str
     ) -> None:
         """Publish *job*'s result, write an executed answer back to the
         cache and hand every follower a copy."""
         job.done, job.unit = True, None  # no job <-> unit cycle to outlive it
         job.results, job.finished, job.mode = results, finished, mode
         result = self.publish(job)
+        # The cache and the followers copy the published list, sharing
+        # its values: the log keeps every result, so converting the
+        # array again per hit or per follower would cost memory.
+        job.results = result.results
         self.log.add(result)
         self.counters.completed += 1
         if job.span is not None:
@@ -298,7 +306,7 @@ class ServiceCore:
             job.span = None
         if self.cache is not None and job.cache_key is not None and \
                 mode not in (CACHED, DEDUPED):
-            self.cache.put(job.cache_key, results, now=finished)
+            self.cache.put(job.cache_key, job.results, now=finished)
         for follower in self._followers.pop(job.job_id, ()):
             self._inherit(job, follower, finished)
 
@@ -310,4 +318,4 @@ class ServiceCore:
         follower.workers_used = rep.workers_used
         follower.via_fallback = rep.via_fallback
         follower.timed_out = rep.timed_out
-        self._complete(follower, list(rep.results), now, DEDUPED)
+        self._complete(follower, rep.results, now, DEDUPED)

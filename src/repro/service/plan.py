@@ -49,12 +49,13 @@ INLINE = (EMPTY, CACHED)
 
 
 class Prepared(NamedTuple):
-    """One stream after validation: the validated input, and the kernel
-    taps and feed that ``spec.prepare`` derives from it."""
+    """One stream after validation: the validated input (typed once,
+    see :meth:`~repro.workloads.WorkloadSpec.validate_stream`), and the
+    kernel taps and feed that ``spec.prepare`` derives from it."""
 
-    validated: list
+    validated: Sequence
     taps: list
-    feed: list
+    feed: Sequence
 
 
 class Request(NamedTuple):
@@ -142,7 +143,7 @@ def plan(
     solos: List[int] = []
     batchable: List[int] = []
     for i, stream in enumerate(streams):
-        if not stream.validated:
+        if len(stream.validated) == 0:
             routes.append(Route(EMPTY))
             continue
         k = None

@@ -20,6 +20,8 @@ import math
 from enum import Enum
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..alphabet import Alphabet, PatternChar
 from ..chip.cascade import ChipCascade
 from ..chip.chip import ChipSpec, PatternMatchingChip
@@ -177,19 +179,21 @@ class PoolWorker:
     def run_match(
         self, pattern: Sequence[PatternChar], text: Sequence[str], **kw
     ) -> List[bool]:
-        """One match: a batch of one through :meth:`run_kernel_batch`."""
-        return self.run_kernel_batch(MATCH, pattern, [text], **kw)[0]
+        """One match of a character text, as a list of bools: a batch
+        of one through :meth:`run_kernel_batch`."""
+        text = self.alphabet.encode_text(text)
+        return self.run_kernel_batch(MATCH, pattern, [text], **kw)[0].tolist()
 
     def run_kernel(
         self, spec, taps: Sequence, stream: Sequence, **kw
-    ) -> List:
-        """One window pass: a batch of one through
+    ) -> np.ndarray:
+        """One window pass over a typed stream: a batch of one through
         :meth:`run_kernel_batch`."""
         return self.run_kernel_batch(spec, taps, [stream], **kw)[0]
 
     def run_match_batch(
         self, pattern: Sequence[PatternChar], texts: Sequence, **kw
-    ) -> List[List[bool]]:
+    ) -> List[np.ndarray]:
         """Many matches: :meth:`run_kernel_batch` for the match
         workload."""
         return self.run_kernel_batch(MATCH, pattern, texts, **kw)
@@ -203,17 +207,18 @@ class PoolWorker:
         parent=None,
         t0: float = 0.0,
         t1: float = 0.0,
-    ) -> List[List]:
+    ) -> List[np.ndarray]:
         """Execute one workload over a batch of streams in one device call.
 
         Every execution takes this path: a solo job or text shard is a
         batch of one, a batch plan streams many short inputs through the
         loaded taps back to back.  *spec* is a
         :class:`~repro.workloads.WorkloadSpec`, *taps* its prepared taps
-        and *streams* the prepared streams (or shards of them); the
-        result streams come out per input.  The values always come from
-        the workload's one kernel, ``spec.batched`` (for match the
-        vectorized :func:`~repro.core.fastpath.fast_match_many`, proven
+        and *streams* the prepared typed streams (or shards of them:
+        views); one result array comes out per input.  The values
+        always come from the workload's one kernel, ``spec.batched``
+        (for match the vectorized
+        :func:`~repro.core.fastpath.fast_match_many`, proven
         bit-identical to the stepwise chip/cascade/multipass models);
         whether the window *fits* or needs the Section 3.4 multipass
         scheme only affects the beat and bus accounting in
@@ -244,12 +249,16 @@ class PoolWorker:
         obs.registry.counter("worker.executions", **labels).inc()
         obs.registry.counter("worker.samples", **labels).inc(samples)
         if obs.deep:
-            for stream, rows in zip(streams, results):
+            # The re-checks read characters and lists: the slower models
+            # decode the typed stream, the row converts once.
+            for stream, row in zip(streams, results):
                 if spec is MATCH:
-                    self._deep_trace(obs, span, tuple(taps), stream, rows)
+                    self._deep_trace(obs, span, tuple(taps), stream,
+                                     row.tolist())
                 else:
                     _agree(span, "oracle_agrees",
-                           spec.oracle(taps, stream, self.alphabet) == rows)
+                           spec.oracle(taps, stream, self.alphabet)
+                           == row.tolist())
         return results
 
     def _deep_trace(self, obs, span, key, text, results) -> None:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..alphabet import PatternChar
 from ..baselines.shift_or import shift_or_match
 from ..errors import ServiceError
@@ -239,16 +241,21 @@ class SoftwareFallback:
             return []
         return shift_or_match(list(pattern), list(text))
 
-    def kernel(self, spec, taps: Sequence, stream: Sequence) -> List:
+    def kernel(self, spec, taps: Sequence, stream: Sequence) -> np.ndarray:
         """Serve one workload window pass (or shard of one) from the host
         CPU: :meth:`match` for match, else the workload's *direct
         oracle* -- the behavioral ground truth -- so degraded jobs keep
-        the same never-wrong guarantee whatever the workload."""
+        the same never-wrong guarantee whatever the workload.  Both read
+        the typed stream decoded (characters or floats); the values come
+        back as an array of the workload's ``incomplete`` type, like a
+        device row."""
         if len(stream) == 0:
-            return []
-        if spec is MATCH:
-            return self.match(taps, stream)
-        return spec.oracle(taps, list(stream), None)
+            values = []
+        elif spec is MATCH:
+            values = self.match(taps, stream)
+        else:
+            values = spec.oracle(taps, stream, None)
+        return np.array(values, dtype=type(spec.incomplete))
 
     def beats(self, pattern_len: int, text_len: int, beat_ns: float) -> int:
         """Software matching time, expressed in chip beats for apples-to-

@@ -41,6 +41,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..errors import BackpressureError, ServiceError
 from ..host.bus import HostSpec
+from ..workloads.registry import to_list
 from .cache import ResultCache, result_cache_key
 from .core import Job, ServiceCore, Trace, Unit
 from .plan import parse_request, plan as plan_routes
@@ -441,17 +442,20 @@ class MatcherService:
     # -- completion --------------------------------------------------------
 
     def _settle_worker(self, unit: Unit) -> bool:
-        """Book one finished execution against its worker; True when the
-        worker died in it (it is then DEAD, else IDLE again)."""
+        """Book one finished unit against its worker; True when the
+        worker died in it (it is then DEAD, else IDLE again).  Busy
+        beats count either way, but only a unit that reaches its device
+        call counts as an execution: the same count as the trace's
+        ``worker.kernel`` spans, which is what replay reports."""
         worker, fault = unit.worker, unit.fault
         stats = self.telemetry.worker_stats(worker.name, worker.capacity)
-        stats.executions += 1
         stats.record_busy(unit.start, unit.finish)
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             worker.state = WorkerState.DEAD
             stats.died = True
             self.telemetry.deaths += 1
             return True
+        stats.executions += 1
         worker.state = WorkerState.IDLE
         if fault is not None and fault.kind is FaultKind.STUCK_BEATS:
             stats.stuck_events += 1
@@ -497,8 +501,10 @@ class MatcherService:
 
     def _publish(self, job: Job) -> JobResult:
         """The finished job's result (its wait runs from submission to
-        its start), booked into the farm's telemetry."""
-        results, started, finished = job.results, job.started, job.finished
+        its start), booked into the farm's telemetry.  Its values take
+        their public element types here, in one conversion."""
+        results = to_list(job.results)
+        started, finished = job.started, job.finished
         result = JobResult(
             job.job_id, job.tenant, job.priority, results, job.submitted,
             started, finished, started - job.submitted, job.service,

@@ -13,8 +13,10 @@ Two independent axes, both straight from Section 3.4:
   like the substring bookkeeping of the multipass derivation.
 
 The merge reassembles per-shard result streams into the single oracle
-stream with one slice copy per shard, checking coverage on the shards'
-owned intervals rather than position by position.
+stream with one slice copy per shard into one result array allocated up
+front (the plan fixes every output length before dispatch), checking
+coverage on the shards' owned intervals rather than position by
+position.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ServiceError
 
@@ -52,7 +56,9 @@ class TextShard:
     def n_fed(self) -> int:
         return self.out_hi - self.feed_start + 1
 
-    def feed(self, text: Sequence[str]) -> Sequence[str]:
+    def feed(self, text: Sequence) -> Sequence:
+        """The shard's slice of *text*: a view when *text* is an array
+        or an :class:`~repro.alphabet.EncodedText`."""
         return text[self.feed_start : self.out_hi + 1]
 
 
@@ -126,8 +132,8 @@ def merge_shard_values(
     shard_results: Sequence[Sequence],
     text_len: int,
     incomplete=False,
-) -> List:
-    """Reassemble per-shard windowed result streams, any value type.
+) -> np.ndarray:
+    """Reassemble per-shard windowed result streams into one array.
 
     Each shard's results are local to its fed slice; position ``j`` of
     shard *s* is global position ``s.feed_start + j``.  Only owned
@@ -137,13 +143,16 @@ def merge_shard_values(
     This is what makes halo-overlap sharding workload-agnostic: every
     Section 3.4 kernel produces one value per stream position with a
     ``window - 1`` warm-up, so the same owned/overlap bookkeeping merges
-    match bits, match counts, and numeric windows alike.
+    match bits, match counts, and numeric windows alike.  The result
+    array has ``text_len`` positions and the dtype of ``incomplete``
+    (``bool``, ``int64`` or ``float64``), so every shard is one slice
+    copy into it.
     """
     if len(shards) != len(shard_results):
         raise ServiceError(
             f"{len(shards)} shards but {len(shard_results)} result streams"
         )
-    out = [incomplete] * text_len
+    out = np.full(text_len, incomplete)
     for shard, results in zip(shards, shard_results):
         if len(results) != shard.n_fed:
             raise ServiceError(
@@ -179,9 +188,8 @@ def merge_shard_results(
     shards: Sequence[TextShard],
     shard_results: Sequence[Sequence[bool]],
     text_len: int,
-) -> List[bool]:
+) -> np.ndarray:
     """Boolean-matching specialization of :func:`merge_shard_values`:
-    the merged stream as Python ``bool`` values, like the hardware
-    result pin's, whatever truthy type the shards returned."""
-    return list(map(bool, merge_shard_values(shards, shard_results,
-                                             text_len, False)))
+    the merged stream as one ``bool`` array, like the hardware result
+    pin's bits, whatever truthy type the shards returned."""
+    return merge_shard_values(shards, shard_results, text_len, False)

@@ -41,8 +41,11 @@ single-call entry point.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..alphabet import Alphabet, PatternChar, parse_pattern
 from ..errors import PatternError
@@ -66,6 +69,7 @@ __all__ = [
     "list_workloads",
     "run_workload",
     "run_workload_many",
+    "to_list",
     "WORKLOADS",
 ]
 
@@ -106,6 +110,35 @@ def _parse_taps(params, _alphabet, name):
     return taps
 
 
+def _samples(stream) -> np.ndarray:
+    """A numeric stream as float64 samples.  The C-level ``array("d")``
+    conversion takes the common case; only when it raises does the
+    per-item ``float()`` loop run, which accepts exactly what
+    ``float()`` accepts (``"1.5"``) and raises its errors (``None``)."""
+    items = stream if isinstance(stream, list) else list(stream)
+    values = array("d")
+    try:
+        values.fromlist(items)
+    except _BAD_VALUE:
+        values.fromlist([float(v) for v in items])
+    return np.frombuffer(values, dtype=np.float64)
+
+
+def to_list(values) -> list:
+    """*values* as a fresh list of Python values: one ``.tolist()`` for
+    a result array (``bool``/``int``/``float``), a copy of anything
+    else.  Results take this once, when a front door publishes them."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _decoded(feed) -> Sequence:
+    """A typed feed as the oracles read it: the characters of an
+    :class:`~repro.alphabet.EncodedText`, or the samples of an array as
+    Python floats (through a memoryview, so no float is made until the
+    oracle reads it)."""
+    return memoryview(feed) if isinstance(feed, np.ndarray) else list(feed)
+
+
 def _identity_prepare(taps, feed):
     return taps, feed
 
@@ -115,18 +148,19 @@ def _identity_finalize(_taps, _orig_len, merged):
 
 
 def _conv_prepare(taps, feed):
-    pad = [0.0] * (len(taps) - 1)
-    return list(reversed(taps)), pad + feed + pad
+    pad = np.zeros(len(taps) - 1)
+    return list(reversed(taps)), np.concatenate((pad, feed, pad))
 
 
 def _conv_finalize(taps, orig_len, merged):
     if orig_len == 0:
-        return []
+        return merged[:0]
     return _fir_finalize(taps, orig_len, merged)
 
 
 def _fir_prepare(taps, feed):
-    return list(reversed(taps)), [0.0] * (len(taps) - 1) + feed
+    pad = np.zeros(len(taps) - 1)
+    return list(reversed(taps)), np.concatenate((pad, feed))
 
 
 def _fir_finalize(taps, _orig_len, merged):
@@ -146,6 +180,12 @@ class WorkloadSpec:
     ``batched(taps, [feed], alphabet)[0]``.  ``stepwise`` runs the whole
     workload end to end on the behavioral :mod:`repro.extensions`
     machine -- the differential-testing target.
+
+    Streams are typed from admission on: ``validate_stream`` returns an
+    :class:`~repro.alphabet.EncodedText` (symbol codes) or a float64
+    array, ``prepare`` pads that array, ``batched`` returns one numpy
+    row per stream and ``finalize`` slices it.  The oracles read the
+    same typed feeds, decoded.
     """
 
     name: str
@@ -157,19 +197,23 @@ class WorkloadSpec:
     oracle: Callable[[list, list, Optional[Alphabet]], list]
     stepwise: Callable[[object, Sequence, Optional[Alphabet]], list]
     #: Window-space batch evaluator: (prepared taps, list of prepared
-    #: feeds, alphabet) -> one merged result list per feed.
-    batched: Callable[[list, List[list], Optional[Alphabet]], List[list]]
-    prepare: Callable[[list, list], Tuple[list, list]] = _identity_prepare
-    finalize: Callable[[list, int, list], list] = _identity_finalize
+    #: feeds, alphabet) -> one result array per feed.
+    batched: Callable[[list, List[Sequence], Optional[Alphabet]],
+                      List[np.ndarray]]
+    prepare: Callable[[list, Sequence], Tuple[list, Sequence]] = \
+        _identity_prepare
+    finalize: Callable[[list, int, Sequence], Sequence] = _identity_finalize
 
-    def validate_stream(self, stream: Sequence, alphabet: Optional[Alphabet]) -> list:
-        """The stream as a list of samples (floats) or alphabet
-        characters; anything else raises a :class:`WorkloadError` or
+    def validate_stream(self, stream: Sequence, alphabet: Optional[Alphabet]):
+        """The stream, typed once at admission: an
+        :class:`~repro.alphabet.EncodedText` of symbol codes for a
+        character workload, a float64 array for a numeric one.
+        Anything else raises a :class:`WorkloadError` or
         :class:`~repro.errors.AlphabetError`."""
         try:
             if self.numeric:
-                return [float(v) for v in stream]
-            return _require_alphabet(alphabet, self.name).validate_text(stream)
+                return _samples(stream)
+            return _require_alphabet(alphabet, self.name).encode_text(stream)
         except _BAD_VALUE as exc:
             raise WorkloadError(
                 f"bad {self.name!r} stream: {type(exc).__name__}: {exc}"
@@ -224,7 +268,7 @@ class WorkloadSpec:
         else:  # "batched", or its old name "fast"
             merged_all = self.batched(ktaps, feeds, alphabet)
         return [
-            self.finalize(ktaps, len(v), m)
+            to_list(self.finalize(ktaps, len(v), m))
             for v, m in zip(validated, merged_all)
         ]
 
@@ -269,7 +313,7 @@ MATCH = _register(WorkloadSpec(
     numeric=False,
     incomplete=False,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "match"),
-    oracle=lambda taps, feed, al: match_oracle(taps, feed),
+    oracle=lambda taps, feed, al: match_oracle(taps, _decoded(feed)),
     stepwise=lambda params, stream, al: _stepwise_match(params, stream, al),
     batched=lambda taps, feeds, al: fast_match_many(taps, feeds, al),
 ))
@@ -281,7 +325,7 @@ COUNT = _register(WorkloadSpec(
     numeric=False,
     incomplete=0,
     parse_params=lambda params, al: _parse_char_pattern(params, al, "count"),
-    oracle=lambda taps, feed, al: count_oracle(taps, feed),
+    oracle=lambda taps, feed, al: count_oracle(taps, _decoded(feed)),
     stepwise=lambda params, stream, al: systolic_match_counts(
         params, stream, _require_alphabet(al, "count")
     ),
@@ -295,7 +339,7 @@ CORRELATION = _register(WorkloadSpec(
     numeric=True,
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "correlation"),
-    oracle=lambda taps, feed, al: correlation_oracle(taps, feed),
+    oracle=lambda taps, feed, al: correlation_oracle(taps, _decoded(feed)),
     stepwise=lambda params, stream, al: systolic_correlation(
         [float(v) for v in params], [float(v) for v in stream]
     ),
@@ -310,7 +354,7 @@ INNER = _register(WorkloadSpec(
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "inner-product"),
     oracle=lambda taps, feed, al: linear_product_oracle(
-        taps, feed, INNER_PRODUCT, 0.0
+        taps, _decoded(feed), INNER_PRODUCT, 0.0
     ),
     stepwise=lambda params, stream, al: systolic_inner_products(
         [float(v) for v in params], [float(v) for v in stream]
@@ -326,7 +370,7 @@ CONVOLUTION = _register(WorkloadSpec(
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "convolution"),
     oracle=lambda taps, feed, al: linear_product_oracle(
-        taps, feed, INNER_PRODUCT, 0.0
+        taps, _decoded(feed), INNER_PRODUCT, 0.0
     ),
     stepwise=lambda params, stream, al: systolic_convolution(
         [float(v) for v in params], [float(v) for v in stream]
@@ -344,7 +388,7 @@ FIR = _register(WorkloadSpec(
     incomplete=0.0,
     parse_params=lambda params, al: _parse_taps(params, al, "fir"),
     oracle=lambda taps, feed, al: linear_product_oracle(
-        taps, feed, INNER_PRODUCT, 0.0
+        taps, _decoded(feed), INNER_PRODUCT, 0.0
     ),
     stepwise=lambda params, stream, al: systolic_fir(
         [float(v) for v in params], [float(v) for v in stream]

@@ -60,7 +60,8 @@ class TestEquivalence:
         stepwise = PatternMatcher(pattern, alphabet).report(text).results
         oracle = match_oracle(parse_pattern(pattern, alphabet), list(text))
         assert fast == stepwise == oracle
-        assert fast_match_many(pattern, [text], alphabet) == [oracle]
+        rows = fast_match_many(pattern, [alphabet.encode_text(text)], alphabet)
+        assert [row.tolist() for row in rows] == [oracle]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -93,7 +94,7 @@ class TestApiParity:
         matchers = (
             PatternMatcher("AB", AB4).match,
             chip.match,
-            lambda text: fast_match_many("AB", [text], AB4),
+            AB4.encode_text,  # the one encoder the kernels' rows come from
         )
         # A stray letter, a non-str item, a symbol outside latin-1.
         for bad in ("ABZ", ["A", 5], "AB\u0100"):

@@ -44,12 +44,21 @@ def stepwise_match(pattern, text):
     return PatternMatcher(pattern, AB).report(text).results
 
 
+def codes(texts):
+    """The kernels' character rows: one encoded text per member."""
+    return [AB.encode_text(t) for t in texts]
+
+
+def lists(rows):
+    return [row.tolist() for row in rows]
+
+
 class TestManyTexts:
     @settings(max_examples=80, deadline=None)
     @given(char_patterns, st.lists(char_texts, min_size=0, max_size=8))
     def test_match_many_is_a_loop_of_fast_matchers(self, pattern, texts):
         parsed = parse_pattern(pattern, AB)
-        rows = fast_match_many(pattern, texts, AB)
+        rows = lists(fast_match_many(pattern, codes(texts), AB))
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
             assert row == match_oracle(parsed, list(text))
@@ -59,7 +68,7 @@ class TestManyTexts:
     @given(char_patterns, st.lists(char_texts, min_size=0, max_size=8))
     def test_counts_many_is_a_loop_of_fast_counters(self, pattern, texts):
         parsed = parse_pattern(pattern, AB)
-        rows = fast_counts_many(pattern, texts, AB)
+        rows = lists(fast_counts_many(pattern, codes(texts), AB))
         assert len(rows) == len(texts)
         for text, row in zip(texts, rows):
             assert row == count_oracle(parsed, list(text))
@@ -71,7 +80,7 @@ class TestManyTexts:
 
     def test_ragged_texts_including_empty_and_short(self):
         texts = ["", "A", "ABAB", "ABCDABCD" * 4]
-        rows = fast_match_many("ABX", texts, AB)
+        rows = lists(fast_match_many("ABX", codes(texts), AB))
         assert rows[0] == [] and rows[1] == [False]
         parsed = parse_pattern("ABX", AB)
         for text, row in zip(texts, rows):
@@ -79,17 +88,20 @@ class TestManyTexts:
             assert row == stepwise_match("ABX", text)
 
     def test_out_of_alphabet_in_any_member_raises(self):
+        # Rows are encoded before any kernel runs: the encoder rejects.
         with pytest.raises(AlphabetError):
-            fast_match_many("AB", ["ABCD", "AZ"], AB)
+            fast_match_many("AB", codes(["ABCD", "AZ"]), AB)
         with pytest.raises(AlphabetError):
-            fast_counts_many("AB", ["AZ"], AB)
+            fast_counts_many("AB", codes(["AZ"]), AB)
+        with pytest.raises(TypeError):  # raw characters are not rows
+            fast_match_many("AB", ["ABCD"], AB)
 
 
 class TestManyStreams:
     @settings(max_examples=80, deadline=None)
     @given(taps_lists, st.lists(numeric_streams, min_size=0, max_size=8))
     def test_inner_products_many(self, taps, streams):
-        rows = fast_inner_products_many(taps, streams)
+        rows = lists(fast_inner_products_many(taps, streams))
         assert len(rows) == len(streams)
         for stream, row in zip(streams, rows):
             assert row == linear_product_oracle(taps, stream, INNER_PRODUCT, 0.0)
@@ -98,7 +110,7 @@ class TestManyStreams:
     @settings(max_examples=80, deadline=None)
     @given(taps_lists, st.lists(numeric_streams, min_size=0, max_size=8))
     def test_squared_distances_many(self, taps, streams):
-        rows = fast_squared_distances_many(taps, streams)
+        rows = lists(fast_squared_distances_many(taps, streams))
         assert len(rows) == len(streams)
         for stream, row in zip(streams, rows):
             assert row == correlation_oracle(taps, stream)

@@ -18,7 +18,13 @@ from repro.chip.chip import ChipSpec
 from repro.obs.__main__ import main as obs_main
 from repro.obs.replay import render_report, trace_report
 from repro.obs.trace import Tracer
-from repro.service import MatcherService, PoolWorker, uniform_pool
+from repro.service import (
+    FaultInjector,
+    MatcherService,
+    PoolWorker,
+    SchedulerConfig,
+    uniform_pool,
+)
 
 AB = Alphabet("ABCD")
 
@@ -180,6 +186,30 @@ class TestReplayCountsEveryExecution:
         }
         assert {w: r["samples"] for w, r in workers.items()} == fed
         assert sum(fed.values()) > 800  # the shards' halo is fed twice
+
+    def test_a_death_is_not_an_execution(self, tmp_path, capsys):
+        """A unit whose chip dies makes no device call: neither the
+        telemetry nor the replay counts it as an execution.  Seed 22
+        kills the batch plan's first launch on a 2-chip farm (the
+        conformance suite's ``batch-retried`` case)."""
+        obs = Observability()
+        svc = MatcherService(
+            uniform_pool(2, ChipSpec(8, 2), AB), obs=obs,
+            config=SchedulerConfig(max_batch_jobs=2),
+            faults=FaultInjector(seed=22, p_death=0.3),
+        )
+        a, b, c = "ABCAACAC", "CACCABAB", "BBCAACCA"
+        svc.submit_many("AXC", [a, b, a, "", c])
+        svc.drain()
+        assert svc.telemetry.deaths == 1
+        trace, out = tmp_path / "trace.json", tmp_path / "report.json"
+        obs.save(str(trace))
+        assert obs_main(["replay", str(trace), "--json", str(out)]) == 0
+        capsys.readouterr()
+        workers = json.loads(out.read_text())["workers"]
+        telemetry = {w: s.executions for w, s in svc.telemetry.workers.items()}
+        assert {w: r["executions"] for w, r in workers.items()} == telemetry
+        assert sum(telemetry.values()) == 2  # the solo job + the retry
 
 
 class TestPerWorkerArrayLabels:

@@ -4,6 +4,7 @@ for every registered workload, fault/retry/fallback behaviour, SLO
 deadlines, admission control, and observability merge-back."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -218,6 +219,31 @@ class TestReliabilityPolicy:
         expect = get_workload("match").run("AB", "ABAB" * 4, AB,
                                            engine="oracle")
         assert r.results == expect
+
+    def test_close_right_after_shedding_an_undelivered_request(self):
+        """The worker is still starting when the deadline sheds its
+        request, so the request waits undelivered in the worker's
+        capacity-1 channel.  ``close()`` clears it before sending the
+        shutdown sentinel, so the worker never runs the shed request
+        (a 10 s stall) and stops as soon as it is up."""
+
+        async def go():
+            svc = AsyncMatcherService(
+                1, AB,
+                faults=FaultInjector(seed=3, p_stuck=1.0,
+                                     stuck_beats=(500, 500)),
+                config=RuntimeConfig(stuck_stall_s=0.02),
+            )
+            await svc.start()
+            jid = await svc.submit("AB", "ABAB", timeout=0.05)
+            result = await svc.result(jid)
+            t0 = time.perf_counter()
+            await svc.close()
+            return result, time.perf_counter() - t0
+
+        result, close_s = run(go())
+        assert result.timed_out and result.via_fallback
+        assert close_s < 1.0
 
     def test_timeout_validation(self, shared_pool):
         async def go():

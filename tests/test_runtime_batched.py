@@ -16,6 +16,7 @@ import pytest
 from repro.alphabet import Alphabet
 from repro.errors import BackpressureError, ReproError, ServiceError
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
+from repro.runtime.channels import unpack_row
 from repro.service.cache import ResultCache
 from repro.service.reliability import FaultInjector
 from repro.workloads import get_workload, list_workloads, run_workload
@@ -92,7 +93,7 @@ class TestCoalescing:
     ):
         """A solo unit is a batch of one on the wire: both units cross in
         ``JobRequest.streams``, one stream per piece, and each reply
-        holds one result row per stream."""
+        holds one result row per stream (a match row as packed bits)."""
         sent, replies = [], []
         submit = shared_pool.submit
 
@@ -118,7 +119,9 @@ class TestCoalescing:
         assert run(go()) == ["pool", "batched", "batched"]
         solo, batch = sent
         assert [len(r.streams) for r in sent] == [1, 2]
-        rows = {r.job_id: r.results for r in replies}
+        rows = {r.job_id: [unpack_row(row).tolist() for row in r.results]
+                for r in replies}
+        assert all(isinstance(row, tuple) for r in replies for row in r.results)
         assert rows[solo.job_id] == [oracle("AX", texts[0])]
         assert rows[batch.job_id] == [oracle("AX", t) for t in texts[1:]]
 

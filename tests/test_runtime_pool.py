@@ -18,7 +18,7 @@ from repro.runtime import (
     TokenBucket,
     WorkerPool,
 )
-from repro.runtime.channels import NO_LIVE_WORKER
+from repro.runtime.channels import NO_LIVE_WORKER, unpack_row
 
 AB = Alphabet("ABCD")
 
@@ -145,7 +145,8 @@ def _match_request(job_id, text="ABCDABCA", attempt=0, **kw):
 
     return JobRequest(
         job_id=job_id, attempt=attempt, workload="match",
-        taps=parse_pattern("AB", AB), streams=[list(text)], **kw,
+        taps=parse_pattern("AB", AB), streams=[AB.encode_text(text).codes],
+        **kw,
     )
 
 
@@ -159,7 +160,7 @@ class TestWorkerPool:
         assert reply.ok and not reply.died
         expect = get_workload("match").run("AB", "ABCDABCA", AB,
                                            engine="oracle")
-        assert reply.results == [expect]
+        assert [unpack_row(row).tolist() for row in reply.results] == [expect]
 
     def test_parallel_fanout_uses_both_workers(self, pool):
         cb, wait = _collect(8)

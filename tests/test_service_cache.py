@@ -62,6 +62,30 @@ class TestKeying:
         assert k1 != k2 and k1 == k3
 
 
+    def test_one_cache_two_alphabets_never_crosses(self):
+        """"AB" under ABCD and "BA" under BACD are the same symbol codes
+        [0, 1]; the key names the alphabet, so a cache shared by two
+        farms with those alphabets serves neither the other's answer."""
+        cache = ResultCache()
+        abcd, bacd = Alphabet("ABCD"), Alphabet("BACD")
+        farms = [
+            MatcherService(uniform_pool(1, ChipSpec(8, 2), al), cache=cache)
+            for al in (abcd, bacd)
+        ]
+        served = []
+        for _ in range(2):  # cold, then warm
+            for svc, text in zip(farms, ("AB", "BA")):
+                svc.submit("AB", text)
+                served.append(svc.drain()[-1])
+        assert [r.results for r in served] == [
+            [False, True], [False, False], [False, True], [False, False]
+        ]
+        assert [r.mode for r in served] == [
+            "direct", "direct", "cached", "cached"
+        ]
+        assert cache.hits == 2 and len(cache) == 2
+
+
 class TestBounds:
     def test_lru_eviction_order(self):
         cache = ResultCache(max_entries=2)

@@ -23,6 +23,7 @@ from repro.service.plan import parse_request, plan
 from repro.service.reliability import RetryPolicy, SoftwareFallback
 from repro.service.scheduler import Priority
 from repro.workloads import run_workload
+from repro.workloads.registry import to_list
 
 AB = Alphabet("ABCD")
 TRACE = Trace("ticks", "fake.job", "fake.software", "fake.timeout",
@@ -44,8 +45,9 @@ class FakeTransport:
         )
 
     def publish(self, job):
+        # A front door converts the result array once, at publish.
         return SimpleNamespace(
-            job_id=job.job_id, results=job.results, mode=job.mode,
+            job_id=job.job_id, results=to_list(job.results), mode=job.mode,
             attempts=job.attempts, timed_out=job.timed_out,
             via_fallback=job.via_fallback, workers=tuple(job.workers_used),
             started=job.started, finished=job.finished,

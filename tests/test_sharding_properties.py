@@ -1,10 +1,12 @@
 """Property: the shard merge equals a position-by-position merge.
 
 :func:`merge_shard_values` copies each shard's owned slice in one step
-and checks coverage on the shards' intervals.  Over random plans it must
-agree with the plain per-position reassembly kept below, raise the same
-:class:`ServiceError` messages, and :func:`merge_shard_results` must hand
-back Python ``bool`` values whatever truthy type the shards returned.
+into one result array and checks coverage on the shards' intervals.
+Over random plans it must agree with the plain per-position reassembly
+kept below, raise the same :class:`ServiceError` messages, and
+:func:`merge_shard_results` must hand back a ``bool`` array (Python
+``bool`` values once converted) whatever truthy type the shards
+returned.
 """
 
 import numpy as np
@@ -60,8 +62,9 @@ def _plan(args):
 
 
 def _tagged(shards):
-    """Per-shard streams whose values name their shard and position."""
-    return [[(s.index, j) for j in range(s.n_fed)] for s in shards]
+    """Per-shard streams whose values name their shard and position
+    (``1000 * shard + position``: fed slices are under 1000 long)."""
+    return [[1000 * s.index + j for j in range(s.n_fed)] for s in shards]
 
 
 def _error(fn, *args):
@@ -75,8 +78,8 @@ def _error(fn, *args):
 def test_merge_equals_per_position_reference(args):
     shards, text_len = _plan(args)
     streams = _tagged(shards)
-    assert merge_shard_values(shards, streams, text_len, None) == \
-        reference_merge(shards, streams, text_len, None)
+    merged = merge_shard_values(shards, streams, text_len, -1)
+    assert merged.tolist() == reference_merge(shards, streams, text_len, -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,9 +123,11 @@ def test_bool_merge_returns_python_bools(args, kind, data):
     if kind == "numpy":
         streams = [np.array(s, dtype=bool) for s in streams]
     merged = merge_shard_results(shards, streams, text_len)
-    assert all(type(b) is bool for b in merged)
-    assert merged == [bool(b) for b in reference_merge(shards, streams,
-                                                       text_len)]
+    assert merged.dtype == bool
+    published = merged.tolist()
+    assert all(type(b) is bool for b in published)
+    assert published == [bool(b) for b in reference_merge(shards, streams,
+                                                           text_len)]
 
 
 @pytest.mark.parametrize("shard", [

@@ -50,7 +50,7 @@ numeric_streams = st.lists(int_floats, min_size=0, max_size=60)
 
 
 def counts(pattern, text):
-    return fast_counts_many(pattern, [text], AB)[0]
+    return fast_counts_many(pattern, [AB.encode_text(text)], AB)[0].tolist()
 
 
 class TestFastCounter:
@@ -81,7 +81,7 @@ class TestNumericKernels:
     @settings(max_examples=60, deadline=None)
     @given(taps_lists, numeric_streams)
     def test_squared_distances_agree(self, taps, stream):
-        fast = fast_squared_distances_many(taps, [stream])[0]
+        fast = fast_squared_distances_many(taps, [stream])[0].tolist()
         assert fast == correlation_oracle(taps, stream)
         assert fast == systolic_correlation(taps, stream)
 
@@ -93,7 +93,7 @@ class TestNumericKernels:
             sum(taps[j] * stream[i - k + j] for j in range(len(taps)))
             for i in range(k, len(stream))
         ]
-        fast = fast_inner_products_many(taps, [stream])[0]
+        fast = fast_inner_products_many(taps, [stream])[0].tolist()
         assert fast == want
         assert fast == linear_product_oracle(taps, stream, INNER_PRODUCT, 0.0)
         assert fast == systolic_inner_products(taps, stream)
