@@ -57,6 +57,8 @@ class Extraction:
     device_geom: Dict[str, ChannelGeom] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     n_nets: int = 0
+    #: The net extraction the circuit was read from.
+    nets: Optional["ConductorNets"] = None
 
     @property
     def n_devices(self) -> int:
@@ -282,6 +284,7 @@ def extract(
         device_geom=device_geom,
         warnings=warnings,
         n_nets=len({nets.net_id(k) for k in range(len(nets.conductors))}),
+        nets=nets,
     )
 
 

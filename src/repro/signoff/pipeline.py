@@ -6,8 +6,9 @@ the drawn circuit (LVS), then the *extracted* circuit -- geometry and
 all -- is linted (ERC) and timed.  ``Signoff.run_design`` does the same
 for every cell twin of a compiled chip (the Plate 2 prototype is the
 ``match`` chip at 8 x 2) and adds the assembly-level audits: floorplan
-consistency, a flat device census of the emitted CIF, supply-rail
-isolation, and ERC + timing over the whole-chip netlist.
+consistency, a device census of the emitted CIF (per emitted symbol,
+weighted by calls, seams joined), supply-rail isolation, and ERC +
+timing over the whole-chip netlist.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..circuit.netlist import Circuit
 from ..layout.cells import CellBundle, cell_bundle
 from ..layout.cif import parse_cif
-from ..layout.design_rules import DesignRuleChecker, gate_channels
+from ..layout.design_rules import DesignRuleChecker
 from ..layout.geometry import Point, Rect, RectIndex
 from ..layout.layers import Layer
 from ..timing.model import TimingModel
 from .erc import ERCContext, run_erc
 from .extract import ConductorNets, Extraction, extract_cell
+from .hierarchy import HierarchicalNets
 from .lvs import compare
 from .report import SignoffReport, StageReport
 from .timing import TimingParams, timing_findings
@@ -182,12 +184,14 @@ class Signoff:
         drc = StageReport("drc")
         extraction = StageReport("extraction")
         lvs = StageReport("lvs")
+        extracted = []
         for name in sorted(compiled.bundles):
             b = compiled.bundles[name]
             drc.extend(self.drc_stage(b).findings)
             ex_stage, ex = self.extraction_stage(b)
             extraction.extend(ex_stage.findings)
             lvs.extend(self.lvs_stage(b, ex).findings)
+            extracted.append((b.layout.rects, ex.nets))
         report.stages.append(drc)
         report.stages.append(extraction)
         report.stages.append(lvs)
@@ -196,13 +200,25 @@ class Signoff:
         ports = sorted(net.pins.values())
         report.stages.append(self.erc_stage(net.circuit, net.phi, ports))
         report.stages.append(self.timing_stage(net.circuit, net.phi, ports))
-        report.stages.append(self.assembly_stage_for(compiled.assembler))
+        report.stages.append(
+            self.assembly_stage_for(compiled.assembler, extracted)
+        )
         return report
 
     # -- assembly audits ---------------------------------------------------
 
-    def assembly_stage_for(self, asm) -> StageReport:
-        """Assembly audits of any :class:`~repro.layout.assembly.ArrayAssembler`."""
+    def assembly_stage_for(
+        self,
+        asm,
+        extracted: Sequence[Tuple[Dict[Layer, list], ConductorNets]] = (),
+    ) -> StageReport:
+        """Assembly audits of any
+        :class:`~repro.layout.assembly.ArrayAssembler`.
+
+        *extracted* pairs cell geometry with the :class:`ConductorNets`
+        the extraction stage built over it; an emitted CIF symbol whose
+        geometry compares equal reuses it rather than extracting again.
+        """
         stage = StageReport("assembly")
         fp = asm.floorplan()
 
@@ -248,21 +264,13 @@ class Signoff:
                 else f"{fp.n_cells} cells, {fp.n_pads} pads",
             )
 
-        # Flat CIF: parse what the assembler emits, recover lambda
-        # geometry, and census the transistors.
-        parsed = parse_cif(asm.to_cif())
-        flat_half = parsed.flatten()
-        flat: Dict[Layer, list] = {}
-        odd = False
-        for layer, rects in flat_half.items():
-            halved = []
-            for r in rects:
-                if any(v % 2 for v in (r.x0, r.y0, r.x1, r.y1)):
-                    odd = True
-                    continue
-                halved.append(Rect(r.x0 // 2, r.y0 // 2, r.x1 // 2, r.y1 // 2))
-            flat[layer] = halved
-        if odd:
+        # The CIF as written: parse what the assembler emits once, recover
+        # lambda geometry symbol by symbol, census each symbol's
+        # transistors once per call, and join instances at their seams.
+        # The findings and their wording are those of a flat read of the
+        # die, which the hierarchy reproduces exactly.
+        nets = HierarchicalNets(parse_cif(asm.to_cif()), extracted)
+        if nets.off_grid:
             stage.add(
                 "cif-grid",
                 "error",
@@ -273,16 +281,8 @@ class Signoff:
         placed = Counter(cname for cname, _x, _y in fp.cell_instances)
         expected = 0
         for cname, count in placed.items():
-            cell = asm._cells[cname]
-            expected += count * len(
-                gate_channels(
-                    cell.rects.get(Layer.POLY, []),
-                    cell.rects.get(Layer.DIFFUSION, []),
-                    cell.rects.get(Layer.CONTACT, []),
-                )
-            )
-        nets = ConductorNets(flat)
-        found = len(nets.channels)
+            expected += count * nets.census(asm._cells[cname].rects)
+        found = nets.n_channels
         if found != expected:
             stage.add(
                 "cif-census",

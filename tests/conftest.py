@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
 from repro import Alphabet
 from repro.service.reliability import FaultInjector
+
+#: The benchmark package, ``perfbench/``, sits beside ``tests/``: tests
+#: that read its inputs or its layer table import it from the repository
+#: root, however pytest was started.
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 #: One frozen seed for the fleet-health tests: the fault injector's
 #: defect stream, the LFSR stimulus, and the wafer lot all derive from
