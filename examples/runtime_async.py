@@ -7,16 +7,20 @@ of spawn-context worker processes, each simulating one attached device
 pattern matches, a batch of FIR filter jobs over sampled signals, and
 one throttled tenant pushing against a token-bucket rate limit.  One
 job carries a tight SLO deadline and is served degraded from the
-host-side oracle when it expires.  Every result is checked against the
-workload oracle before the runtime's counters are printed.
+host-side oracle when it expires.  Seeded worker deaths take workers
+out of dispatch; neither front door heals by itself, so a
+``RuntimeHealth`` loop with a seeded wafer supply sweeps between the
+bursts and respawns them.  Every result is checked against the workload
+oracle before the runtime's counters are printed.
 """
 
 import asyncio
 import random
 
 from repro import Alphabet
-from repro.runtime import AsyncMatcherService, RuntimeConfig
+from repro.runtime import AsyncMatcherService, RuntimeConfig, RuntimeHealth
 from repro.service import FaultInjector
+from repro.wafer.provision import WaferSupply
 from repro.workloads import get_workload
 
 CHAR_WORKERS = 3
@@ -34,13 +38,21 @@ async def main():
     )
     # A little seeded chaos: some jobs lose their worker mid-flight and
     # are retried on another.  A dead worker leaves dispatch, as a dead
-    # chip leaves the farm, until a health sweep heals it, so once every
-    # worker has died the rest is served by the host-side oracle.  The
-    # answers must not change.
+    # chip leaves the farm, until a health sweep respawns it on a fresh
+    # wafer from the seeded lot.  The answers must not change.
     faults = FaultInjector(seed=7, p_death=0.15)
 
     async with AsyncMatcherService(CHAR_WORKERS, ab, config=config,
                                    faults=faults) as svc:
+        health = RuntimeHealth(
+            svc.pool, supply=WaferSupply(8, rows=3, cols=4, seed=1980)
+        )
+
+        async def sweep():
+            # Let the burst finish, then probe, quarantine and heal.
+            await svc.drain()
+            await health.sweep()
+
         def text(n):
             return "".join(rng.choice("ABCD") for _ in range(n))
 
@@ -54,6 +66,7 @@ async def main():
             jid = await svc.submit(pattern, stream,
                                    tenant=("search", "genomics")[i % 2])
             jobs[jid] = ("match", pattern, stream)
+        await sweep()
 
         # A batch of FIR smoothing jobs -- same systolic data flow,
         # multiply-accumulate cells (Section 3.4).
@@ -63,6 +76,7 @@ async def main():
             jid = await svc.submit(taps, signal, tenant="dsp",
                                    workload="fir")
             jobs[jid] = ("fir", taps, signal)
+        await sweep()
 
         # A throttled tenant: more jobs than its burst allows, so later
         # submits suspend until the bucket refills.
@@ -70,6 +84,7 @@ async def main():
             stream = text(300)
             jid = await svc.submit("AXC", stream, tenant="logs")
             jobs[jid] = ("match", "AXC", stream)
+        await sweep()
 
         # One job with a deliberately impossible deadline: it is shed
         # to the host-side oracle fallback -- degraded, never wrong.
@@ -102,6 +117,9 @@ async def main():
               f"retries budgeted, served degraded in "
               f"{shed.latency_s * 1000:.1f} ms")
 
+        heals = sum(e.action == "heal" for e in health.events)
+        print(f"health sweeps healed {heals} worker(s); "
+              f"{svc.pool.n_live} of {CHAR_WORKERS} live")
         stats = svc.stats()
         print(f"rate limiter suspensions for 'logs': {stats['rate_limit_waits']}")
         print(f"pool: {stats['pool_dispatched']} dispatched, "

@@ -6,7 +6,7 @@ design.  ``--kernel`` (with ``--cells`` etc.) compiles a single point
 instead.  ``--signoff`` pushes each compiled design through the full
 signoff pipeline and exits non-zero if any design fails; ``--verify``
 runs the differential check (structural and switch-level engines against
-the workload registry's fast and oracle engines) on a seeded sample job;
+the workload registry's batched and oracle engines) on a seeded sample job;
 ``--json`` archives the signoff reports for CI.  An invalid spec (for
 example ``--cells 0``) is a usage error: exit 2, with the usage and one
 error line on stderr.
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify", action="store_true",
         help="differentially verify each design (structural and "
-        "switch-level vs the workload fast and oracle engines)",
+        "switch-level vs the workload batched and oracle engines)",
     )
     parser.add_argument(
         "--json", metavar="PATH",

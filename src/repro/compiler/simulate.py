@@ -13,7 +13,7 @@ results exit -- shared verbatim by
 
 Both return the same result mapping, so a compiled design can be checked
 behavior-against-silicon with a single comparison -- and both are in
-turn compared against the workload registry's ``fast`` and ``oracle``
+turn compared against the workload registry's ``batched`` and ``oracle``
 engines by :mod:`repro.compiler.verify`.
 
 For the matching kernels the plan is

@@ -5,9 +5,10 @@ the rest of the repository:
 
 * :func:`differential` runs one job on the compiled design -- with the
   structural engine, and optionally the transistor-level one -- and
-  compares the masked results against the workload registry's ``fast``
-  and ``oracle`` engines.  Four independent implementations (oracle,
-  fast path, IR behaviors, generated silicon) must agree exactly.
+  compares the masked results against the workload registry's
+  ``batched`` and ``oracle`` engines.  Four independent implementations
+  (oracle, batched kernel, IR behaviors, generated silicon) must agree
+  exactly.
 
 * :func:`run_design_mutants` seeds all six known signoff defects into
   *generated* cells and netlists and asserts each is still caught by
@@ -60,12 +61,12 @@ def differential(
     """Compare the compiled design against the registry's engines.
 
     ``engines`` selects the chip-side engines to run (``"ir"`` and/or
-    ``"switch"``); the registry's ``fast`` and ``oracle`` engines are
+    ``"switch"``); the registry's ``batched`` and ``oracle`` engines are
     always the references.
     """
     kernel = chip.spec.kernel
     results: Dict[str, list] = {}
-    for engine in ("fast", "oracle"):
+    for engine in ("batched", "oracle"):
         results[engine] = _normalize(
             kernel,
             run_workload(kernel, params, stream, alphabet=alphabet,

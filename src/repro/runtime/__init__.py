@@ -17,10 +17,11 @@ Layering:
   everywhere else (results byte-identical by construction).
 * :mod:`~repro.runtime.pool` -- the mechanism: EDF dispatch, stale-reply
   dropping, worker lifecycle.
-* :mod:`~repro.runtime.admission` -- the gate: token buckets, overload
-  shedding.
-* :mod:`~repro.runtime.service` -- the policy: submit/stream/drain,
-  deadlines, seeded faults, retries, oracle fallback, obs merge-back.
+* :mod:`~repro.runtime.admission` -- per-tenant token buckets.
+* :mod:`~repro.runtime.service` -- the async surface of the one front
+  door (start/close, rate-limit waits, futures, deadlines,
+  ``stream_results``) and its :class:`ProcessPool`: units to and from
+  the wire, seeded faults, obs merge-back.
 * :mod:`~repro.runtime.health` -- the maintenance crew: background
   gate-level BIST probes on idle workers, quarantine of failing
   processes, wafer-gated respawn healing.

@@ -1,17 +1,11 @@
-"""Admission control: per-tenant token buckets and overload shedding.
+"""Admission control: per-tenant token buckets.
 
-A farm front-end that accepts everything melts; the runtime admits work
-through two gates before it ever reaches the dispatch heap:
-
-* **Per-tenant rate limits** -- a classic token bucket per tenant
-  (``rate`` jobs/s sustained, ``burst`` jobs of headroom).  The async
-  submit path *suspends the submitter* until a token is available (the
-  CSP blocked-sender, now with a real scheduler to suspend into) rather
-  than dropping, so a well-behaved client simply slows down.
-* **A pending bound** -- at most ``max_pending`` admitted-but-unfinished
-  jobs.  Beyond it the service either raises
-  :class:`~repro.errors.BackpressureError` or degrades to the host-side
-  oracle, mirroring the synchronous farm's ``degrade_when_saturated``.
+A classic token bucket per tenant (``rate`` jobs/s sustained, ``burst``
+jobs of headroom).  The async submit path *suspends the submitter*
+until a token is available (the CSP blocked-sender, with a real
+scheduler to suspend into) rather than dropping, so a well-behaved
+client simply slows down.  The other gate, the pending bound, is the
+process pool's (:class:`~repro.runtime.service.ProcessPool`).
 
 Time is injected (``now``), never read, so the buckets are trivially
 testable and deterministic.
@@ -54,20 +48,17 @@ class TokenBucket:
 
 
 class RateLimiter:
-    """Per-tenant token buckets, with an optional default for everyone.
+    """Per-tenant token buckets.
 
-    *limits* maps tenant name to ``(rate, burst)``; *default* (if given)
-    applies to tenants without an explicit entry.  Tenants with neither
-    are unlimited -- admission still bounds them via ``max_pending``.
+    *limits* maps tenant name to ``(rate, burst)``.  Tenants without an
+    entry are unlimited -- admission still bounds them via
+    ``max_pending``.
     """
 
     def __init__(
-        self,
-        limits: Optional[Mapping[str, Tuple[float, float]]] = None,
-        default: Optional[Tuple[float, float]] = None,
+        self, limits: Optional[Mapping[str, Tuple[float, float]]] = None
     ):
         self._spec = dict(limits or {})
-        self._default = default
         self._buckets: Dict[str, TokenBucket] = {}
         self.waits = 0  # times a submitter was made to wait
 
@@ -75,7 +66,7 @@ class RateLimiter:
         """0.0 if *tenant* may submit now, else seconds until it may."""
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            spec = self._spec.get(tenant, self._default)
+            spec = self._spec.get(tenant)
             if spec is None:
                 return 0.0
             bucket = self._buckets[tenant] = TokenBucket(*spec)

@@ -1,8 +1,7 @@
 """The process pool: real workers behind bounded channels, EDF dispatch.
 
-:class:`WorkerPool` is the *mechanism* half of the concurrent runtime
-(the :class:`~repro.runtime.service.AsyncMatcherService` is the policy
-half).  It owns
+:class:`WorkerPool` is the *mechanism* of the concurrent runtime.  It
+owns
 
 * N spawn-context worker processes, each running
   :func:`~repro.runtime.worker.worker_main` behind a capacity-1 request
@@ -19,14 +18,13 @@ half).  It owns
   corrupting anything, which is what keeps slow workers from wedging a
   drain.
 
-The pool never retries, degrades, or verifies; it moves messages.  A
-worker whose reply reports a death leaves dispatch at once, as a
-quarantined one does, until a heal respawns it.  A request still
-waiting when every worker is quarantined or dead goes back to its
+The pool never retries, degrades, or verifies; it moves messages (the
+front door's :class:`~repro.runtime.service.ProcessPool` turns units
+into them).  A worker whose reply reports a death leaves dispatch at
+once, as a quarantined one does, until a heal respawns it.  A request
+still waiting when every worker is quarantined or dead goes back to its
 submitter unrun (a :data:`~repro.runtime.channels.NO_LIVE_WORKER`
-reply) instead of waiting for a heal.  All
-reliability policy stays in the service layer, threading the existing
-:mod:`repro.service.reliability` machinery.
+reply) instead of waiting for a heal.
 """
 
 from __future__ import annotations
@@ -188,10 +186,10 @@ class WorkerPool:
     ) -> None:
         """Queue one request for dispatch.
 
-        *deadline* is a ``time.monotonic``-domain instant (None = no
-        SLO); *callback* runs on the collector thread and must be cheap
-        and thread-safe (the async service bridges it onto the event
-        loop).
+        *deadline* is an instant on the submitter's clock, used only to
+        order the pending heap (None = no SLO); *callback* runs on the
+        collector thread and must be cheap and thread-safe (the async
+        service bridges it onto the event loop).
         """
         if not self._started:
             raise ServiceError("worker pool is not started")

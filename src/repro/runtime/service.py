@@ -10,18 +10,15 @@ the event loop is the host, the pool processes are the attached
 special-purpose devices, and the bounded channels between them are the
 bus.
 
-The reliability story is the synchronous farm's: both drive one
-sans-I/O :class:`~repro.service.core.ServiceCore` (this module from the
-event loop and the pool's collector callback).  A seeded
-:class:`~repro.service.reliability.FaultInjector` decides per dispatch
-whether the device dies mid-job or stalls;
-:class:`~repro.service.reliability.RetryPolicy` bounds reassignment; and
+Admission, the reply rule and the results snapshot are the
+:class:`~repro.service.frontdoor.FrontDoor`'s, shared with the
+synchronous farm, and so is the reliability story: seeded faults per
+dispatch, bounded whole-unit retries, and software service for
 exhausted retries, saturation, expired deadlines and a pool with no
-live worker all degrade to
-:class:`~repro.service.reliability.SoftwareFallback` -- slower, never
-wrong.  Whatever the routing, results are byte-identical to the
-synchronous service and to the workload oracle (property-tested in
-``tests/test_runtime_async.py``).
+live worker -- slower, never wrong.  :class:`ProcessPool` is this
+runtime's transport behind the pool contract; the service keeps what
+must await: start/close, rate-limit waits, futures, deadline timers
+and ``stream_results``.
 
 Usage::
 
@@ -42,16 +39,11 @@ from typing import AsyncIterator, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..alphabet import Alphabet
-from ..errors import BackpressureError, ServiceError
+from ..errors import ServiceError
 from ..service.cache import ResultCache, result_cache_key
-from ..service.core import Job, ServiceCore, Trace, Unit
-from ..service.plan import BATCH, DEDUPED, SOLO, parse_request, plan
-from ..service.reliability import (
-    FaultInjector,
-    FaultKind,
-    RetryPolicy,
-    SoftwareFallback,
-)
+from ..service.core import Job, Trace, Unit
+from ..service.frontdoor import FrontDoor
+from ..service.reliability import FaultInjector, FaultKind, SoftwareFallback
 from ..service.scheduler import Priority
 from ..service.telemetry import JobCounters
 from ..workloads.registry import to_list
@@ -75,7 +67,7 @@ class RuntimeConfig:
     stuck-beats fault is injected (0 disables actual stalling; the
     fault is still counted).
     ``rate_limits``: tenant -> (jobs/s, burst) token-bucket specs;
-    ``default_rate_limit`` applies to unlisted tenants.
+    unlisted tenants are unlimited.
     ``max_batch_jobs``: the most jobs :meth:`AsyncMatcherService.submit_many`
     coalesces into one wire crossing (one batched-kernel call per chunk).
     """
@@ -88,7 +80,6 @@ class RuntimeConfig:
     rate_limits: Mapping[str, Tuple[float, float]] = field(
         default_factory=dict
     )
-    default_rate_limit: Optional[Tuple[float, float]] = None
     max_batch_jobs: int = 32
 
     def __post_init__(self):
@@ -138,7 +129,7 @@ _TRACE = Trace(
 )
 
 
-class AsyncMatcherService(JobCounters):
+class AsyncMatcherService(FrontDoor, JobCounters):
     """Concurrent submit/stream/drain over a pool of worker processes.
 
     Construct with a worker count and alphabet (a pool is built for
@@ -146,6 +137,14 @@ class AsyncMatcherService(JobCounters):
     The service must be started before submitting -- ``async with`` or
     an explicit ``await start()`` -- and closed when finished so the
     processes join.
+
+    The health rule, the same in both front doors: neither heals by
+    itself.  A worker that dies leaves dispatch until a
+    :class:`~repro.runtime.health.RuntimeHealth` over ``svc.pool``
+    with a :class:`~repro.wafer.provision.WaferSupply` sweeps and
+    respawns it; without one, seeded deaths drain the pool for good and
+    the rest is served from the host-side oracle.  Sweep between bursts
+    (``examples/runtime_async.py`` does).
     """
 
     def __init__(
@@ -164,7 +163,6 @@ class AsyncMatcherService(JobCounters):
         )
         self.alphabet = self.pool.alphabet
         self.faults = faults or FaultInjector()
-        self.retry = RetryPolicy(self.config.max_retries)
         self.fallback = SoftwareFallback()
         self.obs = obs
         if obs is not None:
@@ -172,27 +170,24 @@ class AsyncMatcherService(JobCounters):
         from ..obs.metrics import MetricsRegistry
 
         self.registry = obs.registry if obs is not None else MetricsRegistry()
-        super().__init__(self.registry, "runtime", "deaths")
-        self._m_stale = self.registry.counter("runtime.stale_replies")
+        JobCounters.__init__(self, self.registry, "runtime", "deaths")
         self._h_latency = self.registry.histogram("runtime.job.latency_s")
-        # Optional cross-tenant result cache (shared with the sync farm's
-        # key scheme, so a farm-warmed cache serves runtime traffic and
-        # vice versa).  Its ``now`` domain here is runtime seconds.
+        # Optional cross-tenant result cache (the farm's key scheme, so
+        # a farm-warmed cache serves runtime traffic); TTL in seconds.
         self.cache = cache
-        self.limiter = RateLimiter(
-            self.config.rate_limits, self.config.default_rate_limit
-        )
-        self.core = ServiceCore(
-            self, self.retry, self.fallback, cache, obs, _TRACE,
-            self._publish, lambda plen, n, start: self._now() - start,
+        self.limiter = RateLimiter(self.config.rate_limits)
+        self.default_timeout = self.config.default_timeout_s
+        procs = ProcessPool(self.pool, self.faults, self.config, obs,
+                            self.registry)
+        super().__init__(
+            procs, self, _TRACE, lambda plen, n, start: procs.now() - start,
+            # Looked up per call, so a wrapper on this module's name runs.
+            lambda *args, **kw: result_cache_key(*args, **kw),
         )
         # Pending jobs' futures and deadline timers, by job id.
         self._futures: Dict[int, asyncio.Future] = {}
         self._timers: Dict[int, asyncio.TimerHandle] = {}
-        # Units on the wire, by their pool-wide ids.
-        self._units: Dict[int, Unit] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._t0 = time.perf_counter()
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -200,7 +195,7 @@ class AsyncMatcherService(JobCounters):
     async def start(self) -> "AsyncMatcherService":
         if self._started:
             return self
-        self._loop = asyncio.get_running_loop()
+        self._loop = self.transport.loop = asyncio.get_running_loop()
         await self._loop.run_in_executor(None, self.pool.start)
         self._started = True
         return self
@@ -219,9 +214,6 @@ class AsyncMatcherService(JobCounters):
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close(drain=exc_type is None)
 
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
-
     # -- submission --------------------------------------------------------
 
     async def submit(
@@ -234,17 +226,10 @@ class AsyncMatcherService(JobCounters):
         timeout: Optional[float] = None,
     ) -> int:
         """Admit one job; returns its id (await :meth:`result` for the
-        value).
-
-        ``submit(x)`` is ``submit_many([x])``: the same checks, the same
-        route and the same errors.  The submitter is *suspended* while
-        its tenant is over its rate limit (CSP backpressure).  When the pending set is at
-        ``max_pending`` the job is shed: served immediately from the
-        host-side oracle if ``degrade_when_saturated`` (never wrong,
-        just slower), else :class:`~repro.errors.BackpressureError`.
-        *timeout* (seconds) is the job's SLO: if it expires before a
-        worker answers, the job is completed degraded and any late
-        worker reply is dropped.
+        value).  ``submit(x)`` is ``submit_many([x])``: the same checks,
+        route and errors.  *timeout* (seconds) is the job's SLO: if it
+        expires before a worker answers, the job is served from software
+        and any late reply is dropped.
         """
         return (await self.submit_many(
             params, [stream], tenant=tenant, priority=priority,
@@ -260,192 +245,46 @@ class AsyncMatcherService(JobCounters):
         workload: str = "match",
         timeout: Optional[float] = None,
     ) -> List[int]:
-        """Admit one job per stream, coalescing compatible work.
-
-        The params are parsed **once** and every stream is validated
-        before any job is admitted: bad input anywhere raises a
-        :class:`~repro.errors.ReproError` and admits nothing.  The
-        planner both front doors share (:func:`repro.service.plan.plan`)
-        then routes each stream: empty streams complete immediately
-        (``mode="empty"``); streams whose canonical answer sits in the
-        :class:`~repro.service.cache.ResultCache` complete from it
-        (``mode="cached"``); duplicate streams follow the first
-        occurrence, share its execution and get a copy of its answer
-        (``mode="deduped"``), even when that representative is shed to
-        the oracle; a chunk of exactly one job is dispatched on its own
-        (``mode="pool"``); the rest go in batch plans of 2 to
-        ``config.max_batch_jobs`` jobs, each plan one wire crossing
-        answered by the worker's batched kernel (``mode="batched"``).
-        Rate limits apply per job and ``max_pending`` per job that
-        needs a worker (a follower rides with its representative).
-        Each member keeps its own SLO deadline: a member that times out
-        is served degraded and its slice of any late batch reply is
-        dropped.  Only admitted jobs count as submitted.
+        """Admit one job per stream: the routes of
+        :meth:`FrontDoor._admission`, with ``mode="pool"`` for a solo
+        device run.  The call suspends while the tenant is over its rate
+        limit (CSP backpressure); ``max_pending`` bounds the jobs that
+        need a worker.  A batch member that times out is served from
+        software and its slice of a late reply is dropped.
         """
         if not self._started:
             raise ServiceError(
                 "service not started (use 'async with' or await start())"
             )
-        req = parse_request(
-            workload, params, streams, self.alphabet, priority, timeout
-        )
-        timeout_s = req.timeout if req.timeout is not None \
-            else self.config.default_timeout_s
-        routes, solos, batches = plan(
-            req.spec, req.taps, req.streams, self.cache, self._now(),
-            self.config.max_batch_jobs, result_cache_key, tenant=tenant,
-        )
-        jobs: List[Job] = []
-        shed: List[Job] = []
-        for prepared, route in zip(req.streams, routes):
+        ids: List[int] = []
+        for _ in self._admission(ids, params, streams, tenant, priority,
+                                 workload, timeout):
             while True:
                 delay = self.limiter.delay(tenant, self._loop.time())
                 if delay <= 0.0:
                     break
                 await asyncio.sleep(delay)
-            saturated = route.kind in (SOLO, BATCH) and \
-                len(self._futures) >= self.config.max_pending
-            if saturated:
-                self.backpressure_hits += 1
-                if not self.config.degrade_when_saturated:
-                    self.core.next_id += 1  # the rejected job's id stays unused
-                    # Already-admitted work must still run.
-                    self._execute(jobs, shed, solos, batches, req.priority)
-                    raise BackpressureError(
-                        f"runtime pending set full "
-                        f"({self.config.max_pending})"
-                    )
-            deadline = None if timeout_s is None \
-                else self._loop.time() + timeout_s
-            job = self.core.admit(
-                jobs, req, prepared, route, tenant, self._now(), deadline
+        return ids
+
+    def _admitted(self, job: Job, follows: bool) -> None:
+        self._futures[job.job_id] = self._loop.create_future()
+        # A follower shares its representative's fate and timer.
+        if job.deadline is not None and not follows:
+            self._timers[job.job_id] = self._loop.call_later(
+                job.deadline - job.submitted, self._on_deadline, job
             )
-            if job.done:
-                continue
-            self._futures[job.job_id] = self._loop.create_future()
-            if route.kind == DEDUPED:
-                continue  # it shares its representative's fate and timer
-            if deadline is not None:
-                self._timers[job.job_id] = self._loop.call_later(
-                    timeout_s, self._on_deadline, job
-                )
-            if saturated:
-                shed.append(job)
-        self._execute(jobs, shed, solos, batches, req.priority)
-        return [job.job_id for job in jobs]
-
-    # -- dispatch / completion --------------------------------------------
-
-    def _execute(
-        self, jobs: List[Job], shed: List[Job], solos: List[int],
-        batches: List[List[int]], priority: Priority,
-    ) -> None:
-        """Run the admitted part of a plan: serve the jobs shed for
-        saturation from the oracle (after their followers joined), then
-        dispatch the solo jobs and the batch plans in plan order."""
-        now = self._now()
-        for job in shed:
-            if not job.done:  # its deadline may have fired already
-                self.core.degrade([job.whole()], now, reason="saturated")
-        for unit in self.core.units(jobs, solos, batches, priority):
-            unit.unit_id = next(self.pool.unit_ids)
-            self.core.queued(unit)
-            self._units[unit.unit_id] = unit
-            self._dispatch(unit)
-
-    def _dispatch(self, unit: Unit) -> None:
-        """Send the unit's open pieces to the pool as one request under
-        one seeded fault sample, or serve them from software when no
-        worker is live."""
-        unit.pieces = [p for p in unit.pieces if not p[0].done]
-        now = self._now()
-        if not unit.pieces or not self.pool.n_live:
-            self._units.pop(unit.unit_id, None)
-            self.core.degrade(unit.pieces, now, reason="no-live-worker")
-            return
-        fault = self.faults.sample()
-        fault_kind = None
-        stall_s = 0.0
-        if fault is not None:
-            if fault.kind is FaultKind.WORKER_DEATH:
-                fault_kind = "death"
-            else:
-                stall_s = fault.extra_beats * self.config.stuck_stall_s
-        jobs = [job for job, _ in unit.pieces]
-        for job in jobs:
-            job.mode = "batched" if unit.batched else "pool"
-            if job.started is None:
-                job.started = now
-        deadlines = [j.deadline for j in jobs if j.deadline is not None]
-        request = JobRequest(
-            job_id=unit.unit_id,
-            attempt=unit.attempts,
-            workload=jobs[0].workload,
-            taps=jobs[0].taps,
-            # The typed arrays themselves: symbol codes or samples.
-            streams=[np.asarray(job.text) for job in jobs],
-            collect_obs=self.obs is not None,
-            fault=fault_kind,
-            stall_s=stall_s,
-        )
-        self.pool.submit(
-            request,
-            self._reply_from_thread,
-            deadline=min(deadlines) if deadlines else None,
-            priority=int(unit.priority),
-        )
-
-    def _reply_from_thread(self, reply: JobReply) -> None:
-        # Collector-thread context: hop onto the event loop.
-        self._loop.call_soon_threadsafe(self._handle_reply, reply)
-
-    def _handle_reply(self, reply: JobReply) -> None:
-        unit = self._units.get(reply.job_id)
-        if unit is None or reply.attempt != unit.attempts:
-            self._m_stale.inc()
-            return
-        if reply.error == NO_LIVE_WORKER:
-            # It never ran: the dispatch rule serves it from software
-            # (or resubmits it, if a heal came first), counting no attempt.
-            self._dispatch(unit)
-            return
-        now = self._now()
-        if reply.ok:
-            self._units.pop(unit.unit_id, None)
-            live = [job for job, _ in unit.pieces if not job.done]
-            if live and self.obs is not None:
-                # Fold the worker's metrics and spans in under a served job.
-                if reply.metrics:
-                    self.obs.registry.merge_snapshot(reply.metrics)
-                if reply.spans:
-                    self.obs.tracer.adopt(reply.spans, parent=live[0].span,
-                                          offset=max(live[0].started, 0.0))
-            for (job, shard), row in zip(unit.pieces, reply.results):
-                if not job.done:  # else its deadline fired: served degraded
-                    self.core.settle(job, shard, unpack_row(row), now, 0.0,
-                                     reply.worker)
-            return
-        # Whole-unit failure (death or error): the core's retry rule.
-        if reply.died:
-            self.deaths += 1
-        if self.core.failed(unit, self.pool.n_live, now,
-                            reason="retries-exhausted"):
-            self._dispatch(unit)
-        else:
-            self._units.pop(unit.unit_id, None)
 
     def _on_deadline(self, job: Job) -> None:
         """The job's SLO expired: shed it from the pool and serve it
         degraded.  A hung worker can no longer wedge this job."""
         if job.done:
             return
-        now, unit = self._now(), job.unit  # completion clears job.unit
+        now, unit = self.transport.now(), job.unit  # completion clears it
         self.core.time_out(job, now, attempts=job.attempts)
         self.core.degrade([job.whole()], now, reason="deadline")
         if unit is not None and all(j.done for j, _ in unit.pieces):
             # Every member has been served; drop the unit's reply.
-            self.pool.cancel(unit.unit_id, unit.attempts)
-            self._units.pop(unit.unit_id, None)
+            self.transport.cancel(unit)
 
     def _publish(self, job: Job) -> RuntimeResult:
         """The finished job's result, its values converted to their
@@ -498,7 +337,7 @@ class AsyncMatcherService(JobCounters):
             future for jid, future in self._futures.items()
             if wanted is None or jid in wanted
         }
-        for result in self.core.log.snapshot():
+        for result in self.results():
             if wanted is None or result.job_id in wanted:
                 yield result
         while pending:
@@ -516,13 +355,7 @@ class AsyncMatcherService(JobCounters):
         copy."""
         while self._futures:
             await asyncio.wait(list(self._futures.values()))
-        return self.core.log.snapshot()
-
-    def results(self) -> List[RuntimeResult]:
-        """Completed results so far (no waiting), as a fresh list in
-        job-id order; costs work proportional to the completions since
-        the last call plus one C-level list copy."""
-        return self.core.log.snapshot()
+        return self.results()
 
     def stats(self) -> Dict[str, float]:
         """A flat snapshot of the runtime's own counters."""
@@ -542,3 +375,113 @@ class AsyncMatcherService(JobCounters):
             "pool_replies": self.pool.replies,
             "pool_dropped_replies": self.pool.dropped_replies,
         }
+
+
+class ProcessPool:
+    """The runtime's transport behind the front door's pool contract.
+
+    ``submit`` sends a unit's open pieces to the
+    :class:`~repro.runtime.pool.WorkerPool` as one
+    :class:`~repro.runtime.channels.JobRequest` under one seeded fault
+    sample (named by a pool-wide unit id, kept across relaunches), or
+    serves them from software when no worker is live.  Replies hop from
+    the collector thread onto the event loop: a stale one (deadlines
+    served every piece) is dropped, one that never ran is sent again,
+    and the rest go to the front door's reply rule.  Its gate is
+    ``max_pending``; ``now`` is wall seconds since construction.
+    """
+
+    wide_threshold = None  # the runtime ships each text whole
+
+    def __init__(self, workers: WorkerPool, faults: FaultInjector,
+                 config: RuntimeConfig, obs, registry):
+        self.workers, self.faults, self.obs = workers, faults, obs
+        self.max_pending = config.max_pending
+        self.stuck_stall_s = config.stuck_stall_s
+        self._m_stale = registry.counter("runtime.stale_replies")
+        self._t0 = time.perf_counter()
+        self.door: Optional[FrontDoor] = None
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def now(self) -> float:
+        return time.perf_counter() - self._t0
+
+    @property
+    def n_live(self) -> int:
+        return self.workers.n_live
+
+    def saturated(self, open_jobs: int) -> bool:
+        return open_jobs >= self.max_pending
+
+    def submit(self, unit: Unit) -> None:
+        if not unit.attempts:  # a relaunch keeps its wire name
+            unit.unit_id = next(self.workers.unit_ids)
+        self._send(unit)
+
+    def cancel(self, unit: Unit) -> None:
+        self.workers.cancel(unit.unit_id, unit.attempts)
+
+    def _send(self, unit: Unit) -> None:
+        unit.pieces = [p for p in unit.pieces if not p[0].done]
+        now = self.now()
+        if not unit.pieces or not self.workers.n_live:
+            self.door.core.degrade(unit.pieces, now, reason="no-live-worker")
+            return
+        fault = self.faults.sample()
+        fault_kind = None
+        stall_s = 0.0
+        if fault is not None:
+            if fault.kind is FaultKind.WORKER_DEATH:
+                fault_kind = "death"
+            else:
+                stall_s = fault.extra_beats * self.stuck_stall_s
+        jobs = [job for job, _ in unit.pieces]
+        for job in jobs:
+            job.mode = "batched" if unit.batched else "pool"
+            if job.started is None:
+                job.started = now
+        deadlines = [j.deadline for j in jobs if j.deadline is not None]
+        request = JobRequest(
+            job_id=unit.unit_id,
+            attempt=unit.attempts,
+            workload=jobs[0].workload,
+            taps=jobs[0].taps,
+            # The typed arrays themselves: symbol codes or samples.
+            streams=[np.asarray(job.text) for job in jobs],
+            collect_obs=self.obs is not None,
+            fault=fault_kind,
+            stall_s=stall_s,
+        )
+        self.workers.submit(
+            request,
+            # Collector-thread context: hop onto the event loop.
+            lambda reply: self.loop.call_soon_threadsafe(
+                self._on_reply, unit, reply),
+            deadline=min(deadlines) if deadlines else None,
+            priority=int(unit.priority),
+        )
+
+    def _on_reply(self, unit: Unit, reply: JobReply) -> None:
+        if reply.attempt != unit.attempts or \
+                all(job.done for job, _ in unit.pieces):  # deadlines served it
+            self._m_stale.inc()
+            return
+        if reply.error == NO_LIVE_WORKER:
+            # It never ran: send it again, which serves it from software
+            # (or resubmits it, if a heal came first), counting no attempt.
+            self._send(unit)
+            return
+        now = self.now()
+        if not reply.ok:  # death or error: the whole unit failed
+            self.door.reply(unit, now, died=reply.died)
+            return
+        live = [job for job, _ in unit.pieces if not job.done]
+        if live and self.obs is not None:
+            # Fold the worker's metrics and spans in under a served job.
+            if reply.metrics:
+                self.obs.registry.merge_snapshot(reply.metrics)
+            if reply.spans:
+                self.obs.tracer.adopt(reply.spans, parent=live[0].span,
+                                      offset=max(live[0].started, 0.0))
+        self.door.reply(unit, now, [unpack_row(r) for r in reply.results],
+                        reply.worker, [0.0] * len(unit.pieces))

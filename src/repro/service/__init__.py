@@ -2,21 +2,25 @@
 
 Figure 1-1 pitches the pattern matcher as an attached device serving a
 host; Section 5 imagines many cheap special-purpose chips deployed at
-scale.  This package is that deployment story rendered executable: many
-concurrent match queries multiplexed onto a pool of simulated devices,
-with bounded queues and backpressure (CSP-style channels between explicit
-scheduler and worker processes), priority classes, tenant fairness,
-pattern/text sharding, fault injection with retry-and-reassignment, and
-graceful degradation to the Section 3.3 software baselines when the pool
-is saturated or exhausted.
-
-The public surface is :class:`MatcherService` (``submit``/``drain``) over
-a :class:`DevicePool`; everything is beat-accounted against the paper's
-250 ns/char timing model so throughput and latency numbers stay faithful
-to the hardware story.
+scale.  This package renders that deployment executable: concurrent
+queries multiplexed onto a pool of simulated devices, with bounded
+queues and backpressure, priority classes, tenant fairness, text
+sharding, fault injection with retry, and graceful degradation to the
+Section 3.3 software baselines.  The public surface is
+:class:`MatcherService` (``submit``/``drain``) over a
+:class:`DevicePool`, beat-accounted against the paper's 250 ns/char
+timing model.
 
 Layout
 ------
+* :mod:`~repro.service.frontdoor` -- the one front door (admission, the
+  reply rule, results) and the pool contract it drives; the farm's
+  :class:`~repro.service.service.FarmPool` and the runtime's
+  :class:`~repro.runtime.service.ProcessPool` keep it.
+* :mod:`~repro.service.core` -- the sans-I/O :class:`ServiceCore`
+  under it: jobs, units, retries, degradation, completion.
+* :mod:`~repro.service.plan` -- the admission planner: one route per
+  stream.
 * :mod:`~repro.service.pool` -- workers wrapping chips, cascades, or
   wafer harvests (some degraded or dead).
 * :mod:`~repro.service.scheduler` -- bounded queues, priority classes,
@@ -25,18 +29,11 @@ Layout
   texts split across workers and merged back into one result stream.
 * :mod:`~repro.service.reliability` -- fault injection, retry policy,
   and the software-baseline fallback path.
-* :mod:`~repro.service.telemetry` -- per-job and per-worker counters
-  rendered through :class:`repro.analysis.report.Table`.
-* :mod:`~repro.service.plan` -- the admission planner both front doors
-  (this farm and :mod:`repro.runtime`) execute: one route per stream.
-* :mod:`~repro.service.core` -- the sans-I/O :class:`ServiceCore` both
-  front doors drive: jobs, units, retries, degradation, completion.
+* :mod:`~repro.service.telemetry` -- per-job and per-worker counters.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
-  the batch tier consults before dispatching (``submit``/``submit_many``
-  with ``cache=ResultCache(...)``).
-* :mod:`~repro.service.health` -- the fleet-health loop: background
-  gate-level BIST on idle workers, quarantine of failing chips, and
-  re-provisioning from the :mod:`repro.wafer` harvest model.
+  consulted before dispatch (opt in with ``cache=ResultCache(...)``).
+* :mod:`~repro.service.health` -- the fleet-health loop: gate-level BIST
+  on idle workers, quarantine, re-provisioning from the wafer model.
 """
 
 from __future__ import annotations

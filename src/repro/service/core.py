@@ -1,17 +1,16 @@
-"""`ServiceCore`: the job bookkeeping both front doors share, free of I/O.
+"""`ServiceCore`: the job bookkeeping of the front door, free of I/O.
 
 In the paper's Figure 1-1 system the host does the bookkeeping once and
-the attached devices only stream.  This is that bookkeeping for the
-beat-clock farm (:class:`~repro.service.service.MatcherService`) and the
-process runtime (:class:`~repro.runtime.service.AsyncMatcherService`):
-the :class:`Job` and :class:`Unit` records, admission after
+the attached devices only stream.  This is that bookkeeping, which
+:class:`~repro.service.frontdoor.FrontDoor` drives over any pool: the
+:class:`Job` and :class:`Unit` records, admission after
 :func:`~repro.service.plan.plan`, the one failure rule
 (:meth:`ServiceCore.failed`), software service, settling and
 finalizing, and completion with the fan-out to deduped followers.
-It reads no clock: each call takes ``now`` in the caller's unit (beats
-or seconds).  Everything else a transport differs in arrives as a
-value: its counters, its :class:`Trace`, the cost of a software run,
-the shard merge and the builder of its public result.
+It reads no clock: each call takes ``now`` in the pool's unit (beats
+or seconds).  What a surface differs in arrives as a value: its
+counters, its :class:`Trace`, the cost of a software run, the shard
+merge and the builder of its public result.
 """
 
 from __future__ import annotations
@@ -149,6 +148,7 @@ class ServiceCore:
             publish, software_cost, merge
         self.log = CompletionLog()
         self.next_id = 0
+        self.open = 0  # admitted jobs not yet completed (nor rejected)
         self._followers: Dict[int, List[Job]] = {}  # by representative id
 
     def admit(
@@ -163,6 +163,7 @@ class ServiceCore:
             prepared.feed, len(prepared.validated), now, deadline, route.key,
         )
         self.next_id += 1
+        self.open += 1
         self.counters.submitted += 1
         if self.obs is not None:
             # Jobs overlap in time, so their spans cannot nest on the
@@ -211,6 +212,7 @@ class ServiceCore:
     def reject(self, job: Job, now: float) -> None:
         """Roll a job that was not let in (and its followers) back out."""
         self.counters.submitted -= 1
+        self.open -= 1
         if job.span is not None:
             self.obs.tracer.close(job.span, t1=now, rejected=True)
             job.span = None
@@ -298,6 +300,7 @@ class ServiceCore:
         # array again per hit or per follower would cost memory.
         job.results = result.results
         self.log.add(result)
+        self.open -= 1
         self.counters.completed += 1
         if job.span is not None:
             self.obs.tracer.close(job.span, t1=finished, **{

@@ -1,16 +1,11 @@
-"""The admission planner both front doors execute.
+"""The admission planner the front door executes.
 
 In the paper's Figure 1-1 system the host makes the bookkeeping
 decisions once and the attached devices only stream.  This module is
 that bookkeeping for one ``submit_many`` call: :func:`parse_request`
 checks and prepares the whole call before any job is admitted, and
-:func:`plan` routes every stream.  The beat-clock farm
-(:class:`~repro.service.service.MatcherService`) and the process runtime
-(:class:`~repro.runtime.service.AsyncMatcherService`) both execute its
-routes through one :class:`~repro.service.core.ServiceCore` and keep
-only their transport gate: the farm's per-queue-entry
-backpressure, the runtime's per-job rate limit and ``max_pending``
-bound.  ``submit(x)`` is ``submit_many([x])`` in both.
+:func:`plan` routes every stream, for
+:class:`~repro.service.frontdoor.FrontDoor` over any pool.
 
 Each stream takes one route, decided in this order:
 
@@ -21,8 +16,9 @@ Each stream takes one route, decided in this order:
   that representative's execution and gets a copy of its answer,
   whatever its fate (device, retry, deadline shed or saturation
   fallback).
-* ``solo``: its own execution -- a wide text (only the farm shards, so
-  only it passes ``wide_threshold``) or a chunk of exactly one job.
+* ``solo``: its own execution -- a wide text (from the pool's
+  ``wide_threshold``; only the farm's shards) or a chunk of exactly one
+  job.
 * ``batch``: a member of one chunk of 2 to ``max_batch_jobs`` jobs.
 
 Solo units keep stream order and the batch chunks follow them.  Keys

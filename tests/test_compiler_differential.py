@@ -1,7 +1,7 @@
 """Differential verification: compiled designs vs the workload engines.
 
 Four independent implementations of each kernel -- the definitional
-oracle, the vectorized fast path, the compiled design's structural (IR)
+oracle, the vectorized batched kernel, the compiled design's structural (IR)
 simulation, and the compiled design's switch-level transistor simulation
 -- must produce identical results on randomized streams.  The structural
 sweep covers a grid of (cells, width) parameter points; the transistor
@@ -32,7 +32,7 @@ IP_GRID = [(2, 1), (4, 2), (6, 2), (6, 3)]
 
 
 class TestStructuralSweep:
-    """IR-level simulation against oracle + fast on random streams."""
+    """IR-level simulation against oracle + batched on random streams."""
 
     @pytest.mark.parametrize("cells,char_bits", MATCH_GRID)
     def test_match(self, cells, char_bits):

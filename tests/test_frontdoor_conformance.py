@@ -1,14 +1,16 @@
-"""Both front doors, one planner: the same input takes the same route.
+"""One front door, three pools: the same input takes the same route.
 
-Every case runs through the beat-clock farm (`MatcherService`) and the
-process runtime (`AsyncMatcherService`) for every registry workload.
-Both must return the same results (the oracle's, element types
-included), the same route per position and the same route counts.
-Device routes are one label: the farm reports
-``direct``/``multipass``/``text-sharded`` where the runtime reports
-``pool``.  Both hand out the same job ids.  No sleeps and no reliance
-on reply order: the seeded-fault cases kill exactly one unit's first
-launch, so neither outcome depends on which reply arrives first.
+Every case runs through the beat-clock farm (`MatcherService` over
+`FarmPool`), the process runtime (`AsyncMatcherService` over
+`ProcessPool`) and the fake pool of ``test_service_core.py`` plugged
+into the unchanged `FrontDoor`, for every registry workload.  All three
+must return the same results (the oracle's, element types included),
+the same route per position and the same route counts.  Device routes
+are one label: the farm reports ``direct``/``multipass``/
+``text-sharded``, the runtime ``pool`` and the fake ``direct``.  All
+hand out the same job ids.  No sleeps and no reliance on reply order:
+the seeded-fault cases kill exactly one unit's first launch, so no
+outcome depends on which reply arrives first.
 """
 
 import asyncio
@@ -17,6 +19,8 @@ import pytest
 
 from repro.alphabet import Alphabet
 from repro.chip.chip import ChipSpec
+from repro.errors import BackpressureError, ReproError, ServiceError
+from repro.obs import Observability
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.service import (
     FaultInjector,
@@ -27,6 +31,7 @@ from repro.service import (
     uniform_pool,
 )
 from repro.workloads import get_workload, list_workloads, run_workload
+from test_service_core import FakeDoor, FakePool
 
 AB = Alphabet("ABCD")
 MAX_BATCH = 2  # so three unique streams leave a trailing one-job chunk
@@ -49,10 +54,10 @@ CASES = {
 }
 
 #: The seeded-death cases run the mixed case on two workers under
-#: ``FaultInjector(seed, p_death=P_DEATH)``.  Both front doors take one
+#: ``FaultInjector(seed, p_death=P_DEATH)``.  All three pools take one
 #: fault sample per launch: the solo job, then the batch plan, then each
 #: retry of the one unit that died.  A worker that dies stays out of
-#: dispatch in both, so the unit whose two launches both die finds no
+#: dispatch in all three, so the unit whose two launches both die finds no
 #: live worker left and is served from software.  Per case: the seed,
 #: which of those samples kill a worker, the routes, the expected
 #: (batches, batched_jobs, retries, fallbacks, deaths) and each job's
@@ -108,18 +113,26 @@ def _label(mode):
     return "device" if mode in DEVICE else mode
 
 
-def _sync(name, case, seed=None):
+def _door(kind, max_batch=MAX_BATCH, capacity=None, cache=None,
+          faults=None, obs=None, degrade=True):
+    """A synchronous front door over the farm's pool or the fake one;
+    *capacity* is the farm's queue bound or the fake's pending bound."""
+    config = SchedulerConfig(max_batch_jobs=max_batch,
+                             queue_capacity=capacity or 64,
+                             degrade_when_saturated=degrade)
+    if kind == "farm":
+        return MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
+                              config=config, cache=cache, faults=faults,
+                              obs=obs)
+    return FakeDoor(FakePool(2, faults, capacity), config, cache, obs)
+
+
+def _sync(name, case, seed=None, kind="farm"):
     via, _ = CASES[case]
     params, streams, filler = _inputs(name, case)
-    config = SchedulerConfig(
-        max_batch_jobs=MAX_BATCH,
-        queue_capacity=1 if case == "saturated" else 64,
-    )
     cache = ResultCache()
-    svc = MatcherService(
-        uniform_pool(2, ChipSpec(8, 2), AB),
-        config=config, cache=cache, faults=_faults(seed),
-    )
+    svc = _door(kind, capacity=1 if case == "saturated" else None,
+                cache=cache, faults=_faults(seed))
     if case == "warm_cache":
         svc.submit_many(params, streams, workload=name)
         svc.drain()
@@ -127,7 +140,7 @@ def _sync(name, case, seed=None):
         svc.submit(params, filler, workload=name)  # fills the one slot
 
     def counts():
-        t = svc.telemetry
+        t = svc.counters
         return (cache.hits, t.deduped, t.batches, t.batched_jobs,
                 t.fallbacks, t.retries, t.deaths)
 
@@ -194,7 +207,7 @@ def shared_pool():
 def test_front_doors_agree(shared_pool, name, case):
     sync = _sync(name, case)
     runtime = _async(shared_pool, name, case)
-    assert sync == runtime
+    assert sync == runtime == _sync(name, case, kind="fake")
 
     results, routes, counts, attempts = sync
     hits, deduped, batches, batched_jobs, fallbacks, retries, deaths = counts
@@ -202,7 +215,7 @@ def test_front_doors_agree(shared_pool, name, case):
     oracle = _oracle(name, case)
     assert results == oracle
     # `==` accepts 1 == True and numpy scalars; the element types must
-    # be the oracle's too, in both front doors.
+    # be the oracle's too, through every pool.
     oracle_types = [[type(v) for v in r] for r in oracle]
     for got in (results, runtime[0]):
         assert [[type(v) for v in r] for r in got] == oracle_types
@@ -236,7 +249,7 @@ def test_front_doors_agree_under_seeded_deaths(own_pool, name, case):
     """The mixed case with seeded worker deaths in one unit on two
     workers: the solo job's or the batch plan's first launch dies and
     is retried once on the other worker, or the batch plan dies on both
-    and its members are served from software.  Both front doors return
+    and its members are served from software.  All three pools return
     the oracle's results on the same routes and count the same batch
     plans (one, counted when it is queued, whatever its fate), batched
     jobs, retries, fallbacks, deaths and per-job attempts."""
@@ -244,6 +257,7 @@ def test_front_doors_agree_under_seeded_deaths(own_pool, name, case):
     assert _deaths(seed, len(deaths)) == deaths
     sync = _sync(name, "mixed", seed)
     assert sync == _async(own_pool, name, "mixed", seed)
+    assert sync == _sync(name, "mixed", seed, kind="fake")
 
     results, routes, counts, attempts = sync
     hits, deduped, batches, batched_jobs, fallbacks, retries, deaths = counts
@@ -254,13 +268,11 @@ def test_front_doors_agree_under_seeded_deaths(own_pool, name, case):
     assert attempts == want_attempts
 
 
-def _sync_calls(name, calls, timeout=None, faults=None):
+def _sync_calls(name, calls, timeout=None, faults=None, kind="farm"):
     """Each ``submit_many`` call's ids, and the last call's (route,
-    timed_out, attempts) per position, from the farm."""
+    timed_out, attempts) per position, from a synchronous front door."""
     params, streams, _ = _inputs(name, "mixed")
-    svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
-                         config=SchedulerConfig(max_batch_jobs=MAX_BATCH),
-                         faults=faults)
+    svc = _door(kind, faults=faults)
     ids = [svc.submit_many(params, streams, workload=name, timeout=timeout)
            for _ in range(calls)]
     done = {r.job_id: r for r in svc.drain()}
@@ -296,11 +308,12 @@ def test_front_doors_hand_out_the_same_job_ids(shared_pool, name):
     sync_ids, _ = _sync_calls(name, 2)
     assert sync_ids == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
     assert _async_calls(shared_pool, name, 2)[0] == sync_ids
+    assert _sync_calls(name, 2, kind="fake")[0] == sync_ids
 
 
-#: Every launch is stuck for STUCK_BEATS: past the farm's 1-beat
-#: deadline at launch, and in the runtime a stall 30x its 10 ms
-#: deadline, so every representative times out before any reply.
+#: Every launch is stuck for STUCK_BEATS: past the farm's and the
+#: fake's 1-tick deadline at launch, and in the runtime a stall 30x its
+#: 10 ms deadline, so every representative times out before any reply.
 STUCK_BEATS = 100
 
 
@@ -313,12 +326,168 @@ def _stuck():
 def test_follower_reports_its_representatives_timeout(shared_pool, name):
     """Every representative misses its deadline and is served from
     software; its duplicate reports the same fate (``timed_out``) in
-    both front doors, and the empty stream never times out.  A deadline
+    every front door, and the empty stream never times out.  A deadline
     shed is not a failed execution: every job reports 0 attempts."""
     _, sync = _sync_calls(name, 1, timeout=1.0, faults=_stuck())
     _, runtime = _async_calls(shared_pool, name, 1, timeout=0.01,
                               faults=_stuck(), stuck_stall_s=0.003)
-    assert sync == runtime == [
+    _, fake = _sync_calls(name, 1, timeout=1.0, faults=_stuck(), kind="fake")
+    assert sync == runtime == fake == [
         ("software", True, 0), ("software", True, 0), ("deduped", True, 0),
         ("empty", False, 0), ("software", True, 0),
     ]
+
+
+#: Counters every front door keeps (``JobCounters`` names).
+COUNTER_NAMES = ("submitted", "completed", "deduped", "batches",
+                 "batched_jobs", "retries", "deaths", "fallbacks",
+                 "timeouts", "backpressure_hits")
+
+
+def _one(name, case):
+    """(params, stream) of a submit_many_of_one case."""
+    spec = get_workload(name)
+    params = [1.0, -2.0, 3.0] if spec.numeric else "AXC"
+    stream = ([float(i % 5 - 2) for i in range(24)] if spec.numeric
+              else "ABCAACACCABACCAB")
+    return params, stream[:0] if case == "empty" else stream
+
+
+def _one_sync(kind, name, case, via):
+    """One submission of a submit_many_of_one case through a synchronous
+    front door: (outcome, counter deltas to the end of its drain)."""
+    params, stream = _one(name, case)
+    saturated = case.startswith("saturated")
+    svc = _door(kind, capacity=1 if saturated else None,
+                cache=ResultCache(), degrade=case != "saturated-reject")
+
+    def admit():
+        if via == "submit":
+            return svc.submit(params, stream, workload=name)
+        [jid] = svc.submit_many(params, [stream], workload=name)
+        return jid
+
+    if case == "cached":
+        admit()
+        svc.drain()
+    if saturated:
+        svc.submit("AB", "ABAB")  # fills the one slot until the drain
+    before = {k: getattr(svc.counters, k) for k in COUNTER_NAMES}
+    try:
+        jid = admit()
+        r = {r.job_id: r for r in svc.drain()}[jid]
+        outcome = (r.results, _label(r.mode), r.attempts, r.via_fallback,
+                   r.timed_out)
+    except BackpressureError:
+        svc.drain()
+        outcome = "rejected"
+    return outcome, {k: getattr(svc.counters, k) - before[k]
+                     for k in COUNTER_NAMES}
+
+
+def _one_async(pool, name, case, via):
+    """The same through the runtime: deltas up to the job's result."""
+    params, stream = _one(name, case)
+
+    async def go():
+        cfg = RuntimeConfig(
+            max_pending=1 if case.startswith("saturated") else 256,
+            degrade_when_saturated=case != "saturated-reject",
+        )
+        svc = AsyncMatcherService(pool=pool, config=cfg, cache=ResultCache())
+        await svc.start()
+
+        async def admit():
+            if via == "submit":
+                return await svc.submit(params, stream, workload=name)
+            [jid] = await svc.submit_many(params, [stream], workload=name)
+            return jid
+
+        if case == "cached":
+            await svc.result(await admit())
+        if case.startswith("saturated"):
+            await svc.submit("AB", "ABAB")  # stays pending: no await yet
+        before = {k: getattr(svc, k) for k in COUNTER_NAMES}
+        try:
+            r = await svc.result(await admit())
+            outcome = (r.results, _label(r.mode), r.attempts,
+                       r.via_fallback, r.timed_out)
+        except BackpressureError:
+            outcome = "rejected"
+        delta = {k: getattr(svc, k) - before[k] for k in COUNTER_NAMES}
+        await svc.drain()
+        return outcome, delta
+
+    return asyncio.run(go())
+
+
+@pytest.mark.parametrize("case", [
+    *list_workloads(), "empty", "cached", "saturated-degrade",
+    "saturated-reject",
+])
+def test_submit_is_submit_many_of_one(shared_pool, case):
+    """``submit(x)`` and ``submit_many([x])`` are one admission path in
+    every front door: the same results, route and flags and the same
+    counter deltas, for every workload and every inline route; and all
+    three pools give the same outcome."""
+    name = case if case in list_workloads() else "match"
+    runs = {}
+    for kind, run_one in (
+        ("farm", lambda via: _one_sync("farm", name, case, via)),
+        ("fake", lambda via: _one_sync("fake", name, case, via)),
+        ("runtime", lambda via: _one_async(shared_pool, name, case, via)),
+    ):
+        single, many = run_one("submit"), run_one("submit_many")
+        assert single == many
+        runs[kind] = single
+    outcome = runs["farm"][0]
+    assert runs["fake"][0] == runs["runtime"][0] == outcome
+    if case == "saturated-reject":
+        assert outcome == "rejected"
+        for _, delta in runs.values():
+            assert (delta["backpressure_hits"], delta["submitted"]) == (1, 0)
+        return
+    params, stream = _one(name, case)
+    assert outcome[0] == run_workload(name, params, stream, AB,
+                                      engine="oracle")
+    assert outcome[1] == {
+        "empty": "empty", "cached": "cached", "saturated-degrade": "software",
+    }.get(case, "device")
+    assert runs["runtime"][1]["completed"] == 1
+    # The synchronous doors' deltas run to the end of a drain, which
+    # completes the filler too.
+    filler = case.startswith("saturated")
+    assert runs["farm"][1]["completed"] == runs["fake"][1]["completed"] == \
+        1 + filler
+
+
+def test_max_batch_jobs_validated():
+    for config in (SchedulerConfig, RuntimeConfig):
+        with pytest.raises(ServiceError):
+            config(max_batch_jobs=0)
+
+
+def test_invalid_later_stream_admits_nothing(shared_pool):
+    """A bad stream anywhere in the list rejects the whole call before
+    any job is admitted, in every front door: no orphaned jobs, no open
+    job spans, and drain cannot wait on anything."""
+    streams = ["ABAB", "BBAA", "ABZZ", "AAAA"]
+    for kind, job_span in (("farm", "service.job"), ("fake", "fake.job")):
+        obs = Observability()
+        svc = _door(kind, obs=obs)
+        with pytest.raises(ReproError):
+            svc.submit_many("AB", streams)
+        assert svc.counters.submitted == 0
+        assert svc.drain() == []
+        assert obs.tracer.find(job_span) == []
+
+    async def go():
+        obs = Observability()
+        svc = AsyncMatcherService(pool=shared_pool, obs=obs)
+        await svc.start()
+        with pytest.raises(ReproError):
+            await svc.submit_many("AB", streams)
+        drained = await asyncio.wait_for(svc.drain(), timeout=10.0)
+        return svc.submitted, drained, obs.tracer.find("runtime.job")
+
+    assert asyncio.run(go()) == (0, [], [])

@@ -19,7 +19,7 @@ from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.runtime.channels import unpack_row
 from repro.service.cache import ResultCache
 from repro.service.reliability import FaultInjector
-from repro.workloads import get_workload, list_workloads, run_workload
+from repro.workloads import run_workload
 
 AB = Alphabet("ABCD")
 
@@ -124,77 +124,6 @@ class TestCoalescing:
         assert all(isinstance(row, tuple) for r in replies for row in r.results)
         assert rows[solo.job_id] == [oracle("AX", texts[0])]
         assert rows[batch.job_id] == [oracle("AX", t) for t in texts[1:]]
-
-    @pytest.mark.parametrize("case", [
-        *list_workloads(), "empty", "cached", "saturated-degrade",
-        "saturated-reject",
-    ])
-    def test_submit_is_submit_many_of_one(self, shared_pool, case):
-        """``submit(x)`` and ``submit_many([x])`` are one admission path:
-        same results, route and flags, and the same ``runtime.*``
-        counter deltas, for every workload and every inline route."""
-        spec = get_workload(case if case in list_workloads() else "match")
-        params = [1.0, -2.0, 3.0] if spec.numeric else "AXC"
-        stream = (
-            [float(i % 5 - 2) for i in range(24)] if spec.numeric
-            else "ABCAACACCABACCAB"
-        )
-        if case == "empty":
-            stream = stream[:0]
-
-        def counters(svc):
-            return {
-                name: sum(row["value"] for row in rows)
-                for name, rows in svc.registry.snapshot().items()
-                if name.startswith("runtime.")
-                and rows[0]["kind"] == "counter"
-            }
-
-        async def admit(svc, via):
-            if via == "submit":
-                return await svc.submit(params, stream, workload=spec.name)
-            [jid] = await svc.submit_many(params, [stream],
-                                          workload=spec.name)
-            return jid
-
-        async def go(via):
-            cfg = RuntimeConfig(
-                max_pending=1 if case.startswith("saturated") else 256,
-                degrade_when_saturated=case != "saturated-reject",
-            )
-            svc = AsyncMatcherService(pool=shared_pool, config=cfg,
-                                      cache=ResultCache())
-            await svc.start()
-            if case == "cached":
-                await svc.result(await admit(svc, via))
-            if case.startswith("saturated"):
-                await svc.submit("AB", "ABAB")  # stays pending: no await yet
-            before = counters(svc)
-            try:
-                result = await svc.result(await admit(svc, via))
-                outcome = (result.results, result.mode, result.attempts,
-                           result.via_fallback, result.timed_out)
-            except BackpressureError:
-                outcome = "rejected"
-            after = counters(svc)
-            delta = {k: v - before.get(k, 0) for k, v in after.items()}
-            await svc.drain()
-            return outcome, delta
-
-        single, many = run(go("submit")), run(go("submit_many"))
-        assert single == many
-        outcome, delta = single
-        if case == "saturated-reject":
-            assert outcome == "rejected"
-            assert delta["runtime.backpressure_hits"] == 1
-            return
-        want = run_workload(spec.name, params, stream, AB, engine="oracle")
-        assert outcome[0] == want
-        assert outcome[1] == {
-            "empty": "empty", "cached": "cached",
-            "saturated-degrade": "software",
-        }.get(case, "pool")
-        assert delta["runtime.jobs.completed"] == 1
 
     def test_empty_members_and_empty_batch(self, shared_pool):
         async def go():

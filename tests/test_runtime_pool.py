@@ -69,13 +69,6 @@ class TestRateLimiter:
         assert lim.delay("b", 0.0) == 0.0  # b is not
         assert lim.waits == 1
 
-    def test_default_applies_to_unlisted(self):
-        lim = RateLimiter({}, default=(1.0, 1))
-        assert lim.delay("x", 0.0) == 0.0
-        assert lim.delay("x", 0.0) > 0.0
-        # Distinct tenants get distinct buckets even under the default.
-        assert lim.delay("y", 0.0) == 0.0
-
 
 # -- channels and the wire protocol ----------------------------------------
 

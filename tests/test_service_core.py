@@ -1,15 +1,18 @@
-"""The sans-I/O service core, driven by an in-memory fake transport.
+"""The sans-I/O service core and the front door, over a fake pool.
 
 `ServiceCore` holds the job bookkeeping both front doors share:
 admission after the planner, the one failure rule, software service,
-settling and completion with follower fan-out.  Here a few lines of
-fake transport drive it by hand: no processes, no queues, no wall
-clock.  ``now`` is whatever the test passes, and "live workers" is a
-number the test sets.
+settling and completion with follower fan-out.  `FrontDoor` drives it
+over any pool that keeps the pool contract.  Here a few lines of fake
+pool plug into the unchanged front door as a third pool beside the
+farm's and the runtime's: no processes, no wall clock.  ``now`` is a
+tick count the test moves, and units run only when the test says so
+(``succeed``) or when the fake drains (``run``).
 """
 
 import ast
 import inspect
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -17,11 +20,13 @@ import pytest
 from repro.alphabet import Alphabet
 from repro.obs import Observability
 from repro.service import core as core_module
+from repro.service import frontdoor as frontdoor_module
 from repro.service.cache import ResultCache, result_cache_key
-from repro.service.core import ServiceCore, Trace
+from repro.service.core import Trace
+from repro.service.frontdoor import FrontDoor
 from repro.service.plan import parse_request, plan
-from repro.service.reliability import RetryPolicy, SoftwareFallback
-from repro.service.scheduler import Priority
+from repro.service.reliability import FaultInjector, FaultKind, SoftwareFallback
+from repro.service.scheduler import Priority, SchedulerConfig
 from repro.workloads import run_workload
 from repro.workloads.registry import to_list
 
@@ -29,22 +34,103 @@ AB = Alphabet("ABCD")
 TRACE = Trace("ticks", "fake.job", "fake.software", "fake.timeout",
               ("mode", "attempts", "timed_out"))
 COUNTERS = ("submitted", "completed", "deduped", "batches", "batched_jobs",
-            "retries", "fallbacks", "timeouts")
+            "retries", "fallbacks", "timeouts", "deaths", "backpressure_hits")
 
 
-class FakeTransport:
-    """The smallest front door: it plans a call, admits it through the
-    core, and runs units when the test says they succeed."""
+class FakePool:
+    """The smallest pool: units wait in a FIFO.  ``run`` launches them
+    in order under one fault sample each (a death takes its worker out
+    of dispatch for good, a stuck launch takes ``extra_beats`` more
+    ticks); a piece whose deadline the launch would pass is served from
+    software first, as the farm does.  Its gate is a pending bound."""
 
-    def __init__(self, max_retries=2, cache=None, obs=None):
-        self.counters = SimpleNamespace(**{name: 0 for name in COUNTERS})
-        self.core = ServiceCore(
-            self.counters, RetryPolicy(max_retries), SoftwareFallback(),
-            cache, obs, TRACE, self.publish,
-            software_cost=lambda window, n, start: float(n),
-        )
+    wide_threshold = None
 
-    def publish(self, job):
+    def __init__(self, workers=1, faults=None, max_pending=None):
+        self.n_live, self.max_pending = workers, max_pending
+        self.faults = faults or FaultInjector()
+        self.queue, self.tick, self.cancelled = deque(), 0.0, []
+
+    def now(self):
+        return self.tick
+
+    def saturated(self, open_jobs):
+        return self.max_pending is not None and open_jobs >= self.max_pending
+
+    def submit(self, unit):
+        for job, _ in unit.pieces:
+            job.mode = "batched" if unit.batched else "direct"
+        self.queue.append(unit)
+
+    def cancel(self, unit):
+        self.cancelled.append(unit)
+
+    def succeed(self, unit, now, worker="w0"):
+        """*unit*'s execution answered at tick *now*."""
+        job = unit.pieces[0][0]
+        rows = job.spec.batched(
+            job.taps, [s.feed(j.text) for j, s in unit.pieces], AB)
+        self.door.reply(unit, now, rows, worker, [1.0] * len(rows))
+
+    def run(self):
+        core = self.door.core
+        while self.queue:
+            unit = self.queue.popleft()
+            unit.pieces = [p for p in unit.pieces if not p[0].done]
+            if not self.n_live:
+                core.degrade(unit.pieces, self.tick, reason="no-live-worker")
+                continue
+            fault = self.faults.sample()
+            finish = self.tick + 1 + (fault.extra_beats if fault else 0)
+            for job, shard in list(unit.pieces):
+                if job.deadline is not None and finish > job.deadline:
+                    core.time_out(job, self.tick)
+                    core.degrade([(job, shard)], self.tick, reason="deadline")
+                    unit.pieces.remove((job, shard))
+            if not unit.pieces:
+                continue
+            for job, _ in unit.pieces:
+                job.started = self.tick if job.started is None else job.started
+            self.tick = finish
+            if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
+                self.n_live -= 1
+                self.door.reply(unit, self.tick, died=True)
+            else:
+                self.succeed(unit, self.tick, f"fake-{self.n_live}")
+
+
+class FakeDoor(FrontDoor):
+    """A synchronous surface over any pool: admission, the reply rule
+    and the snapshot are the front door's, unchanged."""
+
+    def __init__(self, pool, config=None, cache=None, obs=None):
+        self.config = config or SchedulerConfig()
+        self.alphabet, self.cache, self.obs = AB, cache, obs
+        self.fallback = SoftwareFallback()
+        self.admitted = []  # every job still open when admitted
+        counters = SimpleNamespace(**{name: 0 for name in COUNTERS})
+        super().__init__(pool, counters, TRACE,
+                         lambda window, n, start: float(n), result_cache_key)
+
+    def submit(self, params, stream, **kw):
+        return self.submit_many(params, [stream], **kw)[0]
+
+    def submit_many(self, params, streams, tenant="t",
+                    priority=Priority.BATCH, workload="match", timeout=None):
+        ids = []
+        for _ in self._admission(ids, params, streams, tenant, priority,
+                                 workload, timeout):
+            pass
+        return ids
+
+    def drain(self):
+        self.transport.run()
+        return self.results()
+
+    def _admitted(self, job, follows):
+        self.admitted.append(job)
+
+    def _publish(self, job):
         # A front door converts the result array once, at publish.
         return SimpleNamespace(
             job_id=job.job_id, results=to_list(job.results), mode=job.mode,
@@ -53,33 +139,32 @@ class FakeTransport:
             started=job.started, finished=job.finished,
         )
 
+
+class FakeTransport:
+    """The fake pool behind the front door, driven by hand."""
+
+    def __init__(self, max_retries=2, cache=None, obs=None):
+        self.pool = FakePool()
+        self.door = FakeDoor(self.pool, SchedulerConfig(max_retries=max_retries),
+                             cache, obs)
+        self.core, self.counters = self.door.core, self.door.counters
+
     def submit_many(self, streams, now=0.0, deadline=None):
-        req = parse_request("match", "AB", streams, AB, Priority.BATCH, None)
-        routes, solos, batches = plan(
-            req.spec, req.taps, req.streams, self.core.cache, now, 32,
-            result_cache_key,
-        )
-        jobs = []
-        for prepared, route in zip(req.streams, routes):
-            self.core.admit(jobs, req, prepared, route, "t", now, deadline)
-        units = self.core.units(jobs, solos, batches, req.priority)
-        for unit in units:
-            self.core.queued(unit)
-            for job, _ in unit.pieces:
-                job.mode = "batched" if unit.batched else "direct"
-        return jobs, units
+        """Admit *streams* at tick *now*; returns the call's open jobs and
+        the units the pool took, which run only when the test says."""
+        self.pool.tick = now
+        opened, queued = len(self.door.admitted), len(self.pool.queue)
+        self.door.submit_many(
+            "AB", streams, timeout=None if deadline is None else deadline - now)
+        return self.door.admitted[opened:], list(self.pool.queue)[queued:]
 
     def succeed(self, unit, now, worker="w0"):
         """*unit*'s execution answered; pieces already served (a
-        deadline shed them) ignore their slice, as in the runtime."""
-        for job, shard in unit.pieces:
-            if job.done:
-                continue
-            rows = job.spec.batched(job.taps, [shard.feed(job.text)], AB)[0]
-            self.core.settle(job, shard, rows, now, 1.0, worker)
+        deadline shed them) ignore their slice."""
+        self.pool.succeed(unit, now, worker)
 
     def results(self):
-        return {r.job_id: r for r in self.core.log.snapshot()}
+        return {r.job_id: r for r in self.door.results()}
 
 
 def oracle(text):
@@ -199,20 +284,34 @@ def test_rejection_rolls_a_job_and_its_followers_back_out():
     assert fake.core.next_id == 3  # rejected ids stay used
 
 
-def test_core_is_sans_io():
-    """The core imports no event loop, thread, process, clock or heap,
-    and never asks which front door it serves."""
-    tree = ast.parse(inspect.getsource(core_module))
+def _imports_and_calls(module):
+    tree = ast.parse(inspect.getsource(module))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
-    assert not imported & {"asyncio", "threading", "multiprocessing",
-                           "time", "heapq"}
     calls = {n.func.id for n in ast.walk(tree)
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    return imported, calls
+
+
+def test_core_is_sans_io():
+    """The core imports no event loop, thread, process, clock or heap,
+    and never asks which front door it serves."""
+    imported, calls = _imports_and_calls(core_module)
+    assert not imported & {"asyncio", "threading", "multiprocessing",
+                           "time", "heapq"}
+    assert "isinstance" not in calls
+
+
+def test_front_door_is_sans_io():
+    """So is the front door: it reads time only through its pool and
+    never asks which pool it drives."""
+    imported, calls = _imports_and_calls(frontdoor_module)
+    assert not imported & {"asyncio", "threading", "multiprocessing",
+                           "time", "heapq"}
     assert "isinstance" not in calls
 
 
