@@ -19,9 +19,9 @@ Layering:
   dropping, worker lifecycle.
 * :mod:`~repro.runtime.admission` -- per-tenant token buckets.
 * :mod:`~repro.runtime.service` -- the async surface of the one front
-  door (start/close, rate-limit waits, futures, deadlines,
-  ``stream_results``) and its :class:`ProcessPool`: units to and from
-  the wire, seeded faults, obs merge-back.
+  door (start/close, rate-limit waits, futures, ``stream_results``)
+  and its :class:`ProcessPool`: the runtime's clock, per-job deadline
+  timers, units to and from the wire, seeded faults, obs merge-back.
 * :mod:`~repro.runtime.health` -- the maintenance crew: background
   gate-level BIST probes on idle workers, quarantine of failing
   processes, wafer-gated respawn healing.

@@ -67,7 +67,6 @@ class WorkerPool:
         n_workers: int,
         alphabet: Optional[Alphabet] = None,
         obs=None,
-        name_prefix: str = "proc",
     ):
         if n_workers <= 0:
             raise ServiceError("worker pool needs at least one process")
@@ -75,7 +74,7 @@ class WorkerPool:
         self.alphabet = alphabet
         self.obs = obs
         self._ctx = mp.get_context("spawn")
-        self._names = [f"{name_prefix}-{i}" for i in range(n_workers)]
+        self._names = [f"proc-{i}" for i in range(n_workers)]
         self._requests = [Channel(self._ctx, 1) for _ in range(n_workers)]
         self._replies = Channel(self._ctx, 2 * n_workers + 4)
         self._procs: List[mp.process.BaseProcess] = []

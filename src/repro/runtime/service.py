@@ -16,9 +16,9 @@ synchronous farm, and so is the reliability story: seeded faults per
 dispatch, bounded whole-unit retries, and software service for
 exhausted retries, saturation, expired deadlines and a pool with no
 live worker -- slower, never wrong.  :class:`ProcessPool` is this
-runtime's transport behind the pool contract; the service keeps what
-must await: start/close, rate-limit waits, futures, deadline timers
-and ``stream_results``.
+runtime's transport behind the pool contract, and keeps the clock and
+the per-job deadline timers; the service keeps what must await:
+start/close, rate-limit waits, futures and ``stream_results``.
 
 Usage::
 
@@ -41,8 +41,7 @@ import numpy as np
 from ..alphabet import Alphabet
 from ..errors import ServiceError
 from ..service.cache import ResultCache, result_cache_key
-from ..service.core import Job, Trace, Unit
-from ..service.frontdoor import FrontDoor
+from ..service.frontdoor import FrontDoor, Job, Trace, Unit
 from ..service.reliability import FaultInjector, FaultKind, SoftwareFallback
 from ..service.scheduler import Priority
 from ..service.telemetry import JobCounters
@@ -61,20 +60,17 @@ class RuntimeConfig:
     the host oracle, exactly like the farm's ``degrade_when_saturated``.
     ``max_retries``: failed executions per unit (a solo job or a batch
     plan) before its jobs degrade.
-    ``default_timeout_s``: SLO applied to jobs submitted without an
-    explicit ``timeout`` (None = no deadline).
     ``stuck_stall_s``: wall seconds per stuck *beat* when a seeded
     stuck-beats fault is injected (0 disables actual stalling; the
     fault is still counted).
-    ``rate_limits``: tenant -> (jobs/s, burst) token-bucket specs;
-    unlisted tenants are unlimited.
+    ``rate_limits``: tenant -> (jobs/s, burst) token-bucket specs, both
+    positive; unlisted tenants are unlimited.
     ``max_batch_jobs``: the most jobs :meth:`AsyncMatcherService.submit_many`
     coalesces into one wire crossing (one batched-kernel call per chunk).
     """
 
     max_pending: int = 256
     max_retries: int = 2
-    default_timeout_s: Optional[float] = None
     degrade_when_saturated: bool = True
     stuck_stall_s: float = 0.0
     rate_limits: Mapping[str, Tuple[float, float]] = field(
@@ -87,12 +83,21 @@ class RuntimeConfig:
             raise ServiceError("max_pending must be positive")
         if self.max_retries < 0:
             raise ServiceError("max_retries cannot be negative")
-        if self.default_timeout_s is not None and self.default_timeout_s <= 0:
-            raise ServiceError("default_timeout_s must be positive")
         if self.stuck_stall_s < 0:
             raise ServiceError("stuck_stall_s cannot be negative")
         if self.max_batch_jobs <= 0:
             raise ServiceError("max_batch_jobs must be positive")
+        for tenant, spec in self.rate_limits.items():
+            try:
+                rate, burst = spec
+                ok = rate > 0 and burst > 0
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ServiceError(
+                    f"rate limit of {tenant!r} must be a positive "
+                    f"(rate, burst) pair, not {spec!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,6 @@ class AsyncMatcherService(FrontDoor, JobCounters):
         # a farm-warmed cache serves runtime traffic); TTL in seconds.
         self.cache = cache
         self.limiter = RateLimiter(self.config.rate_limits)
-        self.default_timeout = self.config.default_timeout_s
         procs = ProcessPool(self.pool, self.faults, self.config, obs,
                             self.registry)
         super().__init__(
@@ -184,9 +188,8 @@ class AsyncMatcherService(FrontDoor, JobCounters):
             # Looked up per call, so a wrapper on this module's name runs.
             lambda *args, **kw: result_cache_key(*args, **kw),
         )
-        # Pending jobs' futures and deadline timers, by job id.
+        # Pending jobs' futures, by job id.
         self._futures: Dict[int, asyncio.Future] = {}
-        self._timers: Dict[int, asyncio.TimerHandle] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
 
@@ -201,12 +204,14 @@ class AsyncMatcherService(FrontDoor, JobCounters):
         return self
 
     async def close(self, drain: bool = True) -> None:
-        """Graceful shutdown: optionally drain, then join the workers."""
+        """Graceful shutdown: optionally drain, then join the workers.  A
+        call still waiting for its rate limit raises
+        :class:`~repro.errors.ServiceError` and admits nothing."""
         if drain and self._started:
             await self.drain()
         if self._started:
+            self._started = False  # a call still waiting admits nothing
             await self._loop.run_in_executor(None, self.pool.shutdown)
-        self._started = False
 
     async def __aenter__(self) -> "AsyncMatcherService":
         return await self.start()
@@ -246,53 +251,37 @@ class AsyncMatcherService(FrontDoor, JobCounters):
         timeout: Optional[float] = None,
     ) -> List[int]:
         """Admit one job per stream: the routes of
-        :meth:`FrontDoor._admission`, with ``mode="pool"`` for a solo
-        device run.  The call suspends while the tenant is over its rate
-        limit (CSP backpressure); ``max_pending`` bounds the jobs that
-        need a worker.  A batch member that times out is served from
-        software and its slice of a late reply is dropped.
+        :meth:`FrontDoor._admit`, with ``mode="pool"`` for a solo
+        device run.  The whole call is checked first; then it suspends
+        until the tenant's rate limit grants one token per stream (CSP
+        backpressure) and admits every stream in one step, so each
+        job's ``submitted_s`` is when the call's last token arrived.
+        ``max_pending`` bounds the jobs that need a worker.  A batch
+        member that times out is served from software and its slice of
+        a late reply is dropped.
         """
         if not self._started:
             raise ServiceError(
                 "service not started (use 'async with' or await start())"
             )
-        ids: List[int] = []
-        for _ in self._admission(ids, params, streams, tenant, priority,
-                                 workload, timeout):
+        req = self._request(params, streams, priority, workload, timeout)
+        for _ in req.streams:
             while True:
-                delay = self.limiter.delay(tenant, self._loop.time())
+                delay = self.limiter.delay(tenant, self.transport.now())
                 if delay <= 0.0:
                     break
                 await asyncio.sleep(delay)
-        return ids
+        if not self._started:
+            raise ServiceError("service closed while the call waited for "
+                               "its rate limit")
+        return self._admit(req, tenant)
 
-    def _admitted(self, job: Job, follows: bool) -> None:
+    def _admitted(self, job: Job) -> None:
         self._futures[job.job_id] = self._loop.create_future()
-        # A follower shares its representative's fate and timer.
-        if job.deadline is not None and not follows:
-            self._timers[job.job_id] = self._loop.call_later(
-                job.deadline - job.submitted, self._on_deadline, job
-            )
-
-    def _on_deadline(self, job: Job) -> None:
-        """The job's SLO expired: shed it from the pool and serve it
-        degraded.  A hung worker can no longer wedge this job."""
-        if job.done:
-            return
-        now, unit = self.transport.now(), job.unit  # completion clears it
-        self.core.time_out(job, now, attempts=job.attempts)
-        self.core.degrade([job.whole()], now, reason="deadline")
-        if unit is not None and all(j.done for j, _ in unit.pieces):
-            # Every member has been served; drop the unit's reply.
-            self.transport.cancel(unit)
 
     def _publish(self, job: Job) -> RuntimeResult:
         """The finished job's result, its values converted to their
-        public element types in one step; resolves its future and
-        cancels its deadline timer."""
-        timer = self._timers.pop(job.job_id, None)
-        if timer is not None:
-            timer.cancel()
+        public element types in one step; resolves its future."""
         result = RuntimeResult(
             job_id=job.job_id,
             tenant=job.tenant,
@@ -321,7 +310,7 @@ class AsyncMatcherService(FrontDoor, JobCounters):
         future = self._futures.get(job_id)
         if future is not None:
             return await asyncio.shield(future)
-        done = self.core.log.get(job_id)
+        done = self.log.get(job_id)
         if done is None:
             raise ServiceError(f"unknown job id {job_id}")
         return done
@@ -384,11 +373,15 @@ class ProcessPool:
     :class:`~repro.runtime.pool.WorkerPool` as one
     :class:`~repro.runtime.channels.JobRequest` under one seeded fault
     sample (named by a pool-wide unit id, kept across relaunches), or
-    serves them from software when no worker is live.  Replies hop from
-    the collector thread onto the event loop: a stale one (deadlines
-    served every piece) is dropped, one that never ran is sent again,
-    and the rest go to the front door's reply rule.  Its gate is
-    ``max_pending``; ``now`` is wall seconds since construction.
+    serves them from software when no worker is live.  The first time
+    it takes a unit it arms one deadline timer per job with an SLO: a
+    timer that fires serves its job from software and, once every piece
+    is served, drops the unit's reply, so a hung worker cannot wedge a
+    job.  Replies hop from the collector thread onto the event loop: a
+    stale one (deadlines served every piece) is dropped, one that never
+    ran is sent again, and the rest go to the front door's reply rule.
+    Its gate is ``max_pending``; ``now`` is wall seconds since
+    construction, the runtime's one clock.
     """
 
     wide_threshold = None  # the runtime ships each text whole
@@ -400,6 +393,7 @@ class ProcessPool:
         self.stuck_stall_s = config.stuck_stall_s
         self._m_stale = registry.counter("runtime.stale_replies")
         self._t0 = time.perf_counter()
+        self._timers: Dict[int, asyncio.TimerHandle] = {}  # by job id
         self.door: Optional[FrontDoor] = None
         self.loop: Optional[asyncio.AbstractEventLoop] = None
 
@@ -414,18 +408,34 @@ class ProcessPool:
         return open_jobs >= self.max_pending
 
     def submit(self, unit: Unit) -> None:
-        if not unit.attempts:  # a relaunch keeps its wire name
+        if not unit.attempts:  # a relaunch keeps its name and timers
             unit.unit_id = next(self.workers.unit_ids)
+            now = self.now()
+            for job, _ in unit.pieces:
+                if job.deadline is not None:
+                    self._timers[job.job_id] = self.loop.call_later(
+                        job.deadline - now, self._expire, job, unit)
         self._send(unit)
 
-    def cancel(self, unit: Unit) -> None:
-        self.workers.cancel(unit.unit_id, unit.attempts)
+    def _expire(self, job: Job, unit: Unit) -> None:
+        del self._timers[job.job_id]
+        self.door.expire(job.whole(), self.now(), attempts=job.attempts)
+        if all(j.done for j, _ in unit.pieces):
+            # Every piece has been served: drop the unit's reply.
+            self.workers.cancel(unit.unit_id, unit.attempts)
+
+    def _disarm(self, unit: Unit) -> None:
+        """Cancel the deadline timers of the unit's served jobs."""
+        for job, _ in unit.pieces:
+            if job.done and job.job_id in self._timers:
+                self._timers.pop(job.job_id).cancel()
 
     def _send(self, unit: Unit) -> None:
         unit.pieces = [p for p in unit.pieces if not p[0].done]
         now = self.now()
         if not unit.pieces or not self.workers.n_live:
-            self.door.core.degrade(unit.pieces, now, reason="no-live-worker")
+            self.door.degrade(unit.pieces, now, reason="no-live-worker")
+            self._disarm(unit)
             return
         fault = self.faults.sample()
         fault_kind = None
@@ -474,6 +484,7 @@ class ProcessPool:
         now = self.now()
         if not reply.ok:  # death or error: the whole unit failed
             self.door.reply(unit, now, died=reply.died)
+            self._disarm(unit)
             return
         live = [job for job, _ in unit.pieces if not job.done]
         if live and self.obs is not None:
@@ -485,3 +496,4 @@ class ProcessPool:
                                       offset=max(live[0].started, 0.0))
         self.door.reply(unit, now, [unpack_row(r) for r in reply.results],
                         reply.worker, [0.0] * len(unit.pieces))
+        self._disarm(unit)

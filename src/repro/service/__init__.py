@@ -13,12 +13,11 @@ timing model.
 
 Layout
 ------
-* :mod:`~repro.service.frontdoor` -- the one front door (admission, the
-  reply rule, results) and the pool contract it drives; the farm's
+* :mod:`~repro.service.frontdoor` -- the one sans-I/O front door
+  (jobs, units, admission, the reply rule, retries, degradation,
+  completion, results) and the pool contract it drives; the farm's
   :class:`~repro.service.service.FarmPool` and the runtime's
   :class:`~repro.runtime.service.ProcessPool` keep it.
-* :mod:`~repro.service.core` -- the sans-I/O :class:`ServiceCore`
-  under it: jobs, units, retries, degradation, completion.
 * :mod:`~repro.service.plan` -- the admission planner: one route per
   stream.
 * :mod:`~repro.service.pool` -- workers wrapping chips, cascades, or
@@ -27,8 +26,8 @@ Layout
   tenant round-robin, the simulated beat clock, and the shared host bus.
 * :mod:`~repro.service.sharding` -- long patterns via multipass, wide
   texts split across workers and merged back into one result stream.
-* :mod:`~repro.service.reliability` -- fault injection, retry policy,
-  and the software-baseline fallback path.
+* :mod:`~repro.service.reliability` -- fault injection and the
+  software-baseline fallback path.
 * :mod:`~repro.service.telemetry` -- per-job and per-worker counters.
 * :mod:`~repro.service.cache` -- the cross-tenant :class:`ResultCache`
   consulted before dispatch (opt in with ``cache=ResultCache(...)``).
@@ -54,7 +53,6 @@ from .reliability import (
     Fault,
     FaultInjector,
     FaultKind,
-    RetryPolicy,
     SoftwareFallback,
 )
 from .scheduler import (
@@ -95,7 +93,6 @@ __all__ = [
     "PoolWorker",
     "Priority",
     "ResultCache",
-    "RetryPolicy",
     "SchedulerConfig",
     "ServiceTelemetry",
     "ShardMode",

@@ -210,17 +210,6 @@ class FaultInjector:
         return defect
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times an execution may be reassigned before degrading."""
-
-    max_retries: int = 2
-
-    def should_retry(self, attempts: int) -> bool:
-        """*attempts* = completed (failed) tries so far."""
-        return attempts <= self.max_retries
-
-
 class SoftwareFallback:
     """The host CPU serving any workload when the devices cannot.
 

@@ -29,8 +29,7 @@ from ..errors import ServiceError
 from ..host.bus import HostSpec
 from ..workloads.registry import to_list
 from .cache import ResultCache, result_cache_key
-from .core import Job, Trace, Unit
-from .frontdoor import FrontDoor
+from .frontdoor import FrontDoor, Job, Trace, Unit
 from .pool import DevicePool, PoolWorker, WorkerState
 from .reliability import FaultInjector, FaultKind, SoftwareFallback
 from .scheduler import BeatClock, JobQueues, Priority, SchedulerConfig, SharedBus
@@ -42,7 +41,7 @@ from .sharding import (
 )
 from .telemetry import ServiceTelemetry
 
-#: The farm's name for an admitted job (the core's record).
+#: The farm's name for an admitted job (the front door's record).
 MatchJob = Job
 
 _TRACE = Trace(
@@ -166,7 +165,7 @@ class MatcherService(FrontDoor):
     ) -> List[int]:
         """Admit one job per text in *texts*; returns their ids in order.
 
-        The routes are :meth:`FrontDoor._admission`'s; a device route
+        The routes are :meth:`FrontDoor._admit`'s; a device route
         reports ``direct``, ``multipass`` or ``text-sharded``.  Each
         solo job and each batch plan is one entry of the bounded
         queues: an entry that overflows is served from software with
@@ -174,11 +173,9 @@ class MatcherService(FrontDoor):
         it are rolled back and :class:`BackpressureError` is raised
         (already-admitted jobs stay admitted).
         """
-        ids: List[int] = []
-        for _ in self._admission(ids, pattern, texts, tenant, priority,
-                                 workload, timeout):
-            pass
-        return ids
+        return self._admit(
+            self._request(pattern, texts, priority, workload, timeout), tenant
+        )
 
     def drain(self) -> List[JobResult]:
         """Run the farm until every admitted job has completed; returns
@@ -269,10 +266,6 @@ class FarmPool:
         self.queues.put(unit.priority, unit.pieces[0][0].tenant, unit)
         self._note_queue_depth(unit.priority)
 
-    def cancel(self, unit: Unit) -> None:
-        """Nothing to take back: the farm sheds a deadline at launch,
-        before the unit commits a worker."""
-
     def _note_queue_depth(self, priority: Priority) -> None:
         if self.obs is not None:
             self.obs.tracer.event(
@@ -283,7 +276,6 @@ class FarmPool:
 
     def run(self) -> None:
         """Run until nothing is queued or in flight."""
-        core = self.door.core
         while self.queues.depth() or self._retry or self._inflight:
             self._assign_all()
             if not self._inflight:
@@ -293,8 +285,8 @@ class FarmPool:
                     while self._retry or self.queues.depth():
                         unit = self._retry.popleft() if self._retry \
                             else self.queues.pop()
-                        core.degrade(unit.pieces, self.clock.now,
-                                     reason="no-live-worker")
+                        self.door.degrade(unit.pieces, self.clock.now,
+                                          reason="no-live-worker")
                     continue
                 if not self.queues.depth() and not self._retry:
                     # Everything was served inline (deadline timeouts /
@@ -390,7 +382,7 @@ class FarmPool:
         queue, or a death that would burn past it) are served degraded
         right now; the survivors are re-projected once and committed.
         A fully shed unit never commits the worker or the bus."""
-        now, core = self.clock.now, self.door.core
+        now = self.clock.now
         fault = self.faults.sample()
         finish, bus_chars = self._project(fault, unit, worker, now)
 
@@ -401,11 +393,10 @@ class FarmPool:
         shed = [piece for piece in unit.pieces if blown(piece)]
         if shed:
             for job, shard in shed:
-                core.time_out(
-                    job, now, shard=shard.index, batch=unit.batched,
+                self.door.expire(
+                    (job, shard), now, shard=shard.index, batch=unit.batched,
                     projected_finish=finish, deadline=job.deadline,
                 )
-                core.degrade([(job, shard)], now, reason="deadline")
             unit.pieces = [p for p in unit.pieces if not blown(p)]
             if not unit.pieces:
                 return

@@ -467,27 +467,34 @@ def test_max_batch_jobs_validated():
             config(max_batch_jobs=0)
 
 
+#: Calls that are rejected whole: a bad stream after good ones, and an
+#: unknown priority class, which must not strand jobs in no queue.
+INVALID = [(["ABAB", "BBAA", "ABZZ", "AAAA"], {}),
+           (["ABCA", "AACC"], {"priority": 7})]
+
+
 def test_invalid_later_stream_admits_nothing(shared_pool):
-    """A bad stream anywhere in the list rejects the whole call before
-    any job is admitted, in every front door: no orphaned jobs, no open
-    job spans, and drain cannot wait on anything."""
-    streams = ["ABAB", "BBAA", "ABZZ", "AAAA"]
-    for kind, job_span in (("farm", "service.job"), ("fake", "fake.job")):
-        obs = Observability()
-        svc = _door(kind, obs=obs)
-        with pytest.raises(ReproError):
-            svc.submit_many("AB", streams)
-        assert svc.counters.submitted == 0
-        assert svc.drain() == []
-        assert obs.tracer.find(job_span) == []
+    """Bad input anywhere in the call rejects the whole call before any
+    job is admitted, in every front door: no orphaned jobs, no open job
+    spans, and drain cannot wait on anything."""
+    for streams, kw in INVALID:
+        for kind, job_span in (("farm", "service.job"),
+                               ("fake", "fake.job")):
+            obs = Observability()
+            svc = _door(kind, obs=obs)
+            with pytest.raises(ReproError):
+                svc.submit_many("AB", streams, **kw)
+            assert svc.counters.submitted == 0
+            assert svc.drain() == []
+            assert obs.tracer.find(job_span) == []
 
-    async def go():
-        obs = Observability()
-        svc = AsyncMatcherService(pool=shared_pool, obs=obs)
-        await svc.start()
-        with pytest.raises(ReproError):
-            await svc.submit_many("AB", streams)
-        drained = await asyncio.wait_for(svc.drain(), timeout=10.0)
-        return svc.submitted, drained, obs.tracer.find("runtime.job")
+        async def go():
+            obs = Observability()
+            svc = AsyncMatcherService(pool=shared_pool, obs=obs)
+            await svc.start()
+            with pytest.raises(ReproError):
+                await svc.submit_many("AB", streams, **kw)
+            drained = await asyncio.wait_for(svc.drain(), timeout=10.0)
+            return svc.submitted, drained, obs.tracer.find("runtime.job")
 
-    assert asyncio.run(go()) == (0, [], [])
+        assert asyncio.run(go()) == (0, [], [])

@@ -355,9 +355,12 @@ class TestApi:
         with pytest.raises(ServiceError):
             RuntimeConfig(max_retries=-1)
         with pytest.raises(ServiceError):
-            RuntimeConfig(default_timeout_s=0.0)
-        with pytest.raises(ServiceError):
             RuntimeConfig(stuck_stall_s=-1.0)
+        # A rate limit is a positive (rate, burst) pair, checked here
+        # rather than at the tenant's first submit.
+        for spec in [(1.0,), ("a", 1), (0.0, 1)]:
+            with pytest.raises(ServiceError):
+                RuntimeConfig(rate_limits={"t": spec})
 
     def test_unknown_job_id(self, shared_pool):
         async def go():

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.alphabet import Alphabet
-from repro.errors import BackpressureError, ReproError, ServiceError
+from repro.errors import BackpressureError, ServiceError
 from repro.runtime import AsyncMatcherService, RuntimeConfig, WorkerPool
 from repro.runtime.channels import unpack_row
 from repro.service.cache import ResultCache
@@ -139,10 +139,6 @@ class TestCoalescing:
         assert results[jids[2]].results == []
         assert results[jids[1]].results == oracle("AX", "ABCA")
 
-    def test_max_batch_jobs_validated(self):
-        with pytest.raises(ServiceError):
-            RuntimeConfig(max_batch_jobs=0)
-
 
 class TestCacheIntegration:
     def test_warm_pass_is_served_from_cache(self, shared_pool):
@@ -183,23 +179,6 @@ class TestCacheIntegration:
 
 
 class TestAdversity:
-    def test_invalid_later_stream_admits_nothing(self, shared_pool):
-        """A bad stream anywhere in the list rejects the whole call
-        before any job is admitted, so drain and close cannot wait on
-        orphaned jobs."""
-
-        async def go():
-            svc = AsyncMatcherService(pool=shared_pool)
-            await svc.start()
-            with pytest.raises(ReproError):
-                await svc.submit_many("AB", ["ABAB", "BBAA", "ABZZ", "AAAA"])
-            drained = await asyncio.wait_for(svc.drain(), timeout=10.0)
-            return svc.submitted, drained
-
-        submitted, drained = run(go())
-        assert submitted == 0
-        assert drained == []
-
     def test_differential_under_seeded_faults(self):
         rng = random.Random(404)
 
@@ -227,10 +206,9 @@ class TestAdversity:
 
     def test_member_deadline_sheds_without_killing_batch(self):
         async def go():
-            cfg = RuntimeConfig(default_timeout_s=0.0001)
-            async with AsyncMatcherService(2, AB, config=cfg) as svc:
+            async with AsyncMatcherService(2, AB) as svc:
                 texts = ["ABCA" * 20, "AACC" * 20]
-                jids = await svc.submit_many("AX", texts)
+                jids = await svc.submit_many("AX", texts, timeout=0.0001)
                 results = {r.job_id: r for r in await svc.drain()}
                 return jids, texts, results
 
@@ -269,26 +247,50 @@ class TestAdversity:
 
         assert run(go()) == (1, 1, 1)
 
-    def test_follower_of_a_rep_served_during_a_rate_limit_wait(
-        self, shared_pool
-    ):
-        """The representative's deadline fires while the call waits on
-        the rate limit; its duplicate still gets a copy of its answer
-        instead of a second oracle run."""
+    def test_rate_limit_wait_holds_back_no_admitted_job(self, shared_pool):
+        """A call waits out the tokens of all its streams before it
+        admits any, so the jobs that had a token at once are not held
+        back while the later tokens arrive: all eight are admitted
+        together, when the last token arrives."""
+        texts = [f"ABC{'ABCD'[i % 4]}{'ABCD'[i // 4]}" for i in range(8)]
+
         async def go():
-            cfg = RuntimeConfig(rate_limits={"t": (50.0, 1.0)})
+            cfg = RuntimeConfig(rate_limits={"t": (40.0, 4)},
+                                max_batch_jobs=1)
             svc = AsyncMatcherService(pool=shared_pool, config=cfg)
             await svc.start()
-            jids = await svc.submit_many("AX", ["ABCA", "ABCA"], tenant="t",
-                                         timeout=0.001)
+            jids = await svc.submit_many("AX", texts, tenant="t")
             results = {r.job_id: r for r in await svc.drain()}
-            return [results[j] for j in jids], svc.fallbacks
+            return [results[j] for j in jids], svc.limiter.waits
 
-        (rep, follower), fallbacks = run(go())
-        assert (rep.mode, follower.mode, fallbacks) == (
-            "software", "deduped", 1
-        )
-        assert rep.results == follower.results == oracle("AX", "ABCA")
+        done, waits = run(go())
+        assert waits > 0  # the last four streams waited for tokens
+        submitted = [r.submitted_s for r in done]
+        assert max(submitted) - min(submitted) < 0.020
+        for r, text in zip(done, texts):
+            assert r.results == oracle("AX", text)
+
+    def test_close_during_a_rate_limit_wait_admits_nothing(self):
+        """A call still waiting for its tokens when the service closes
+        raises and admits nothing, rather than admitting jobs the closed
+        pool can never run."""
+        async def go():
+            cfg = RuntimeConfig(rate_limits={"t": (5.0, 1)})
+            svc = AsyncMatcherService(1, AB, config=cfg)
+            await svc.start()
+            await svc.submit("AX", "", tenant="t")  # takes the one token
+            call = asyncio.create_task(
+                svc.submit_many("AX", ["ABCA", "AACC"], tenant="t"))
+            for _ in range(10000):  # until the call waits for a token
+                if svc.limiter.waits:
+                    break
+                await asyncio.sleep(0.001)
+            await svc.close()
+            with pytest.raises(ServiceError):
+                await call
+            return svc.submitted, svc.completed
+
+        assert run(go()) == (1, 1)
 
     def test_saturation_raises_after_flushing_admitted_head(self):
         async def go():

@@ -133,6 +133,14 @@ def _collect(n, timeout=30.0):
     return cb, wait
 
 
+def _wait_dispatched(pool, count, timeout=10.0):
+    """Wait until *pool* has popped *count* requests off its heap."""
+    deadline = time.monotonic() + timeout
+    while pool.dispatched < count:
+        assert time.monotonic() < deadline, "request never dispatched"
+        time.sleep(0.001)
+
+
 def _match_request(job_id, text="ABCDABCA", attempt=0, **kw):
     from repro.alphabet import parse_pattern
 
@@ -216,7 +224,7 @@ class TestWorkerPool:
             # Saturate the worker so the next four queue up.
             hold, hold_wait = _collect(1)
             solo.submit(_match_request(10, stall_s=0.3), hold)
-            time.sleep(0.05)  # let it dispatch
+            _wait_dispatched(solo, 1)
             solo.submit(_match_request(20), cb, deadline=base + 30.0)
             solo.submit(_match_request(21), cb, deadline=base + 10.0)
             solo.submit(_match_request(22), cb, deadline=base + 20.0)
@@ -228,10 +236,10 @@ class TestWorkerPool:
         assert order == [21, 22, 20, 23]
 
     def test_cancel_drops_stale_reply(self, pool):
-        dropped_before = pool.dropped_replies
+        dropped_before, dispatched = pool.dropped_replies, pool.dispatched
         cb, _ = _collect(1)
         pool.submit(_match_request(3, stall_s=0.2), cb)
-        time.sleep(0.05)  # ensure it is dispatched, then abandon it
+        _wait_dispatched(pool, dispatched + 1)  # then abandon it
         pool.cancel(3, 0)
         deadline = time.monotonic() + 10.0
         while pool.dropped_replies == dropped_before:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import Alphabet, match_oracle, parse_pattern
 from repro.chip.chip import ChipSpec
-from repro.errors import BackpressureError, ReproError, ServiceError
+from repro.errors import BackpressureError, ServiceError
 from repro.obs import Observability
 from repro.service import (
     Fault,
@@ -99,10 +99,6 @@ class TestCoalescing:
         assert results[jids[0]].results == []
         assert results[jids[2]].results == []
         assert results[jids[1]].results == oracle("AB", "ABAB")
-
-    def test_max_batch_jobs_validated(self):
-        with pytest.raises(ServiceError):
-            SchedulerConfig(max_batch_jobs=0)
 
 
 class TestAdversity:
@@ -209,17 +205,6 @@ class TestAdversity:
         # The admitted head still ran to a correct completion.
         for r in results.values() if hasattr(results, "values") else results:
             assert r.results == oracle("AX", "ABCA")
-
-    def test_invalid_later_text_admits_nothing(self):
-        """A bad text anywhere in the list rejects the whole call before
-        any job is admitted: no orphaned jobs, no open spans."""
-        obs = Observability()
-        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB), obs=obs)
-        with pytest.raises(ReproError):
-            svc.submit_many("AB", ["ABAB", "BBAA", "ABZZ", "AAAA"])
-        assert svc.telemetry.submitted == 0
-        assert svc.drain() == []
-        assert obs.tracer.find("service.job") == []
 
     def test_invalid_priority_admits_nothing(self):
         """The priority is checked before any job is admitted, so an

@@ -1,17 +1,18 @@
-"""The sans-I/O service core and the front door, over a fake pool.
+"""The sans-I/O front door, over a fake pool.
 
-`ServiceCore` holds the job bookkeeping both front doors share:
-admission after the planner, the one failure rule, software service,
-settling and completion with follower fan-out.  `FrontDoor` drives it
-over any pool that keeps the pool contract.  Here a few lines of fake
-pool plug into the unchanged front door as a third pool beside the
-farm's and the runtime's: no processes, no wall clock.  ``now`` is a
-tick count the test moves, and units run only when the test says so
-(``succeed``) or when the fake drains (``run``).
+`FrontDoor` holds the job bookkeeping both surfaces share: admission
+after the planner, the one failure rule, software service, settling and
+completion with follower fan-out, over any pool that keeps the pool
+contract.  Here a few lines of fake pool plug into the unchanged front
+door as a third pool beside the farm's and the runtime's: no
+processes, no wall clock.  ``now`` is a tick count the test moves, and
+units run only when the test says so (``succeed``) or when the fake
+drains (``run``).
 """
 
 import ast
 import inspect
+import textwrap
 from collections import deque
 from types import SimpleNamespace
 
@@ -19,12 +20,9 @@ import pytest
 
 from repro.alphabet import Alphabet
 from repro.obs import Observability
-from repro.service import core as core_module
 from repro.service import frontdoor as frontdoor_module
 from repro.service.cache import ResultCache, result_cache_key
-from repro.service.core import Trace
-from repro.service.frontdoor import FrontDoor
-from repro.service.plan import parse_request, plan
+from repro.service.frontdoor import FrontDoor, Trace
 from repro.service.reliability import FaultInjector, FaultKind, SoftwareFallback
 from repro.service.scheduler import Priority, SchedulerConfig
 from repro.workloads import run_workload
@@ -49,7 +47,7 @@ class FakePool:
     def __init__(self, workers=1, faults=None, max_pending=None):
         self.n_live, self.max_pending = workers, max_pending
         self.faults = faults or FaultInjector()
-        self.queue, self.tick, self.cancelled = deque(), 0.0, []
+        self.queue, self.tick = deque(), 0.0
 
     def now(self):
         return self.tick
@@ -62,9 +60,6 @@ class FakePool:
             job.mode = "batched" if unit.batched else "direct"
         self.queue.append(unit)
 
-    def cancel(self, unit):
-        self.cancelled.append(unit)
-
     def succeed(self, unit, now, worker="w0"):
         """*unit*'s execution answered at tick *now*."""
         job = unit.pieces[0][0]
@@ -73,19 +68,18 @@ class FakePool:
         self.door.reply(unit, now, rows, worker, [1.0] * len(rows))
 
     def run(self):
-        core = self.door.core
         while self.queue:
             unit = self.queue.popleft()
             unit.pieces = [p for p in unit.pieces if not p[0].done]
             if not self.n_live:
-                core.degrade(unit.pieces, self.tick, reason="no-live-worker")
+                self.door.degrade(unit.pieces, self.tick,
+                                  reason="no-live-worker")
                 continue
             fault = self.faults.sample()
             finish = self.tick + 1 + (fault.extra_beats if fault else 0)
             for job, shard in list(unit.pieces):
                 if job.deadline is not None and finish > job.deadline:
-                    core.time_out(job, self.tick)
-                    core.degrade([(job, shard)], self.tick, reason="deadline")
+                    self.door.expire((job, shard), self.tick)
                     unit.pieces.remove((job, shard))
             if not unit.pieces:
                 continue
@@ -117,17 +111,15 @@ class FakeDoor(FrontDoor):
 
     def submit_many(self, params, streams, tenant="t",
                     priority=Priority.BATCH, workload="match", timeout=None):
-        ids = []
-        for _ in self._admission(ids, params, streams, tenant, priority,
-                                 workload, timeout):
-            pass
-        return ids
+        return self._admit(
+            self._request(params, streams, priority, workload, timeout),
+            tenant)
 
     def drain(self):
         self.transport.run()
         return self.results()
 
-    def _admitted(self, job, follows):
+    def _admitted(self, job):
         self.admitted.append(job)
 
     def _publish(self, job):
@@ -147,7 +139,7 @@ class FakeTransport:
         self.pool = FakePool()
         self.door = FakeDoor(self.pool, SchedulerConfig(max_retries=max_retries),
                              cache, obs)
-        self.core, self.counters = self.door.core, self.door.counters
+        self.counters = self.door.counters
 
     def submit_many(self, streams, now=0.0, deadline=None):
         """Admit *streams* at tick *now*; returns the call's open jobs and
@@ -178,7 +170,7 @@ def test_retry_then_success():
     fake = FakeTransport()
     jobs, [unit] = fake.submit_many(TEXTS)
     assert unit.batched and fake.counters.batches == 1
-    assert fake.core.failed(unit, n_live=1, now=5.0)
+    assert fake.door.failed(unit, n_live=1, now=5.0)
     fake.succeed(unit, now=9.0)
     done = fake.results()
     for job, text in zip(jobs, TEXTS):
@@ -193,8 +185,8 @@ def test_retry_then_success():
 def test_retries_exhausted_serves_every_piece_from_software():
     fake = FakeTransport(max_retries=1)
     jobs, [unit] = fake.submit_many(TEXTS)
-    assert fake.core.failed(unit, n_live=1, now=1.0)
-    assert not fake.core.failed(unit, n_live=1, now=2.0)
+    assert fake.door.failed(unit, n_live=1, now=1.0)
+    assert not fake.door.failed(unit, n_live=1, now=2.0)
     done = fake.results()
     for job, text in zip(jobs, TEXTS):
         r = done[job.job_id]
@@ -208,7 +200,7 @@ def test_retries_exhausted_serves_every_piece_from_software():
 def test_no_live_worker_degrades_without_a_retry():
     fake = FakeTransport(max_retries=5)
     jobs, [unit] = fake.submit_many(TEXTS)
-    assert not fake.core.failed(unit, n_live=0, now=3.0)
+    assert not fake.door.failed(unit, n_live=0, now=3.0)
     done = fake.results()
     assert [done[j.job_id].mode for j in jobs] == ["software", "software"]
     assert (fake.counters.retries, fake.counters.fallbacks) == (0, 2)
@@ -218,8 +210,7 @@ def test_deadline_shed_of_one_batch_member():
     obs = Observability()
     fake = FakeTransport(obs=obs)
     (a, b), [unit] = fake.submit_many(TEXTS, deadline=4.0)
-    fake.core.time_out(a, 4.0, projected=10.0)
-    fake.core.degrade([unit.pieces[0]], 4.0)
+    fake.door.expire(unit.pieces[0], 4.0, projected=10.0)
     assert a.done and not b.done
     fake.succeed(unit, now=10.0)  # a's slice of the reply is ignored
     done = fake.results()
@@ -243,8 +234,7 @@ def test_follower_reports_its_representatives_fate():
     fake = FakeTransport(cache=cache)
     (rep, follower, other), units = fake.submit_many(TEXTS[:1] + TEXTS)
     assert fake.counters.deduped == 1
-    fake.core.time_out(rep, 2.0)
-    fake.core.degrade([rep.whole()], 2.0)
+    fake.door.expire(rep.whole(), 2.0)
     done = fake.results()
     r = done[follower.job_id]
     assert (r.mode, r.timed_out, r.via_fallback, r.attempts) == (
@@ -256,36 +246,16 @@ def test_follower_reports_its_representatives_fate():
     assert cache.get(rep.cache_key, tenant="t", now=3.0) is not None
 
 
-def test_follower_of_a_representative_that_already_completed():
-    """A representative served before its duplicate is admitted (the
-    runtime's rate-limit wait) hands its answer over at admission."""
-    fake = FakeTransport()
-    req = parse_request("match", "AB", TEXTS[:1] * 2, AB, Priority.BATCH,
-                        None)
-    routes, _, _ = plan(req.spec, req.taps, req.streams, None, 0.0, 32,
-                        result_cache_key)
-    jobs = []
-    rep = fake.core.admit(jobs, req, req.streams[0], routes[0], "t", 0.0)
-    fake.core.degrade([rep.whole()], 1.0)
-    follower = fake.core.admit(jobs, req, req.streams[1], routes[1], "t",
-                               7.0)
-    assert follower.done
-    r = fake.results()[follower.job_id]
-    assert (r.mode, r.via_fallback, r.started, r.finished) == (
-        "deduped", True, 7.0, 7.0)
-
-
 def test_rejection_rolls_a_job_and_its_followers_back_out():
     fake = FakeTransport()
     jobs, _ = fake.submit_many(TEXTS[:1] * 3)
     assert fake.counters.submitted == 3
-    fake.core.reject(jobs[0], 0.0)
+    fake.door.reject(jobs[0], 0.0)
     assert fake.counters.submitted == 0
-    assert fake.core.next_id == 3  # rejected ids stay used
+    assert fake.door.next_id == 3  # rejected ids stay used
 
 
-def _imports_and_calls(module):
-    tree = ast.parse(inspect.getsource(module))
+def _imports_and_calls(tree):
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -298,18 +268,26 @@ def _imports_and_calls(module):
 
 
 def test_core_is_sans_io():
-    """The core imports no event loop, thread, process, clock or heap,
-    and never asks which front door it serves."""
-    imported, calls = _imports_and_calls(core_module)
-    assert not imported & {"asyncio", "threading", "multiprocessing",
-                           "time", "heapq"}
-    assert "isinstance" not in calls
+    """The job bookkeeping both surfaces share (rejection, the failure
+    rule, deadline expiry, software service, settling and completion)
+    never touches the pool or reads a clock: its time comes in as
+    ``now``, and it never asks which front door it serves."""
+    for name in ("reject", "failed", "expire", "degrade", "settle",
+                 "_complete"):
+        source = textwrap.dedent(inspect.getsource(getattr(FrontDoor, name)))
+        tree = ast.parse(source)
+        touched = {n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)}
+        assert not touched & {"transport", "now"}, name
+        assert "isinstance" not in _imports_and_calls(tree)[1], name
 
 
 def test_front_door_is_sans_io():
-    """So is the front door: it reads time only through its pool and
-    never asks which pool it drives."""
-    imported, calls = _imports_and_calls(frontdoor_module)
+    """The front door imports no event loop, thread, process, clock or
+    heap: it reads time only through its pool and never asks which
+    pool it drives."""
+    tree = ast.parse(inspect.getsource(frontdoor_module))
+    imported, calls = _imports_and_calls(tree)
     assert not imported & {"asyncio", "threading", "multiprocessing",
                            "time", "heapq"}
     assert "isinstance" not in calls
@@ -319,7 +297,7 @@ def test_front_door_is_sans_io():
 def test_failure_after_every_piece_was_served_is_a_no_op(n_live):
     fake = FakeTransport()
     (a, b), [unit] = fake.submit_many(TEXTS)
-    fake.core.degrade(unit.pieces, 1.0)  # both shed (deadline, say)
-    assert not fake.core.failed(unit, n_live=n_live, now=2.0)
+    fake.door.degrade(unit.pieces, 1.0)  # both shed (deadline, say)
+    assert not fake.door.failed(unit, n_live=n_live, now=2.0)
     assert (fake.counters.retries, fake.counters.fallbacks) == (0, 2)
     assert a.attempts == b.attempts == 0

@@ -19,7 +19,6 @@ from repro.service import (
     MatcherService,
     PoolWorker,
     Priority,
-    RetryPolicy,
     SchedulerConfig,
     SharedBus,
     ShardMode,
@@ -231,11 +230,6 @@ class TestReliability:
             FaultInjector(p_death=0.7, p_stuck=0.7)
         with pytest.raises(ServiceError):
             FaultInjector(p_death=-0.1)
-
-    def test_retry_policy(self):
-        policy = RetryPolicy(max_retries=2)
-        assert policy.should_retry(1) and policy.should_retry(2)
-        assert not policy.should_retry(3)
 
     def test_software_fallback_equals_oracle_and_costs_host_time(self):
         fb = SoftwareFallback(HostSpec())
