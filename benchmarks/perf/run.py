@@ -6,7 +6,10 @@ writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
 
 * ``circuit_settle`` -- the switch-level matcher (``GateLevelMatcher``)
   driven by the event engine vs :func:`repro.circuit.simulator.settle_reference`,
-  cold and steady-state (warmed partition caches), same result bits.
+  cold and steady-state (warmed partition caches), same result bits; and
+  the compiled Plate 2 chip (``match`` 8x2) clocked over a seeded stream
+  by both engines in the same run, every settle's pass count and every
+  node's state equal, results equal to the oracle.
 * ``char_matching`` -- ``PatternMatcher.match`` (the ``match`` kernel
   :func:`repro.core.fastpath.fast_match_many` as a batch of one) vs the
   stepwise systolic model on a >=100 kB text (quick mode shrinks it),
@@ -65,7 +68,10 @@ from repro import (
 )
 from repro.chip.chip import ChipSpec
 from repro.circuit import simulator
-from repro.compiler import GateLevelMatcher
+from repro.circuit.signals import Strength
+from repro.compiler import GateLevelMatcher, compile_workload
+from repro.compiler.simulate import feed_plan
+from repro.workloads import get_workload
 from repro.service import MatcherService, uniform_pool
 
 AB4 = Alphabet("ABCD")
@@ -122,6 +128,7 @@ def bench_circuit_settle(quick: bool) -> Dict[str, object]:
 
     ok = evt_out == ref_out == evt_out2 == oracle
     steady_speedup = ref_s / steady_s if steady_s > 0 else float("inf")
+    compiled = _compiled_chip_settle(quick)
     return {
         "scale": f"GateLevelMatcher({pattern!r}, {AB4!r}), "
                  f"{g_evt.n_transistors} transistors, {len(text)} chars",
@@ -131,7 +138,67 @@ def bench_circuit_settle(quick: bool) -> Dict[str, object]:
         "cold_speedup": ref_s / cold_s if cold_s > 0 else float("inf"),
         "steady_speedup": steady_speedup,
         "meets_target": steady_speedup >= 5.0,
-        "equivalent": ok,
+        **compiled,
+        "equivalent": ok and compiled["compiled_passes_equal"]
+        and compiled["compiled_states_equal"]
+        and compiled["compiled_eq_oracle"],
+    }
+
+
+def _node_states(circuit) -> list:
+    """Every node's observable state (refresh time only when undriven)."""
+    return [
+        (n.value, n.strength,
+         n.last_refresh if n.strength <= Strength.CHARGE else None)
+        for n in circuit.nodes.values()
+    ]
+
+
+def _compiled_chip_settle(quick: bool) -> Dict[str, object]:
+    """The Plate 2 chip (compiled ``match`` 8x2) clocked over a seeded
+    stream, pulse by pulse, once by each engine: wall time per engine,
+    and per-settle pass counts and node states compared after every
+    pulse.  Each run starts from a fresh netlist (cold caches), as a
+    chip_flow design point does."""
+    pattern = "AXCA"
+    text = make_text(16 if quick else 64)
+    chip = compile_workload("match", 8, char_bits=2)
+    plan = feed_plan(chip.spec, pattern, text, AB4)
+    nets = {"event": chip.reset_netlist(),
+            "reference": chip.reset_netlist()}
+    engines = {"event": simulator.settle,
+               "reference": simulator.settle_reference}
+    wall = {"event": 0.0, "reference": 0.0}
+    passes_equal = states_equal = True
+    try:
+        for beat in range(plan.n_beats):
+            for name, net in nets.items():
+                for pin, bit in plan.drive[beat].items():
+                    net.drive_pin(pin, bit)
+                simulator.settle = engines[name]
+                t0 = time.perf_counter()
+                net.pulse(beat)
+                wall[name] += time.perf_counter() - t0
+            evt, ref = nets["event"], nets["reference"]
+            passes_equal &= evt.clock.passes == ref.clock.passes
+            states_equal &= (
+                _node_states(evt.circuit) == _node_states(ref.circuit)
+            )
+    finally:
+        simulator.settle = engines["event"]
+    got = chip.simulate(pattern, text, AB4, engine="switch")
+    want = get_workload("match").run(pattern, text, AB4, engine="oracle")
+    return {
+        "compiled_scale": f"{chip.spec.name}, {chip.netlist.n_transistors} "
+                          f"transistors, {len(text)} chars, "
+                          f"{2 * plan.n_beats} settles",
+        "compiled_reference_s": wall["reference"],
+        "compiled_event_s": wall["event"],
+        "compiled_speedup": (wall["reference"] / wall["event"]
+                             if wall["event"] > 0 else float("inf")),
+        "compiled_passes_equal": passes_equal,
+        "compiled_states_equal": states_equal,
+        "compiled_eq_oracle": got == want,
     }
 
 

@@ -38,6 +38,39 @@ Two engines implement those semantics:
   are never touched, which is what makes whole-array netlists clockable
   at speed.
 
+The event engine is compiled in the COSMOS sense (Bryant et al., DAC
+1987): it pays per distinct cell shape and per real input change.
+
+* **Shape tables.**  Each static component is canonicalized: members
+  numbered locally in node order, its internal channels, rail channels
+  and loads written over those numbers, and each distinct gate node as a
+  *slot* in order of first appearance.  Components with one canonical
+  form share one :class:`_Shape`, whose cache maps a gate key to a
+  precompiled resolution plan (sub-components, rail/load/charge kind,
+  their precomputed value and strength).  The paper's arrays are a few
+  cells replicated: the compiled ``match_8x2`` chip has 141 components
+  but 17 shapes.  A BIST defect (a stuck node, a bridge, an open)
+  changes its instance's canonical form, so a faulted cell never shares
+  its healthy twins' table.
+* **Incremental gate keys.**  A component's key packs its slots' ternary
+  values two bits each into one integer; writeback adjusts the keys of
+  every component a node gates whenever that node's value changes, so
+  re-keying is one cache lookup.
+* **No self re-resolution.**  After a settle's first pass, a component
+  whose only reason to re-resolve is its own last writeback is skipped:
+  its partition is unchanged and, with no live MAYBE channel, resolving
+  it again is idempotent.  (The one exception, a node released on the
+  first pass with its refresh time already past retention, decays on the
+  reference's next iteration; its component is re-resolved there.)  The
+  set of nodes that change each pass, and so every pass count, is the
+  reference's.
+* **Lean writeback.**  A node whose value and strength both hold is not
+  written; ``last_refresh`` matters only once a node is undriven, and a
+  release stamps it from the settle it was last provably driven in.  The
+  charge watch set is touched only on the charge side, and its decay
+  deadline is lowered on an add and recomputed only when the node that
+  held it leaves.
+
 Rails as terminals: the reference engine merges components *through* a
 rail, so every node with a conducting path to GND shares one component
 with GND itself, and a single VDD-GND short anywhere drives that entire
@@ -67,12 +100,12 @@ from ..errors import ChargeDecayError, CircuitError
 from .netlist import GND, VDD, Circuit
 from .signals import HIGH, LOW, UNKNOWN, LogicValue, Strength, resolve
 
-#: Per-component partition-memo capacity; past this the cache is cleared
-#: (the working set of a clocked component is a handful of gate vectors,
-#: so eviction only triggers on pathological data-dependent components).
+#: Per-shape partition-memo capacity; past this the cache is cleared (the
+#: working set of a clocked shape over all its instances is tens of gate
+#: keys -- at most 86 on the chip_flow design points -- so eviction only
+#: triggers on pathological data-dependent components).
 _PARTITION_CACHE_MAX = 128
 
-_NONE = Strength.NONE
 _CHARGE = Strength.CHARGE
 _LOAD = Strength.LOAD
 _PULL = Strength.PULL
@@ -245,59 +278,184 @@ def _reference_pass(circuit: Circuit, strict_decay: bool) -> bool:
 # Event-driven engine.
 # ---------------------------------------------------------------------------
 
-class _Comp:
-    """One static channel-connected component (rails excluded).
+#: Resolution-plan kind bit of a sub-component holding a depletion load;
+#: the kind's low two bits are its rail mask (_VDD_BIT | _GND_BIT).
+_LOAD_KIND = 4
+#: Resolved (value, strength) pairs, built once: a loaded sub, a rail sub
+#: by mask (apart / while any VDD-GND bridge exists), and pin or charge
+#: subs indexed by value.
+_LOADED = (HIGH, _LOAD)
+_RAIL_VALUE = (None, (HIGH, _FORCED), (LOW, _FORCED), (UNKNOWN, _FORCED))
+_RAIL_SHORTED = (None,) + ((UNKNOWN, _FORCED),) * 3
+_PULLED = tuple((v, _PULL) for v in (LOW, HIGH, UNKNOWN))
+_CHARGED = tuple((v, _CHARGE) for v in (LOW, HIGH, UNKNOWN))
 
-    Fixed per topology: the member nodes, the channel edges internal to
-    the component, the edges to a rail terminal, the depletion loads, and
-    the gate nodes whose values shape the component's dynamic partition.
+
+class _Shape:
+    """One canonical static component, shared by every instance of it.
+
+    Members are numbered locally (0..n-1, in node order) and each
+    distinct gate node is a *slot* whose ternary value sits at bit
+    offset ``shift = 2 * slot`` of the component's integer gate key.
+    The dynamic partition is a function of the shape and that key alone,
+    so the instances of a replicated cell share one partition cache.
     """
 
-    __slots__ = ("members", "internal", "rail_edges", "loads", "gates",
-                 "cache", "current")
+    __slots__ = ("n", "internal", "rail_edges", "loads", "cache")
 
-    def __init__(self):
-        self.members: List[int] = []
-        #: (gate_id, a_id, b_id) channel edges with both terminals here
-        self.internal: List[Tuple[int, int, int]] = []
-        #: (node_id, rail_bit, gate_id) channel edges to VDD/GND
-        self.rail_edges: List[Tuple[int, int, int]] = []
-        self.loads: List[int] = []
-        #: sorted gate ids -> the component's partition-cache key layout
-        self.gates: Tuple[int, ...] = ()
-        self.cache: Dict[bytes, "_LocalPart"] = {}
-        #: partition for the component's current gate vector, valid until
-        #: one of its gate values changes (then the pass re-keys it)
-        self.current: Optional["_LocalPart"] = None
+    def __init__(self, n: int, internal, rail_edges, loads):
+        self.n = n
+        #: (shift, a, b) channel edges between local members
+        self.internal: Tuple[Tuple[int, int, int], ...] = internal
+        #: (member, rail_bit, shift) channel edges to VDD/GND
+        self.rail_edges: Tuple[Tuple[int, int, int], ...] = rail_edges
+        #: local members carrying a depletion load
+        self.loads: Tuple[int, ...] = loads
+        self.cache: Dict[int, _LocalPart] = {}
+
+    def partition(self, key: int) -> "_LocalPart":
+        part = self.cache.get(key)
+        if part is None:
+            if len(self.cache) >= _PARTITION_CACHE_MAX:
+                self.cache.clear()
+            part = self.cache[key] = self._build(key)
+        return part
+
+    def _build(self, key: int) -> "_LocalPart":
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        maybe_int: List[Tuple[int, int]] = []
+        for sh, a, b in self.internal:
+            gv = (key >> sh) & 3
+            if gv == HIGH:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+            elif gv == UNKNOWN:
+                maybe_int.append((a, b))
+
+        index: Dict[int, int] = {}
+        sub_of: List[int] = []
+        members: List[List[int]] = []
+        for i in range(self.n):
+            r = find(i)
+            si = index.get(r)
+            if si is None:
+                si = index[r] = len(members)
+                members.append([])
+            members[si].append(i)
+            sub_of.append(si)
+
+        kinds = [0] * len(members)
+        maybe_rail: List[Tuple[int, int]] = []
+        for i, bit, sh in self.rail_edges:
+            gv = (key >> sh) & 3
+            if gv == HIGH:
+                kinds[sub_of[i]] |= bit
+            elif gv == UNKNOWN:
+                maybe_rail.append((i, bit))
+        for i in self.loads:
+            kinds[sub_of[i]] |= _LOAD_KIND
+        subs = tuple((tuple(mem), kind) for mem, kind in zip(members, kinds))
+        return _LocalPart(tuple(sub_of), subs, maybe_int, maybe_rail)
 
 
 class _LocalPart:
-    """One component's dynamic partition for a fixed local gate vector."""
+    """A shape's dynamic partition for one gate key: the resolution plan.
 
-    __slots__ = ("root", "subs", "base", "rails", "maybe_int", "maybe_rail",
-                 "mask", "short", "has_maybe")
+    Everything is in local member numbers, so one plan serves every
+    instance of the shape.
+    """
 
-    def __init__(self, root, subs, base, rails, maybe_int, maybe_rail):
-        #: member id -> sub-component root id (a member id; globally unique)
-        self.root: Dict[int, int] = root
-        #: sub root -> member ids
-        self.subs: Dict[int, List[int]] = subs
-        #: sub root -> (value, strength) from depletion loads
-        self.base: Dict[int, Tuple[LogicValue, Strength]] = base
-        #: sub root -> rail bitmask (_VDD_BIT | _GND_BIT) over ON edges
-        self.rails: Dict[int, int] = rails
+    __slots__ = ("sub_of", "subs", "maybe_int", "maybe_rail", "mask",
+                 "short", "has_maybe", "vals", "vals_shorted", "charge")
+
+    def __init__(self, sub_of, subs, maybe_int, maybe_rail):
+        #: local member -> index of its sub-component in ``subs``
+        self.sub_of: Tuple[int, ...] = sub_of
+        #: (members, kind) per sub-component, members ascending; kind is
+        #: the rail mask over ON channels | _LOAD_KIND for a loaded sub
+        self.subs: Tuple[Tuple[Tuple[int, ...], int], ...] = subs
         #: (a, b) per MAYBE channel internal to the component
-        self.maybe_int: List[Tuple[int, int]] = maybe_int
-        #: (node_id, rail_bit) per MAYBE channel to a rail
-        self.maybe_rail: List[Tuple[int, int]] = maybe_rail
-        #: union of all sub masks / does any sub bridge both rails
+        self.maybe_int: Tuple[Tuple[int, int], ...] = tuple(maybe_int)
+        #: (member, rail_bit) per MAYBE channel to a rail
+        self.maybe_rail: Tuple[Tuple[int, int], ...] = tuple(maybe_rail)
+        #: union of all sub rail masks / does any sub bridge both rails
         self.mask: int = 0
         self.short: bool = False
-        for m in rails.values():
+        for _, kind in subs:
+            m = kind & 3
             self.mask |= m
             if m == (_VDD_BIT | _GND_BIT):
                 self.short = True
         self.has_maybe: bool = bool(maybe_int or maybe_rail)
+        #: precomputed (value, strength) per sub, rails apart / shorted;
+        #: None for an undriven sub, resolved from its charge per pass
+        self.vals = tuple(
+            _RAIL_VALUE[kind & 3] if kind & 3 else _LOADED if kind else None
+            for _, kind in subs
+        )
+        self.vals_shorted = tuple(
+            _RAIL_SHORTED[kind & 3] if kind & 3 else v
+            for (_, kind), v in zip(subs, self.vals)
+        )
+        #: indices of the undriven subs
+        self.charge = tuple(si for si, v in enumerate(self.vals) if v is None)
+
+
+class _Comp:
+    """One static channel-connected component (rails excluded): an
+    instance of a :class:`_Shape` over concrete nodes."""
+
+    __slots__ = ("members", "nodes", "shape", "current")
+
+    def __init__(self, members: Tuple[int, ...], nodes, shape: _Shape):
+        #: global node ids in local member order
+        self.members = members
+        #: the member Node objects, same order
+        self.nodes = nodes
+        self.shape = shape
+        #: partition for the component's current gate key, valid until one
+        #: of its gate values changes (then the pass re-keys it)
+        self.current: Optional[_LocalPart] = None
+
+
+def _maybe_x(part: _LocalPart, vals, shorted: bool) -> Set[int]:
+    """Local members a MAYBE channel may connect to a disagreeing side
+    at least as strong: they read X (the reference's pessimism step)."""
+    mx: Set[int] = set()
+    sub_of = part.sub_of
+    for a, b in part.maybe_int:
+        sa_i, sb_i = sub_of[a], sub_of[b]
+        if sa_i == sb_i:
+            continue
+        va, sa = vals[sa_i]
+        vb, sb = vals[sb_i]
+        if va is vb and va is not UNKNOWN:
+            continue
+        if sb >= sa:
+            mx.add(a)
+        if sa >= sb:
+            mx.add(b)
+    for i, bit in part.maybe_rail:
+        si = sub_of[i]
+        m = part.subs[si][1] & 3
+        if m and (shorted or m == bit):
+            continue  # same blob as the rail: reference skips too
+        va = vals[si][0]
+        vb = UNKNOWN if shorted else (HIGH if bit == _VDD_BIT else LOW)
+        if va is vb and va is not UNKNOWN:
+            continue
+        # The rail side is FORCED, so it is always >= this side; the
+        # rail node itself is never written back.
+        mx.add(i)
+    return mx
 
 
 class _EventEngine:
@@ -307,15 +465,17 @@ class _EventEngine:
 
     * every node's ``value``/``strength`` equals what a full reference
       pass would compute, for every node not in the pending dirty set;
-    * ``_comp_mask``/``_short_comps`` reflect each component's partition
-      at its current gate vector, and ``_shorted`` whether any VDD-GND
-      bridge exists anywhere;
+    * ``_key[c]`` encodes component *c*'s current gate values (updated at
+      writeback whenever a gate node's value changes);
+    * ``_short_comps`` holds the components whose current partition
+      bridges both rails, and ``_shorted`` whether any VDD-GND bridge
+      exists anywhere;
     * ``_watch`` is exactly the set of nodes holding known charge
       (strength <= CHARGE), and ``_deadline`` the earliest instant any of
-      them could decay.
+      them could decay (None: recompute from the watch set).
     """
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, prev_now: Optional[float] = None):
         self.circuit = circuit
         self.topo_version = circuit._topo_version
 
@@ -349,74 +509,105 @@ class _EventEngine:
                     parent[ra] = rb
 
         self.comp_of: List[int] = [-1] * self.n
-        self.comps: List[_Comp] = []
+        #: node id -> its index among its component's members
+        self.local_of: List[int] = [-1] * self.n
+        members: List[List[int]] = []
         for i in range(self.n):
             if i in rails:
                 continue
             r = find(i)
             c = self.comp_of[r]
             if c < 0:
-                c = len(self.comps)
-                self.comps.append(_Comp())
+                c = len(members)
+                members.append([])
                 self.comp_of[r] = c
             self.comp_of[i] = c
-            self.comps[c].members.append(i)
+            self.local_of[i] = len(members[c])
+            members[c].append(i)
 
+        # Each component in local terms; gates become slots in order of
+        # first appearance, so replicated cells canonicalize alike.
+        local_of = self.local_of
+        internal: List[list] = [[] for _ in members]
+        rail_edges: List[list] = [[] for _ in members]
+        loads: List[list] = [[] for _ in members]
+        slots: List[Dict[int, int]] = [{} for _ in members]
         #: gates of direct rail-rail channels (a VDD-GND transistor)
         self.rr_gates: Set[int] = set()
-        comp_gates: List[Set[int]] = [set() for _ in self.comps]
         for g, a, b in edges:
             a_rail, b_rail = a in rails, b in rails
             if a_rail and b_rail:
                 self.rr_gates.add(g)
                 continue
+            c = self.comp_of[b if a_rail else a]
+            sh = slots[c].setdefault(g, 2 * len(slots[c]))
             if a_rail or b_rail:
                 node_id, rail = (b, a) if a_rail else (a, b)
                 bit = _VDD_BIT if rail == vdd else _GND_BIT
-                c = self.comp_of[node_id]
-                self.comps[c].rail_edges.append((node_id, bit, g))
+                rail_edges[c].append((local_of[node_id], bit, sh))
             else:
-                c = self.comp_of[a]
-                self.comps[c].internal.append((g, a, b))
-            comp_gates[c].add(g)
-        for c, comp in enumerate(self.comps):
-            comp.gates = tuple(sorted(comp_gates[c]))
+                internal[c].append((sh, local_of[a], local_of[b]))
         for d in circuit.loads:
             li = iid[d.node]
             if li not in rails:
-                self.comps[self.comp_of[li]].loads.append(li)
+                loads[self.comp_of[li]].append(local_of[li])
 
+        shapes: Dict[tuple, _Shape] = {}
+        self.comps: List[_Comp] = []
+        #: per component, its gate values packed two bits per slot
+        self._key: List[int] = []
+        gate_slots: Dict[int, List[Tuple[int, int]]] = {}
+        nodes = self.node_objs
+        for c, mem in enumerate(members):
+            sig = (len(mem), tuple(internal[c]), tuple(rail_edges[c]),
+                   tuple(sorted(loads[c])))
+            shape = shapes.get(sig)
+            if shape is None:
+                shape = shapes[sig] = _Shape(*sig)
+            self.comps.append(
+                _Comp(tuple(mem), tuple(nodes[i] for i in mem), shape)
+            )
+            key = 0
+            for g, sh in slots[c].items():
+                key |= int(nodes[g].value) << sh
+                gate_slots.setdefault(g, []).append((c, sh))
+            self._key.append(key)
+        #: gate id -> (component, shift) per component it keys (or None)
+        self.gate_slots: List[Optional[Tuple[Tuple[int, int], ...]]] = (
+            [None] * self.n
+        )
+        for g, cs in gate_slots.items():
+            self.gate_slots[g] = tuple(cs)
         #: gate id -> components whose partition depends on it
-        self.gate_comps: Dict[int, Tuple[int, ...]] = {}
-        gc: Dict[int, Set[int]] = {}
-        for c, comp in enumerate(self.comps):
-            for g in comp.gates:
-                gc.setdefault(g, set()).add(c)
-        self.gate_comps = {g: tuple(cs) for g, cs in gc.items()}
+        self.gate_comps: Dict[int, Tuple[int, ...]] = {
+            g: tuple(c for c, _ in cs) for g, cs in gate_slots.items()
+        }
 
-        #: current rail mask / short state per component (valid once the
-        #: initial all-dirty pass has visited every component)
-        self._comp_mask: List[int] = [0] * len(self.comps)
-        #: components whose current partition reaches a rail only through
-        #: a MAYBE channel; they too must re-resolve on a short transition
-        self._comp_maybe_rail: List[bool] = [False] * len(self.comps)
         self._short_comps: Set[int] = set()
         self._shorted = False
         self._rr_on = False
         self._rr_stale = bool(self.rr_gates)
 
-        #: nodes to re-examine on the next pass (carried across settles
-        #: when a settle raised mid-way)
+        #: nodes to re-examine on the next settle: every node for a new
+        #: engine, else the last worklist of a settle that raised
         self._pending: Set[int] = set(range(self.n))
-        #: nodes currently holding known charge, for decay tracking
-        self._watch: Set[int] = set()
+        #: nodes currently holding known charge, for decay tracking (a
+        #: rebuilt engine inherits the charge the old one left behind)
+        self._watch: Set[int] = {
+            i for i, node in enumerate(nodes)
+            if i not in rails and node.strength <= _CHARGE
+            and node.value is not UNKNOWN
+        }
         self._deadline: Optional[float] = None  # None = recompute lazily
         #: time of the previous completed settle().  The reference engine
         #: refreshes every driven node on every settle; we skip untouched
         #: components, so when a node transitions driven -> undriven we
         #: backfill last_refresh to this instant (the latest settle during
-        #: which it was provably still driven).
-        self._prev_now: float = circuit.time_ns
+        #: which it was provably still driven).  A rebuilt engine carries
+        #: it over from the one the topology change retired.
+        self._prev_now: float = (
+            circuit.time_ns if prev_now is None else prev_now
+        )
 
         #: cumulative work counters, exposed through
         #: ``Circuit.engine_stats()`` and published into the metrics
@@ -430,65 +621,12 @@ class _EventEngine:
 
     def _local(self, c: int) -> _LocalPart:
         comp = self.comps[c]
-        nodes = self.node_objs
-        key = bytes(int(nodes[g].value) for g in comp.gates)
-        part = comp.cache.get(key)
-        if part is None:
-            if len(comp.cache) >= _PARTITION_CACHE_MAX:
-                comp.cache.clear()
-            part = self._build_local(comp)
-            comp.cache[key] = part
-        comp.current = part
-        self._comp_mask[c] = part.mask
-        self._comp_maybe_rail[c] = bool(part.maybe_rail)
+        part = comp.current = comp.shape.partition(self._key[c])
         if part.short:
             self._short_comps.add(c)
-        else:
+        elif self._short_comps:
             self._short_comps.discard(c)
         return part
-
-    def _build_local(self, comp: _Comp) -> _LocalPart:
-        nodes = self.node_objs
-        parent = {i: i for i in comp.members}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        maybe_int: List[Tuple[int, int]] = []
-        for g, a, b in comp.internal:
-            gv = nodes[g].value
-            if gv is HIGH:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-            elif gv is UNKNOWN:
-                maybe_int.append((a, b))
-
-        root = {i: find(i) for i in comp.members}
-        subs: Dict[int, List[int]] = {}
-        for i in comp.members:
-            subs.setdefault(root[i], []).append(i)
-
-        rails: Dict[int, int] = {}
-        maybe_rail: List[Tuple[int, int]] = []
-        for node_id, bit, g in comp.rail_edges:
-            gv = nodes[g].value
-            if gv is HIGH:
-                r = root[node_id]
-                rails[r] = rails.get(r, 0) | bit
-            elif gv is UNKNOWN:
-                maybe_rail.append((node_id, bit))
-
-        base: Dict[int, Tuple[LogicValue, Strength]] = {}
-        for li in comp.loads:
-            r = root[li]
-            v, s = base.get(r, (UNKNOWN, _NONE))
-            base[r] = resolve(v, s, HIGH, _LOAD)
-
-        return _LocalPart(root, subs, base, rails, maybe_int, maybe_rail)
 
     # -- decay tracking ----------------------------------------------------
 
@@ -521,25 +659,43 @@ class _EventEngine:
             ext.clear()
         if self._watch and circuit.time_ns > self._decay_deadline():
             extra |= self._watch
-        pinned_ids: Dict[int, LogicValue] = {}
+        # Forced pins per component, by local member.
+        comp_of, local_of = self.comp_of, self.local_of
+        pins: Dict[int, Dict[int, LogicValue]] = {}
         for name, pinned in circuit.inputs.items():
             i = iid.get(name)
-            if i is not None:
-                pinned_ids[i] = pinned
+            if i is not None and comp_of[i] >= 0:
+                pins.setdefault(comp_of[i], {})[local_of[i]] = pinned
+        # A node released on the first pass is stamped with the previous
+        # settle's time; if that is already past retention, the reference
+        # reads it as decayed on its next iteration (if there is one), so
+        # its component must re-resolve then.
+        stale: Optional[List[int]] = (
+            [] if circuit.time_ns - self._prev_now > circuit.retention_ns
+            else None
+        )
         try:
             for iteration in range(max_iterations):
                 if not changed and not extra:
                     self._prev_now = circuit.time_ns
                     return iteration + 1
-                changed = self._pass(changed, extra, pinned_ids, strict_decay,
-                                     first_pass=iteration == 0)
-                extra = ()
+                changed = self._pass(
+                    changed, extra, pins, strict_decay,
+                    first_pass=iteration == 0, stale=stale,
+                )
+                extra, stale = stale or (), None
                 if not changed:
                     self._prev_now = circuit.time_ns
                     return iteration + 1
         except ChargeDecayError:
-            # Leave the worklist intact so the next settle retries.
-            self._pending = changed | set(extra)
+            # Keep the worklist for the retry.  Perturbed nodes go back to
+            # the circuit's dirty set, so the retry re-resolves them without
+            # mistaking them for value changes.  Passes that completed
+            # refreshed every node still driven, as the reference's do.
+            self._pending = changed
+            ext.update(self.names[i] for i in extra)
+            if iteration:
+                self._prev_now = circuit.time_ns
             raise
         self._pending = changed
         raise CircuitError(
@@ -547,91 +703,92 @@ class _EventEngine:
             f"(oscillating or ill-formed circuit)"
         )
 
-    def _pass(self, changed_in, extra_in, pinned_ids, strict_decay,
-              first_pass: bool = True) -> Set[int]:
+    def _pass(self, changed_in, extra_in, pins, strict_decay,
+              first_pass: bool = True,
+              stale: Optional[List[int]] = None) -> Set[int]:
         """One event pass over the components touching the dirty nodes.
 
         *changed_in* holds nodes whose value changed (their gate fanout is
-        chased and their components re-keyed); *extra_in* holds externally
-        perturbed nodes (component re-resolution only).  Returns the set
-        of nodes whose value changed (the next worklist).
+        re-keyed and their components re-resolved); *extra_in* holds
+        externally perturbed nodes (component re-resolution only).
+        Returns the set of nodes whose value changed (the next worklist).
+
+        After the first pass, a component whose only reason to
+        re-resolve is its own last writeback is skipped: its partition is
+        unchanged and, with no live MAYBE channel, its resolution is
+        idempotent, so re-resolving it could change nothing.  (Its one
+        exception, a stale release, comes back through *extra_in*.)
 
         *first_pass* selects the driven->undriven backfill timestamp: the
         reference engine refreshes every driven node on every iteration,
         so a node released on iteration 1 keeps the *previous* settle's
         stamp, while one released by a later-iteration cascade (a gate
         flipping mid-settle) was still refreshed at ``now`` by the
-        iterations before the cascade reached it.
+        iterations before the cascade reached it.  *stale*, when given,
+        collects released nodes whose backfilled stamp is past retention.
         """
         circuit = self.circuit
-        nodes = self.node_objs
         comp_of = self.comp_of
         gate_comps = self.gate_comps
         rr_gates = self.rr_gates
         comps = self.comps
 
         rekey: Set[int] = set()
-        dirty_comps: Set[int] = set()
+        own: Set[int] = set()
         for d in changed_in:
             c = comp_of[d]
             if c >= 0:
-                dirty_comps.add(c)
+                own.add(c)
             gated = gate_comps.get(d)
             if gated:
                 rekey.update(gated)
             if d in rr_gates:
                 self._rr_stale = True
-        for d in extra_in:
-            c = comp_of[d]
-            if c >= 0:
-                dirty_comps.add(c)
         if self._rr_stale:
+            nodes = self.node_objs
             self._rr_on = any(nodes[g].value is HIGH for g in rr_gates)
             self._rr_stale = False
 
+        # Re-key (``_local`` inlined: this is the hot loop).
         parts: Dict[int, _LocalPart] = {}
-        have_maybe = False
+        keys = self._key
+        short_comps = self._short_comps
         for c in rekey:
-            part = parts[c] = self._local(c)
-            if part.has_maybe:
-                have_maybe = True
-        for c in dirty_comps:
+            comp = comps[c]
+            part = comp.shape.cache.get(keys[c])
+            if part is None:
+                part = comp.shape.partition(keys[c])
+            comp.current = parts[c] = part
+            if part.short:
+                short_comps.add(c)
+            elif short_comps:
+                short_comps.discard(c)
+        for d in extra_in:
+            c = comp_of[d]
+            if c >= 0 and c not in parts:
+                part = comps[c].current
+                parts[c] = self._local(c) if part is None else part
+        for c in own:
             if c not in parts:
                 part = comps[c].current
                 if part is None:
                     part = self._local(c)
+                elif not first_pass and not part.has_maybe:
+                    continue
                 parts[c] = part
-                if part.has_maybe:
-                    have_maybe = True
 
-        shorted = self._rr_on or bool(self._short_comps)
+        shorted = self._rr_on or bool(short_comps)
         if shorted != self._shorted:
             # A VDD-GND bridge appeared or cleared: the merged rail blob
             # changes value chip-wide, so every rail-touching component
             # must re-resolve this very pass -- including components whose
             # only rail contact is a MAYBE channel, since the rail value
             # their pessimism step compares against just changed.
-            self._shorted = shorted
-            for c, mask in enumerate(self._comp_mask):
-                if (mask or self._comp_maybe_rail[c]) and c not in parts:
-                    part = parts[c] = self._local(c)
-                    if part.has_maybe:
-                        have_maybe = True
-
-        # Forced pins, bucketed per sub-component root up front.  Several
-        # pins on one sub fold among themselves first (equal PULLs agree,
-        # disagreement fights to X at PULL), which matches the reference's
-        # order-independent resolve() chain.
-        pin_root: Dict[int, LogicValue] = {}
-        for i, pinned in pinned_ids.items():
-            c = comp_of[i]
-            if c in parts:
-                r = parts[c].root[i]
-                v = pin_root.get(r)
-                if v is None:
-                    pin_root[r] = pinned
-                elif v != pinned:
-                    pin_root[r] = UNKNOWN
+            for c, comp in enumerate(comps):
+                part = comp.current
+                if (part is not None and (part.mask or part.maybe_rail)
+                        and c not in parts):
+                    parts[c] = part
 
         now = circuit.time_ns
         retention = circuit.retention_ns
@@ -640,163 +797,148 @@ class _EventEngine:
         # a rail path wins at FORCED outright (only another rail could tie,
         # and rail-vs-rail is the shorted case already folded in); a pin at
         # PULL beats any load; retained charge only matters when nothing at
-        # all drives the sub.  Sub-components are independent except for
-        # the MAYBE pessimism step, so when no MAYBE channels are live
-        # (every steady-state pass) the writeback is fused into the sweep.
-        # Strict decay defers the writeback too: the error must name the
-        # node the reference names (the first decayed member of the
-        # undriven sub whose earliest node comes first in node order), so
-        # every sub is resolved before anything is raised or written.
-        deferred = have_maybe or strict_decay
+        # all drives the sub.  Several pins on one sub fold among
+        # themselves first (equal PULLs agree, disagreement fights to X),
+        # matching the reference's order-independent resolve() chain.
+        # Every sub is resolved before anything is written: a strict decay
+        # error must name the node the reference names (the first decayed
+        # member of the undriven sub whose earliest node comes first in
+        # node order) and leave the circuit untouched.
         decayed: Optional[Tuple[int, int]] = None  # (sub's first node, node)
-        res: Dict[int, Tuple[LogicValue, Strength]] = {}
-        changed: Set[int] = set()
-        watch = self._watch
-        backfill = self._prev_now if first_pass else now
-        for part in parts.values():
-            base = part.base
-            rails = part.rails
-            for sub, mem in part.subs.items():
-                m = rails.get(sub, 0)
-                if m:
-                    if shorted:
-                        v = UNKNOWN
-                    elif m == _VDD_BIT:
-                        v = HIGH
-                    else:
-                        v = LOW
-                    s = _FORCED
-                else:
-                    pv = pin_root.get(sub)
-                    if pv is not None:
-                        v, s = pv, _PULL
-                    else:
-                        b = base.get(sub)
-                        if b is not None:
-                            v, s = b
-                        else:
-                            v, s = UNKNOWN, _NONE
-                            for i in mem:
-                                node = nodes[i]
-                                stored = node.value
-                                if (
-                                    node.strength <= _CHARGE
-                                    and now - node.last_refresh > retention
-                                    and stored is not UNKNOWN
-                                ):
-                                    if strict_decay:
-                                        pick = (min(mem), i)
-                                        if decayed is None or pick < decayed:
-                                            decayed = pick
-                                    stored = UNKNOWN
-                                if s is _NONE:
-                                    v, s = stored, _CHARGE
-                                elif v != stored:
-                                    v = UNKNOWN
-                if deferred:
-                    res[sub] = (v, s)
-                    continue
-                # Fused writeback (no MAYBE pessimism this pass).
-                driven = s >= _LOAD
+        plans = []
+        for c, part in parts.items():
+            vals = part.vals_shorted if shorted else part.vals
+            pl = pins.get(c)
+            charge = part.charge
+            comp = comps[c]
+            if pl is None and not charge:
+                plans.append((comp, part, vals, None))
+                continue
+            vals = list(vals)
+            subs = part.subs
+            if pl is not None:
+                sub_of = part.sub_of
+                pin_sub: Dict[int, LogicValue] = {}
+                for i, pv in pl.items():
+                    si = sub_of[i]
+                    v = pin_sub.get(si)
+                    if v is None:
+                        pin_sub[si] = pv
+                    elif v is not pv:
+                        pin_sub[si] = UNKNOWN
+                for si, pv in pin_sub.items():
+                    if not subs[si][1] & 3:
+                        vals[si] = _PULLED[pv]
+            cn = comp.nodes
+            for si in charge:
+                if vals[si] is not None:
+                    continue  # pinned
+                mem = subs[si][0]
+                v = None
                 for i in mem:
-                    node = nodes[i]
-                    pinned = pinned_ids.get(i)
-                    if pinned is not None:
-                        value_n, strength_n = pinned, _FORCED
-                    else:
-                        value_n, strength_n = v, s
-                    if node.value != value_n:
-                        changed.add(i)
-                        node.value = value_n
-                    was_driven = node.strength >= _LOAD
-                    node.strength = strength_n
-                    if driven or pinned is not None:
-                        node.last_refresh = now
-                    elif was_driven and node.last_refresh != now:
-                        # Driven until this pass: the retention window
-                        # starts at the previous settle when released on
-                        # the first pass, at this settle's `now` when a
-                        # later-pass cascade cut the drive (the reference
-                        # engine refreshes driven nodes every iteration,
-                        # we only touch dirty ones).
-                        node.last_refresh = backfill
-                    if strength_n <= _CHARGE and value_n is not UNKNOWN:
-                        if i not in watch:
-                            watch.add(i)
-                            self._deadline = None
-                    elif i in watch:
-                        watch.discard(i)
-                        self._deadline = None
+                    node = cn[i]
+                    stored = node.value
+                    if (
+                        node.strength <= _CHARGE
+                        and stored is not UNKNOWN
+                        and now - node.last_refresh > retention
+                    ):
+                        if strict_decay:
+                            gm = comp.members
+                            pick = (gm[mem[0]], gm[i])
+                            if decayed is None or pick < decayed:
+                                decayed = pick
+                        stored = UNKNOWN
+                    if v is None:
+                        v = stored
+                    elif v is not stored:
+                        v = UNKNOWN
+                vals[si] = _CHARGED[v]
+            plans.append((comp, part, vals, pl))
         if decayed is not None:
-            node = nodes[decayed[1]]
+            node = self.node_objs[decayed[1]]
             raise ChargeDecayError(
                 f"{circuit.name}: node {node.name} read "
                 f"{now - node.last_refresh:.0f} ns after last refresh "
                 f"(retention {retention:.0f} ns)"
             )
+        self._shorted = shorted
+
+        # Writeback.  A changed gate value re-keys every component it
+        # gates.  A node whose value and drive both hold is left alone:
+        # ``last_refresh`` is only read once a node is undriven, and a
+        # release stamps it from ``backfill`` (the reference refreshes
+        # driven nodes every iteration, so a node released on the first
+        # pass was last refreshed by the previous settle, one released by
+        # a later-pass cascade at this settle's ``now``).  The watch set
+        # is touched only on the charge side.
+        changed: Set[int] = set()
+        gate_slots = self.gate_slots
+        watch = self._watch
+        deadline = self._deadline
+        backfill = self._prev_now if first_pass else now
+        for comp, part, vals, pl in plans:
+            cn = comp.nodes
+            gm = comp.members
+            # Per-member overrides: pinned nodes, then MAYBE pessimism.
+            over = None
+            if pl is not None or part.has_maybe:
+                over = {}
+                if part.has_maybe:
+                    sub_of = part.sub_of
+                    for i in _maybe_x(part, vals, shorted):
+                        over[i] = (UNKNOWN, vals[sub_of[i]][1])
+                if pl is not None:
+                    for i, pv in pl.items():
+                        over[i] = (pv, _FORCED)
+            for (mem, _), (v, s) in zip(part.subs, vals):
+                for i in mem:
+                    node = cn[i]
+                    if over is not None and i in over:
+                        value_n, strength_n = over[i]
+                    else:
+                        value_n, strength_n = v, s
+                    old = node.value
+                    old_s = node.strength
+                    if old is not value_n:
+                        g = gm[i]
+                        changed.add(g)
+                        node.value = value_n
+                        gated = gate_slots[g]
+                        if gated is not None:
+                            delta = value_n - old
+                            for c2, sh in gated:
+                                keys[c2] += delta << sh
+                    elif old_s is strength_n:
+                        continue
+                    node.strength = strength_n
+                    g = gm[i]
+                    if strength_n >= _LOAD:
+                        if old_s <= _CHARGE and g in watch:
+                            watch.discard(g)
+                            if (deadline is not None and node.last_refresh
+                                    + retention <= deadline):
+                                deadline = None
+                        continue
+                    if old_s >= _LOAD:
+                        node.last_refresh = backfill
+                        if stale is not None and value_n is not UNKNOWN:
+                            stale.append(g)
+                    if value_n is not UNKNOWN:
+                        if g not in watch:
+                            watch.add(g)
+                            if deadline is not None:
+                                t = node.last_refresh + retention
+                                if t < deadline:
+                                    deadline = t
+                    elif g in watch:
+                        watch.discard(g)
+                        if (deadline is not None and node.last_refresh
+                                + retention <= deadline):
+                            deadline = None
+        self._deadline = deadline
         self.stat_passes += 1
         self.stat_comps_resolved += len(parts)
-        if not deferred:
-            self.stat_nodes_changed += len(changed)
-            return changed
-
-        maybe_x: Set[int] = set()
-        for part in parts.values():
-            root = part.root
-            for a, b in part.maybe_int:
-                ra, rb = root[a], root[b]
-                if ra == rb:
-                    continue
-                va, sa = res[ra]
-                vb, sb = res[rb]
-                if va == vb and va is not UNKNOWN:
-                    continue
-                if sb >= sa:
-                    maybe_x.add(a)
-                if sa >= sb:
-                    maybe_x.add(b)
-            for node_id, bit in part.maybe_rail:
-                r = root[node_id]
-                m = part.rails.get(r, 0)
-                if m and (shorted or m == bit):
-                    continue  # same blob as the rail: reference skips too
-                va, sa = res[r]
-                vb = UNKNOWN if shorted else (HIGH if bit == _VDD_BIT else LOW)
-                if va == vb and va is not UNKNOWN:
-                    continue
-                # The rail side is FORCED, so it is always >= this side;
-                # the rail node itself is never written back.
-                maybe_x.add(node_id)
-
-        for part in parts.values():
-            for sub, mem in part.subs.items():
-                value, strength = res[sub]
-                driven = strength >= _LOAD
-                for i in mem:
-                    node = nodes[i]
-                    pinned = pinned_ids.get(i)
-                    if pinned is not None:
-                        value_n, strength_n = pinned, _FORCED
-                    elif i in maybe_x:
-                        value_n, strength_n = UNKNOWN, strength
-                    else:
-                        value_n, strength_n = value, strength
-                    if node.value != value_n:
-                        changed.add(i)
-                        node.value = value_n
-                    was_driven = node.strength >= _LOAD
-                    node.strength = strength_n
-                    if driven or pinned is not None:
-                        node.last_refresh = now
-                    elif was_driven and node.last_refresh != now:
-                        node.last_refresh = backfill
-                    if strength_n <= _CHARGE and value_n is not UNKNOWN:
-                        if i not in watch:
-                            watch.add(i)
-                            self._deadline = None
-                    elif i in watch:
-                        watch.discard(i)
-                        self._deadline = None
         self.stat_nodes_changed += len(changed)
         return changed
 
@@ -804,7 +946,8 @@ class _EventEngine:
 def _engine_for(circuit: Circuit) -> _EventEngine:
     engine = circuit._event_engine
     if engine is None or engine.topo_version != circuit._topo_version:
-        engine = _EventEngine(circuit)
+        prev_now = None if engine is None else engine._prev_now
+        engine = _EventEngine(circuit, prev_now)
         circuit._event_engine = engine
     return engine
 
