@@ -37,6 +37,11 @@ writes the numbers to ``BENCH_pr7.json`` so CI can diff runs:
   target of the batch tier lives here.
 * ``cache_hit_rate`` -- a warm pass over the cross-tenant result cache
   vs the cold pass that populated it, hits byte-identical.
+* ``cell_signoff`` -- DRC + extraction of every chip_flow cell twin, both
+  reading one shared ``CellGeometry`` per twin, vs the frozen checker and
+  extractor of ``tests/reference_signoff.py`` (each building its own
+  indexes, connectivity and channels) in the same run; violations equal
+  by ``repr`` and every ``Extraction`` field equal.
 
 Run::
 
@@ -55,6 +60,7 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -75,6 +81,10 @@ from repro.workloads import get_workload
 from repro.service import MatcherService, uniform_pool
 
 AB4 = Alphabet("ABCD")
+
+#: The repository root: ``perfbench/`` (the chip_flow design points) and
+#: ``tests/`` (the frozen signoff reference) sit there.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _timed(fn: Callable[[], object], repeats: int = 1) -> tuple:
@@ -199,6 +209,60 @@ def _compiled_chip_settle(quick: bool) -> Dict[str, object]:
         "compiled_passes_equal": passes_equal,
         "compiled_states_equal": states_equal,
         "compiled_eq_oracle": got == want,
+    }
+
+
+def _extraction_fields(ex) -> tuple:
+    c = ex.circuit
+    return (c.name, c.transistors, c.loads, sorted(c.nodes), ex.net_of_port,
+            ex.device_geom, ex.warnings, ex.n_nets)
+
+
+def bench_cell_signoff(quick: bool) -> Dict[str, object]:
+    """DRC + extraction over every cell twin of the chip_flow design
+    points: one shared ``CellGeometry`` per twin vs the frozen per-check
+    checker and extractor, best of several rounds each, findings equal."""
+    for path in (ROOT, ROOT / "tests"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import reference_signoff as ref
+    from perfbench.inputs import design_points
+    from repro.layout.design_rules import CellGeometry, DesignRuleChecker
+    from repro.signoff.extract import extract_cell
+
+    twins = []
+    for point in design_points(11):
+        chip = compile_workload(point.kernel, point.cells,
+                                char_bits=point.char_bits,
+                                data_bits=point.data_bits)
+        twins.extend(chip.bundles[name].layout for name in sorted(chip.bundles))
+    checker = DesignRuleChecker()
+    frozen = ref.DesignRuleChecker()
+
+    def shared():
+        out = []
+        for layout in twins:
+            geometry = CellGeometry(layout.rects)
+            out.append((repr(checker.check(geometry)),
+                        _extraction_fields(extract_cell(layout, geometry))))
+        return out
+
+    def reference():
+        return [(repr(frozen.check(layout.rects)),
+                 _extraction_fields(ref.extract_cell(layout)))
+                for layout in twins]
+
+    repeats = 2 if quick else 7
+    ref_s, want = _timed(reference, repeats)
+    shared_s, got = _timed(shared, repeats)
+    return {
+        "scale": f"{len(twins)} cell twins of the chip_flow design points, "
+                 f"{sum(len(rs) for t in twins for rs in t.rects.values())} "
+                 "rectangles",
+        "reference_s": ref_s,
+        "shared_s": shared_s,
+        "speedup": ref_s / shared_s if shared_s > 0 else float("inf"),
+        "equivalent": got == want,
     }
 
 
@@ -752,6 +816,7 @@ def main(argv: List[str] = None) -> int:
         ("batched_kernels", bench_batched_kernels),
         ("batched_service", bench_batched_service),
         ("cache_hit_rate", bench_cache_hit_rate),
+        ("cell_signoff", bench_cell_signoff),
         ("obs_overhead",
          lambda quick: bench_obs_overhead(quick, args.obs_bound)),
     ]

@@ -35,6 +35,8 @@ class CompiledChip:
     ``bundles`` / ``assembler`` / ``netlist`` are built on first access
     and cached; ``simulate`` runs either the structural (``"ir"``) or
     the transistor-level (``"switch"``) engine over the same feed plan.
+    A switch-level run drives the cached netlist while nothing has driven
+    it yet (signoff only reads it), and a fresh one otherwise.
     """
 
     def __init__(self, spec: ChipSpec, library: Library,
@@ -111,7 +113,10 @@ class CompiledChip:
                 self.spec.result_bits,
             )
         elif engine == "switch":
-            raw = run_switch_level(self.reset_netlist(), plan)
+            net = self.netlist
+            if net.driven:
+                net = self.reset_netlist()
+            raw = run_switch_level(net, plan)
         else:
             raise CompileError(f"unknown engine {engine!r}")
         masked = mask_results(raw, plan, _INCOMPLETE[self.spec.kernel])

@@ -37,6 +37,8 @@ class CompiledNetlist:
     ``result_nodes[b]`` is the driver node of ``R_OUT<b>`` (read directly,
     as the host would probe the pad); ``clock`` is the chip's
     :class:`~repro.circuit.clocks.TwoPhaseClock` on the ``phi`` nodes.
+    ``driven`` turns true at the first :meth:`drive_pin` or :meth:`pulse`
+    after elaboration: from then on the circuit holds a run's state.
     """
 
     def __init__(self, name: str, retention_ns: float = 1e9):
@@ -48,13 +50,16 @@ class CompiledNetlist:
         self.out_invert: Dict[str, bool] = {}
         self.result_nodes: List[str] = []
         self.instance_ports: Dict[str, Dict[str, str]] = {}
+        self.driven = False
 
     def pulse(self, beat: int) -> None:
         """One beat: the chip's clock pulses the beat's phase."""
+        self.driven = True
         self.clock.pulse(beat)
 
     def drive_pin(self, name: str, bit: int) -> None:
         """Drive an input pin with a logical bit, honouring twin polarity."""
+        self.driven = True
         v = bool(bit) ^ self.in_invert[name]
         self.circuit.set_input(self.pins[name], HIGH if v else LOW)
 
@@ -145,6 +150,7 @@ def elaborate_circuit(
         net.result_nodes.append(
             node_of(next(ep for ep in graph[f"R_OUT{b}"]))
         )
+    net.driven = False  # the tied result-in pins are part of the build
     return net
 
 

@@ -219,14 +219,22 @@ class _UnionFind:
             self.parent[ri] = rj
 
 
-def connected_labels(rects: List[Rect]) -> List[int]:
-    """Cluster id per rectangle (touching/overlapping rects share an id)."""
+def touching_union(rects: List[Rect], index: Optional[RectIndex] = None
+                   ) -> _UnionFind:
+    """Union-find over *rects* joining every touching/overlapping pair,
+    probed through *index* (built over *rects* when not given)."""
     uf = _UnionFind(len(rects))
-    index = RectIndex(rects)
+    near = (index or RectIndex(rects)).near
     for i, r in enumerate(rects):
-        for j in index.near(r):
+        for j in near(r):
             if j > i and r.touches_or_intersects(rects[j]):
                 uf.union(i, j)
+    return uf
+
+
+def connected_labels(rects: List[Rect]) -> List[int]:
+    """Cluster id per rectangle (touching/overlapping rects share an id)."""
+    uf = touching_union(rects)
     roots: Dict[int, int] = {}
     labels = []
     for i in range(len(rects)):

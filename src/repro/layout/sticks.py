@@ -17,6 +17,7 @@ character per lambda, with the paper's colour letters
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
@@ -87,6 +88,15 @@ class Port:
     layer: Layer
 
 
+def _overlaps(a: List[Tuple[int, int]], b: List[Tuple[int, int]]):
+    """The closed overlaps of every span of *a* with every span of *b*."""
+    for a0, a1 in a:
+        for b0, b1 in b:
+            lo, hi = max(a0, b0), min(a1, b1)
+            if lo <= hi:
+                yield lo, hi
+
+
 class StickDiagram:
     """A cell's stick diagram with electrical interpretation."""
 
@@ -143,22 +153,54 @@ class StickDiagram:
         "Field-effect transistors are created in NMOS by crossing a
         diffusion path with a polysilicon area" -- unless a contact joins
         the layers at that very point (a butting contact, not a device).
-        Sites come in (y, x) order.  The crossings are found on plain
-        ``(x, y)`` grid tuples; a :class:`Point` is built only for each
-        site returned.
+        A site is a lambda grid point covered by both a poly and a
+        diffusion stick; sites come in (y, x) order.
+
+        They are found segment by segment, on stick endpoints grouped by
+        row and column: a horizontal stick of one layer crosses each
+        vertical stick of the other whose column lies in its span and
+        whose span holds its row, and sticks of both layers on one row
+        (or column) share the overlap of their spans.  The cost follows
+        the number of sticks, not their length in lambda.
         """
-        poly_pts: Set[Tuple[int, int]] = set()
-        diff_pts: Set[Tuple[int, int]] = set()
+        rows: Dict[Layer, Dict[int, List[Tuple[int, int]]]] = {
+            Layer.POLY: {}, Layer.DIFFUSION: {},
+        }
+        cols: Dict[Layer, Dict[int, List[Tuple[int, int]]]] = {
+            Layer.POLY: {}, Layer.DIFFUSION: {},
+        }
         for s in self.sticks:
-            if s.layer is Layer.POLY:
-                poly_pts.update(s.grid())
-            elif s.layer is Layer.DIFFUSION:
-                diff_pts.update(s.grid())
+            if s.layer not in rows:
+                continue
+            if s.is_horizontal:
+                span = (min(s.a.x, s.b.x), max(s.a.x, s.b.x))
+                rows[s.layer].setdefault(s.a.y, []).append(span)
+            else:
+                span = (min(s.a.y, s.b.y), max(s.a.y, s.b.y))
+                cols[s.layer].setdefault(s.a.x, []).append(span)
+        crossings: Set[Tuple[int, int]] = set()
+        for across, down in ((Layer.POLY, Layer.DIFFUSION),
+                             (Layer.DIFFUSION, Layer.POLY)):
+            columns = cols[down]
+            xs = sorted(columns)
+            for y, spans in rows[across].items():
+                for x0, x1 in spans:
+                    for x in xs[bisect_left(xs, x0):bisect_right(xs, x1)]:
+                        if any(y0 <= y <= y1 for y0, y1 in columns[x]):
+                            crossings.add((x, y))
+        poly_rows, diff_rows = rows[Layer.POLY], rows[Layer.DIFFUSION]
+        for y in poly_rows.keys() & diff_rows.keys():
+            for lo, hi in _overlaps(poly_rows[y], diff_rows[y]):
+                crossings.update((x, y) for x in range(lo, hi + 1))
+        poly_cols, diff_cols = cols[Layer.POLY], cols[Layer.DIFFUSION]
+        for x in poly_cols.keys() & diff_cols.keys():
+            for lo, hi in _overlaps(poly_cols[x], diff_cols[x]):
+                crossings.update((x, y) for y in range(lo, hi + 1))
         contact_pts = {(c.at.x, c.at.y) for c in self.contacts}
         implant_pts = {(i.at.x, i.at.y) for i in self.implants}
         return [
             (Point(x, y), (x, y) in implant_pts)
-            for y, x in sorted((y, x) for x, y in poly_pts & diff_pts)
+            for y, x in sorted((y, x) for x, y in crossings)
             if (x, y) not in contact_pts
         ]
 

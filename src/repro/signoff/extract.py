@@ -22,15 +22,18 @@ the electrical-rule check can verify the ratioed-logic sizing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import GND, VDD, Circuit
-from ..layout.design_rules import gate_channels
-from ..layout.geometry import Point, Rect, RectIndex, _UnionFind, subtract_all
+from ..layout.design_rules import CellGeometry
+from ..layout.geometry import Point, Rect, RectIndex, subtract_all, touching_union
 from ..layout.layers import Layer
 
 #: Rail port names recognised on a cell boundary.
 RAIL_PORTS = {"VDD": VDD, "GND": GND}
+
+#: The conduction layers, in conductor-numbering order.
+_CONDUCTORS = (Layer.DIFFUSION, Layer.POLY, Layer.METAL)
 
 
 @dataclass(frozen=True)
@@ -74,60 +77,94 @@ class ConductorNets:
 
     Shared between full cell extraction and the chip-assembly audit
     (which only needs net identity and the device census, not a circuit).
+    Built over a :class:`~repro.layout.design_rules.CellGeometry` (a
+    plain per-layer rect dict is wrapped in one): the channels, the poly
+    and metal connectivity and the per-layer indexes are the ones DRC
+    read.  Conductor ``k`` numbers the diffusion fragments, then poly,
+    then metal; its net is :meth:`net_id`.
     """
 
-    def __init__(self, rects_by_layer: Dict[Layer, Sequence[Rect]]):
-        self.poly = list(rects_by_layer.get(Layer.POLY, []))
-        self.diff = list(rects_by_layer.get(Layer.DIFFUSION, []))
-        self.metal = list(rects_by_layer.get(Layer.METAL, []))
-        self.implants = list(rects_by_layer.get(Layer.IMPLANT, []))
-        self.contacts = list(rects_by_layer.get(Layer.CONTACT, []))
+    def __init__(self, rects_by_layer):
+        self.geometry = geom = CellGeometry.of(rects_by_layer)
+        self.poly = geom.rects[Layer.POLY]
+        self.diff = geom.rects[Layer.DIFFUSION]
+        self.metal = geom.rects[Layer.METAL]
+        self.implants = geom.rects[Layer.IMPLANT]
+        self.contacts = geom.rects[Layer.CONTACT]
         self.warnings: List[str] = []
 
-        self.channels = gate_channels(self.poly, self.diff, self.contacts)
+        self.channels = geom.channels
 
         # Source/drain regions: diffusion with the channels cut out.
-        ch_index = RectIndex(self.channels)
+        near_channel = geom.channel_index().near
         self.frags: List[Rect] = []
         for d in self.diff:
             cuts = [
                 self.channels[k]
-                for k in ch_index.near(d)
+                for k in near_channel(d)
                 if self.channels[k].intersects(d)
             ]
             self.frags.extend(subtract_all(d, cuts))
+        frag_index = RectIndex(self.frags)
 
         # One conductor per rectangle; same-layer touching rectangles and
-        # contact-joined stacks merge into nets via union-find.
-        self.conductors: List[Tuple[Layer, Rect]] = (
-            [(Layer.DIFFUSION, r) for r in self.frags]
-            + [(Layer.POLY, r) for r in self.poly]
-            + [(Layer.METAL, r) for r in self.metal]
-        )
-        self._uf = _UnionFind(len(self.conductors))
-        base = 0
-        for layer_rects in (self.frags, self.poly, self.metal):
-            index = RectIndex(layer_rects)
-            for i, r in enumerate(layer_rects):
-                for j in index.near(r):
-                    if j > i and r.touches_or_intersects(layer_rects[j]):
-                        self._uf.union(base + i, base + j)
-            base += len(layer_rects)
-        self._cond_index = RectIndex([r for _, r in self.conductors])
-        for cut in self.contacts:
+        # contact-joined stacks merge into nets via union-find.  Poly and
+        # metal bring the geometry's own connectivity, offset past the
+        # fragments.
+        n_frags, n_poly = len(self.frags), len(self.poly)
+        self._layers = {
+            Layer.DIFFUSION: (self.frags, frag_index, 0),
+            Layer.POLY: (self.poly, geom.index(Layer.POLY), n_frags),
+            Layer.METAL: (self.metal, geom.index(Layer.METAL),
+                          n_frags + n_poly),
+        }
+        self.n_conductors = n_frags + n_poly + len(self.metal)
+        self._uf = uf = touching_union(self.frags, frag_index)
+        for layer in (Layer.POLY, Layer.METAL):
+            base = self._layers[layer][2]
+            uf.parent.extend(
+                base + p for p in geom.connectivity(layer).parent
+            )
+        # A cut's covering shapes come from the geometry, but for the
+        # fragments: only a cut inside some diffusion shape can lie inside
+        # one of its fragments.
+        diff_cover = geom.cover(Layer.DIFFUSION)
+        shared = [
+            (layer, self._layers[layer][2], geom.cover(layer))
+            for layer in (Layer.POLY, Layer.METAL)
+        ]
+        for i, cut in enumerate(self.contacts):
             covering = [
-                k
-                for k in self._cond_index.near(cut)
-                if self.conductors[k][1].contains(cut)
-            ]
-            layers_hit = {self.conductors[k][0] for k in covering}
+                (Layer.DIFFUSION, k)
+                for k, r in self.near(Layer.DIFFUSION, cut) if r.contains(cut)
+            ] if diff_cover[i] else []
+            for layer, base, cover in shared:
+                covering.extend((layer, base + k) for k in cover[i])
+            layers_hit = {layer for layer, _k in covering}
             if len(layers_hit) < 2:
                 self.warnings.append(
                     f"contact {cut} joins {len(layers_hit)} conduction "
                     "layer(s); expected 2"
                 )
-            for k in covering[1:]:
-                self._uf.union(covering[0], k)
+            for _layer, k in covering[1:]:
+                uf.union(covering[0][1], k)
+
+    # -- shapes ------------------------------------------------------------
+
+    def near(self, layer: Layer, box: Rect,
+             pad: int = 0) -> List[Tuple[int, Rect]]:
+        """(conductor index, rect) of the *layer* conductors in the index
+        cells *box* (grown by *pad*) meets, ascending."""
+        rects, index, base = self._layers[layer]
+        return [(base + k, rects[k]) for k in index.near(box, pad)]
+
+    def covering(self, cut: Rect) -> List[Tuple[Layer, int]]:
+        """(layer, conductor index) of the shapes containing *cut*,
+        ascending."""
+        return [
+            (layer, k) for layer in _CONDUCTORS
+            for k, r in self.near(layer, cut) if r.contains(cut)
+        ]
 
     # -- net identity ------------------------------------------------------
 
@@ -137,9 +174,8 @@ class ConductorNets:
     def net_at(self, p: Point, layer: Layer) -> Optional[int]:
         """Net id of the *layer* shape covering point *p* (None if open)."""
         probe = Rect(p.x - 1, p.y - 1, p.x + 1, p.y + 1)
-        for k in self._cond_index.near(probe):
-            lay, r = self.conductors[k]
-            if lay is layer and r.contains_point(p):
+        for k, r in self.near(layer, probe):
+            if r.contains_point(p):
                 return self.net_id(k)
         return None
 
@@ -147,10 +183,7 @@ class ConductorNets:
                       overlapping: bool = False) -> List[int]:
         """Distinct net ids of *layer* conductors touching *box*."""
         out: List[int] = []
-        for k in self._cond_index.near(box, pad=1):
-            lay, r = self.conductors[k]
-            if lay is not layer:
-                continue
+        for k, r in self.near(layer, box, pad=1):
             hit = r.intersects(box) if overlapping else r.touches_or_intersects(box)
             if hit:
                 nid = self.net_id(k)
@@ -168,9 +201,8 @@ def _channel_orientation(nets: ConductorNets, ch: Rect) -> Tuple[int, int, List[
     """
     vertical = horizontal = 0
     term_nets: List[int] = []
-    for k in nets._cond_index.near(ch, pad=1):
-        lay, r = nets.conductors[k]
-        if lay is not Layer.DIFFUSION or not r.touches_or_intersects(ch):
+    for k, r in nets.near(Layer.DIFFUSION, ch, pad=1):
+        if not r.touches_or_intersects(ch):
             continue
         if r.intersects(ch):
             continue  # overlap would mean a mis-subtracted fragment
@@ -187,7 +219,7 @@ def _channel_orientation(nets: ConductorNets, ch: Rect) -> Tuple[int, int, List[
 
 
 def extract(
-    rects_by_layer: Dict[Layer, Sequence[Rect]],
+    rects_by_layer,
     ports: Optional[Dict[str, Tuple[Point, Layer]]] = None,
     name: str = "extracted",
 ) -> Extraction:
@@ -196,7 +228,9 @@ def extract(
     *ports* maps boundary port names to (point, layer) probes, exactly
     the :attr:`~repro.layout.cells.CellLayout.ports` convention; the nets
     under them take the port's name (``VDD``/``GND`` become the rails).
-    Anything unnameable becomes ``n<i>``.
+    Anything unnameable becomes ``n<i>``.  The geometry is a per-layer
+    rect dict or the :class:`~repro.layout.design_rules.CellGeometry`
+    over one (as DRC left it).
     """
     ports = ports or {}
     nets = ConductorNets(rects_by_layer)
@@ -234,7 +268,7 @@ def extract(
     # -- build the devices -------------------------------------------------
     circuit = Circuit(name)
     device_geom: Dict[str, ChannelGeom] = {}
-    implant_index = RectIndex(nets.implants)
+    near_implant = nets.geometry.index(Layer.IMPLANT).near
     for i, ch in enumerate(nets.channels):
         label = f"M{i}"
         length, width, term_ids = _channel_orientation(nets, ch)
@@ -255,7 +289,7 @@ def extract(
                 continue
         a, b = name_of(term_ids[0]), name_of(term_ids[1])
         depletion = any(
-            nets.implants[k].contains(ch) for k in implant_index.near(ch)
+            nets.implants[k].contains(ch) for k in near_implant(ch)
         )
         if depletion and VDD in (a, b):
             node = b if a == VDD else a
@@ -283,11 +317,16 @@ def extract(
         net_of_port=net_of_port,
         device_geom=device_geom,
         warnings=warnings,
-        n_nets=len({nets.net_id(k) for k in range(len(nets.conductors))}),
+        n_nets=len({nets.net_id(k) for k in range(nets.n_conductors)}),
         nets=nets,
     )
 
 
-def extract_cell(layout) -> Extraction:
-    """Extract a :class:`~repro.layout.cells.CellLayout` via its ports."""
-    return extract(layout.rects, layout.ports, name=f"{layout.name}.extracted")
+def extract_cell(layout, geometry: Optional[CellGeometry] = None) -> Extraction:
+    """Extract a :class:`~repro.layout.cells.CellLayout` via its ports,
+    reading *geometry* (the layout's :class:`CellGeometry`) when given."""
+    return extract(
+        layout.rects if geometry is None else geometry,
+        layout.ports,
+        name=f"{layout.name}.extracted",
+    )

@@ -32,7 +32,7 @@ from typing import (
 
 from ..errors import CIFError
 from ..layout.cif import ParsedCIF
-from ..layout.design_rules import gate_channels
+from ..layout.design_rules import CellGeometry
 from ..layout.geometry import Point, Rect, RectIndex, _UnionFind
 from ..layout.layers import Layer
 from .extract import ConductorNets
@@ -57,7 +57,6 @@ class _Unit:
             min(r.x0 for r in shapes), min(r.y0 for r in shapes),
             max(r.x1 for r in shapes), max(r.y1 for r in shapes),
         )
-        self._index: Dict[object, RectIndex] = {}
 
     def near(self, key, window: Rect) -> List[Rect]:
         """Shapes touching *window*, both in this unit's own coordinates:
@@ -66,16 +65,13 @@ class _Unit:
         ``"channel"``, the transistor channels."""
         nets = self.nets
         if key in _CONDUCTORS:
-            found = (nets.conductors[k] for k in nets._cond_index.near(window))
             return [
-                r for layer, r in found
-                if layer is key and r.touches_or_intersects(window)
+                r for _k, r in nets.near(key, window)
+                if r.touches_or_intersects(window)
             ]
-        index = self._index.get(key)
-        if index is None:
-            index = self._index[key] = RectIndex(
-                nets.channels if key == "channel" else nets.contacts
-            )
+        geom = nets.geometry
+        index = (geom.channel_index() if key == "channel"
+                 else geom.index(Layer.CONTACT))
         rects = index.rects
         return [
             rects[k] for k in index.near(window)
@@ -85,10 +81,7 @@ class _Unit:
     def covering(self, cut: Rect) -> List[int]:
         """Local net ids of the conductors containing *cut*."""
         nets = self.nets
-        return [
-            nets.net_id(k) for k in nets._cond_index.near(cut)
-            if nets.conductors[k][1].contains(cut)
-        ]
+        return [nets.net_id(k) for _layer, k in nets.covering(cut)]
 
 
 class _Placed:
@@ -275,11 +268,7 @@ class HierarchicalNets:
         nets = self._known_nets(rects)
         if nets is not None:
             return len(nets.channels)
-        return len(gate_channels(
-            rects.get(Layer.POLY, []),
-            rects.get(Layer.DIFFUSION, []),
-            rects.get(Layer.CONTACT, []),
-        ))
+        return len(CellGeometry(rects).channels)
 
     # -- seams -------------------------------------------------------------
 
@@ -304,15 +293,14 @@ class HierarchicalNets:
         na, nb = a.unit.nets, b.unit.nets
         shift_x, shift_y = a.dx - b.dx, a.dy - b.dy
         local = win.translated(-a.dx, -a.dy)
-        for k in na._cond_index.near(local, pad=1):
-            layer, r = na.conductors[k]
-            if not r.touches_or_intersects(local):
-                continue
-            rb = r.translated(shift_x, shift_y)
-            for k2 in nb._cond_index.near(rb, pad=1):
-                layer2, r2 = nb.conductors[k2]
-                if layer2 is layer and r2.touches_or_intersects(rb):
-                    self._union((i, na.net_id(k)), (j, nb.net_id(k2)))
+        for layer in _CONDUCTORS:
+            for k, r in na.near(layer, local, pad=1):
+                if not r.touches_or_intersects(local):
+                    continue
+                rb = r.translated(shift_x, shift_y)
+                for k2, r2 in nb.near(layer, rb, pad=1):
+                    if r2.touches_or_intersects(rb):
+                        self._union((i, na.net_id(k)), (j, nb.net_id(k2)))
         # A cut joins every conductor containing it, whichever instance
         # drew them.
         for p in (a, b):

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..circuit.netlist import Circuit
 from ..layout.cells import CellBundle, cell_bundle
 from ..layout.cif import parse_cif
-from ..layout.design_rules import DesignRuleChecker
+from ..layout.design_rules import CellGeometry, DesignRuleChecker
 from ..layout.geometry import Point, Rect, RectIndex
 from ..layout.layers import Layer
 from ..timing.model import TimingModel
@@ -47,17 +47,19 @@ class Signoff:
 
     # -- stage helpers (each returns a StageReport) ------------------------
 
-    def drc_stage(self, bundle: CellBundle) -> StageReport:
+    def drc_stage(
+        self, bundle: CellBundle, geometry: Optional[CellGeometry] = None
+    ) -> StageReport:
         stage = StageReport("drc")
-        for v in self.drc.check(bundle.layout.rects):
+        for v in self.drc.check(geometry or bundle.layout.rects):
             stage.add(v.rule, "error", v.detail, where=bundle.name)
         return stage
 
     def extraction_stage(
-        self, bundle: CellBundle
+        self, bundle: CellBundle, geometry: Optional[CellGeometry] = None
     ) -> Tuple[StageReport, Extraction]:
         stage = StageReport("extraction")
-        ex = extract_cell(bundle.layout)
+        ex = extract_cell(bundle.layout, geometry)
         for w in ex.warnings:
             stage.add("extract", "warning", w, where=bundle.name)
         stage.add(
@@ -145,8 +147,9 @@ class Signoff:
         bundle)."""
         b = bundle or cell_bundle(kind, positive)
         report = SignoffReport(b.name)
-        report.stages.append(self.drc_stage(b))
-        ex_stage, ex = self.extraction_stage(b)
+        geometry = CellGeometry(b.layout.rects)
+        report.stages.append(self.drc_stage(b, geometry))
+        ex_stage, ex = self.extraction_stage(b, geometry)
         report.stages.append(ex_stage)
         report.stages.append(self.lvs_stage(b, ex))
         clocks = [ex.net_of_port.get(c, c) for c in b.clocks]
@@ -175,7 +178,9 @@ class Signoff:
     def run_design(self, compiled) -> SignoffReport:
         """Full signoff of a compiler-generated design.
 
-        DRC / extraction / LVS for every generated cell twin, ERC +
+        DRC / extraction / LVS for every generated cell twin (DRC and
+        extraction read one :class:`CellGeometry` per twin, which the
+        assembly audit reuses through the extraction's nets), ERC +
         timing on the generated whole-chip transistor netlist, and the
         assembly audits on the generated floorplan and CIF.
         ``compiled`` is a :class:`~repro.compiler.flow.CompiledChip`.
@@ -187,8 +192,9 @@ class Signoff:
         extracted = []
         for name in sorted(compiled.bundles):
             b = compiled.bundles[name]
-            drc.extend(self.drc_stage(b).findings)
-            ex_stage, ex = self.extraction_stage(b)
+            geometry = CellGeometry(b.layout.rects)
+            drc.extend(self.drc_stage(b, geometry).findings)
+            ex_stage, ex = self.extraction_stage(b, geometry)
             extraction.extend(ex_stage.findings)
             lvs.extend(self.lvs_stage(b, ex).findings)
             extracted.append((b.layout.rects, ex.nets))

@@ -2,8 +2,9 @@
 
 It flattens the emitted CIF and extracts the whole die as one
 :class:`ConductorNets`, which is how the signoff pipeline audited a chip
-before it read the CIF symbol by symbol.  The hierarchical audit must
-report exactly what this one does, finding for finding.
+before it read the CIF symbol by symbol; the extractor and channel
+finder are the frozen ones of ``reference_signoff``.  The hierarchical
+audit must report exactly what this one does, finding for finding.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from collections import Counter
 from typing import Dict
 
 from repro.layout.cif import parse_cif
-from repro.layout.design_rules import gate_channels
 from repro.layout.geometry import Point, Rect, RectIndex
 from repro.layout.layers import Layer
-from repro.signoff.extract import ConductorNets
 from repro.signoff.report import StageReport
+from reference_signoff import ConductorNets, gate_channels
 
 
 def flat_assembly_stage(asm) -> StageReport:

@@ -142,3 +142,71 @@ class TestWorkloadEntryPoint:
 
         with pytest.raises(WorkloadError):
             WORKLOADS["correlation"].compile_chip(4)
+
+
+class TestNetlistBuiltOnce:
+    """A switch-level run drives the netlist signoff read, and rebuilds
+    only one a previous run drove."""
+
+    POINTS = [
+        ("match", 4, 2, "AXC", "ABCAACACCABD"),
+        ("count", 3, 2, "ABX", "ABCABBACABCA"),
+        ("inner-product", 3, 2, [1, 3, 2], [0, 3, 1, 2, 2, 3, 1, 0]),
+    ]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        from repro.circuit.netlist import Circuit
+
+        calls = {}
+        settle = Circuit.settle
+
+        def counted(self, *args, **kwargs):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return settle(self, *args, **kwargs)
+
+        monkeypatch.setattr(Circuit, "settle", counted)
+        return calls
+
+    @staticmethod
+    def _run(chip, params, stream, char_bits):
+        al = None if chip.spec.kernel == "inner-product" \
+            else _alphabet(char_bits)
+        return chip.simulate(params, stream, al, engine="switch")
+
+    @staticmethod
+    def _state(net):
+        return [(n.name, n.value, n.strength) for n in net.circuit.nodes.values()]
+
+    @pytest.mark.parametrize("kernel,cells,bits,params,stream", POINTS)
+    def test_simulate_after_signoff_equals_a_fresh_compile(
+        self, monkeypatch, kernel, cells, bits, params, stream
+    ):
+        calls = self._counting(monkeypatch)
+        signed = compile_workload(kernel, cells, char_bits=bits, data_bits=bits)
+        built = signed.netlist
+        assert signed.signoff().ok
+        got = self._run(signed, params, stream, bits)
+        assert signed.netlist is built  # no second elaboration
+
+        fresh = compile_workload(kernel, cells, char_bits=bits, data_bits=bits)
+        want = self._run(fresh, params, stream, bits)
+        assert got == want
+        assert built.circuit.time_ns == fresh.netlist.circuit.time_ns > 0
+        assert calls[id(built.circuit)] == calls[id(fresh.netlist.circuit)]
+        assert self._state(built) == self._state(fresh.netlist)
+
+    def test_a_driven_netlist_is_rebuilt(self):
+        kernel, cells, bits, params, stream = self.POINTS[0]
+        chip = compile_workload(kernel, cells, char_bits=bits)
+        first = self._run(chip, params, stream, bits)
+        ran = chip.netlist
+        assert ran.driven
+        assert self._run(chip, params, stream, bits) == first
+        assert chip.netlist is not ran
+        assert chip.netlist.circuit.time_ns == ran.circuit.time_ns
+        # A netlist pulsed by hand is a driven one too.
+        chip.reset_netlist().pulse(0)
+        pulsed = chip.netlist
+        assert self._run(chip, params, stream, bits) == first
+        assert chip.netlist is not pulsed

@@ -7,11 +7,17 @@ spacing, implant overlap of depletion gates, and poly gate extension.
 
 from repro.layout.design_rules import (
     LAMBDA_RULES,
+    CellGeometry,
     DesignRuleChecker,
-    gate_channels,
 )
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer
+
+
+def _channels(poly, diff, contacts=()):
+    return CellGeometry({
+        Layer.POLY: poly, Layer.DIFFUSION: diff, Layer.CONTACT: contacts,
+    }).channels
 
 
 def _rules_hit(rects_by_layer, rule):
@@ -96,14 +102,14 @@ class TestGateChannels:
     def test_butting_contact_suppresses_channel(self):
         poly = [Rect(0, 4, 10, 6)]
         diff = [Rect(4, 0, 6, 10)]
-        assert len(gate_channels(poly, diff)) == 1
-        assert gate_channels(poly, diff, [Rect(4, 4, 6, 6)]) == []
+        assert len(_channels(poly, diff)) == 1
+        assert _channels(poly, diff, [Rect(4, 4, 6, 6)]) == []
 
     def test_merged_overlaps_are_one_device(self):
         # Two overlapping poly shapes crossing one diffusion: one channel.
         poly = [Rect(0, 4, 6, 6), Rect(4, 4, 10, 6)]
         diff = [Rect(4, 0, 6, 10)]
-        assert len(gate_channels(poly, diff)) == 1
+        assert len(_channels(poly, diff)) == 1
 
 
 class TestRuleTable:

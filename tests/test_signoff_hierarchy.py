@@ -18,7 +18,7 @@ import pytest
 from repro.compiler import compile_workload
 from repro.layout.assembly import ArrayAssembler
 from repro.layout.cells import CellLayout
-from repro.layout.design_rules import gate_channels
+from repro.layout.design_rules import CellGeometry
 from repro.layout.geometry import Point, Rect
 from repro.layout.layers import Layer
 from repro.signoff.pipeline import Signoff
@@ -187,8 +187,8 @@ def _finger(asm, first):
     }
 
     def channels(extra=()):
-        return len(gate_channels(near[Layer.POLY] + list(extra),
-                                 near[Layer.DIFFUSION], near[Layer.CONTACT]))
+        poly = near[Layer.POLY] + list(extra)
+        return len(CellGeometry({**near, Layer.POLY: poly}).channels)
 
     before = channels()
     for d in sorted(other.rects[Layer.DIFFUSION], key=lambda r: r.x0):

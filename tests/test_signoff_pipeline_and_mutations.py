@@ -9,7 +9,7 @@ import pytest
 from repro.compiler import compile_workload
 from repro.errors import MethodologyError, SignoffError
 from repro.layout.assembly import ArrayAssembler
-from repro.layout.design_rules import gate_channels
+from repro.layout.design_rules import CellGeometry
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer
 from repro.methodology.designflow import DesignFlow
@@ -118,9 +118,7 @@ class TestAssemblyAudit:
         def butt_one_gate(cell, rects):
             # A stray cut over a gate butts poly to diffusion: the flat
             # CIF then carries one transistor fewer than the floorplan.
-            gate = gate_channels(
-                rects[Layer.POLY], rects[Layer.DIFFUSION], rects[Layer.CONTACT]
-            )[0]
+            gate = CellGeometry(rects).channels[0]
             rects[Layer.CONTACT].append(gate)
 
         stage = signoff.assembly_stage_for(
