@@ -8,9 +8,10 @@ pattern matches, a batch of FIR filter jobs over sampled signals, and
 one throttled tenant pushing against a token-bucket rate limit.  One
 job carries a tight SLO deadline and is served degraded from the
 host-side oracle when it expires.  Seeded worker deaths take workers
-out of dispatch; neither front door heals by itself, so a
-``RuntimeHealth`` loop with a seeded wafer supply sweeps between the
-bursts and respawns them.  Every result is checked against the workload
+out of dispatch; neither front door heals by itself, so the farm's
+own ``FleetHealth`` loop, over the runtime's worker pool and a seeded
+wafer supply, sweeps between the bursts (off the event loop, in a
+thread: the sweep blocks) and respawns them.  Every result is checked against the workload
 oracle before the runtime's counters are printed.
 """
 
@@ -18,8 +19,8 @@ import asyncio
 import random
 
 from repro import Alphabet
-from repro.runtime import AsyncMatcherService, RuntimeConfig, RuntimeHealth
-from repro.service import FaultInjector
+from repro.runtime import AsyncMatcherService, RuntimeConfig
+from repro.service import FaultInjector, FleetHealth
 from repro.wafer.provision import WaferSupply
 from repro.workloads import get_workload
 
@@ -44,14 +45,14 @@ async def main():
 
     async with AsyncMatcherService(CHAR_WORKERS, ab, config=config,
                                    faults=faults) as svc:
-        health = RuntimeHealth(
+        health = FleetHealth(
             svc.pool, supply=WaferSupply(8, rows=3, cols=4, seed=1980)
         )
 
         async def sweep():
             # Let the burst finish, then probe, quarantine and heal.
             await svc.drain()
-            await health.sweep()
+            await asyncio.to_thread(health.sweep)
 
         def text(n):
             return "".join(rng.choice("ABCD") for _ in range(n))

@@ -8,10 +8,11 @@ MISR signature checked against a cached golden table, and the
 :class:`BISTController` FSM turns the comparison into a pass/fail
 verdict with a per-cell diagnosis.  The :class:`Characterizer` adds the
 timing half: measured settle latency and Elmore phase-budget closure
-against the 250 ns beat.  The fleet-health loops in
-:mod:`repro.service.health` and :mod:`repro.runtime.health` run these
-self-tests in the background on idle workers, quarantine failures, and
-re-provision replacements from the wafer harvest model.
+against the 250 ns beat.  The fleet-health loop in
+:mod:`repro.service.health` runs these self-tests in the background on
+the idle workers of either pool (the farm's, in process, or the
+runtime's worker processes), quarantines failures, and re-provisions
+replacements from the wafer harvest model.
 
 Run ``python -m repro.bist`` for a demo, coverage report, or soak.
 """

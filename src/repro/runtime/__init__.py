@@ -16,20 +16,19 @@ Layering:
   the same :class:`~repro.workloads.registry.WorkloadSpec` engines as
   everywhere else (results byte-identical by construction).
 * :mod:`~repro.runtime.pool` -- the mechanism: EDF dispatch, stale-reply
-  dropping, worker lifecycle.
+  dropping, worker lifecycle, and the fleet-health contract of
+  :class:`~repro.service.health.FleetHealth` (BIST probes on idle
+  workers, quarantine, respawns held out of dispatch until their
+  incoming probe passes).
 * :mod:`~repro.runtime.admission` -- per-tenant token buckets.
 * :mod:`~repro.runtime.service` -- the async surface of the one front
   door (start/close, rate-limit waits, futures, ``stream_results``)
   and its :class:`ProcessPool`: the runtime's clock, per-job deadline
   timers, units to and from the wire, seeded faults, obs merge-back.
-* :mod:`~repro.runtime.health` -- the maintenance crew: background
-  gate-level BIST probes on idle workers, quarantine of failing
-  processes, wafer-gated respawn healing.
 """
 
 from .admission import RateLimiter, TokenBucket
 from .channels import Channel, ChannelClosed, JobReply, JobRequest
-from .health import RuntimeHealth
 from .pool import WorkerPool
 from .service import AsyncMatcherService, RuntimeConfig, RuntimeResult
 
@@ -42,7 +41,6 @@ __all__ = [
     "RateLimiter",
     "RuntimeConfig",
     "RuntimeResult",
-    "RuntimeHealth",
     "TokenBucket",
     "WorkerPool",
 ]

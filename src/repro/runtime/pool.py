@@ -21,10 +21,11 @@ owns
 The pool never retries, degrades, or verifies; it moves messages (the
 front door's :class:`~repro.runtime.service.ProcessPool` turns units
 into them).  A worker whose reply reports a death leaves dispatch at
-once, as a quarantined one does, until a heal respawns it.  A request
-still waiting when every worker is quarantined or dead goes back to its
-submitter unrun (a :data:`~repro.runtime.channels.NO_LIVE_WORKER`
-reply) instead of waiting for a heal.
+once, as a quarantined one does, until a respawn passes its incoming
+probe.  A request still waiting when every worker is quarantined or
+dead goes back to its submitter unrun (a
+:data:`~repro.runtime.channels.NO_LIVE_WORKER` reply) instead of
+waiting for a heal.
 """
 
 from __future__ import annotations
@@ -35,12 +36,16 @@ import math
 import multiprocessing as mp
 import queue
 import threading
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..alphabet import Alphabet
 from ..errors import ServiceError
 from .channels import NO_LIVE_WORKER, SHUTDOWN, Channel, JobReply, JobRequest
 from .worker import worker_main
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..bist.controller import BISTReport
+    from ..service.health import HealthConfig
 
 ReplyCallback = Callable[[JobReply], None]
 
@@ -87,8 +92,14 @@ class WorkerPool:
         self._idle: List[int] = []
         # Workers out of dispatch, quarantined by the health loop or
         # dead in an execution: never in _idle, never dispatched to,
-        # until heal() respawns them.
+        # until a respawn passes its incoming probe and admit() lets it
+        # in.  _incoming holds the respawned slots still quarantined
+        # that self_test may send their one incoming probe.
         self._quarantined: Set[int] = set()
+        self._incoming: Set[int] = set()
+        # Probe ids count down from -1: they can never collide with
+        # unit ids, which count up from 0.
+        self._probe_ids = itertools.count(-1, -1)
         self._index = {name: i for i, name in enumerate(self._names)}
         self._seq = 0
         # Request ids for service units: unique per pool, so services
@@ -232,7 +243,7 @@ class WorkerPool:
 
     def quarantined_names(self) -> List[str]:
         """Names of the workers out of dispatch (quarantined or dead):
-        the ones a health sweep heals."""
+        the slots :meth:`respawn` replaces, lowest first."""
         with self._cond:
             return [self._names[i] for i in sorted(self._quarantined)]
 
@@ -242,41 +253,49 @@ class WorkerPool:
         with self._cond:
             return self.n_workers - len(self._quarantined)
 
-    def submit_to(
-        self, name: str, request: JobRequest, callback: ReplyCallback
-    ) -> bool:
-        """Targeted dispatch: send *request* to one specific worker,
-        only if it is idle right now.
+    def self_test(
+        self, name: str, config: "HealthConfig", defect=None
+    ) -> Optional["BISTReport"]:
+        """Run one BIST probe on worker *name* in its own process and
+        wait for the report; ``None`` if the worker is not idle.
 
-        The health loop uses this for BIST probes -- a probe must land
-        on the worker being probed (the EDF heap would route it
-        anywhere) and must never preempt real traffic, so a busy or
-        quarantined worker just returns ``False`` (probe it next
-        sweep).
+        The probe, a ``JobRequest(bist=(config, defect))``, goes to that
+        one worker (the EDF heap would route it anywhere) and never
+        preempts traffic, so a busy or quarantined worker is skipped; a
+        respawn awaiting :meth:`admit` takes exactly one, its incoming
+        probe.  The collector thread hands the reply over through a
+        queue, so the caller blocks on no event loop.
         """
         widx = self._worker_index(name)
         if not self._started:
             raise ServiceError("worker pool is not started")
-        key = (request.job_id, request.attempt)
+        replies: "queue.SimpleQueue[JobReply]" = queue.SimpleQueue()
+        request = JobRequest(
+            job_id=next(self._probe_ids), attempt=0, workload="bist",
+            taps=[], streams=[], bist=(config, defect),
+        )
         with self._cond:
-            if (
-                self._closing
-                or widx in self._quarantined
-                or widx not in self._idle
+            if self._closing or (
+                widx not in self._idle and widx not in self._incoming
             ):
-                return False
-            self._idle.remove(widx)
-            self._callbacks[key] = callback
+                return None
+            if widx in self._idle:
+                self._idle.remove(widx)
+            self._incoming.discard(widx)
+            self._callbacks[(request.job_id, request.attempt)] = replies.put
             self.dispatched += 1
         self._requests[widx].send(request)
         if self.obs is not None:
             self.obs.registry.counter(
                 "runtime.pool.dispatched", worker=name
             ).inc()
-        return True
+        reply = replies.get()
+        if reply.bist is None:
+            raise ServiceError(f"probe of {name!r} failed: {reply.error}")
+        return reply.bist
 
     def quarantine(self, name: str) -> None:
-        """Remove one worker from dispatch until :meth:`heal`.
+        """Remove one worker from dispatch until a respawn is admitted.
 
         Idempotent.  A busy worker finishes (or hangs on) its current
         job, but its reply no longer returns it to the idle list, so no
@@ -293,23 +312,25 @@ class WorkerPool:
                 "runtime.pool.quarantines", worker=name
             ).inc()
 
-    def heal(self, name: str, timeout: float = 10.0) -> None:
-        """Replace a quarantined or dead worker's process with a fresh
-        one.
+    def respawn(self, wafer=None, config=None, timeout: float = 10.0) -> str:
+        """Replace the first quarantined or dead worker's process with a
+        fresh one and return its name; the slot stays out of dispatch
+        until :meth:`admit` (the process models no silicon, so *wafer*
+        and *config* go unused).
 
         The old process gets a SHUTDOWN sentinel and a grace period,
         then is terminated; its request channel is drained so the
-        replacement inherits clean channels; the fresh process rejoins
-        the idle list.  Only a worker out of dispatch can be healed --
-        healing a live one would drop its in-flight job.
+        replacement inherits clean channels.  Only a worker out of
+        dispatch is replaced -- replacing a live one would drop its
+        in-flight job.
         """
-        widx = self._worker_index(name)
         with self._cond:
-            if widx not in self._quarantined:
+            if not self._quarantined:
                 raise ServiceError(
-                    f"worker {name!r} is live; only a quarantined or "
-                    "dead worker can be healed"
+                    "no quarantined or dead worker to respawn"
                 )
+            widx = min(self._quarantined)
+            self._incoming.discard(widx)
         proc = self._procs[widx]
         ch = self._requests[widx]
         _clear(ch)
@@ -321,7 +342,16 @@ class WorkerPool:
         _clear(ch)
         self._procs[widx] = self._spawn(widx)
         with self._cond:
+            self._incoming.add(widx)
+        return self._names[widx]
+
+    def admit(self, name: str) -> None:
+        """Let a respawned worker that passed its incoming probe into
+        dispatch."""
+        widx = self._worker_index(name)
+        with self._cond:
             self._quarantined.discard(widx)
+            self._incoming.discard(widx)
             if widx not in self._idle:
                 self._idle.append(widx)
             self._cond.notify_all()
@@ -386,7 +416,7 @@ class WorkerPool:
                 if widx is not None and reply.died:
                     # The device died in this execution: like a dead
                     # farm chip it leaves dispatch, and n_live drops,
-                    # until heal() respawns it.
+                    # until a respawn of it is admitted.
                     self._quarantined.add(widx)
                 if (
                     widx is not None

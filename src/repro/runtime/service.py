@@ -145,11 +145,13 @@ class AsyncMatcherService(FrontDoor, JobCounters):
 
     The health rule, the same in both front doors: neither heals by
     itself.  A worker that dies leaves dispatch until a
-    :class:`~repro.runtime.health.RuntimeHealth` over ``svc.pool``
-    with a :class:`~repro.wafer.provision.WaferSupply` sweeps and
-    respawns it; without one, seeded deaths drain the pool for good and
-    the rest is served from the host-side oracle.  Sweep between bursts
-    (``examples/runtime_async.py`` does).
+    :class:`~repro.service.health.FleetHealth` over ``svc.pool`` (the
+    farm's loop) with a :class:`~repro.wafer.provision.WaferSupply`
+    sweeps and respawns it; without one, seeded deaths drain the pool
+    for good and the rest is served from the host-side oracle.  The
+    sweep blocks, so run it off the event loop between bursts (``await
+    asyncio.to_thread(health.sweep)``, as ``examples/runtime_async.py``
+    does).
     """
 
     def __init__(

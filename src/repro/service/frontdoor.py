@@ -232,7 +232,6 @@ class FrontDoor:
             )
             self.next_id += 1
             self.open += 1
-            self.counters.submitted += 1
             if self.obs is not None:
                 # Jobs overlap in time, so their spans cannot nest on
                 # the tracer stack: open/close explicitly, keyed off the
@@ -270,7 +269,9 @@ class FrontDoor:
         the pool in queue order; a batch plan counts once, when the pool
         takes it.  A unit the pool refuses is served from software with
         ``degrade_when_saturated``; otherwise it and every unit after it
-        are rolled back and the error propagates."""
+        are rolled back and the error propagates.  The call's jobs count
+        as submitted here, once, less the rolled-back ones, so the
+        counter never falls."""
         now = self.transport.now()
         for job in shed:
             self.degrade([job.whole()], now, reason="saturated")
@@ -289,23 +290,24 @@ class FrontDoor:
                 if self.config.degrade_when_saturated:
                     self.degrade(unit.pieces, now, reason="saturated")
                     continue
-                for late in units[i:]:
-                    for job, _ in late.pieces:
-                        self.reject(job, now)
+                rejected = sum(self.reject(job, now)
+                               for late in units[i:] for job, _ in late.pieces)
+                self.counters.submitted += len(jobs) - rejected
                 raise
             if unit.batched:
                 self.counters.batches += 1
                 self.counters.batched_jobs += len(unit.pieces)
+        self.counters.submitted += len(jobs)
 
-    def reject(self, job: Job, now: float) -> None:
-        """Roll a job that was not let in (and its followers) back out."""
-        self.counters.submitted -= 1
+    def reject(self, job: Job, now: float) -> int:
+        """Roll a job that was not let in (and its followers) back out;
+        returns how many jobs that was."""
         self.open -= 1
         if job.span is not None:
             self.obs.tracer.close(job.span, t1=now, rejected=True)
             job.span = None
-        for follower in self._followers.pop(job.job_id, []):
-            self.reject(follower, now)
+        return 1 + sum(self.reject(follower, now)
+                       for follower in self._followers.pop(job.job_id, []))
 
     # -- the reply rule ----------------------------------------------------
 

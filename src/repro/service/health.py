@@ -4,7 +4,7 @@ The paper's Section 5 deployment story implies three maintenance
 duties: *find* the chip that has gone bad (gate-level built-in
 self-test, :mod:`repro.bist`), *stop scheduling onto it* (quarantine),
 and *replace it from the fab line* (the :mod:`repro.wafer` harvest).
-:class:`HealthPolicy` holds those rules once, free of any transport.
+:class:`FleetHealth` is that loop, written once over any :class:`Fleet`.
 A sweep probes every idle worker (LFSR stimulus, MISR signature, Elmore
 timing closure, against the worker's latent defect if the fault
 injector grew one), quarantines the failures with their BIST diagnosis
@@ -15,24 +15,27 @@ self-test, within ``max_provision_attempts`` draws from the
 one or a spent budget raises :class:`~repro.errors.ProvisionError` --
 clean and catchable, never a hang.
 
-:class:`FleetHealth` is the in-process transport over the synchronous
-farm's :class:`~repro.service.pool.DevicePool`;
-:class:`repro.runtime.health.RuntimeHealth` is the async one over
-worker processes.  Defects come from the injector's dedicated defect
-RNG and wafers from the supply's seed, so a seeded soak replays the
-same deaths, diagnoses and replacement fleet on every run.
+The synchronous farm's :class:`~repro.service.pool.DevicePool` and the
+process runtime's :class:`~repro.runtime.pool.WorkerPool` both keep the
+:class:`Fleet` contract; the loop is plain blocking Python, so an async
+caller runs :meth:`FleetHealth.sweep` off its event loop
+(``await asyncio.to_thread(health.sweep)``).  Defects come from the
+injector's dedicated defect RNG and wafers from the supply's seed, so a
+seeded soak replays the same deaths, diagnoses and replacement fleet on
+every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tuple,
+)
 
 from ..errors import ChipError, ProvisionError
 from ..wafer.provision import WaferSupply
 from ..wafer.reconfigure import harvest_linear_array
 from ..wafer.wafer import Wafer
-from .pool import DevicePool, PoolWorker
 from .reliability import CellDefect, FaultInjector
 from .telemetry import ServiceTelemetry
 
@@ -80,36 +83,67 @@ class HealthEvent:
     detail: str = ""
 
 
-class HealthPolicy:
-    """The probe -> quarantine -> heal rules; transports subclass it."""
+class Fleet(Protocol):
+    """What the health loop needs from a pool of workers, by name.
+
+    ``self_test`` runs one incoming or background probe against
+    *defect* and returns its report, or ``None`` when the worker is not
+    idle (a probe never preempts traffic).  ``respawn`` puts a fresh
+    worker on a harvested wafer *out of dispatch* and names it; only
+    ``self_test`` reaches it until ``admit`` lets it in, so a candidate
+    that fails its incoming probe never serves.
+    """
+
+    n_live: int
+
+    def idle_names(self) -> List[str]: ...
+    def quarantine(self, name: str) -> None: ...
+    def self_test(
+        self, name: str, config: HealthConfig, defect: Optional[CellDefect]
+    ) -> Optional[BISTReport]: ...
+    def respawn(self, wafer: Wafer, config: HealthConfig) -> str: ...
+    def admit(self, name: str) -> None: ...
+
+
+class FleetHealth:
+    """The probe -> quarantine -> heal loop over one :class:`Fleet`."""
 
     def __init__(
         self,
-        supply: Optional[WaferSupply],
-        injector: Optional[FaultInjector],
-        config: Optional[HealthConfig],
-        telemetry: Optional[ServiceTelemetry],
-        obs,
+        pool: Fleet,
+        supply: Optional[WaferSupply] = None,
+        injector: Optional[FaultInjector] = None,
+        config: Optional[HealthConfig] = None,
+        telemetry: Optional[ServiceTelemetry] = None,
+        obs=None,
     ):
+        self.pool = pool
         self.supply = supply
         self.injector = injector
         self.config = config or HealthConfig()
         self.telemetry = telemetry
         self.obs = obs
         self.events: List[HealthEvent] = []
+        #: name -> the latent defect that worker carries.  Host-side
+        #: only, shipped in probes, so a defective worker computes
+        #: correct results until a probe catches it.
+        self.defects: Dict[str, CellDefect] = {}
+        #: The fleet size healing restores: the live count at the time
+        #: the loop was attached.  Quarantines *and* execution deaths
+        #: both erode ``pool.n_live``; healing replaces either.
+        self.target_live = pool.n_live
 
-    def _latent(self, defect: Optional[CellDefect]) -> Optional[CellDefect]:
-        """The defect a worker carries into its probe: *defect*, else
-        whatever the injector's defect RNG grows now."""
-        if defect is None and self.injector is not None:
-            cfg = self.config
-            return self.injector.sample_defect(cfg.bist_m, cfg.bist_w)
-        return defect
+    def seed_defect(self, name: str, defect: CellDefect) -> None:
+        """Declare that worker *name* now carries *defect*."""
+        self.defects[name] = defect
 
-    def _probed(
-        self, report: BISTReport, defect: Optional[CellDefect]
-    ) -> BISTReport:
-        """Account one self-test verdict, wherever it ran."""
+    def probe(self, name: str) -> Optional[BISTReport]:
+        """Self-test one worker against its latent defect; ``None`` if
+        it was not idle (skip it, probe it next sweep)."""
+        defect = self.defects.get(name)
+        report = self.pool.self_test(name, self.config, defect)
+        if report is None:
+            return None
         if self.telemetry is not None:
             self.telemetry.bist_runs += 1
             if not report.ok:
@@ -118,11 +152,13 @@ class HealthPolicy:
             report.record(self.obs, defect)
         return report
 
-    def _quarantined(
-        self, name: str, report: Optional[BISTReport],
-        defect: Optional[CellDefect],
+    def quarantine(
+        self, name: str, report: Optional[BISTReport] = None
     ) -> HealthEvent:
-        """Log worker *name*'s quarantine, with its BIST diagnosis."""
+        """Drain worker *name* out of dispatch and log why, with its
+        BIST diagnosis."""
+        self.pool.quarantine(name)
+        defect = self.defects.get(name)
         cell = detail = ""
         if report is not None and report.diagnosis is not None:
             d = report.diagnosis
@@ -163,77 +199,31 @@ class HealthPolicy:
             f"{self.supply.remaining} wafers left)"
         )
 
-    def _healed(self, name: str, cells: int, sites: int) -> HealthEvent:
-        """Log a replacement that passed its incoming self-test."""
-        if self.telemetry is not None:
-            self.telemetry.heals += 1
-        if self.obs is not None:
-            self.obs.registry.counter("health.heals", worker=name).inc()
-        self.events.append(
-            HealthEvent(name, "heal", detail=f"{cells}/{sites} cells")
-        )
-        return self.events[-1]
-
-
-class FleetHealth(HealthPolicy):
-    """The health rules over one in-process device pool."""
-
-    def __init__(
-        self,
-        pool: DevicePool,
-        supply: Optional[WaferSupply] = None,
-        injector: Optional[FaultInjector] = None,
-        config: Optional[HealthConfig] = None,
-        telemetry: Optional[ServiceTelemetry] = None,
-        obs=None,
-    ):
-        super().__init__(supply, injector, config, telemetry, obs)
-        self.pool = pool
-        self.controller = self.config.controller()
-        self._heal_seq = 0
-        #: The fleet size healing restores: the live count at the time
-        #: the loop was attached.  Quarantines *and* execution deaths
-        #: both erode ``pool.n_live``; healing replaces either.
-        self.target_live = pool.n_live
-
-    def probe(self, worker: PoolWorker) -> BISTReport:
-        """Self-test one worker (against its latent defect, if any)."""
-        defect = worker.latent_defect
-        report = self.controller.run(defect=defect, chip_name=worker.name)
-        return self._probed(report, defect)
-
-    def quarantine(
-        self, worker: PoolWorker, report: Optional[BISTReport] = None
-    ) -> HealthEvent:
-        """Drain *worker* out of dispatch and log why."""
-        worker.quarantine()
-        return self._quarantined(worker.name, report, worker.latent_defect)
-
-    def _next_heal_name(self) -> str:
-        names = {w.name for w in self.pool.workers}
-        while True:
-            self._heal_seq += 1
-            name = f"heal-{self._heal_seq}"
-            if name not in names:
-                return name
-
-    def heal_one(self) -> PoolWorker:
-        """Provision one replacement worker from the wafer supply
-        (:class:`~repro.errors.ProvisionError` when none qualifies)."""
+    def heal_one(self) -> str:
+        """Provision one replacement worker from the wafer supply and
+        return its name (:class:`~repro.errors.ProvisionError` when
+        none qualifies).  Each candidate stays out of dispatch until
+        its incoming self-test passes."""
         # The loop ends by returning or by _candidates raising.
         for wafer, cells in self._candidates():
-            worker = PoolWorker.from_wafer(
-                self._next_heal_name(), wafer, self.pool.alphabet,
-                beat_ns=self.config.beat_ns,
-            )
-            if self.probe(worker).ok:
-                self.pool.add_worker(worker)
-                self._healed(worker.name, cells, wafer.n_sites)
-                return worker
+            name = self.pool.respawn(wafer, self.config)
+            self.defects.pop(name, None)  # fresh silicon, no latent fault
+            report = self.probe(name)
+            if report is not None and report.ok:
+                self.pool.admit(name)
+                if self.telemetry is not None:
+                    self.telemetry.heals += 1
+                if self.obs is not None:
+                    self.obs.registry.counter("health.heals", worker=name) \
+                        .inc()
+                self.events.append(HealthEvent(
+                    name, "heal", detail=f"{cells}/{wafer.n_sites} cells"
+                ))
+                return name
 
-    def heal_to_capacity(self, target_live: int) -> List[PoolWorker]:
+    def heal_to_capacity(self, target_live: int) -> List[str]:
         """Add replacements until ``pool.n_live`` reaches *target_live*."""
-        added: List[PoolWorker] = []
+        added: List[str] = []
         while self.pool.n_live < target_live:
             added.append(self.heal_one())
         return added
@@ -241,16 +231,22 @@ class FleetHealth(HealthPolicy):
     def sweep(
         self, heal: bool = True, target_live: Optional[int] = None
     ) -> List[HealthEvent]:
-        """One background pass; heals up to *target_live* (the fleet's
-        original size by default -- execution deaths are healed too,
-        not just quarantines).  Returns this sweep's actions."""
+        """One background pass: probe every idle worker, quarantine the
+        failures, then heal up to *target_live* (the fleet's size when
+        the loop was attached, by default -- execution deaths are
+        healed too, not just quarantines).  Returns this sweep's
+        actions."""
         target = self.target_live if target_live is None else target_live
         before = len(self.events)
-        for worker in self.pool.idle_workers():
-            worker.seed_defect(self._latent(worker.latent_defect))
-            report = self.probe(worker)
-            if not report.ok:
-                self.quarantine(worker, report)
+        for name in self.pool.idle_names():
+            if self.injector is not None and name not in self.defects:
+                cfg = self.config
+                defect = self.injector.sample_defect(cfg.bist_m, cfg.bist_w)
+                if defect is not None:
+                    self.defects[name] = defect
+            report = self.probe(name)
+            if report is not None and not report.ok:
+                self.quarantine(name, report)
         if heal and self.supply is not None:
             self.heal_to_capacity(target)
         return self.events[before:]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,10 @@ from ..timing.model import TimingModel
 from ..wafer.reconfigure import harvest_linear_array
 from ..wafer.wafer import Wafer
 from ..workloads.registry import MATCH
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..bist.controller import BISTReport
+    from .health import HealthConfig
 
 
 class WorkerState(Enum):
@@ -80,10 +84,6 @@ class PoolWorker:
         # Gate-level twin for deep tracing (built lazily, kept per pattern).
         self._gate: Optional[object] = None
         self._gate_key: Optional[tuple] = None
-        # A latent circuit defect (repro.service.reliability.CellDefect)
-        # waiting for background BIST to find it.  Seeded by the fault
-        # injector's defect channel; None on healthy silicon.
-        self.latent_defect = None
 
     # -- construction ------------------------------------------------------
 
@@ -148,11 +148,6 @@ class PoolWorker:
         return 0 < pattern_len <= self.capacity
 
     # -- fleet health ------------------------------------------------------
-
-    def seed_defect(self, defect) -> None:
-        """Plant a latent :class:`~repro.service.reliability.CellDefect`
-        for the background self-test to find (test/soak hook)."""
-        self.latent_defect = defect
 
     def quarantine(self) -> None:
         """Pull this worker out of dispatch after a failed self-test.
@@ -357,6 +352,12 @@ class DevicePool:
             raise ServiceError("pool worker names must be distinct")
         self.workers = workers
         self.alphabet = workers[0].alphabet
+        # Fleet health: the replacement waiting for its incoming probe
+        # (never in ``workers`` until admitted), the heal-N name
+        # counter, and the probe controller with its health config.
+        self._spare: Optional[PoolWorker] = None
+        self._heal_seq = 0
+        self._bist: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -381,18 +382,47 @@ class DevicePool:
             w for w in self.workers if w.state is WorkerState.QUARANTINED
         ]
 
-    def add_worker(self, worker: PoolWorker) -> PoolWorker:
-        """Admit a freshly provisioned worker (the healing path)."""
-        if worker.alphabet != self.alphabet:
-            raise ServiceError(
-                "replacement worker must share the pool's alphabet"
-            )
-        if any(w.name == worker.name for w in self.workers):
-            raise ServiceError(
-                f"pool already has a worker named {worker.name!r}"
-            )
-        self.workers.append(worker)
-        return worker
+    # -- fleet health (the repro.service.health.Fleet contract) ------------
+
+    def idle_names(self) -> List[str]:
+        return [w.name for w in self.idle_workers()]
+
+    def quarantine(self, name: str) -> None:
+        self.worker(name).quarantine()
+
+    def self_test(
+        self, name: str, config: "HealthConfig", defect=None
+    ) -> Optional["BISTReport"]:
+        """Run the gate-level self-test in-process on idle worker *name*
+        (or the waiting replacement) against *defect*; ``None`` if the
+        worker is not idle."""
+        spare = self._spare
+        worker = spare if spare is not None and spare.name == name \
+            else self.worker(name)
+        if worker.state is not WorkerState.IDLE:
+            return None
+        if self._bist is None or self._bist[0] != config:
+            self._bist = (config, config.controller())
+        return self._bist[1].run(defect=defect, chip_name=name)
+
+    def respawn(self, wafer: Wafer, config: "HealthConfig") -> str:
+        """Harvest *wafer* into a replacement worker with a fresh
+        ``heal-N`` name, held out of the pool until :meth:`admit`."""
+        names = {w.name for w in self.workers}
+        while True:
+            self._heal_seq += 1
+            name = f"heal-{self._heal_seq}"
+            if name not in names:
+                break
+        self._spare = PoolWorker.from_wafer(
+            name, wafer, self.alphabet, beat_ns=config.beat_ns
+        )
+        return name
+
+    def admit(self, name: str) -> None:
+        """Add the replacement that passed its incoming self-test."""
+        self.workers.append(self._spare)
+        self._spare = None
 
     @property
     def n_live(self) -> int:

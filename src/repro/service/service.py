@@ -87,8 +87,9 @@ class MatcherService(FrontDoor):
     :class:`~repro.service.reliability.SoftwareFallback` serves it; text
     shards merge with the spec's ``incomplete`` value, and the spec
     finalizes.  A worker that dies stays out of dispatch until a
-    :class:`~repro.service.health.FleetHealth` sweep heals it: the
-    service runs no health loop of its own.
+    :class:`~repro.service.health.FleetHealth` sweep over ``svc.pool``
+    heals it: the service runs no health loop of its own (the same
+    loop serves the process runtime's pool).
 
     >>> pool = uniform_pool(4, ChipSpec(8, 2), Alphabet("ABCD"))  # doctest: +SKIP
     >>> svc = MatcherService(pool)                                # doctest: +SKIP

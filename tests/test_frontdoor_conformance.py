@@ -498,3 +498,43 @@ def test_invalid_later_stream_admits_nothing(shared_pool):
             return svc.submitted, drained, obs.tracer.find("runtime.job")
 
         assert asyncio.run(go()) == (0, [], [])
+
+
+def test_submitted_never_falls_in_a_rejected_call(shared_pool, monkeypatch):
+    """A call the pool takes only part of counts the jobs it let in,
+    once: ``jobs.submitted`` is a registry counter, and one that falls
+    reads as a reset.  Every value it takes during the call is recorded,
+    in both front doors, and the call leaves it at 1."""
+    from repro.service.telemetry import JobCounters, _Scalar
+
+    seen = []
+
+    class Recording(_Scalar):
+        __slots__ = ()
+
+        def __set__(self, obj, value):
+            seen.append(int(value))
+            super().__set__(obj, value)
+
+    monkeypatch.setattr(JobCounters, "submitted",
+                        Recording("_submitted", int))
+    streams = ["ABCA", "BCAB", "CABC"]
+    farm = _door("farm", max_batch=1, capacity=1, degrade=False)
+    with pytest.raises(BackpressureError):
+        farm.submit_many("AB", streams)
+    farm.drain()
+    assert (seen, farm.counters.submitted) == ([1], 1)
+
+    async def go():
+        config = RuntimeConfig(max_batch_jobs=1, max_pending=1,
+                               degrade_when_saturated=False)
+        svc = AsyncMatcherService(pool=shared_pool, config=config)
+        await svc.start()
+        with pytest.raises(BackpressureError):
+            await svc.submit_many("AB", streams)
+        await svc.drain()
+        return svc.submitted
+
+    seen.clear()
+    assert asyncio.run(go()) == 1
+    assert seen == [1]

@@ -87,7 +87,7 @@ class TestDetect:
         pool = small_pool()
         telemetry = ServiceTelemetry()
         health = FleetHealth(pool, telemetry=telemetry)
-        pool.workers[1].seed_defect(STUCK)
+        health.seed_defect(pool.workers[1].name, STUCK)
         events = health.sweep(heal=False)
         assert [e.action for e in events] == ["quarantine"]
         assert events[0].worker == pool.workers[1].name
@@ -101,7 +101,7 @@ class TestDetect:
         pool = small_pool(n=2)
         obs = Observability()
         health = FleetHealth(pool, obs=obs)
-        pool.workers[0].seed_defect(STUCK)
+        health.seed_defect(pool.workers[0].name, STUCK)
         health.sweep(heal=False)
         bist_spans = obs.tracer.find("bist.run")
         assert len(bist_spans) == 2
@@ -118,8 +118,8 @@ class TestHeal:
         telemetry = ServiceTelemetry()
         health = FleetHealth(pool, supply=good_supply(),
                              telemetry=telemetry)
-        pool.workers[0].seed_defect(STUCK)
-        pool.workers[2].seed_defect(STUCK)
+        health.seed_defect(pool.workers[0].name, STUCK)
+        health.seed_defect(pool.workers[2].name, STUCK)
         events = health.sweep()
         assert pool.n_live == health.target_live == 3
         actions = [e.action for e in events]
@@ -130,7 +130,7 @@ class TestHeal:
         heal_names = {e.worker for e in events if e.action == "heal"}
         for worker in pool.live_workers():
             if worker.name in heal_names:
-                assert worker.latent_defect is None
+                assert worker.name not in health.defects
                 assert worker.capacity > 0
 
     def test_heal_covers_execution_deaths_too(self):
