@@ -24,6 +24,7 @@ reply; the host folds it in with :meth:`MetricsRegistry.merge_snapshot`
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
@@ -54,6 +55,21 @@ class Counter:
             )
         with self._lock:
             self.value += amount
+
+    def inc_all(self, amounts: Iterable[float]) -> None:
+        """Add each amount in order, under one lock: the same value, to
+        the bit, as a loop of :meth:`inc` (a float sum depends on its
+        order)."""
+        with self._lock:
+            value = self.value
+            for amount in amounts:
+                if amount < 0:
+                    raise ObservabilityError(
+                        f"counter {self.name!r} cannot decrease "
+                        f"(amount={amount})"
+                    )
+                value += amount
+            self.value = value
 
     def __repr__(self) -> str:
         return f"Counter({self.name}{dict(self.labels)}={self.value})"
@@ -117,14 +133,25 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Observe each value in order, under one lock: the same buckets,
+        count and total, to the bit, as a loop of :meth:`observe`.  A
+        value lands in the first bucket whose bound it does not exceed;
+        NaN exceeds none, so it lands in the overflow bucket."""
+        bounds, counts = self.bounds, self.bucket_counts
+        overflow = len(bounds)
         with self._lock:
-            self.count += 1
-            self.total += value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+            total, n = self.total, 0
+            for value in values:
+                total += value
+                n += 1
+                # bisect_left would put NaN (never < a bound) first.
+                counts[bisect_left(bounds, value)
+                       if value == value else overflow] += 1
+            self.total = total
+            self.count += n
 
     def merge(
         self, bucket_counts: Sequence[int], count: int, total: float

@@ -45,7 +45,6 @@ from ..service.frontdoor import FrontDoor, Job, Trace, Unit
 from ..service.reliability import FaultInjector, FaultKind, SoftwareFallback
 from ..service.scheduler import Priority
 from ..service.telemetry import JobCounters
-from ..workloads.registry import to_list
 from .admission import RateLimiter
 from .channels import NO_LIVE_WORKER, JobReply, JobRequest, unpack_row
 from .pool import WorkerPool
@@ -281,29 +280,22 @@ class AsyncMatcherService(FrontDoor, JobCounters):
     def _admitted(self, job: Job) -> None:
         self._futures[job.job_id] = self._loop.create_future()
 
-    def _publish(self, job: Job) -> RuntimeResult:
-        """The finished job's result, its values converted to their
-        public element types in one step; resolves its future."""
-        result = RuntimeResult(
-            job_id=job.job_id,
-            tenant=job.tenant,
-            priority=job.priority,
-            workload=job.workload,
-            results=to_list(job.results),
-            submitted_s=job.submitted,
-            started_s=job.started,
-            finished_s=job.finished,
-            attempts=job.attempts,
-            via_fallback=job.via_fallback,
-            timed_out=job.timed_out,
-            worker=job.workers_used[-1] if job.workers_used else None,
-            mode=job.mode,
-        )
-        self._h_latency.observe(result.latency_s)
-        future = self._futures.pop(job.job_id, None)
-        if future is not None and not future.done():
-            future.set_result(result)
-        return result
+    def _publish(self, jobs: List[Job]) -> List[RuntimeResult]:
+        """The finished jobs' results; resolves their futures."""
+        out = []
+        for job in jobs:
+            result = RuntimeResult(
+                job.job_id, job.tenant, job.priority, job.workload,
+                job.results, job.submitted, job.started, job.finished,
+                job.attempts, job.via_fallback, job.timed_out,
+                job.workers_used[-1] if job.workers_used else None, job.mode,
+            )
+            out.append(result)
+            future = self._futures.pop(job.job_id, None)
+            if future is not None and not future.done():
+                future.set_result(result)
+        self._h_latency.observe_many([r.latency_s for r in out])
+        return out
 
     # -- results -----------------------------------------------------------
 
@@ -350,22 +342,14 @@ class AsyncMatcherService(FrontDoor, JobCounters):
 
     def stats(self) -> Dict[str, float]:
         """A flat snapshot of the runtime's own counters."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "retries": self.retries,
-            "deaths": self.deaths,
-            "fallbacks": self.fallbacks,
-            "timeouts": self.timeouts,
-            "backpressure_hits": self.backpressure_hits,
-            "batches": self.batches,
-            "batched_jobs": self.batched_jobs,
-            "deduped": self.deduped,
-            "rate_limit_waits": self.limiter.waits,
-            "pool_dispatched": self.pool.dispatched,
-            "pool_replies": self.pool.replies,
-            "pool_dropped_replies": self.pool.dropped_replies,
-        }
+        counters = {name: getattr(self, name) for name in (
+            "submitted", "completed", "retries", "deaths", "fallbacks",
+            "timeouts", "backpressure_hits", "batches", "batched_jobs",
+            "deduped")}
+        return dict(counters, rate_limit_waits=self.limiter.waits,
+                    pool_dispatched=self.pool.dispatched,
+                    pool_replies=self.pool.replies,
+                    pool_dropped_replies=self.pool.dropped_replies)
 
 
 class ProcessPool:
@@ -440,13 +424,9 @@ class ProcessPool:
             self._disarm(unit)
             return
         fault = self.faults.sample()
-        fault_kind = None
-        stall_s = 0.0
-        if fault is not None:
-            if fault.kind is FaultKind.WORKER_DEATH:
-                fault_kind = "death"
-            else:
-                stall_s = fault.extra_beats * self.stuck_stall_s
+        death = fault is not None and fault.kind is FaultKind.WORKER_DEATH
+        stall_s = fault.extra_beats * self.stuck_stall_s \
+            if fault is not None and not death else 0.0
         jobs = [job for job, _ in unit.pieces]
         for job in jobs:
             job.mode = "batched" if unit.batched else "pool"
@@ -461,7 +441,7 @@ class ProcessPool:
             # The typed arrays themselves: symbol codes or samples.
             streams=[np.asarray(job.text) for job in jobs],
             collect_obs=self.obs is not None,
-            fault=fault_kind,
+            fault="death" if death else None,
             stall_s=stall_s,
         )
         self.workers.submit(

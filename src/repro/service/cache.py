@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,13 +96,11 @@ def result_cache_key(
             _stream_digest(stream, numeric))
 
 
-class _Entry:
-    __slots__ = ("results", "size", "stored_at")
+class _Entry(NamedTuple):
+    """A stored result: a tuple, so the collector stops tracking it."""
 
-    def __init__(self, results: list, stored_at: float):
-        self.results = results
-        self.size = len(results)
-        self.stored_at = stored_at
+    results: tuple
+    stored_at: float
 
 
 class ResultCache:
@@ -121,13 +119,16 @@ class ResultCache:
         than this at ``get``/``put`` time are expired.  ``None`` means
         entries never age out.
 
+    ``get`` takes a call's keys and ``put`` a settled unit's results,
+    each booking its counters once.
+
     >>> cache = ResultCache(max_entries=2)
     >>> key = result_cache_key("match", [], "ABAB", numeric=False)
-    >>> cache.get(key, tenant="t0") is None
-    True
-    >>> cache.put(key, [False, True])
-    >>> cache.get(key, tenant="t1")
-    [False, True]
+    >>> cache.get([key], tenant="t0")
+    [None]
+    >>> cache.put([(key, [False, True], 0.0)])
+    >>> cache.get([key], tenant="t1")
+    [[False, True]]
     """
 
     hits = _Scalar("_hits", int)
@@ -202,61 +203,65 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _expired(self, entry: _Entry, now: float) -> bool:
-        return self.ttl is not None and (now - entry.stored_at) > self.ttl
-
-    def _drop(self, key: Tuple, counter) -> None:
-        entry = self._entries.pop(key)
-        self._total_values -= entry.size
-        counter.inc()
+    def _drop(self, key: Tuple) -> None:
+        self._total_values -= len(self._entries.pop(key).results)
 
     def get(
-        self, key: Tuple, tenant: str = "anon", now: float = 0.0
-    ) -> Optional[list]:
-        """The cached result for *key*, or None.  Hits return a copy, so
-        callers can never mutate the shared entry."""
+        self, keys: Sequence[Tuple], tenant: str = "anon", now: float = 0.0
+    ) -> List[Optional[list]]:
+        """One call's lookups: each key's cached result, or None.  Hits
+        return a copy, so callers can never mutate the shared entry; the
+        call's hits and misses are booked once, for *tenant* and
+        overall."""
+        if not keys:
+            return []
+        entries, found = self._entries, []
+        for key in keys:
+            entry = entries.get(key)
+            if entry is not None and self.ttl is not None and \
+                    now - entry.stored_at > self.ttl:  # expired
+                self._drop(key)
+                self._expirations.inc()
+                entry = None
+            elif entry is not None:
+                entries.move_to_end(key)
+            found.append(None if entry is None else list(entry.results))
+        misses = found.count(None)
+        hits = len(keys) - misses
         t_hits, t_misses = self._tenant_counters(tenant)
-        entry = self._entries.get(key)
-        if entry is not None and self._expired(entry, now):
-            self._drop(key, self._expirations)
-            entry = None
-        if entry is None:
-            self._misses.inc()
-            t_misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self._hits.inc()
-        t_hits.inc()
-        return list(entry.results)
+        self._misses.inc(misses)
+        t_misses.inc(misses)
+        self._hits.inc(hits)
+        t_hits.inc(hits)
+        return found
 
-    def put(self, key: Tuple, results: Sequence, now: float = 0.0) -> None:
-        """Store one result (a copy of it), evicting LRU past the bounds.
-
-        The services store the list they published, so an entry shares
-        its values with the published result and every hit's copy
-        shares them too."""
-        if len(results) > self.max_values:
-            return  # larger than the whole size budget: not cacheable
-        old = self._entries.pop(key, None)  # re-store refreshes age + order
-        if old is not None:
-            self._total_values -= old.size
-        entry = _Entry(list(results), now)
-        self._entries[key] = entry
-        self._total_values += entry.size
-        self._stores.inc()
-        while (
-            len(self._entries) > self.max_entries
-            or self._total_values > self.max_values
-        ):
-            oldest = next(iter(self._entries))
-            self._drop(oldest, self._evictions)
+    def put(self, items: Iterable[Tuple[Tuple, Sequence, float]]) -> None:
+        """Store each (key, results, now) in order -- a copy of the
+        results, aged from *now* -- evicting LRU past the bounds, and
+        book the stores and evictions once.  The services store a
+        settled unit's published lists: an entry shares their values,
+        and so does every hit's copy."""
+        entries, stores, evictions = self._entries, 0, 0
+        for key, results, now in items:
+            if len(results) > self.max_values:
+                continue  # larger than the whole size budget: not cacheable
+            if key in entries:  # re-store refreshes age + order
+                self._drop(key)
+            entries[key] = _Entry(tuple(results), now)
+            self._total_values += len(results)
+            stores += 1
+            while len(entries) > self.max_entries or \
+                    self._total_values > self.max_values:
+                self._total_values -= len(entries.popitem(False)[1].results)
+                evictions += 1
+        self._stores.inc(stores)
+        self._evictions.inc(evictions)
 
     def invalidate(self, key: Tuple) -> bool:
         """Drop one entry; True if it existed."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        if key not in self._entries:
             return False
-        self._total_values -= entry.size
+        self._drop(key)
         return True
 
     def clear(self) -> None:

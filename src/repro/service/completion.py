@@ -28,8 +28,8 @@ class CompletionLog:
         self._ids: List[int] = []  # job ids of ``_ordered``, for bisection
         self._fresh: List = []  # recorded since the last settle
 
-    def add(self, result) -> None:
-        self._fresh.append(result)
+    def add(self, *results) -> None:
+        self._fresh.extend(results)
 
     def snapshot(self) -> List:
         """A fresh list of every result so far, in job-id order."""

@@ -20,17 +20,15 @@ awaits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
 )
 
 from ..errors import BackpressureError
-from ..workloads.registry import WorkloadSpec
+from ..workloads.registry import WorkloadSpec, to_list
 from .completion import CompletionLog
-from .plan import (
-    BATCH, CACHED, DEDUPED, INLINE, SOLO, Request, parse_request, plan,
-)
+from .plan import BATCH, DEDUPED, INLINE, SOLO, Request, parse_request, plan
 from .scheduler import Priority
 from .sharding import TextShard, merge_shard_values
 
@@ -43,9 +41,8 @@ class Job:
     stream (codes or samples, padded for convolution/FIR) and
     ``orig_len`` the validated input length ``spec.finalize`` maps
     results back onto.  Times are in the front door's clock unit; the
-    last three fields are set when the job completes: ``results`` holds
-    the result array (a cache hit's list) until the front door
-    publishes it, then the published list."""
+    last three fields are set as the job completes: ``results`` holds
+    the result array (a cache hit's list), then the published list."""
 
     job_id: int
     tenant: str
@@ -61,12 +58,10 @@ class Job:
     attempts: int = 0  # failed executions of any unit carrying the job
     mode: Optional[str] = None  # device route fixed at first dispatch
     shards: Optional[List[TextShard]] = None  # set when text-sharded
-    pending: int = 1  # pieces not yet served
-    shard_results: Dict[int, Sequence] = field(default_factory=dict)
-    shard_finish: Dict[int, float] = field(default_factory=dict)
+    parts: Optional[Dict[int, Sequence]] = None  # served shards' rows
     started: Optional[float] = None  # first commit, else software start
     service: float = 0.0
-    workers_used: List[str] = field(default_factory=list)
+    workers_used: Tuple[str, ...] = ()  # one entry per served piece
     via_fallback: bool = False
     timed_out: bool = False
     done: bool = False
@@ -156,7 +151,7 @@ class FrontDoor:
 
     A surface sets ``config`` (``max_retries``, ``max_batch_jobs``,
     ``degrade_when_saturated``), ``alphabet``, ``cache``, ``obs`` and
-    ``fallback``, defines ``_publish(job)`` and passes the rest here:
+    ``fallback``, defines ``_publish(jobs)`` and passes the rest here:
     its pool; *counters* with integer ``submitted``, ``completed``,
     ``deduped``, ``batches``, ``batched_jobs``, ``retries``, ``deaths``,
     ``fallbacks``, ``timeouts`` and ``backpressure_hits`` attributes;
@@ -165,9 +160,11 @@ class FrontDoor:
     (modelled host beats in the farm, measured seconds in the runtime);
     and its ``result_cache_key`` and shard merge, bound late so that a
     wrapper installed on the surface's module is the one called.
-    ``_publish`` builds the public result of a finished :class:`Job`,
-    converting ``job.results`` to the list its ``results`` attribute
-    carries.
+    ``_publish`` builds and books the public results of a batch of one
+    call's finished jobs (their ``results`` already the published
+    lists).  Bookkeeping is per settled unit and per call, never per
+    job (job spans aside): a unit's completions are one ``_publish``,
+    one bump of each counter and one cache ``put``.
     """
 
     def __init__(
@@ -204,7 +201,14 @@ class FrontDoor:
         ``saturated`` is served from software after its followers
         joined or, without ``degrade_when_saturated``, rejected: its id
         stays unused, the jobs admitted before it run, and
-        :class:`~repro.errors.BackpressureError` propagates."""
+        :class:`~repro.errors.BackpressureError` propagates.  Inline
+        jobs complete as one batch, shed ones are served from software,
+        and the units (solos, then batch chunks, of still-open jobs) go
+        to the pool in queue order; a batch plan counts when the pool
+        takes it.  A unit the pool refuses is served from software with
+        ``degrade_when_saturated``, else it and every later unit are
+        rolled back and the error propagates.  The call's jobs count as
+        submitted once, at the end, less the rolled-back ones."""
         now = self.transport.now()
         routes, solos, batches = plan(
             req.spec, req.taps, req.streams, self.cache, now,
@@ -214,6 +218,9 @@ class FrontDoor:
         deadline = None if req.timeout is None else now + req.timeout
         jobs: List[Job] = []
         shed: List[Job] = []
+        inline: List[Job] = []  # no queue, worker, wire or beats
+        deduped = 0
+        full = False
         for prepared, route in zip(req.streams, routes):
             saturated = route.kind in (SOLO, BATCH) and \
                 self.transport.saturated(self.open)
@@ -221,67 +228,51 @@ class FrontDoor:
                 self.counters.backpressure_hits += 1
                 if not self.config.degrade_when_saturated:
                     self.next_id += 1
-                    self._launch(jobs, shed, solos, batches, req.priority)
-                    raise BackpressureError(
-                        f"pending set full ({self.open} open jobs)"
-                    )
+                    full = True
+                    break
             job = Job(
                 self.next_id, tenant, req.priority, req.spec, prepared.taps,
                 prepared.feed, len(prepared.validated), now, deadline,
                 route.key,
             )
             self.next_id += 1
-            self.open += 1
             if self.obs is not None:
                 # Jobs overlap in time, so their spans cannot nest on
-                # the tracer stack: open/close explicitly, keyed off the
-                # job.
+                # the tracer stack: open/close explicitly, per job.
                 job.span = self.obs.tracer.open_span(
                     self.trace.job, t0=now, unit=self.trace.unit,
                     job_id=job.job_id, tenant=tenant,
                     priority=job.priority.name, workload=job.workload,
                 )
             jobs.append(job)
+            if route.kind in INLINE:  # completes with the call, below
+                job.started = job.finished = now
+                job.results, job.mode = route.hit or [], route.kind
+                job.done = True
+                inline.append(job)
+                continue
+            self.open += 1
             if route.kind == DEDUPED:
-                self.counters.deduped += 1
+                deduped += 1
                 self._followers.setdefault(
                     jobs[route.rep].job_id, []).append(job)
-            elif route.kind in INLINE:  # no queue, worker, wire or beats
-                job.started = now
-                self._complete(job, route.hit or [], now, route.kind)
-                continue
             self._admitted(job)
             if saturated:
                 shed.append(job)
-        self._launch(jobs, shed, solos, batches, req.priority)
-        return [job.job_id for job in jobs]
-
-    def _admitted(self, job: Job) -> None:
-        """An admitted job is still open; the async surface gives it a
-        future here."""
-
-    def _launch(
-        self, jobs: List[Job], shed: List[Job], solos: List[int],
-        batches: List[List[int]], priority: Priority,
-    ) -> None:
-        """Serve the shed jobs from software, then hand the plan's units
-        (solos, then batch chunks, over the call's still-open jobs) to
-        the pool in queue order; a batch plan counts once, when the pool
-        takes it.  A unit the pool refuses is served from software with
-        ``degrade_when_saturated``; otherwise it and every unit after it
-        are rolled back and the error propagates.  The call's jobs count
-        as submitted here, once, less the rolled-back ones, so the
-        counter never falls."""
+        self.counters.deduped += deduped
+        self.open += len(inline)  # open until _complete, like every job
+        self._complete(inline)
         now = self.transport.now()
-        for job in shed:
-            self.degrade([job.whole()], now, reason="saturated")
+        if shed:
+            self.degrade([job.whole() for job in shed], now,
+                         reason="saturated")
         units = []
         for chunk, batched in [([i], False) for i in solos] + \
                 [(c, True) for c in batches]:
             pieces = [jobs[i].whole() for i in chunk
                       if i < len(jobs) and not jobs[i].done]
             if pieces:
-                units.append(Unit(pieces, priority, batched))
+                units.append(Unit(pieces, req.priority, batched))
         for i, unit in enumerate(units):
             try:
                 self.transport.submit(unit)
@@ -298,6 +289,13 @@ class FrontDoor:
                 self.counters.batches += 1
                 self.counters.batched_jobs += len(unit.pieces)
         self.counters.submitted += len(jobs)
+        if full:
+            raise BackpressureError(f"pending set full ({self.open} open jobs)")
+        return [job.job_id for job in jobs]
+
+    def _admitted(self, job: Job) -> None:
+        """An admitted job is still open; the async surface gives it a
+        future here."""
 
     def reject(self, job: Job, now: float) -> int:
         """Roll a job that was not let in (and its followers) back out;
@@ -329,9 +327,10 @@ class FrontDoor:
                            reason="retries-exhausted"):
                 self.transport.submit(unit)
             return
-        for (job, shard), row, cost in zip(unit.pieces, rows, costs):
-            if not job.done:
-                self.settle(job, shard, row, now, cost, worker)
+        self._complete([
+            job for (job, shard), row, cost in zip(unit.pieces, rows, costs)
+            if not job.done and self.settle(job, shard, row, now, cost, worker)
+        ])
 
     def failed(self, unit: Unit, n_live: int, now: float, **attrs) -> bool:
         """*unit*'s execution failed: one more attempt on it and on every
@@ -365,6 +364,7 @@ class FrontDoor:
     def degrade(self, pieces: List[Piece], now: float, **attrs) -> None:
         """The host CPU serves each piece with the software baseline
         (saturation, deadline, retries exhausted or no live worker)."""
+        done = []
         for job, shard in pieces:
             if job.started is None:
                 job.started = now
@@ -378,65 +378,71 @@ class FrontDoor:
                     shard=shard.index, chars=len(feed), **attrs,
                 )
             job.via_fallback = True
-            self.counters.fallbacks += 1
-            self.settle(job, shard, results, now + cost, cost)
+            if self.settle(job, shard, results, now + cost, cost):
+                done.append(job)
+        self.counters.fallbacks += len(pieces)
+        self._complete(done)
 
     def settle(
         self, job: Job, shard: TextShard, results: Sequence, finish: float,
         cost: float, worker: Optional[str] = None,
-    ) -> None:
-        """Book one served piece (*worker* None for software); the job
-        completes with its last: shards merge, the spec finalizes and
-        the mode is labelled."""
+    ) -> bool:
+        """Book one served piece (*worker* None for software); True when
+        it was the job's last, which leaves the job done (shards merged,
+        finalized, mode labelled) for its unit's ``_complete``."""
         if worker is not None:
-            job.workers_used.append(worker)
-        job.shard_results[shard.index] = results
-        job.shard_finish[shard.index] = finish
+            job.workers_used += (worker,)
+        job.finished = max(job.finished or finish, finish)  # pieces' last
         job.service += cost
-        job.pending -= 1
-        if job.pending:
-            return
-        if job.shards is not None:
-            ordered = [job.shard_results[s.index] for s in job.shards]
+        if job.shards is not None:  # one piece of a text-sharded job
+            job.parts[shard.index] = results
+            if len(job.parts) < len(job.shards):
+                return False
             results = self.merge(
-                job.shards, ordered, len(job.text), job.spec.incomplete
+                job.shards, [job.parts[s.index] for s in job.shards],
+                len(job.text), job.spec.incomplete,
             )
-        results = job.spec.finalize(job.taps, job.orig_len, results)
-        mode = "software" if job.via_fallback and not job.workers_used \
-            else job.mode
-        self._complete(job, results, max(job.shard_finish.values()), mode)
-
-    def _complete(
-        self, job: Job, results: Sequence, finished: float, mode: str
-    ) -> None:
-        """Publish *job*'s result, write an executed answer back to the
-        cache and hand every follower a copy of it and of its
-        representative's fate (workers, fallback, timeout); a follower
-        keeps its own identity, attempts and latency accounting."""
+        job.results = job.spec.finalize(job.taps, job.orig_len, results)
+        if job.via_fallback and not job.workers_used:
+            job.mode = "software"
         job.done = True
-        job.results, job.finished, job.mode = results, finished, mode
-        result = self._publish(job)
-        # The cache and the followers copy the published list, sharing
-        # its values: the log keeps every result, so converting the
-        # array again per hit or per follower would cost memory.
-        job.results = result.results
-        self.log.add(result)
-        self.open -= 1
-        self.counters.completed += 1
-        if job.span is not None:
-            self.obs.tracer.close(job.span, t1=finished, **{
-                name: getattr(result, name) for name in self.trace.close
-            })
-            job.span = None
-        if self.cache is not None and job.cache_key is not None and \
-                mode not in (CACHED, DEDUPED):
-            self.cache.put(job.cache_key, job.results, now=finished)
-        for follower in self._followers.pop(job.job_id, ()):
-            follower.started = max(job.started, follower.submitted)
-            follower.workers_used = job.workers_used
-            follower.via_fallback = job.via_fallback
-            follower.timed_out = job.timed_out
-            self._complete(follower, job.results, finished, DEDUPED)
+        return True
+
+    def _complete(self, jobs: List[Job]) -> None:
+        """Complete one settled unit's done *jobs* and their followers as
+        one batch.  An executed result array becomes its published list
+        here, once (a cache hit's list is its own copy already); the
+        cache and each follower copy that list.  A follower takes its
+        representative's fate (workers, fallback, timeout)."""
+        if not jobs:
+            return
+        done, stores = [], []
+        for job in jobs:
+            if job.mode not in INLINE:  # executed: convert, then store
+                job.results = to_list(job.results)
+                if job.cache_key is not None and self.cache is not None:
+                    stores.append((job.cache_key, job.results, job.finished))
+            done.append(job)
+            for follower in self._followers.pop(job.job_id, ()):
+                follower.started = max(job.started, follower.submitted)
+                follower.workers_used = job.workers_used
+                follower.via_fallback = job.via_fallback
+                follower.timed_out = job.timed_out
+                follower.results = list(job.results)
+                follower.finished, follower.mode = job.finished, DEDUPED
+                follower.done = True
+                done.append(follower)
+        results = self._publish(done)
+        self.log.add(*results)
+        self.open -= len(done)
+        self.counters.completed += len(done)
+        if self.obs is not None:
+            for job, result in zip(done, results):
+                self.obs.tracer.close(job.span, t1=job.finished, **{
+                    name: getattr(result, name) for name in self.trace.close
+                })
+        if stores:
+            self.cache.put(stores)
 
     # -- results -----------------------------------------------------------
 

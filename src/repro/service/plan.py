@@ -130,27 +130,28 @@ def plan(
     tenant: str = "default",
 ) -> Plan:
     """Route every prepared stream (see the module docstring).  *key* is
-    the front door's ``result_cache_key``; *now* (in the front door's
-    clock units) and *tenant* go to the cache lookups."""
+    the front door's ``result_cache_key``; the call's keys go to the
+    cache in one lookup, with *now* (in the front door's clock units)
+    and *tenant*."""
     keyed = cache is not None or len(streams) > 1
     params = canonical_params(taps) if keyed else None
+    keys = [key(spec.name, taps, s.validated, spec.numeric, params=params)
+            if keyed and len(s.validated) else None for s in streams]
+    # One lookup for the whole call (empty streams are never keyed).
+    hits = None if cache is None else iter(cache.get(
+        [k for k in keys if k is not None], tenant=tenant, now=now))
     routes: List[Route] = []
     reps: Dict[tuple, int] = {}
     solos: List[int] = []
     batchable: List[int] = []
-    for i, stream in enumerate(streams):
-        if len(stream.validated) == 0:
+    for i, (stream, k) in enumerate(zip(streams, keys)):
+        if k is None and len(stream.validated) == 0:
             routes.append(Route(EMPTY))
             continue
-        k = None
-        if keyed:
-            k = key(spec.name, taps, stream.validated, spec.numeric,
-                    params=params)
-        if cache is not None:
-            hit = cache.get(k, tenant=tenant, now=now)
-            if hit is not None:
-                routes.append(Route(CACHED, k, hit=hit))
-                continue
+        hit = next(hits) if hits is not None else None
+        if hit is not None:
+            routes.append(Route(CACHED, k, hit=hit))
+            continue
         if k in reps:
             routes.append(Route(DEDUPED, k, rep=reps[k]))
             continue

@@ -27,7 +27,6 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
 from ..host.bus import HostSpec
-from ..workloads.registry import to_list
 from .cache import ResultCache, result_cache_key
 from .frontdoor import FrontDoor, Job, Trace, Unit
 from .pool import DevicePool, PoolWorker, WorkerState
@@ -188,27 +187,27 @@ class MatcherService(FrontDoor):
         self._sync_telemetry()
         return self.results()
 
-    def _publish(self, job: Job) -> JobResult:
-        """The finished job's result (its wait runs from submission to
-        its start), booked into the farm's telemetry.  Its values take
-        their public element types here, in one conversion."""
-        results = to_list(job.results)
-        started, finished = job.started, job.finished
-        result = JobResult(
-            job.job_id, job.tenant, job.priority, results, job.submitted,
-            started, finished, started - job.submitted, job.service,
-            job.mode, tuple(job.workers_used), job.attempts,
-            job.via_fallback, job.workload, job.timed_out,
-        )
-        self._last_finish = max(self._last_finish, finished)
-        self.telemetry.text_chars_served += len(results)
-        self.telemetry.record_job(job.priority, result.wait_beats, job.service)
-        self.telemetry.record_workload(job.workload, len(results))
-        return result
+    def _publish(self, jobs: List[Job]) -> List[JobResult]:
+        """The finished jobs' results (a job's wait runs from submission
+        to its start), booked into the farm's telemetry as one batch."""
+        out, shared = [], {}  # one workers tuple per distinct history
+        for job in jobs:
+            used = job.workers_used
+            out.append(JobResult(
+                job.job_id, job.tenant, job.priority, job.results,
+                job.submitted, job.started, job.finished,
+                job.started - job.submitted, job.service, job.mode,
+                shared.setdefault(used, used), job.attempts,
+                job.via_fallback, job.workload, job.timed_out,
+            ))
+        self._last_finish = max(self._last_finish, *(j.finished for j in jobs))
+        self.telemetry.record_job(out)
+        self.telemetry.record_workload(out)
+        return out
 
     def _sync_telemetry(self) -> None:
         t, farm = self.telemetry, self.transport
-        t.queue_high_water = dict(farm.queues.high_water)
+        t.note_queue_high_water(farm.queues.high_water)
         t.bus_busy_beats = farm.bus.busy_beats
         t.bus_chars_moved = farm.bus.chars_moved
         t.makespan_beats = max(farm.clock.now, self._last_finish)
@@ -244,7 +243,7 @@ class FarmPool:
         self.bus = SharedBus(host, self.beat_ns, obs=obs)
         self.door: Optional[FrontDoor] = None
         self._seq = 0
-        self._inflight: List[Tuple[float, int, Unit]] = []
+        self._inflight: List[Tuple[float, int, Unit, List[int]]] = []
         self._retry: Deque[Unit] = deque()
         for w in devices:
             stats = telemetry.worker_stats(w.name, w.capacity)
@@ -296,9 +295,9 @@ class FarmPool:
                 raise ServiceError(
                     "scheduler stalled with live workers and queued jobs"
                 )
-            _, _, unit = heapq.heappop(self._inflight)
+            _, _, unit, costs = heapq.heappop(self._inflight)
             self.clock.advance_to(unit.finish)
-            self._complete(unit)
+            self._complete(unit, costs)
 
     # -- assignment --------------------------------------------------------
 
@@ -349,8 +348,8 @@ class FarmPool:
                 self.config.min_shard_chars, obs=self.obs,
             )
             if plan.mode is ShardMode.TEXT_SHARDED:
-                job.mode, job.shards = plan.mode.value, plan.shards
-                job.pending = len(plan.shards)
+                job.mode, job.shards, job.parts = \
+                    plan.mode.value, plan.shards, {}
                 for shard, worker in zip(plan.shards, fitting):
                     self._launch(Unit([(job, shard)], unit.priority), worker)
                 return
@@ -362,19 +361,21 @@ class FarmPool:
 
     def _project(
         self, fault, unit: Unit, worker: PoolWorker, now: float
-    ) -> Tuple[float, int]:
-        """Projected finish beat and bus characters of running *unit*'s
-        pieces back to back on *worker* (one load of the taps per piece).
-        A worker death burns beats and bus time up to the failure point
-        and brings nothing useful back."""
+    ) -> Tuple[float, int, List[int]]:
+        """Projected finish beat, bus characters and per-piece device
+        beats of running *unit*'s pieces back to back on *worker* (one
+        load of the taps per piece).  A worker death burns beats and bus
+        time up to the failure point and brings nothing useful back."""
         plen, fed = unit.window_len, [s.n_fed for _, s in unit.pieces]
-        service = sum(worker.service_beats(plen, n) for n in fed)
+        costs = [worker.service_beats(plen, n) for n in fed]
+        service = sum(costs)
         chars = sum(worker.transfer_chars(plen, n) for n in fed)
         if fault is not None and fault.kind is FaultKind.WORKER_DEATH:
             finish = now + max(1.0, fault.at_fraction * service)
-            return finish, int(chars * fault.at_fraction)
+            return finish, int(chars * fault.at_fraction), costs
         extra = fault.extra_beats if fault is not None else 0
-        return max(now + service + extra, self.bus.eta(chars, now)), chars
+        return max(now + service + extra, self.bus.eta(chars, now)), chars, \
+            costs
 
     def _launch(self, unit: Unit, worker: PoolWorker) -> None:
         """Launch *unit* on *worker* under one fault sample: the unit
@@ -385,7 +386,7 @@ class FarmPool:
         A fully shed unit never commits the worker or the bus."""
         now = self.clock.now
         fault = self.faults.sample()
-        finish, bus_chars = self._project(fault, unit, worker, now)
+        finish, bus_chars, costs = self._project(fault, unit, worker, now)
 
         def blown(piece) -> bool:
             deadline = piece[0].deadline
@@ -401,7 +402,7 @@ class FarmPool:
             unit.pieces = [p for p in unit.pieces if not blown(p)]
             if not unit.pieces:
                 return
-            finish, bus_chars = self._project(fault, unit, worker, now)
+            finish, bus_chars, costs = self._project(fault, unit, worker, now)
         for job, _ in unit.pieces:
             if job.started is None:
                 job.started = now
@@ -410,7 +411,7 @@ class FarmPool:
         unit.worker, unit.fault = worker, fault
         unit.start, unit.finish = now, finish
         self._seq += 1
-        heapq.heappush(self._inflight, (finish, self._seq, unit))
+        heapq.heappush(self._inflight, (finish, self._seq, unit, costs))
 
     # -- completion --------------------------------------------------------
 
@@ -434,11 +435,11 @@ class FarmPool:
             self.telemetry.stuck_events += 1
         return False
 
-    def _complete(self, unit: Unit) -> None:
+    def _complete(self, unit: Unit, costs: List[int]) -> None:
         """A unit's execution finished: a death is reported as a failed
         reply; otherwise one device call, the worker's batched kernel,
         yields every piece's row.  A batch member's cost is its own
-        device share: what its own run would have cost on the worker."""
+        device share, projected at launch (*costs*)."""
         worker, fault = unit.worker, unit.fault
         died = self._settle_worker(unit)
         job, shard = unit.pieces[0]
@@ -458,7 +459,6 @@ class FarmPool:
             job.spec, job.taps, [s.feed(j.text) for j, s in unit.pieces],
             obs=self.obs, parent=span, t0=unit.start, t1=unit.finish,
         )
-        plen = unit.window_len
-        costs = [worker.service_beats(plen, s.n_fed) for _, s in unit.pieces] \
-            if unit.batched else [unit.finish - unit.start]
+        if not unit.batched:
+            costs = [unit.finish - unit.start]
         self.door.reply(unit, unit.finish, rows, worker.name, costs)

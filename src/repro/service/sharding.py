@@ -57,8 +57,10 @@ class TextShard:
         return self.out_hi - self.feed_start + 1
 
     def feed(self, text: Sequence) -> Sequence:
-        """The shard's slice of *text*: a view when *text* is an array
-        or an :class:`~repro.alphabet.EncodedText`."""
+        """The shard's slice of *text* (a view when *text* is an array or
+        an :class:`~repro.alphabet.EncodedText`), or *text* itself."""
+        if self.feed_start == 0 and self.out_hi == len(text) - 1:
+            return text
         return text[self.feed_start : self.out_hi + 1]
 
 

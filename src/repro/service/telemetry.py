@@ -8,10 +8,10 @@ a :class:`~repro.obs.metrics.MetricsRegistry` under stable dotted names
 through the same :class:`repro.analysis.report.Table` the paper-figure
 benches use.
 
-The attribute API predating the registry (``telemetry.submitted``,
-``worker.busy_beats``...) is preserved as thin property views over the
-registered metrics, so existing callers and tests read the same numbers
-the trace tooling exports.
+Attributes (``telemetry.submitted``, ``worker.busy_beats``...) are
+views of the registered metrics.  Completed jobs are booked per settled
+unit: ``record_job`` and ``record_workload`` take one unit's results
+and bump each counter once.
 
 Worker busy time is accounted through :meth:`WorkerStats.record_busy`,
 which clips overlapping intervals against a per-worker high-water mark:
@@ -22,7 +22,7 @@ more busy beats than wall-clock, so utilization stays <= 1.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..analysis.report import Table, kv_table
 from ..obs.metrics import MetricsRegistry
@@ -190,7 +190,7 @@ class ServiceTelemetry(JobCounters):
         self._heals = r.counter("service.health.heals")
         self._wait_hist = r.histogram("service.job.wait_beats")
         self._service_hist = r.histogram("service.job.service_beats")
-        self._queue_high_water: Dict[Priority, int] = {}
+        self.queue_high_water: Dict[Priority, int] = {}
         self.by_class: Dict[Priority, ClassStats] = {
             p: ClassStats(r, p) for p in Priority
         }
@@ -199,37 +199,34 @@ class ServiceTelemetry(JobCounters):
 
     # -- accumulation hooks (called by the service) -----------------------
 
-    @property
-    def queue_high_water(self) -> Dict[Priority, int]:
-        return self._queue_high_water
-
-    @queue_high_water.setter
-    def queue_high_water(self, value: Dict[Priority, int]) -> None:
-        self._queue_high_water = dict(value)
-        for p, depth in self._queue_high_water.items():
+    def note_queue_high_water(self, depths: Dict[Priority, int]) -> None:
+        """The deepest each priority queue has been, so far."""
+        self.queue_high_water = dict(depths)
+        for p, depth in depths.items():
             self.registry.gauge(
-                "service.queue.high_water", priority=p.name
-            ).set(depth)
+                "service.queue.high_water", priority=p.name).set(depth)
 
     def worker_stats(self, name: str, capacity: int) -> WorkerStats:
         if name not in self.workers:
             self.workers[name] = WorkerStats(self.registry, name, capacity)
         return self.workers[name]
 
-    def record_job(
-        self, priority: Priority, wait_beats: float, service_beats: float
-    ) -> None:
-        cls = self.by_class.get(priority)
-        if cls is None:
-            cls = self.by_class[priority] = ClassStats(self.registry, priority)
-        cls.jobs += 1
-        cls.total_wait_beats += wait_beats
-        cls.total_service_beats += service_beats
-        self._wait_hist.observe(wait_beats)
-        self._service_hist.observe(service_beats)
+    def record_job(self, results: Sequence) -> None:
+        """Book one settled unit's results (one priority class): wait and
+        service beats, in order, into class totals and histograms."""
+        waits = [r.wait_beats for r in results]
+        services = [r.service_beats for r in results]
+        cls = self.by_class[results[0].priority]
+        cls._jobs.inc(len(results))
+        cls._wait.inc_all(waits)
+        cls._service.inc_all(services)
+        self._wait_hist.observe_many(waits)
+        self._service_hist.observe_many(services)
 
-    def record_workload(self, workload: str, n_outputs: int) -> None:
-        """Count one completed job (and its output values) by workload."""
+    def record_workload(self, results: Sequence) -> None:
+        """Count one settled unit's results (one workload) and their
+        output values: the text characters served."""
+        workload = results[0].workload
         pair = self._by_workload.get(workload)
         if pair is None:
             pair = self._by_workload[workload] = (
@@ -238,9 +235,10 @@ class ServiceTelemetry(JobCounters):
                 self.registry.counter("service.outputs.by_workload",
                                       workload=workload),
             )
-        jobs, outputs = pair
-        jobs.inc()
-        outputs.inc(n_outputs)
+        outputs = sum(len(r.results) for r in results)
+        pair[0].inc(len(results))
+        pair[1].inc(outputs)
+        self._chars.inc(outputs)
 
     @property
     def by_workload(self) -> Dict[str, Dict[str, int]]:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError, ReproError
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -79,6 +83,70 @@ class TestMetricsRegistry:
         r.counter("array.beats", array="a0").inc(12)
         out = r.render()
         assert "array.beats" in out
+
+
+def _linear_scan(bounds, values):
+    """The bucket rule as a linear scan: the first bound a value does
+    not exceed, else overflow (NaN exceeds none)."""
+    counts, total = [0] * (len(bounds) + 1), 0.0
+    for value in values:
+        total += value
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                counts[i] += 1
+                break
+        else:
+            counts[-1] += 1
+    return counts, total
+
+
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+
+
+class TestBatchedObservation:
+    """``Histogram.observe_many`` and ``Counter.inc_all`` equal a loop of
+    ``observe``/``inc``: same buckets, count and total to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_observe_many_equals_a_loop_of_observe(self, data):
+        bounds = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False), SPECIAL.filter(
+                lambda v: not math.isnan(v))), min_size=1, max_size=6))
+        values = data.draw(st.lists(st.one_of(
+            st.floats(), SPECIAL, st.sampled_from(bounds),
+            st.integers(-10, 10)), max_size=30))
+        r = MetricsRegistry()
+        batch = r.histogram("batch", buckets=bounds)
+        loop = r.histogram("loop", buckets=bounds)
+        batch.observe_many(values)
+        for value in values:
+            loop.observe(value)
+        counts, total = _linear_scan(batch.bounds, values)
+        assert batch.bucket_counts == loop.bucket_counts == counts
+        assert batch.count == loop.count == len(values)
+        assert repr(batch.total) == repr(loop.total) == repr(total)
+
+    def test_nan_lands_in_the_overflow_bucket(self):
+        h = MetricsRegistry().histogram("h", buckets=[1.0, 2.0])
+        h.observe_many([math.nan, 1.0, 2.0, 2.5, -math.inf, math.inf])
+        assert h.bucket_counts == [2, 1, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e9), max_size=30))
+    def test_inc_all_equals_a_loop_of_inc(self, amounts):
+        r = MetricsRegistry()
+        batch, loop = r.counter("batch"), r.counter("loop")
+        batch.inc(0.1)
+        loop.inc(0.1)
+        batch.inc_all(amounts)
+        for amount in amounts:
+            loop.inc(amount)
+        assert repr(batch.value) == repr(loop.value)
+
+    def test_inc_all_rejects_a_negative_amount(self):
+        with pytest.raises(ObservabilityError):
+            MetricsRegistry().counter("c").inc_all([1.0, -1.0])
 
 
 class TestTracer:

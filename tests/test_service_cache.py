@@ -90,57 +90,57 @@ class TestBounds:
     def test_lru_eviction_order(self):
         cache = ResultCache(max_entries=2)
         keys = [result_cache_key("match", [], str(i), False) for i in range(3)]
-        cache.put(keys[0], [True])
-        cache.put(keys[1], [False])
-        assert cache.get(keys[0]) == [True]  # refresh 0: now 1 is LRU
-        cache.put(keys[2], [True, False])
-        assert cache.get(keys[1]) is None and cache.evictions == 1
-        assert cache.get(keys[0]) == [True]
+        cache.put([(keys[0], [True], 0.0)])
+        cache.put([(keys[1], [False], 0.0)])
+        assert cache.get([keys[0]])[0] == [True]  # refresh 0: now 1 is LRU
+        cache.put([(keys[2], [True, False], 0.0)])
+        assert cache.get([keys[1]])[0] is None and cache.evictions == 1
+        assert cache.get([keys[0]])[0] == [True]
 
     def test_value_budget_evicts(self):
         cache = ResultCache(max_values=10)
         k1 = result_cache_key("match", [], "a", False)
         k2 = result_cache_key("match", [], "b", False)
-        cache.put(k1, [True] * 8)
-        cache.put(k2, [False] * 8)  # 16 > 10: k1 must go
-        assert cache.get(k1) is None and cache.get(k2) == [False] * 8
+        cache.put([(k1, [True] * 8, 0.0)])
+        cache.put([(k2, [False] * 8, 0.0)])  # 16 > 10: k1 must go
+        assert cache.get([k1])[0] is None and cache.get([k2])[0] == [False] * 8
         assert cache.stats()["values"] == 8
 
     def test_oversized_result_not_cached(self):
         cache = ResultCache(max_values=4)
         key = result_cache_key("match", [], "abcdef", False)
-        cache.put(key, [True] * 6)
-        assert len(cache) == 0 and cache.get(key) is None
+        cache.put([(key, [True] * 6, 0.0)])
+        assert len(cache) == 0 and cache.get([key])[0] is None
 
     def test_ttl_expiry_on_callers_clock(self):
         cache = ResultCache(ttl=100.0)
         key = result_cache_key("match", [], "x", False)
-        cache.put(key, [True], now=50.0)
-        assert cache.get(key, now=149.0) == [True]
-        assert cache.get(key, now=151.0) is None
+        cache.put([(key, [True], 50.0)])
+        assert cache.get([key], now=149.0)[0] == [True]
+        assert cache.get([key], now=151.0)[0] is None
         assert cache.expirations == 1
 
     def test_restore_refreshes_age(self):
         cache = ResultCache(ttl=100.0)
         key = result_cache_key("match", [], "x", False)
-        cache.put(key, [True], now=0.0)
-        cache.put(key, [True], now=90.0)
-        assert cache.get(key, now=150.0) == [True]
+        cache.put([(key, [True], 0.0)])
+        cache.put([(key, [True], 90.0)])
+        assert cache.get([key], now=150.0)[0] == [True]
 
     def test_hit_returns_a_copy(self):
         cache = ResultCache()
         key = result_cache_key("match", [], "x", False)
-        cache.put(key, [True, False])
-        got = cache.get(key)
+        cache.put([(key, [True, False], 0.0)])
+        got = cache.get([key])[0]
         got[0] = "mutated"
-        assert cache.get(key) == [True, False]
+        assert cache.get([key])[0] == [True, False]
 
     def test_invalidate_and_clear(self):
         cache = ResultCache()
         key = result_cache_key("match", [], "x", False)
-        cache.put(key, [True])
+        cache.put([(key, [True], 0.0)])
         assert cache.invalidate(key) and not cache.invalidate(key)
-        cache.put(key, [True])
+        cache.put([(key, [True], 0.0)])
         cache.clear()
         assert len(cache) == 0 and cache.stats()["values"] == 0
 
@@ -152,14 +152,79 @@ class TestBounds:
     def test_per_tenant_telemetry(self):
         cache = ResultCache()
         key = result_cache_key("match", [], "x", False)
-        cache.get(key, tenant="alice")
-        cache.put(key, [True])
-        cache.get(key, tenant="bob")
+        cache.get([key], tenant="alice")
+        cache.put([(key, [True], 0.0)])
+        cache.get([key], tenant="bob")
         by = cache.stats()["by_tenant"]
         assert by["alice"] == {"hits": 0, "misses": 1}
         assert by["bob"] == {"hits": 1, "misses": 0}
         assert 0.0 < cache.hit_rate() < 1.0
 
+
+class TestBatchedBooking:
+    """A call's lookups are one ``get`` and a settled unit's stores one
+    ``put``; each books its counters once, with the per-key outcome of a
+    loop over the keys."""
+
+    def test_one_get_per_call_books_hits_and_misses_once(self):
+        cache = ResultCache(ttl=10.0)
+        a, b, c = (result_cache_key("match", [], t, False) for t in "abc")
+        cache.put([(a, [True], 0.0), (b, [False], 5.0)])
+        # a expires at 12; b is hit twice (a duplicate in the call).
+        got = cache.get([a, b, c, b], tenant="alice", now=12.0)
+        assert got == [None, [False], None, [False]]
+        assert (cache.hits, cache.misses, cache.expirations) == (2, 2, 1)
+        assert cache.stats()["by_tenant"] == {
+            "alice": {"hits": 2, "misses": 2}}
+        assert cache.get([], tenant="bob") == []
+        assert "bob" not in cache.stats()["by_tenant"]
+
+    def test_one_put_per_unit_evicts_in_order(self):
+        cache = ResultCache(max_entries=2, max_values=5)
+        k = [result_cache_key("match", [], str(i), False) for i in range(4)]
+        cache.put([(k[0], [True], 0.0), (k[1], [True] * 9, 0.0),
+                   (k[2], [False], 1.0), (k[3], [True] * 3, 2.0)])
+        # k1 is over the whole budget; k0 goes when k3 would make 3.
+        assert [e is not None for e in cache.get(k)] == [
+            False, False, True, True]
+        assert (cache.stores, cache.evictions) == (3, 1)
+        assert cache.stats()["values"] == 4
+
+
+class TestHitOwnership:
+    """A cache hit copies its result once (in ``get``), and every
+    published list is its own: mutating one leaves the entry, the
+    representative's and each follower's results unchanged."""
+
+    def test_hit_is_copied_once_and_owned(self, monkeypatch):
+        handed = []
+        real_get = ResultCache.get
+
+        def recording_get(self, keys, **kw):
+            found = real_get(self, keys, **kw)
+            handed.extend(hit for hit in found if hit is not None)
+            return found
+
+        monkeypatch.setattr(ResultCache, "get", recording_get)
+        cache = ResultCache()
+        svc = MatcherService(uniform_pool(2, ChipSpec(8, 2), AB),
+                             cache=cache)
+        rep, follower = svc.submit_many("AXC", ["ABCAACAC"] * 2)
+        svc.drain()
+        hit = svc.submit("AXC", "ABCAACAC")
+        results = svc.drain()
+        want = oracle("AXC", "ABCAACAC")
+        assert results[hit].mode == "cached"
+        # The published list is the very copy get handed out.
+        assert len(handed) == 1 and results[hit].results is handed[0]
+        results[hit].results[:] = ["mutated"] * len(want)
+        results[follower].results.append("more")
+        assert results[rep].results == want
+        results[rep].results.clear()
+        assert results[follower].results == want + ["more"]
+        # The entry is untouched by all three: the next hit is the answer.
+        again = svc.submit("AXC", "ABCAACAC")
+        assert svc.drain()[again].results == want
 
 class TestFaultProofHits:
     """Satellite: hits byte-identical to cold runs with faults active."""

@@ -26,7 +26,6 @@ from repro.service.frontdoor import FrontDoor, Trace
 from repro.service.reliability import FaultInjector, FaultKind, SoftwareFallback
 from repro.service.scheduler import Priority, SchedulerConfig
 from repro.workloads import run_workload
-from repro.workloads.registry import to_list
 
 AB = Alphabet("ABCD")
 TRACE = Trace("ticks", "fake.job", "fake.software", "fake.timeout",
@@ -122,14 +121,14 @@ class FakeDoor(FrontDoor):
     def _admitted(self, job):
         self.admitted.append(job)
 
-    def _publish(self, job):
-        # A front door converts the result array once, at publish.
-        return SimpleNamespace(
-            job_id=job.job_id, results=to_list(job.results), mode=job.mode,
+    def _publish(self, jobs):
+        # The front door has already made each job's published list.
+        return [SimpleNamespace(
+            job_id=job.job_id, results=job.results, mode=job.mode,
             attempts=job.attempts, timed_out=job.timed_out,
             via_fallback=job.via_fallback, workers=tuple(job.workers_used),
             started=job.started, finished=job.finished,
-        )
+        ) for job in jobs]
 
 
 class FakeTransport:
@@ -243,7 +242,7 @@ def test_follower_reports_its_representatives_fate():
     assert r.results is not done[rep.job_id].results  # its own copy
     assert other.job_id not in done
     # The executed answer was written back to the cache.
-    assert cache.get(rep.cache_key, tenant="t", now=3.0) is not None
+    assert cache.get([rep.cache_key], tenant="t", now=3.0) != [None]
 
 
 def test_rejection_rolls_a_job_and_its_followers_back_out():
